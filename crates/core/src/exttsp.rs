@@ -9,7 +9,10 @@
 //! bytes (the paper's weights). The optimizer merges block chains
 //! greedily, but instead of only appending it evaluates score-driven
 //! merge points — splitting the growing chain and nesting the other chain
-//! at the most profitable seam.
+//! at the most profitable seam. Candidates are scored by their change
+//! against the two chains' own scores, so a build costs time in each
+//! procedure's size, and the orders are those of rescoring every
+//! candidate in full.
 //!
 //! The scorer ([`exttsp_score`] / [`span_score`]) is the single encoding
 //! of the objective: the pass maximizes it, the comparison table reports
@@ -75,27 +78,50 @@ fn edge_score(ep: &ExtTspParams, w: u64, src_end: u64, dst: u64) -> u64 {
     }
 }
 
+/// Score of the distinct out-edges of block `b` placed at byte `src`.
+/// `addr_of` gives a successor's address, or `None` when it is not placed;
+/// `seen` is scratch for skipping repeated successors.
+fn out_edge_score(
+    program: &Program,
+    profile: &Profile,
+    ep: &ExtTspParams,
+    b: BlockId,
+    src: u64,
+    seen: &mut Vec<BlockId>,
+    addr_of: impl Fn(BlockId) -> Option<u64>,
+) -> u64 {
+    let src_end = src + block_bytes(program, b);
+    seen.clear();
+    let mut total = 0u64;
+    for t in program.block(b).term.successors() {
+        if seen.contains(&t) {
+            continue;
+        }
+        seen.push(t);
+        if let Some(dst) = addr_of(t) {
+            total += edge_score(ep, profile.edge_count(b, t), src_end, dst);
+        }
+    }
+    total
+}
+
 /// Sums the score of every profiled control-flow edge whose endpoints both
 /// have an address in `addr` (`u64::MAX` marks absent blocks).
 fn score_at(program: &Program, profile: &Profile, ep: &ExtTspParams, addr: &[u64]) -> u64 {
+    let addr_of = |t: BlockId| Some(addr[t.index()]).filter(|&a| a != u64::MAX);
+    let mut seen = Vec::new();
     let mut total = 0u64;
-    for (bi, blk) in program.blocks.iter().enumerate() {
-        let src = addr[bi];
-        if src == u64::MAX {
-            continue;
-        }
-        let b = BlockId(bi as u32);
-        let src_end = src + block_bytes(program, b);
-        let mut seen: Vec<BlockId> = Vec::new();
-        for t in blk.term.successors() {
-            if seen.contains(&t) {
-                continue;
-            }
-            seen.push(t);
-            if addr[t.index()] == u64::MAX {
-                continue;
-            }
-            total += edge_score(ep, profile.edge_count(b, t), src_end, addr[t.index()]);
+    for (bi, &src) in addr.iter().enumerate() {
+        if src != u64::MAX {
+            total += out_edge_score(
+                program,
+                profile,
+                ep,
+                BlockId(bi as u32),
+                src,
+                &mut seen,
+                addr_of,
+            );
         }
     }
     total
@@ -140,38 +166,81 @@ pub fn span_score(program: &Program, profile: &Profile, order: &[BlockId]) -> u6
 }
 
 /// The ext-TSP objective of one contiguous span under explicit weights.
+///
+/// Costs O(s log s) for a span of s blocks, whatever the program's size:
+/// addresses live in a map local to the span. A block repeated in `order`
+/// is scored at its last address, as the whole-layout scorer does.
 pub fn span_score_with(
     program: &Program,
     profile: &Profile,
     ep: &ExtTspParams,
     order: &[BlockId],
 ) -> u64 {
-    let mut addr = vec![u64::MAX; program.blocks.len()];
+    let mut addr: Vec<(BlockId, u64)> = Vec::with_capacity(order.len());
     let mut cur = 0u64;
     for &b in order {
-        addr[b.index()] = cur;
+        addr.push((b, cur));
         cur += block_bytes(program, b);
     }
-    score_at(program, profile, ep, &addr)
+    // Stable sort, then keep the last address of each repeated block.
+    addr.sort_by_key(|&(b, _)| b);
+    addr.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+    let addr_of = |t: BlockId| {
+        addr.binary_search_by_key(&t, |&(b, _)| b)
+            .ok()
+            .map(|i| addr[i].1)
+    };
+    let mut seen = Vec::new();
+    addr.iter()
+        .map(|&(b, src)| out_edge_score(program, profile, ep, b, src, &mut seen, addr_of))
+        .sum()
 }
 
 /// One chain of local block indices during merging.
 struct Chain {
     blocks: Vec<u32>,
+    /// Score of the edges inside the chain, at their places in it.
     score: u64,
+    /// Total byte size of the chain's blocks.
+    bytes: u64,
+}
+
+/// A merge arrangement `X[..k] ++ Y ++ X[k..]`, with X the live chain
+/// rooted at `outer` and Y the one rooted at `inner`. `k == |X|` and
+/// `k == 0` are the two concatenations.
+#[derive(Clone, Copy)]
+struct Seam {
+    outer: u32,
+    inner: u32,
+    k: usize,
 }
 
 /// The best way to merge a pair of chains, cached per pair.
 struct Merge {
     gain: u64,
-    arrangement: Vec<u32>,
+    seam: Seam,
     score: u64,
 }
+
+/// A weighted intra-procedure edge `(from, to, weight)` in local indices.
+type Edge = (u32, u32, u64);
+
+/// Chain-merger signature, shared with the test reference.
+type MergeFn = fn(usize, &[u64], &[Edge], u32, &Profile, &[BlockId], &ExtTspParams) -> Vec<u32>;
+
+/// Span-scorer signature, shared with the test reference.
+type SpanScoreFn = fn(&Program, &Profile, &ExtTspParams, &[BlockId]) -> u64;
 
 /// Computes the ext-TSP block order for one procedure.
 ///
 /// The procedure's entry block is always placed first (the image address
-/// of a procedure is its entry), unlike [`chain_proc`], which may front a
+/// of a procedure is its entry), unlike [`crate::chain_proc`], which may front a
 /// hot predecessor. The merged order competes under [`span_score`] against
 /// the greedy chain order (rotated to entry-first when chaining fronted a
 /// predecessor), so the pass never scores below the paper's chaining on
@@ -188,6 +257,25 @@ pub fn exttsp_proc_order_with(
     profile: &Profile,
     proc: ProcId,
     params: &LayoutParams,
+) -> Vec<BlockId> {
+    proc_order_by(
+        program,
+        profile,
+        proc,
+        params,
+        merge_chains,
+        span_score_with,
+    )
+}
+
+/// [`exttsp_proc_order_with`] over a given chain merger and span scorer.
+fn proc_order_by(
+    program: &Program,
+    profile: &Profile,
+    proc: ProcId,
+    params: &LayoutParams,
+    merge: MergeFn,
+    span_score: SpanScoreFn,
 ) -> Vec<BlockId> {
     let ep = &params.exttsp;
     let blocks = &program.proc(proc).blocks;
@@ -206,7 +294,7 @@ pub fn exttsp_proc_order_with(
 
     // Weighted intra-procedure edges in local indices, deduplicated.
     // Self edges contribute a layout-independent constant and are dropped.
-    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+    let mut edges: Vec<Edge> = Vec::new();
     for (i, &b) in blocks.iter().enumerate() {
         let mut seen: Vec<BlockId> = Vec::new();
         for t in program.block(b).term.successors() {
@@ -223,7 +311,7 @@ pub fn exttsp_proc_order_with(
         }
     }
 
-    let merged = merge_chains(n, &sizes, &edges, entry_local, profile, blocks, ep);
+    let merged = merge(n, &sizes, &edges, entry_local, profile, blocks, ep);
 
     // Candidate selection under the shared scorer; the merged order wins
     // ties so the pass's own structure is preferred.
@@ -242,8 +330,8 @@ pub fn exttsp_proc_order_with(
         rot.extend_from_slice(&chain[..at]);
         rot
     };
-    if span_score_with(program, profile, ep, &chain_candidate)
-        > span_score_with(program, profile, ep, &merged_blocks)
+    if span_score(program, profile, ep, &chain_candidate)
+        > span_score(program, profile, ep, &merged_blocks)
     {
         chain_candidate
     } else {
@@ -251,30 +339,259 @@ pub fn exttsp_proc_order_with(
     }
 }
 
+/// The live chains of one procedure and where each block sits in them.
+struct Chains<'a> {
+    sizes: &'a [u64],
+    /// Out-edges `(to, weight)` of each block.
+    out: Vec<Vec<(u32, u64)>>,
+    /// Live chains by root; merged-away roots are `None`.
+    chains: Vec<Option<Chain>>,
+    /// Root of the live chain holding each block.
+    chain_of: Vec<u32>,
+    /// Index of each block in its chain.
+    index: Vec<u32>,
+    /// Byte offset of each block in its chain.
+    offset: Vec<u64>,
+}
+
+/// Reusable buffers of [`Chains::best_merge`].
+#[derive(Default)]
+struct PairScratch {
+    intra_a: Vec<Edge>,
+    intra_b: Vec<Edge>,
+    inter: Vec<Edge>,
+    straddle: Vec<i128>,
+}
+
+impl Chains<'_> {
+    fn chain(&self, root: u32) -> &Chain {
+        self.chains[root as usize].as_ref().expect("live chain")
+    }
+
+    /// Score of the edges between a seam's two chains at their places in
+    /// the seam's arrangement.
+    fn inter_score(&self, inter: &[Edge], seam: Seam, ep: &ExtTspParams) -> u64 {
+        let x = self.chain(seam.outer);
+        let y_bytes = self.chain(seam.inner).bytes;
+        let y_at = x
+            .blocks
+            .get(seam.k)
+            .map_or(x.bytes, |&v| self.offset[v as usize]);
+        let pos = |v: u32| {
+            let v = v as usize;
+            if self.chain_of[v] != seam.outer {
+                y_at + self.offset[v]
+            } else if self.index[v] as usize >= seam.k {
+                self.offset[v] + y_bytes
+            } else {
+                self.offset[v]
+            }
+        };
+        inter
+            .iter()
+            .map(|&(f, t, w)| edge_score(ep, w, pos(f) + self.sizes[f as usize], pos(t)))
+            .sum()
+    }
+
+    /// Fills `delta[k]`, for every seam `k` in `1..|X|`, with the change in
+    /// score of X's internal edges when `gap` bytes open at `k`. An edge
+    /// moves only when it straddles the seam, and then by the same amount
+    /// for every such `k`, so each edge adds its change to its straddle
+    /// range of a difference array and one prefix-sum pass gives every `k`.
+    /// The changes are signed, hence `i128`: exact for any `u64` score.
+    fn straddle_deltas(
+        &self,
+        x: &Chain,
+        intra: &[Edge],
+        gap: u64,
+        ep: &ExtTspParams,
+        delta: &mut Vec<i128>,
+    ) {
+        delta.clear();
+        delta.resize(x.blocks.len() + 1, 0);
+        for &(f, t, w) in intra {
+            let (f, t) = (f as usize, t as usize);
+            let (i, j) = (self.index[f] as usize, self.index[t] as usize);
+            let src_end = self.offset[f] + self.sizes[f];
+            let dst = self.offset[t];
+            let old = edge_score(ep, w, src_end, dst);
+            let new = if i < j {
+                edge_score(ep, w, src_end, dst + gap)
+            } else {
+                edge_score(ep, w, src_end + gap, dst)
+            };
+            let d = i128::from(new) - i128::from(old);
+            delta[i.min(j) + 1] += d;
+            delta[i.max(j) + 1] -= d;
+        }
+        for k in 1..delta.len() {
+            delta[k] += delta[k - 1];
+        }
+    }
+
+    /// The best-scoring way to merge live chains `a` and `b`, or `None`
+    /// when no arrangement is admissible (the entry must stay at the head
+    /// of its chain).
+    ///
+    /// Each candidate scores `a.score + b.score`, plus the change on the
+    /// split chain's internal edges that straddle the seam, plus the edges
+    /// between the pair at their new places. Candidates are enumerated in
+    /// a fixed order and the first strictly best wins.
+    fn best_merge(
+        &self,
+        a: u32,
+        b: u32,
+        entry_root: u32,
+        entry_local: u32,
+        ep: &ExtTspParams,
+        scratch: &mut PairScratch,
+    ) -> Option<Merge> {
+        let ca = self.chains[a as usize].as_ref()?;
+        let cb = self.chains[b as usize].as_ref()?;
+        let has_entry = a == entry_root || b == entry_root;
+        let admissible = |first: u32| !has_entry || first == entry_local;
+
+        // The pair's edges, from its own blocks' out-edges: those inside
+        // `a`, those inside `b`, and those between them.
+        let PairScratch {
+            intra_a,
+            intra_b,
+            inter,
+            straddle,
+        } = scratch;
+        intra_a.clear();
+        intra_b.clear();
+        inter.clear();
+        for &f in ca.blocks.iter().chain(&cb.blocks) {
+            let from_a = self.chain_of[f as usize] == a;
+            for &(t, w) in &self.out[f as usize] {
+                let to = self.chain_of[t as usize];
+                if to != a && to != b {
+                    continue;
+                }
+                match (from_a, to == a) {
+                    (true, true) => intra_a.push((f, t, w)),
+                    (false, false) => intra_b.push((f, t, w)),
+                    _ => inter.push((f, t, w)),
+                }
+            }
+        }
+
+        let base = i128::from(ca.score) + i128::from(cb.score);
+        let mut best: Option<(i128, Seam)> = None;
+        let mut consider = |seam: Seam, straddle: i128| {
+            let s = base + straddle + i128::from(self.inter_score(inter, seam, ep));
+            if best.is_none_or(|(bs, _)| s > bs) {
+                best = Some((s, seam));
+            }
+        };
+
+        // a ++ b, then b ++ a.
+        if admissible(ca.blocks[0]) {
+            consider(
+                Seam {
+                    outer: a,
+                    inner: b,
+                    k: ca.blocks.len(),
+                },
+                0,
+            );
+        }
+        if admissible(cb.blocks[0]) {
+            consider(
+                Seam {
+                    outer: a,
+                    inner: b,
+                    k: 0,
+                },
+                0,
+            );
+        }
+        // Score-driven merge points: nest one chain inside a split of the
+        // other, at every admissible seam.
+        for (x, y, intra, outer, inner) in [(ca, cb, &*intra_a, a, b), (cb, ca, &*intra_b, b, a)] {
+            if x.blocks.len() as u64 > ep.split_cap || !admissible(x.blocks[0]) {
+                continue;
+            }
+            self.straddle_deltas(x, intra, y.bytes, ep, straddle);
+            for (k, &d) in straddle.iter().enumerate().take(x.blocks.len()).skip(1) {
+                consider(Seam { outer, inner, k }, d);
+            }
+        }
+
+        let (score, seam) = best?;
+        let score = u64::try_from(score).expect("arrangement scores are non-negative");
+        let gain = score.saturating_sub(ca.score + cb.score);
+        Some(Merge { gain, seam, score })
+    }
+
+    /// Applies a merge: the seam's arrangement becomes the chain rooted at
+    /// `root`, and the other root goes dead.
+    fn merge(&mut self, m: &Merge, root: u32) {
+        let Seam { outer, inner, k } = m.seam;
+        let mut blocks = self.chains[outer as usize]
+            .take()
+            .expect("live chain")
+            .blocks;
+        let y = self.chains[inner as usize]
+            .take()
+            .expect("live chain")
+            .blocks;
+        blocks.splice(k..k, y);
+        let mut at = 0u64;
+        for (i, &v) in blocks.iter().enumerate() {
+            let v = v as usize;
+            self.chain_of[v] = root;
+            self.index[v] = i as u32;
+            self.offset[v] = at;
+            at += self.sizes[v];
+        }
+        self.chains[root as usize] = Some(Chain {
+            blocks,
+            score: m.score,
+            bytes: at,
+        });
+    }
+}
+
 /// Greedy chain merging with score-driven merge-point selection. Returns
 /// a permutation of `0..n` (local indices) with `entry_local` first.
-#[allow(clippy::too_many_arguments)]
+///
+/// Evaluating a pair costs time in the pair's blocks and edges only: see
+/// [`Chains::best_merge`].
 fn merge_chains(
     n: usize,
     sizes: &[u64],
-    edges: &[(u32, u32, u64)],
+    edges: &[Edge],
     entry_local: u32,
     profile: &Profile,
     blocks: &[BlockId],
     ep: &ExtTspParams,
 ) -> Vec<u32> {
-    // One chain per block to start; `chain_of[b]` names the live chain
-    // (indexed by its smallest-ever root) holding block `b`.
-    let mut chains: Vec<Option<Chain>> = (0..n)
-        .map(|i| {
-            Some(Chain {
-                blocks: vec![i as u32],
-                score: 0,
+    // One chain per block to start; a live chain is indexed by its
+    // smallest-ever root.
+    let mut out: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    for &(f, t, w) in edges {
+        out[f as usize].push((t, w));
+    }
+    let mut st = Chains {
+        sizes,
+        out,
+        chains: (0..n)
+            .map(|i| {
+                Some(Chain {
+                    blocks: vec![i as u32],
+                    score: 0,
+                    bytes: sizes[i],
+                })
             })
-        })
-        .collect();
-    let mut chain_of: Vec<u32> = (0..n as u32).collect();
+            .collect(),
+        chain_of: (0..n as u32).collect(),
+        index: vec![0; n],
+        offset: vec![0; n],
+    };
     let mut entry_root = entry_local;
+    let mut scratch = PairScratch::default();
 
     // Undirected inter-chain adjacency (sum of edge weights), kept in
     // ordered maps so every scan below is deterministic.
@@ -287,30 +604,15 @@ fn merge_chains(
         *adj[t as usize].entry(f).or_insert(0) += w;
     }
 
-    let mut pos_scratch: Vec<u64> = vec![0; n];
     let mut best: BTreeMap<(u32, u32), Merge> = BTreeMap::new();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
     for (a, nbrs) in adj.iter().enumerate() {
         for &b in nbrs.keys() {
-            if (a as u32) < b {
-                pairs.push((a as u32, b));
+            let a = a as u32;
+            if a < b {
+                if let Some(m) = st.best_merge(a, b, entry_root, entry_local, ep, &mut scratch) {
+                    best.insert((a, b), m);
+                }
             }
-        }
-    }
-    for &(a, b) in &pairs {
-        if let Some(m) = best_merge(
-            &chains,
-            a,
-            b,
-            sizes,
-            edges,
-            &chain_of,
-            entry_root,
-            entry_local,
-            &mut pos_scratch,
-            ep,
-        ) {
-            best.insert((a, b), m);
         }
     }
 
@@ -323,14 +625,7 @@ fn merge_chains(
     }
     while let Some((a, b)) = pick_best(&best) {
         let m = best.remove(&(a, b)).expect("just found");
-        for &x in &m.arrangement {
-            chain_of[x as usize] = a;
-        }
-        chains[a as usize] = Some(Chain {
-            blocks: m.arrangement,
-            score: m.score,
-        });
-        chains[b as usize] = None;
+        st.merge(&m, a);
         if entry_root == b {
             entry_root = a;
         }
@@ -350,18 +645,7 @@ fn merge_chains(
         let neighbors: Vec<u32> = adj[a as usize].keys().copied().collect();
         for nbr in neighbors {
             let key = (a.min(nbr), a.max(nbr));
-            match best_merge(
-                &chains,
-                key.0,
-                key.1,
-                sizes,
-                edges,
-                &chain_of,
-                entry_root,
-                entry_local,
-                &mut pos_scratch,
-                ep,
-            ) {
+            match st.best_merge(key.0, key.1, entry_root, entry_local, ep, &mut scratch) {
                 Some(m) => {
                     best.insert(key, m);
                 }
@@ -381,112 +665,22 @@ fn merge_chains(
             .sum()
     };
     let mut rest: Vec<(u64, u32, &Chain)> = Vec::new();
-    let mut out: Vec<u32> = Vec::with_capacity(n);
-    for (root, c) in chains.iter().enumerate() {
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    for (root, c) in st.chains.iter().enumerate() {
         let Some(c) = c else { continue };
         if root as u32 == entry_root {
-            out.extend_from_slice(&c.blocks);
+            order.extend_from_slice(&c.blocks);
         } else {
             rest.push((weight_of(c), root as u32, c));
         }
     }
     rest.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
     for (_, _, c) in rest {
-        out.extend_from_slice(&c.blocks);
+        order.extend_from_slice(&c.blocks);
     }
-    debug_assert_eq!(out.len(), n);
-    debug_assert_eq!(out[0], entry_local);
-    out
-}
-
-/// The best-scoring way to merge live chains `a` and `b`, or `None` when
-/// no arrangement is admissible (the entry must stay at the head of its
-/// chain).
-#[allow(clippy::too_many_arguments)]
-fn best_merge(
-    chains: &[Option<Chain>],
-    a: u32,
-    b: u32,
-    sizes: &[u64],
-    edges: &[(u32, u32, u64)],
-    chain_of: &[u32],
-    entry_root: u32,
-    entry_local: u32,
-    pos_scratch: &mut [u64],
-    ep: &ExtTspParams,
-) -> Option<Merge> {
-    let ca = chains[a as usize].as_ref()?;
-    let cb = chains[b as usize].as_ref()?;
-    let has_entry = a == entry_root || b == entry_root;
-
-    // Edges with both endpoints inside the merged pair.
-    let in_pair = |x: u32| chain_of[x as usize] == a || chain_of[x as usize] == b;
-    let pair_edges: Vec<(u32, u32, u64)> = edges
-        .iter()
-        .copied()
-        .filter(|&(f, t, _)| in_pair(f) && in_pair(t))
-        .collect();
-
-    let score_arrangement = |order: &[u32], pos: &mut [u64]| -> u64 {
-        let mut cur = 0u64;
-        for &x in order {
-            pos[x as usize] = cur;
-            cur += sizes[x as usize];
-        }
-        let mut total = 0u64;
-        for &(f, t, w) in &pair_edges {
-            total += edge_score(ep, w, pos[f as usize] + sizes[f as usize], pos[t as usize]);
-        }
-        total
-    };
-
-    let mut best: Option<(u64, Vec<u32>)> = None;
-    let mut consider = |order: Vec<u32>, pos: &mut [u64]| {
-        if has_entry && order[0] != entry_local {
-            return;
-        }
-        let s = score_arrangement(&order, pos);
-        if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-            best = Some((s, order));
-        }
-    };
-
-    let concat = |x: &[u32], y: &[u32]| {
-        let mut v = Vec::with_capacity(x.len() + y.len());
-        v.extend_from_slice(x);
-        v.extend_from_slice(y);
-        v
-    };
-    consider(concat(&ca.blocks, &cb.blocks), pos_scratch);
-    consider(concat(&cb.blocks, &ca.blocks), pos_scratch);
-    // Score-driven merge points: nest one chain inside a split of the
-    // other, at every admissible seam.
-    if ca.blocks.len() as u64 <= ep.split_cap {
-        for k in 1..ca.blocks.len() {
-            let mut v = Vec::with_capacity(ca.blocks.len() + cb.blocks.len());
-            v.extend_from_slice(&ca.blocks[..k]);
-            v.extend_from_slice(&cb.blocks);
-            v.extend_from_slice(&ca.blocks[k..]);
-            consider(v, pos_scratch);
-        }
-    }
-    if cb.blocks.len() as u64 <= ep.split_cap {
-        for k in 1..cb.blocks.len() {
-            let mut v = Vec::with_capacity(ca.blocks.len() + cb.blocks.len());
-            v.extend_from_slice(&cb.blocks[..k]);
-            v.extend_from_slice(&ca.blocks);
-            v.extend_from_slice(&cb.blocks[k..]);
-            consider(v, pos_scratch);
-        }
-    }
-
-    let (score, arrangement) = best?;
-    let gain = score.saturating_sub(ca.score + cb.score);
-    Some(Merge {
-        gain,
-        arrangement,
-        score,
-    })
+    debug_assert_eq!(order.len(), n);
+    debug_assert_eq!(order[0], entry_local);
+    order
 }
 
 /// Builds the whole-program ext-TSP layout: per-procedure ext-TSP block
@@ -515,11 +709,295 @@ pub fn exttsp_layout_with(program: &Program, profile: &Profile, params: &LayoutP
     Layout { order }
 }
 
+/// The full-rescore chain merger and the dense span scorer the pass used
+/// before span-local and delta scoring: the oracle the fast paths must
+/// match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{edge_score, score_at, Edge, ExtTspParams};
+    use codelayout_ir::{BlockId, Program};
+    use codelayout_profile::Profile;
+    use std::collections::BTreeMap;
+
+    /// Span score over a program-wide address array.
+    pub(super) fn span_score_dense(
+        program: &Program,
+        profile: &Profile,
+        ep: &ExtTspParams,
+        order: &[BlockId],
+    ) -> u64 {
+        let mut addr = vec![u64::MAX; program.blocks.len()];
+        let mut cur = 0u64;
+        for &b in order {
+            addr[b.index()] = cur;
+            cur += super::block_bytes(program, b);
+        }
+        score_at(program, profile, ep, &addr)
+    }
+
+    /// One chain of local block indices during merging.
+    struct Chain {
+        blocks: Vec<u32>,
+        score: u64,
+    }
+
+    /// The best way to merge a pair of chains, cached per pair.
+    struct Merge {
+        gain: u64,
+        arrangement: Vec<u32>,
+        score: u64,
+    }
+
+    /// Greedy chain merging that rescores every pair edge of every
+    /// candidate arrangement.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn merge_chains(
+        n: usize,
+        sizes: &[u64],
+        edges: &[Edge],
+        entry_local: u32,
+        profile: &Profile,
+        blocks: &[BlockId],
+        ep: &ExtTspParams,
+    ) -> Vec<u32> {
+        // One chain per block to start; `chain_of[b]` names the live chain
+        // (indexed by its smallest-ever root) holding block `b`.
+        let mut chains: Vec<Option<Chain>> = (0..n)
+            .map(|i| {
+                Some(Chain {
+                    blocks: vec![i as u32],
+                    score: 0,
+                })
+            })
+            .collect();
+        let mut chain_of: Vec<u32> = (0..n as u32).collect();
+        let mut entry_root = entry_local;
+
+        // Undirected inter-chain adjacency (sum of edge weights), kept in
+        // ordered maps so every scan below is deterministic.
+        let mut adj: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); n];
+        for &(f, t, w) in edges {
+            if f == t {
+                continue;
+            }
+            *adj[f as usize].entry(t).or_insert(0) += w;
+            *adj[t as usize].entry(f).or_insert(0) += w;
+        }
+
+        let mut pos_scratch: Vec<u64> = vec![0; n];
+        let mut best: BTreeMap<(u32, u32), Merge> = BTreeMap::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (a, nbrs) in adj.iter().enumerate() {
+            for &b in nbrs.keys() {
+                if (a as u32) < b {
+                    pairs.push((a as u32, b));
+                }
+            }
+        }
+        for &(a, b) in &pairs {
+            if let Some(m) = best_merge(
+                &chains,
+                a,
+                b,
+                sizes,
+                edges,
+                &chain_of,
+                entry_root,
+                entry_local,
+                &mut pos_scratch,
+                ep,
+            ) {
+                best.insert((a, b), m);
+            }
+        }
+
+        // Highest positive gain; ties go to the smallest pair.
+        fn pick_best(best: &BTreeMap<(u32, u32), Merge>) -> Option<(u32, u32)> {
+            best.iter()
+                .filter(|(_, m)| m.gain > 0)
+                .max_by(|(ka, ma), (kb, mb)| ma.gain.cmp(&mb.gain).then(kb.cmp(ka)))
+                .map(|(&k, _)| k)
+        }
+        while let Some((a, b)) = pick_best(&best) {
+            let m = best.remove(&(a, b)).expect("just found");
+            for &x in &m.arrangement {
+                chain_of[x as usize] = a;
+            }
+            chains[a as usize] = Some(Chain {
+                blocks: m.arrangement,
+                score: m.score,
+            });
+            chains[b as usize] = None;
+            if entry_root == b {
+                entry_root = a;
+            }
+
+            // Rewire b's adjacency into a and drop stale cached merges.
+            let b_adj: Vec<(u32, u64)> = std::mem::take(&mut adj[b as usize]).into_iter().collect();
+            adj[a as usize].remove(&b);
+            for (nbr, w) in b_adj {
+                if nbr == a {
+                    continue;
+                }
+                adj[nbr as usize].remove(&b);
+                best.remove(&(b.min(nbr), b.max(nbr)));
+                *adj[a as usize].entry(nbr).or_insert(0) += w;
+                *adj[nbr as usize].entry(a).or_insert(0) = adj[a as usize][&nbr];
+            }
+            let neighbors: Vec<u32> = adj[a as usize].keys().copied().collect();
+            for nbr in neighbors {
+                let key = (a.min(nbr), a.max(nbr));
+                match best_merge(
+                    &chains,
+                    key.0,
+                    key.1,
+                    sizes,
+                    edges,
+                    &chain_of,
+                    entry_root,
+                    entry_local,
+                    &mut pos_scratch,
+                    ep,
+                ) {
+                    Some(m) => {
+                        best.insert(key, m);
+                    }
+                    None => {
+                        best.remove(&key);
+                    }
+                }
+            }
+        }
+
+        // Emit: entry chain first, the rest by decreasing profile weight with
+        // a deterministic root tie-break.
+        let weight_of = |c: &Chain| -> u64 {
+            c.blocks
+                .iter()
+                .map(|&i| profile.block_count(blocks[i as usize]))
+                .sum()
+        };
+        let mut rest: Vec<(u64, u32, &Chain)> = Vec::new();
+        let mut out: Vec<u32> = Vec::with_capacity(n);
+        for (root, c) in chains.iter().enumerate() {
+            let Some(c) = c else { continue };
+            if root as u32 == entry_root {
+                out.extend_from_slice(&c.blocks);
+            } else {
+                rest.push((weight_of(c), root as u32, c));
+            }
+        }
+        rest.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        for (_, _, c) in rest {
+            out.extend_from_slice(&c.blocks);
+        }
+        debug_assert_eq!(out.len(), n);
+        debug_assert_eq!(out[0], entry_local);
+        out
+    }
+
+    /// The best-scoring way to merge live chains `a` and `b`, or `None` when
+    /// no arrangement is admissible (the entry must stay at the head of its
+    /// chain).
+    #[allow(clippy::too_many_arguments)]
+    fn best_merge(
+        chains: &[Option<Chain>],
+        a: u32,
+        b: u32,
+        sizes: &[u64],
+        edges: &[Edge],
+        chain_of: &[u32],
+        entry_root: u32,
+        entry_local: u32,
+        pos_scratch: &mut [u64],
+        ep: &ExtTspParams,
+    ) -> Option<Merge> {
+        let ca = chains[a as usize].as_ref()?;
+        let cb = chains[b as usize].as_ref()?;
+        let has_entry = a == entry_root || b == entry_root;
+
+        // Edges with both endpoints inside the merged pair.
+        let in_pair = |x: u32| chain_of[x as usize] == a || chain_of[x as usize] == b;
+        let pair_edges: Vec<Edge> = edges
+            .iter()
+            .copied()
+            .filter(|&(f, t, _)| in_pair(f) && in_pair(t))
+            .collect();
+
+        let score_arrangement = |order: &[u32], pos: &mut [u64]| -> u64 {
+            let mut cur = 0u64;
+            for &x in order {
+                pos[x as usize] = cur;
+                cur += sizes[x as usize];
+            }
+            let mut total = 0u64;
+            for &(f, t, w) in &pair_edges {
+                total += edge_score(ep, w, pos[f as usize] + sizes[f as usize], pos[t as usize]);
+            }
+            total
+        };
+
+        let mut best: Option<(u64, Vec<u32>)> = None;
+        let mut consider = |order: Vec<u32>, pos: &mut [u64]| {
+            if has_entry && order[0] != entry_local {
+                return;
+            }
+            let s = score_arrangement(&order, pos);
+            if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
+                best = Some((s, order));
+            }
+        };
+
+        let concat = |x: &[u32], y: &[u32]| {
+            let mut v = Vec::with_capacity(x.len() + y.len());
+            v.extend_from_slice(x);
+            v.extend_from_slice(y);
+            v
+        };
+        consider(concat(&ca.blocks, &cb.blocks), pos_scratch);
+        consider(concat(&cb.blocks, &ca.blocks), pos_scratch);
+        // Score-driven merge points: nest one chain inside a split of the
+        // other, at every admissible seam.
+        if ca.blocks.len() as u64 <= ep.split_cap {
+            for k in 1..ca.blocks.len() {
+                let mut v = Vec::with_capacity(ca.blocks.len() + cb.blocks.len());
+                v.extend_from_slice(&ca.blocks[..k]);
+                v.extend_from_slice(&cb.blocks);
+                v.extend_from_slice(&ca.blocks[k..]);
+                consider(v, pos_scratch);
+            }
+        }
+        if cb.blocks.len() as u64 <= ep.split_cap {
+            for k in 1..cb.blocks.len() {
+                let mut v = Vec::with_capacity(ca.blocks.len() + cb.blocks.len());
+                v.extend_from_slice(&cb.blocks[..k]);
+                v.extend_from_slice(&ca.blocks);
+                v.extend_from_slice(&cb.blocks[k..]);
+                consider(v, pos_scratch);
+            }
+        }
+
+        let (score, arrangement) = best?;
+        let gain = score.saturating_sub(ca.score + cb.score);
+        Some(Merge {
+            gain,
+            arrangement,
+            score,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::chain_proc;
+    use crate::{LayoutSeries, ParamKnob, ParamSpace};
+    use codelayout_ir::testgen::{random_program, GenConfig};
     use codelayout_ir::{verify_layout, Cond, Operand, ProcBuilder, ProgramBuilder, Reg};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::ops::RangeInclusive;
 
     /// The chaining fixture: entry(b0) -> hot(b1)/cold(b2); both join at
     /// b3; b3 loops to b0 or exits to b4.
@@ -646,5 +1124,191 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
         assert_eq!(order[0], BlockId(0));
+    }
+
+    /// Programs whose procedures reach 48 blocks, so merged chains grow
+    /// past split caps 8, 16 and 32.
+    fn wide_program(seed: u64) -> Program {
+        let cfg = GenConfig {
+            max_blocks: 48,
+            ..GenConfig::default()
+        };
+        random_program(seed, &cfg)
+    }
+
+    /// A random (not flow-consistent) profile with every block and flow
+    /// edge count drawn from `counts`.
+    fn random_profile(program: &Program, seed: u64, counts: RangeInclusive<u64>) -> Profile {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = Profile::new(program.blocks.len());
+        for c in &mut p.block_counts {
+            *c = rng.gen_range(counts.clone());
+        }
+        for (bi, b) in program.blocks.iter().enumerate() {
+            for t in b.term.successors() {
+                p.edge_counts
+                    .insert((bi as u32, t.0), rng.gen_range(counts.clone()));
+            }
+        }
+        p
+    }
+
+    fn exttsp_knobs() -> ParamSpace {
+        ParamSpace::for_series(LayoutSeries::ExtTsp)
+    }
+
+    fn knob<'a>(space: &'a ParamSpace, name: &str) -> &'a ParamKnob {
+        space
+            .knobs()
+            .iter()
+            .find(|k| k.name() == name)
+            .expect("ext-TSP knob")
+    }
+
+    /// A scorer under which the merged order always wins the candidate
+    /// selection, exposing the merger's own output.
+    fn no_score(_: &Program, _: &Profile, _: &ExtTspParams, _: &[BlockId]) -> u64 {
+        0
+    }
+
+    /// Every procedure's merged order and final order equal the reference
+    /// ones, and the span-local score of the final order equals the dense
+    /// one.
+    fn assert_matches_reference(program: &Program, profile: &Profile, params: &LayoutParams) {
+        let ep = &params.exttsp;
+        for p in 0..program.procs.len() {
+            let proc = ProcId(p as u32);
+            assert_eq!(
+                proc_order_by(program, profile, proc, params, merge_chains, no_score),
+                proc_order_by(
+                    program,
+                    profile,
+                    proc,
+                    params,
+                    reference::merge_chains,
+                    no_score
+                ),
+                "{} proc {p}: merged order under {ep:?}",
+                program.name
+            );
+            let order = exttsp_proc_order_with(program, profile, proc, params);
+            assert_eq!(
+                order,
+                proc_order_by(
+                    program,
+                    profile,
+                    proc,
+                    params,
+                    reference::merge_chains,
+                    reference::span_score_dense
+                ),
+                "{} proc {p}: final order under {ep:?}",
+                program.name
+            );
+            assert_eq!(
+                span_score_with(program, profile, ep, &order),
+                reference::span_score_dense(program, profile, ep, &order)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Delta-scored merging picks the same orders as full rescoring,
+        /// at a value drawn from one ext-TSP knob's grid combined with
+        /// every split cap from 0 (concatenation only) to 64. Half the
+        /// profiles draw counts from `0..=2`, where equal-scoring
+        /// arrangements are common and the tie rules decide.
+        #[test]
+        fn delta_merging_matches_the_full_rescore_reference(
+            seed in 0u64..10_000,
+            pseed in 0u64..1_000,
+            knob_i in 0usize..64,
+            value_i in 0usize..64,
+        ) {
+            let program = wide_program(seed);
+            let max_count = if pseed % 2 == 0 { 2 } else { 999 };
+            let profile = random_profile(&program, pseed, 0..=max_count);
+            let space = exttsp_knobs();
+            let drawn = &space.knobs()[knob_i % space.len()];
+            let mut params = LayoutParams::default();
+            drawn.set(&mut params, drawn.values()[value_i % drawn.values().len()]);
+            let caps = knob(&space, "exttsp.split_cap").values();
+            prop_assert!(caps.contains(&0) && caps.contains(&64));
+            for &cap in caps {
+                params.exttsp.split_cap = cap;
+                assert_matches_reference(&program, &profile, &params);
+            }
+        }
+
+        /// The span-local scorer equals the program-wide one on random
+        /// sub-spans, including spans that repeat blocks.
+        #[test]
+        fn span_local_score_matches_the_dense_reference(
+            seed in 0u64..10_000,
+            pseed in 0u64..1_000,
+            span_seed in 0u64..1_000,
+        ) {
+            let program = wide_program(seed);
+            let profile = random_profile(&program, pseed, 0..=999);
+            let nblocks = program.blocks.len() as u32;
+            let mut rng = StdRng::seed_from_u64(span_seed);
+            let wide = ExtTspParams {
+                jump_weight: 300,
+                forward_window: 4096,
+                backward_window: 2560,
+                split_cap: 64,
+            };
+            for _ in 0..16 {
+                // A run of consecutive blocks with some replaced by blocks
+                // from anywhere in the program, then one block repeated.
+                let start = rng.gen_range(0..nblocks);
+                let mut span: Vec<BlockId> = (0..rng.gen_range(0..=64u32))
+                    .map(|i| {
+                        if rng.gen_range(0..4u32) == 0 {
+                            BlockId(rng.gen_range(0..nblocks))
+                        } else {
+                            BlockId((start + i) % nblocks)
+                        }
+                    })
+                    .collect();
+                if !span.is_empty() {
+                    let at = rng.gen_range(0..span.len());
+                    span.insert(rng.gen_range(0..=span.len()), span[at]);
+                }
+                for ep in [ExtTspParams::default(), wide] {
+                    prop_assert_eq!(
+                        span_score_with(&program, &profile, &ep, &span),
+                        reference::span_score_dense(&program, &profile, &ep, &span),
+                        "span {:?}", span
+                    );
+                }
+            }
+        }
+    }
+
+    /// Edge weights up to 2^32 under the grid's largest jump weight and
+    /// windows and its largest split cap: the signed straddle deltas
+    /// neither wrap nor trip an overflow check, and the orders still
+    /// match the reference.
+    #[test]
+    fn delta_scoring_is_exact_at_large_weights() {
+        let space = exttsp_knobs();
+        let mut params = LayoutParams::default();
+        for name in [
+            "exttsp.jump_weight",
+            "exttsp.forward_window",
+            "exttsp.backward_window",
+            "exttsp.split_cap",
+        ] {
+            let k = knob(&space, name);
+            k.set(&mut params, *k.values().last().expect("non-empty grid"));
+        }
+        for seed in 0..12 {
+            let program = wide_program(seed);
+            let profile = random_profile(&program, seed, (1 << 31)..=(1 << 32));
+            assert_matches_reference(&program, &profile, &params);
+        }
     }
 }
