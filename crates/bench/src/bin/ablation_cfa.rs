@@ -4,10 +4,8 @@
 //! reserved fraction of the cache, so CFA yields no gain over `all`.
 
 use codelayout_core::{cfa_layout, OptimizationSet};
-use codelayout_ir::link::link;
 use codelayout_memsim::{CacheConfig, StreamFilter, SweepSink, SweepSpec};
 use codelayout_oltp::build_study;
-use codelayout_vm::APP_TEXT_BASE;
 use std::sync::Arc;
 
 fn main() {
@@ -34,8 +32,7 @@ fn main() {
 
     for reserved_kb in [8u64, 16, 32, 48] {
         let (layout, report) = cfa_layout(&study.app.program, &study.profile, reserved_kb * 1024);
-        let image = Arc::new(link(&study.app.program, &layout, APP_TEXT_BASE).unwrap());
-        let misses = run(&image);
+        let misses = run(&study.link_validated(&layout).expect("CFA layouts link"));
         println!(
             "{:>21}KB  misses={misses}  reserved-covers={}.{}% of execution  (traces for 90% need {} KB)",
             format!("CFA {reserved_kb}"),

@@ -3,11 +3,9 @@
 //! segments give the ordering pass more freedom; hot/cold only separates
 //! the never-executed half of each procedure.
 
-use codelayout_core::{hot_cold_layout, OptimizationSet};
-use codelayout_ir::link::link;
+use codelayout_core::{LayoutSeries, OptimizationSet};
 use codelayout_memsim::{StreamFilter, SweepSink, SweepSpec};
 use codelayout_oltp::build_study;
-use codelayout_vm::APP_TEXT_BASE;
 use std::sync::Arc;
 
 fn main() {
@@ -40,9 +38,7 @@ fn main() {
         let m = run(&study.image(set));
         println!("{:>28} {:>9} {:>9} {:>9}", name, m[0], m[1], m[2]);
     }
-    let hc = hot_cold_layout(&study.app.program, &study.profile);
-    let image = Arc::new(link(&study.app.program, &hc, APP_TEXT_BASE).unwrap());
-    let m = run(&image);
+    let m = run(&study.image(LayoutSeries::HotCold));
     println!(
         "{:>28} {:>9} {:>9} {:>9}",
         "hot/cold split+PH (Spike)", m[0], m[1], m[2]

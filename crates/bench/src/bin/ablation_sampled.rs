@@ -4,11 +4,10 @@
 //! quality that costs at various sampling periods.
 
 use codelayout_core::{LayoutPipeline, OptimizationSet};
-use codelayout_ir::link::link;
 use codelayout_memsim::{CacheConfig, StreamFilter, SweepSink, SweepSpec};
 use codelayout_oltp::build_study;
 use codelayout_profile::{profile_from_block_samples, SampledCollector};
-use codelayout_vm::{NullSink, APP_TEXT_BASE};
+use codelayout_vm::NullSink;
 use std::sync::Arc;
 
 fn main() {
@@ -49,8 +48,7 @@ fn main() {
         }
         let profile = profile_from_block_samples(&study.app.program, &sampler);
         let layout = LayoutPipeline::new(&study.app.program, &profile).build(OptimizationSet::ALL);
-        let image = Arc::new(link(&study.app.program, &layout, APP_TEXT_BASE).unwrap());
-        let misses = run(&image);
+        let misses = run(&study.link_validated(&layout).expect("sampled layouts link"));
         println!(
             "{:>22} misses={misses} ({:.0}% reduction)",
             format!("all (sampled 1/{period})"),

@@ -2,22 +2,13 @@
 //! as a table and returns a JSON record (saved by the caller).
 
 use crate::{pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
-use codelayout_core::{exttsp_score, LayoutSeries};
+use codelayout_core::{exttsp_score, LayoutRequest, LayoutSeries, OptimizationSet};
 use codelayout_memsim::SweepCell;
+use codelayout_obs::ProfileSource;
 use codelayout_serve::{run_serve, ServeConfig};
 use codelayout_timing::TimingModel;
 use codelayout_tune::{run_tune, TuneConfig};
 use serde_json::{json, Value};
-
-/// Paper layout labels in presentation order.
-pub const LAYOUTS: [&str; 6] = [
-    "base",
-    "porder",
-    "chain",
-    "chain+split",
-    "chain+porder",
-    "all",
-];
 
 fn misses_by_size(cells: &[SweepCell]) -> Vec<(u64, u64)> {
     SIZES_KB
@@ -30,6 +21,26 @@ fn misses_by_size(cells: &[SweepCell]) -> Vec<(u64, u64)> {
             (k, c.stats.misses)
         })
         .collect()
+}
+
+/// `[{"size_kb", "misses"}, …]` for a [`misses_by_size`] result.
+fn misses_json(misses: &[(u64, u64)]) -> Value {
+    Value::Array(
+        misses
+            .iter()
+            .map(|(k, m)| json!({"size_kb": k, "misses": m}))
+            .collect(),
+    )
+}
+
+/// The ext-TSP objective score of a request's layout under the profile
+/// that built it.
+fn request_score(h: &Harness, req: LayoutRequest) -> u64 {
+    exttsp_score(
+        &h.study.app.program,
+        h.study.profile_for(&req),
+        &h.study.layout(req),
+    )
 }
 
 /// Figure 3: cumulative execution profile of the unoptimized binary.
@@ -216,20 +227,12 @@ pub fn fig06(h: &mut Harness) -> Value {
 pub fn fig07(h: &mut Harness) -> Value {
     let mut rows = Vec::new();
     let mut series = serde_json::Map::new();
-    for name in LAYOUTS {
-        let by_size = misses_by_size(&h.run(name).sizes_4w_user);
+    for (name, set) in OptimizationSet::paper_series() {
+        let by_size = misses_by_size(&h.run_request(set).sizes_4w_user);
         let mut row = vec![name.to_string()];
         row.extend(by_size.iter().map(|(_, m)| m.to_string()));
         rows.push(row);
-        series.insert(
-            name.to_string(),
-            Value::Array(
-                by_size
-                    .iter()
-                    .map(|(k, m)| json!({"size_kb": k, "misses": m}))
-                    .collect(),
-            ),
-        );
+        series.insert(name.to_string(), misses_json(&by_size));
     }
     print_table(
         "Fig 7: app-only misses by optimization combination (128B/4-way)",
@@ -433,9 +436,9 @@ pub fn fig12(h: &mut Harness) -> Value {
         out.insert(
             name.to_string(),
             json!({
-                "all": all.iter().map(|(k, m)| json!({"size_kb": k, "misses": m})).collect::<Vec<_>>(),
-                "app": app.iter().map(|(k, m)| json!({"size_kb": k, "misses": m})).collect::<Vec<_>>(),
-                "kernel": kernel.iter().map(|(k, m)| json!({"size_kb": k, "misses": m})).collect::<Vec<_>>(),
+                "all": misses_json(&all),
+                "app": misses_json(&app),
+                "kernel": misses_json(&kernel),
             }),
         );
     }
@@ -538,15 +541,15 @@ pub fn fig15(h: &mut Harness) -> Value {
     let m164 = TimingModel::alpha_21164();
     let mut cycles264 = Vec::new();
     let mut cycles164 = Vec::new();
-    for name in LAYOUTS {
-        let d = h.run(name);
+    for (_, set) in OptimizationSet::paper_series() {
+        let d = h.run_request(set);
         let instrs = d.user_fetches + d.kernel_fetches;
         cycles264.push(m264.evaluate(instrs, &d.hier_21264).total());
         cycles164.push(m164.evaluate(instrs, &d.hier_21164).total());
     }
     let mut rows = Vec::new();
     let mut series = Vec::new();
-    for (i, name) in LAYOUTS.iter().enumerate() {
+    for (i, (name, _)) in OptimizationSet::paper_series().into_iter().enumerate() {
         let r264 = 100.0 * cycles264[i] as f64 / cycles264[0] as f64;
         let r164 = 100.0 * cycles164[i] as f64 / cycles164[0] as f64;
         rows.push(vec![
@@ -617,18 +620,18 @@ pub fn compare_with(h: &mut Harness, series_list: &[LayoutSeries]) -> Value {
     let mut scores: Vec<(LayoutSeries, u64)> = Vec::new();
     for &series in series_list {
         let label = series.label();
+        let req = LayoutRequest::from(series);
         let (misses, user_fetches, text_bytes) = {
-            let d = h.run(label);
+            let d = h.run_request(req);
             (
                 misses_by_size(&d.sizes_4w_user),
                 d.user_fetches,
                 d.text_bytes,
             )
         };
-        let layout = h.study.layout_series(series);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
+        let score = request_score(h, req);
         scores.push((series, score));
-        let lints = crate::lint::lint_series_cells(&h.study, series);
+        let lints = crate::lint::lint_series_cells(&h.study, req);
         let (deny, warn, info) = (
             crate::lint::count(&lints, codelayout_analysis::Severity::Deny),
             crate::lint::count(&lints, codelayout_analysis::Severity::Warn),
@@ -650,10 +653,7 @@ pub fn compare_with(h: &mut Harness, series_list: &[LayoutSeries]) -> Value {
             "series": label,
             "text_bytes": text_bytes,
             "user_fetches": user_fetches,
-            "misses": misses
-                .iter()
-                .map(|(k, m)| json!({"size_kb": k, "misses": m}))
-                .collect::<Vec<_>>(),
+            "misses": misses_json(&misses),
             "exttsp_score": score,
             "lints": lint_summary,
         }));
@@ -710,36 +710,32 @@ pub fn fig_static(h: &mut Harness) -> Value {
     let mut entries = Vec::new();
     let mut base_m128 = 0u64;
     let mut static_all_m128 = u64::MAX;
-    for series in codelayout_core::LayoutSeries::lint_matrix() {
+    for series in LayoutSeries::lint_matrix() {
         let label = series.label();
-        // Plain labels honor the environment knob, so whichever source
+        // Bare requests honor the environment knob, so whichever source
         // the env selects shares its measurement cache with the other
-        // figures; the opposite source is pinned with an explicit
-        // prefix.
-        let (m_name, s_name) = match env_src {
-            codelayout_obs::ProfileSource::Measured => {
-                (label.to_string(), format!("static:{label}"))
-            }
-            codelayout_obs::ProfileSource::Static => {
-                (format!("measured:{label}"), label.to_string())
-            }
+        // figures; the opposite source is pinned explicitly.
+        let bare = LayoutRequest::from(series);
+        let (m_req, s_req) = match env_src {
+            ProfileSource::Measured => (bare, bare.with_source(ProfileSource::Static)),
+            ProfileSource::Static => (bare.with_source(ProfileSource::Measured), bare),
         };
-        let is_base = series == LayoutSeries::Paper(codelayout_core::OptimizationSet::BASE);
-        let s_name = if is_base { m_name.clone() } else { s_name };
+        let is_base = series == LayoutSeries::Paper(OptimizationSet::BASE);
+        let s_req = if is_base { m_req } else { s_req };
         let (m_misses, user_fetches) = {
-            let d = h.run(&m_name);
+            let d = h.run_request(m_req);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
-        let s_misses = misses_by_size(&h.run(&s_name).sizes_4w_user);
+        let s_misses = misses_by_size(&h.run_request(s_req).sizes_4w_user);
         let score_of = |source| {
-            let layout = h.study.layout_series_with(series, source);
+            let layout = h.study.layout(bare.with_source(source));
             exttsp_score(&h.study.app.program, &h.study.profile, &layout)
         };
-        let m_score = score_of(codelayout_obs::ProfileSource::Measured);
+        let m_score = score_of(ProfileSource::Measured);
         let s_score = if is_base {
             m_score
         } else {
-            score_of(codelayout_obs::ProfileSource::Static)
+            score_of(ProfileSource::Static)
         };
         let (m64, m128) = (m_misses[1].1, m_misses[2].1);
         let (s64, s128) = (s_misses[1].1, s_misses[2].1);
@@ -845,11 +841,11 @@ pub fn claims(h: &mut Harness) -> Value {
     let comb_red_128 = reduction(comb_base[2].1, comb_opt[2].1);
 
     // Kernel layout optimization: optimized kernel under the base app.
-    let kopt = h.study.kernel_image(codelayout_core::OptimizationSet::ALL);
+    let kopt = h.study.kernel_image(OptimizationSet::ALL);
     let mut sink = codelayout_memsim::MemoryHierarchy::new(TimingModel::hierarchy_21264(
         h.study.scenario.num_cpus,
     ));
-    let base_img = h.study.image(codelayout_core::OptimizationSet::BASE);
+    let base_img = h.study.image(OptimizationSet::BASE);
     let out = h.study.run_measured(&base_img, &kopt, &mut sink);
     out.assert_correct();
     let model = TimingModel::alpha_21264();
@@ -1011,65 +1007,46 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
     );
 
     // Full-workload measurements: the fixed comparison series, then each
-    // family's tuned best under its registered parameters.
-    let fixed: Vec<LayoutSeries> = LayoutSeries::comparison().to_vec();
+    // family's tuned best.
+    let fixed = LayoutSeries::comparison().map(|s| (LayoutRequest::from(s), None));
+    let tuned = report.families.iter().map(|f| {
+        (
+            LayoutRequest::from(f.series).with_params(f.best_params),
+            Some(f),
+        )
+    });
     let mut rows = Vec::new();
     let mut entries = Vec::new();
-    for &series in &fixed {
-        let label = series.label();
+    for (req, family) in fixed.into_iter().chain(tuned) {
         let (misses, user_fetches) = {
-            let d = h.run(label);
+            let d = h.run_request(req);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
-        let layout = h.study.layout_series(series);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
+        let score = request_score(h, req);
+        let kind = if family.is_some() { "tuned" } else { "fixed" };
         rows.push(vec![
-            label.to_string(),
-            "fixed".to_string(),
+            req.to_string(),
+            kind.to_string(),
             misses[1].1.to_string(),
             misses[2].1.to_string(),
             pct(misses[2].1, user_fetches),
             score.to_string(),
-            String::new(),
+            family.map_or(String::new(), |f| f.evaluated.to_string()),
         ]);
-        entries.push(json!({
-            "series": label,
-            "kind": "fixed",
-            "misses": misses.iter().map(|(k, m)| json!({"size_kb": k, "misses": m})).collect::<Vec<_>>(),
+        let mut entry = json!({
+            "series": req.series.label(),
+            "kind": kind,
+            "misses": misses_json(&misses),
             "user_fetches": user_fetches,
             "exttsp_score": score,
-        }));
-    }
-
-    for f in &report.families {
-        let label = f.series.label();
-        h.set_tuned(label, f.best_params);
-        let name = format!("tuned:{label}");
-        let (misses, user_fetches) = {
-            let d = h.run(&name);
-            (misses_by_size(&d.sizes_4w_user), d.user_fetches)
-        };
-        let layout = h.study.layout_series_params(f.series, &f.best_params);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
-        let space = codelayout_core::ParamSpace::for_series(f.series);
-        rows.push(vec![
-            name.clone(),
-            "tuned".to_string(),
-            misses[1].1.to_string(),
-            misses[2].1.to_string(),
-            pct(misses[2].1, user_fetches),
-            score.to_string(),
-            f.evaluated.to_string(),
-        ]);
-        entries.push(json!({
-            "series": label,
-            "kind": "tuned",
-            "misses": misses.iter().map(|(k, m)| json!({"size_kb": k, "misses": m})).collect::<Vec<_>>(),
-            "user_fetches": user_fetches,
-            "exttsp_score": score,
-            "params": codelayout_tune::params_json(&space, &f.best_params),
-            "candidates": f.evaluated,
-        }));
+        });
+        if let (Some(f), Value::Object(map)) = (family, &mut entry) {
+            let space = codelayout_core::ParamSpace::for_series(f.series);
+            let params = codelayout_tune::params_json(&space, &f.best_params);
+            map.insert("params".to_string(), params);
+            map.insert("candidates".to_string(), json!(f.evaluated));
+        }
+        entries.push(entry);
     }
     print_table(
         "Autotuned vs fixed layout series (128B/4-way user grid)",

@@ -38,7 +38,7 @@
 pub mod figures;
 pub mod lint;
 
-use codelayout_core::{LayoutParams, LayoutSeries};
+use codelayout_core::{LayoutRequest, OptimizationSet};
 use codelayout_ir::Image;
 use codelayout_memsim::{
     CacheConfig, FootprintCounter, HierarchyStats, LocalityCache, LocalityStats, MemoryHierarchy,
@@ -269,7 +269,7 @@ impl VmTiming {
 pub struct Harness {
     /// The prepared study (workload + profile).
     pub study: Study,
-    runs: HashMap<String, LayoutData>,
+    runs: HashMap<LayoutRequest, LayoutData>,
     out_dir: PathBuf,
     scenario_label: String,
     sweeper: ParallelSweep,
@@ -277,10 +277,6 @@ pub struct Harness {
     vm_timing: Option<VmTiming>,
     output_digests: Vec<(String, String)>,
     extra_sections: Vec<(String, serde_json::Value)>,
-    /// Tuned layout parameters by series label, registered with
-    /// [`Harness::set_tuned`] and addressed by the `tuned:<series>` run
-    /// names.
-    tuned: HashMap<String, LayoutParams>,
     /// Largest fetch-event count seen so far; pre-sizes the next
     /// layout's trace buffer so growth reallocs don't land inside the
     /// timed measured run.
@@ -311,17 +307,8 @@ impl Harness {
             vm_timing: None,
             output_digests: Vec::new(),
             extra_sections: Vec::new(),
-            tuned: HashMap::new(),
             expected_events: 0,
         }
-    }
-
-    /// Registers tuned layout parameters for a series, making the
-    /// `tuned:<series>` run name valid for [`Harness::run`]. Re-registering
-    /// a label replaces its parameters (cached runs are keyed by name, so
-    /// register before the first `tuned:` run).
-    pub fn set_tuned(&mut self, series_label: &str, params: LayoutParams) {
-        self.tuned.insert(series_label.to_string(), params);
     }
 
     /// The scenario label used for the manifest directory.
@@ -369,53 +356,37 @@ impl Harness {
         Self::new(&sc)
     }
 
-    /// The image for any layout-series label ([`LayoutSeries::parse`]):
-    /// the paper's six, `hotcold`, `cfa` (with
-    /// [`codelayout_core::CFA_RESERVED_BYTES`] reserved), `exttsp`, or
-    /// `stitcher`. A `measured:` or `static:` prefix pins the profile
-    /// source explicitly (plain labels honor
-    /// `CODELAYOUT_PROFILE_SOURCE`); `fig_static` uses the prefixes to
-    /// compare both sources side by side in one process. A `tuned:`
-    /// prefix builds the series with the parameters registered via
-    /// [`Harness::set_tuned`] (as `fig_tune` does for the autotuner's
-    /// winners). Debug builds run translation validation on every linked
-    /// image.
-    fn image_for(&self, name: &str) -> Arc<Image> {
-        if let Some(rest) = name.strip_prefix("tuned:") {
-            let series = LayoutSeries::parse(rest).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let params = self.tuned.get(rest).unwrap_or_else(|| {
-                panic!("no tuned parameters registered for `{rest}`; call Harness::set_tuned first")
-            });
-            return self.study.image_series_params(series, params);
-        }
-        let (label, source) = if let Some(rest) = name.strip_prefix("measured:") {
-            (rest, Some(codelayout_obs::ProfileSource::Measured))
-        } else if let Some(rest) = name.strip_prefix("static:") {
-            (rest, Some(codelayout_obs::ProfileSource::Static))
-        } else {
-            (name, None)
-        };
-        let series = LayoutSeries::parse(label).unwrap_or_else(|e| panic!("{name}: {e}"));
-        match source {
-            Some(src) => self.study.image_series_with(series, src),
-            None => self.study.image_series(series),
-        }
-    }
-
-    /// Runs (or returns the cached) measurement for a layout. `base` and
-    /// `all` get the full instrumentation; other layouts the light set.
+    /// Runs (or returns the cached) measurement for a layout named by
+    /// its run name: a series label (`all`, `exttsp`, …), optionally
+    /// prefixed `measured:` or `static:` to pin the profile source.
+    ///
+    /// # Panics
+    /// Panics on a name [`LayoutRequest`] does not parse.
     pub fn run(&mut self, name: &str) -> &LayoutData {
-        if !self.runs.contains_key(name) {
-            let full = matches!(name, "base" | "all");
-            let data = self.measure(name, full);
-            self.runs.insert(name.to_string(), data);
-        }
-        &self.runs[name]
+        let req: LayoutRequest = name.parse().unwrap_or_else(|e| panic!("{e}"));
+        self.run_request(req)
     }
 
-    fn measure(&mut self, name: &str, full: bool) -> LayoutData {
+    /// Runs (or returns the cached) measurement for a layout request.
+    /// Requests that differ in any field — series, profile source or
+    /// parameters — are measured separately. The bare `base` and `all`
+    /// requests get the full instrumentation; others the light set.
+    pub fn run_request(&mut self, req: impl Into<LayoutRequest>) -> &LayoutData {
+        let req = req.into();
+        if !self.runs.contains_key(&req) {
+            let full = [OptimizationSet::BASE, OptimizationSet::ALL]
+                .into_iter()
+                .any(|set| req == set.into());
+            let data = self.measure(req, full);
+            self.runs.insert(req, data);
+        }
+        &self.runs[&req]
+    }
+
+    fn measure(&mut self, req: LayoutRequest, full: bool) -> LayoutData {
         let _measure_span = codelayout_obs::span("measure");
-        let image = self.image_for(name);
+        let name = &req.to_string();
+        let image = self.study.image(req);
         let num_cpus = self.study.scenario.num_cpus;
         let mut sink = CompositeSink::new(num_cpus, full);
         sink.trace.reserve(self.expected_events);
@@ -485,21 +456,14 @@ impl Harness {
             codelayout_obs::metrics().gauge_set("sweep.engine_speedup", timing.speedup());
             self.sweep_timing = Some(timing);
         }
-        let sizes_4w_kernel = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
+        let mut pop_full = || {
+            if full {
+                grids.pop().unwrap()
+            } else {
+                Vec::new()
+            }
         };
-        let sizes_4w_all = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
-        };
-        let dm_grid_user = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
-        };
+        let (sizes_4w_kernel, sizes_4w_all, dm_grid_user) = (pop_full(), pop_full(), pop_full());
         let sizes_4w_user = grids.pop().unwrap();
 
         LayoutData {
@@ -777,5 +741,36 @@ pub fn pct(n: u64, d: u64) -> String {
         "-".into()
     } else {
         format!("{:.1}%", 100.0 * n as f64 / d as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use codelayout_core::LayoutParams;
+
+    #[test]
+    fn distinct_params_for_one_series_are_distinct_runs() {
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
+        // A weight floor above every profiled edge leaves chaining
+        // nothing to merge, so the two points link different text.
+        let series = LayoutRequest::from(OptimizationSet::CHAIN);
+        let mut unchained = LayoutParams::default();
+        unchained.chain.min_edge_weight = u64::MAX;
+        let (a, b) = (
+            series.with_params(LayoutParams::default()),
+            series.with_params(unchained),
+        );
+        assert_ne!(h.study.layout(a), h.study.layout(b));
+        let run_a = h.run_request(a);
+        let first = (run_a.text_bytes, run_a.user_fetches);
+        let run_b = h.run_request(b);
+        assert_eq!(run_b.label, "tuned:chain");
+        assert_ne!(
+            (run_b.text_bytes, run_b.user_fetches),
+            first,
+            "the second parameter point returned the first point's run"
+        );
+        assert_eq!(h.runs.len(), 2);
     }
 }

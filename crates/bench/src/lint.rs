@@ -9,8 +9,9 @@
 use codelayout_analysis::{
     analyze_layout, validate_translation, LintConfig, LintReport, Severity, TranslationReport,
 };
-use codelayout_core::{LayoutPipeline, LayoutSeries};
+use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
 use codelayout_ir::link::link;
+use codelayout_obs::ProfileSource;
 use codelayout_oltp::Study;
 use codelayout_vm::{APP_TEXT_BASE, KERNEL_TEXT_BASE};
 use serde_json::{json, Value};
@@ -30,37 +31,46 @@ pub struct LintCell {
 }
 
 /// Runs the full [`LayoutSeries::lint_matrix`] × {app, kernel} lint
-/// matrix on a prepared study. Each series is linted under its own
-/// optimization claims ([`LayoutSeries::lint_set`]).
+/// matrix on a prepared study, every layout built from the measured
+/// profile. Each series is linted under its own optimization claims
+/// ([`LayoutSeries::lint_set`]).
 pub fn lint_study(study: &Study) -> Vec<LintCell> {
     let mut cells = Vec::new();
     for series in LayoutSeries::lint_matrix() {
-        cells.extend(lint_series_cells(study, series));
+        let req = LayoutRequest::from(series).with_source(ProfileSource::Measured);
+        cells.extend(lint_series_cells(study, req));
     }
     cells
 }
 
-/// Runs validation + lints for one series' app and kernel layouts — the
-/// two cells [`lint_study`] produces per series, reused by the
-/// comparison table for series outside the lint matrix.
-pub fn lint_series_cells(study: &Study, series: LayoutSeries) -> Vec<LintCell> {
-    let targets: [(
-        &'static str,
-        &codelayout_ir::Program,
-        &codelayout_profile::Profile,
-        u64,
-    ); 2] = [
-        ("app", &study.app.program, &study.profile, APP_TEXT_BASE),
+/// Runs validation + lints for one request's app and kernel layouts —
+/// the two cells [`lint_study`] produces per series, reused by the
+/// comparison table for its rows. The app cell analyses exactly the
+/// layout the request measures ([`Study::layout`]); the kernel cell
+/// lays the kernel out with the measured kernel profile. Both are
+/// judged against the measured profiles, so lints flag what the
+/// workload actually executes.
+pub fn lint_series_cells(study: &Study, req: LayoutRequest) -> Vec<LintCell> {
+    let series = req.series;
+    let kernel = &study.kernel.program;
+    let targets = [
+        (
+            "app",
+            &study.app.program,
+            &study.profile,
+            study.layout(req),
+            APP_TEXT_BASE,
+        ),
         (
             "kernel",
-            &study.kernel.program,
+            kernel,
             &study.kernel_profile,
+            LayoutPipeline::new(kernel, &study.kernel_profile).build_series(series),
             KERNEL_TEXT_BASE,
         ),
     ];
     let mut cells = Vec::new();
-    for &(target, program, profile, base) in &targets {
-        let layout = LayoutPipeline::new(program, profile).build_series(series);
+    for (target, program, profile, layout, base) in targets {
         let image = link(program, &layout, base).expect("pipeline layouts link");
         let translation = validate_translation(program, &layout, &image).ok();
         let report = analyze_layout(
@@ -178,4 +188,36 @@ pub fn render_cells_text(scenario: &str, cells: &[LintCell]) -> String {
         count(cells, Severity::Info),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use codelayout_core::OptimizationSet;
+    use codelayout_oltp::{build_study, Scenario};
+
+    #[test]
+    fn app_cell_analyses_the_requested_layout() {
+        let study = build_study(&Scenario::quick());
+        let req: LayoutRequest = "static:all".parse().unwrap();
+        let layout = study.layout(req);
+        let image = link(&study.app.program, &layout, APP_TEXT_BASE).unwrap();
+        let expected = analyze_layout(
+            &study.app.program,
+            &study.profile,
+            &layout,
+            &image,
+            &LintConfig::new(OptimizationSet::ALL),
+        );
+        let cells = lint_series_cells(&study, req);
+        assert_eq!(cells[0].target, "app");
+        assert_eq!(cells[0].report.to_json(), expected.to_json());
+        let translation = validate_translation(&study.app.program, &layout, &image).unwrap();
+        assert_eq!(cells[0].translation, Some(translation));
+
+        // The measured layout differs, so the check above discriminates.
+        let measured =
+            lint_series_cells(&study, req.with_source(ProfileSource::Measured)).remove(0);
+        assert_ne!(measured.translation, cells[0].translation);
+    }
 }

@@ -26,8 +26,10 @@
 //! and score-driven merge-point selection) and [`stitcher_layout`]
 //! (Codestitcher's hierarchical inter-procedural collocation by distance
 //! class). [`LayoutSeries`] names every series — the paper's six plus the
-//! four alternatives — behind one label, and
-//! [`LayoutPipeline::build_series`] builds any of them.
+//! four alternatives — behind one label,
+//! [`LayoutPipeline::build_series`] builds any of them, and
+//! [`LayoutRequest`] adds the profile source and pass parameters to name
+//! one build.
 //!
 //! All optimizations are *pure layout permutations*: they consume an
 //! immutable [`codelayout_ir::Program`] plus a
@@ -44,6 +46,7 @@ mod graph;
 mod hotcold;
 mod params;
 mod pipeline;
+mod request;
 mod series;
 mod split;
 mod stitcher;
@@ -62,6 +65,7 @@ pub use params::{
     ParamSpace, SplitParams,
 };
 pub use pipeline::{LayoutPipeline, OptimizationSet, CFA_RESERVED_BYTES};
-pub use series::{LayoutSeries, ParseSeriesError};
+pub use request::{LayoutRequest, ParseRequestError};
+pub use series::LayoutSeries;
 pub use split::{split_all, split_all_with, split_order, split_order_with, Segment};
 pub use stitcher::{stitcher_layout, stitcher_layout_params, stitcher_layout_with, StitchLevels};

@@ -25,7 +25,7 @@ use crate::series::LayoutSeries;
 use crate::stitcher::StitchLevels;
 
 /// Parameters of the basic-block chaining pass ([`crate::chain_proc`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ChainParams {
     /// Flow edges lighter than this never chain their endpoints. The
     /// historical behavior (0) chains even never-taken edges, which keeps
@@ -35,7 +35,7 @@ pub struct ChainParams {
 }
 
 /// Parameters of the fine-grain splitting pass ([`crate::split_order`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SplitParams {
     /// When true, an unconditional `Jump` cuts a segment even when its
     /// target is the next block in the order (the fall-through the linker
@@ -47,7 +47,7 @@ pub struct SplitParams {
 
 /// Parameters of the ext-TSP objective and merge pass
 /// ([`crate::exttsp_layout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExtTspParams {
     /// Short-jump reward per mille of a fall-through (the paper's 0.1
     /// scales to 100 under [`crate::SCORE_SCALE`]).
@@ -74,7 +74,7 @@ impl Default for ExtTspParams {
 }
 
 /// Parameters of the conflict-free-area pass ([`crate::cfa_layout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CfaParams {
     /// Bytes of instruction cache reserved for the hottest traces.
     pub reserved_bytes: u64,
@@ -89,7 +89,7 @@ impl Default for CfaParams {
 }
 
 /// Parameters of Spike's hot/cold splitting ([`crate::hot_cold_layout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct HotColdParams {
     /// A block is *hot* when its execution count exceeds this threshold.
     /// The historical behavior (0) keeps every executed block hot.
@@ -101,7 +101,7 @@ pub struct HotColdParams {
 /// `Default` reproduces the historical hard-coded constants exactly, so
 /// `LayoutPipeline::with_params(p, prof, LayoutParams::default())` builds
 /// the same bytes as `LayoutPipeline::new(p, prof)` for every series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LayoutParams {
     /// Basic-block chaining knobs.
     pub chain: ChainParams,

@@ -8,6 +8,7 @@
 //! series uniformly.
 
 use crate::pipeline::OptimizationSet;
+use crate::request::ParseRequestError;
 use std::fmt;
 
 /// One selectable layout algorithm family.
@@ -95,13 +96,11 @@ impl LayoutSeries {
     /// The error names every accepted label, so misspelled env knobs and
     /// harness run names fail with an actionable message instead of a
     /// bare `None`.
-    pub fn parse(s: &str) -> Result<LayoutSeries, ParseSeriesError> {
+    pub fn parse(s: &str) -> Result<LayoutSeries, ParseRequestError> {
         LayoutSeries::all()
             .into_iter()
             .find(|x| x.label() == s)
-            .ok_or_else(|| ParseSeriesError {
-                input: s.to_string(),
-            })
+            .ok_or_else(|| ParseRequestError::UnknownSeries(s.to_string()))
     }
 
     /// The optimization claims `lint_layout` should judge this series
@@ -141,39 +140,6 @@ impl fmt::Display for LayoutSeries {
     }
 }
 
-/// Error returned by [`LayoutSeries::parse`] for an unknown label. Its
-/// display lists the full set of accepted labels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSeriesError {
-    input: String,
-}
-
-impl ParseSeriesError {
-    /// The rejected input.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
-}
-
-impl fmt::Display for ParseSeriesError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown layout series `{}`; accepted labels: ",
-            self.input
-        )?;
-        for (i, s) in LayoutSeries::all().into_iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(s.label())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ParseSeriesError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +150,7 @@ mod tests {
             assert_eq!(LayoutSeries::parse(s.label()), Ok(s), "{s}");
         }
         let err = LayoutSeries::parse("nope").unwrap_err();
-        assert_eq!(err.input(), "nope");
+        assert_eq!(err, ParseRequestError::UnknownSeries("nope".to_string()));
         let msg = err.to_string();
         for s in LayoutSeries::all() {
             assert!(msg.contains(s.label()), "error omits `{s}`: {msg}");

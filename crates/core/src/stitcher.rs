@@ -27,7 +27,7 @@ use codelayout_profile::Profile;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Byte budgets of the three collocation levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StitchLevels {
     /// Innermost level: a merged cluster must fit one cache line.
     pub line: u64,

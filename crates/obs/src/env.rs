@@ -166,7 +166,7 @@ impl VmEngine {
 /// the instrumented profiling run (the paper's Pixie/DCPI path);
 /// `Static` feeds them the purely static Ball–Larus-style estimate, so
 /// every layout series runs without any profiling run at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ProfileSource {
     /// Instrumented execution counts (default).
     #[default]

@@ -11,15 +11,17 @@ use crate::app::{gen_app, AppSpec};
 use crate::kernel::{gen_kernel, KernelSpec, SYS_LOG_WRITE, SYS_RECEIVE, SYS_REPLY};
 use crate::scenario::Scenario;
 use crate::sga::{priv_words, words, Invariants, SgaLayout};
-use codelayout_core::{LayoutParams, LayoutPipeline, LayoutSeries, OptimizationSet};
+use codelayout_analysis::{validate_translation, ValidationError};
+use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
 use codelayout_ir::link::link;
-use codelayout_ir::{Image, Layout, Reg};
+use codelayout_ir::{Image, IrError, Layout, Program, Reg};
 use codelayout_obs::ProfileSource;
 use codelayout_profile::{PixieCollector, Profile};
 use codelayout_vm::{
     Machine, MachineConfig, NullSink, PairHook, RunReport, SyscallDef, TraceSink, VmEngine,
     APP_TEXT_BASE, KERNEL_TEXT_BASE,
 };
+use std::fmt;
 use std::sync::Arc;
 
 /// Instruction budget per scheduling chunk while polling for phase
@@ -270,149 +272,83 @@ impl Study {
         (m, sga)
     }
 
-    /// The application profile for an explicit source: the measured
-    /// Pixie profile or the static Ball–Larus-style estimate.
-    pub fn profile_for(&self, source: ProfileSource) -> &Profile {
-        match source {
+    /// The application profile a request builds from: the measured Pixie
+    /// profile or the static Ball–Larus-style estimate.
+    pub fn profile_for(&self, req: &LayoutRequest) -> &Profile {
+        match req.resolved_source() {
             ProfileSource::Measured => &self.profile,
             ProfileSource::Static => &self.static_profile,
         }
     }
 
-    /// The kernel profile for an explicit source.
-    pub fn kernel_profile_for(&self, source: ProfileSource) -> &Profile {
-        match source {
+    /// Builds the application layout for a request — a paper
+    /// [`OptimizationSet`](codelayout_core::OptimizationSet), any
+    /// [`LayoutSeries`], or a full
+    /// [`LayoutRequest`] with a pinned profile source or tuned
+    /// parameters. By default the passes read the measured profile
+    /// ("running Spike" on the baseline binary).
+    pub fn layout(&self, req: impl Into<LayoutRequest>) -> Layout {
+        let req = req.into();
+        LayoutPipeline::with_params(
+            &self.app.program,
+            self.profile_for(&req),
+            req.params.unwrap_or_default(),
+        )
+        .build_series(req.series)
+    }
+
+    /// Links and validates the application image for a request.
+    ///
+    /// # Panics
+    /// Panics if the image fails to link or validate — the passes only
+    /// emit permutations that preserve control flow, so either is a bug.
+    pub fn image(&self, req: impl Into<LayoutRequest>) -> Arc<Image> {
+        let req = req.into();
+        self.link_validated(&self.layout(req))
+            .unwrap_or_else(|e| panic!("`{req}` app image: {e}"))
+    }
+
+    /// [`Study::image`] for a [`LayoutSeries`]. The benchmark crate binds
+    /// this name.
+    pub fn image_series(&self, series: LayoutSeries) -> Arc<Image> {
+        self.image(series)
+    }
+
+    /// Links and validates a kernel image for a request, built from the
+    /// kernel profile of the request's source (the paper's "optimize the
+    /// operating system" experiment).
+    ///
+    /// # Panics
+    /// As [`Study::image`].
+    pub fn kernel_image(&self, req: impl Into<LayoutRequest>) -> Arc<Image> {
+        let req = req.into();
+        let profile = match req.resolved_source() {
             ProfileSource::Measured => &self.kernel_profile,
             ProfileSource::Static => &self.static_kernel_profile,
-        }
+        };
+        let layout = LayoutPipeline::with_params(
+            &self.kernel.program,
+            profile,
+            req.params.unwrap_or_default(),
+        )
+        .build_series(req.series);
+        link_checked(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
+            .unwrap_or_else(|e| panic!("`{req}` kernel image: {e}"))
     }
 
-    /// The profile source selected by `CODELAYOUT_PROFILE_SOURCE`
-    /// (default: measured).
-    pub fn profile_source(&self) -> ProfileSource {
-        codelayout_obs::run_env().profile_source
-    }
-
-    /// The application profile feeding the layout passes, honoring the
-    /// `CODELAYOUT_PROFILE_SOURCE` knob.
-    pub fn active_profile(&self) -> &Profile {
-        self.profile_for(self.profile_source())
-    }
-
-    /// The kernel profile feeding the layout passes, honoring the
-    /// `CODELAYOUT_PROFILE_SOURCE` knob.
-    pub fn active_kernel_profile(&self) -> &Profile {
-        self.kernel_profile_for(self.profile_source())
-    }
-
-    /// Builds the application layout for an optimization set using the
-    /// study's active profile (measured by default — "running Spike" on
-    /// the baseline binary — or the static estimate under
-    /// `CODELAYOUT_PROFILE_SOURCE=static`).
-    pub fn layout(&self, set: OptimizationSet) -> Layout {
-        LayoutPipeline::new(&self.app.program, self.active_profile()).build(set)
-    }
-
-    /// Links the application image for an optimization set.
+    /// Links an application layout and proves, by translation validation,
+    /// that the image preserves the program's control flow. Every image a
+    /// study builds goes through here, in every build profile; the
+    /// autotuner and the serving loop call it directly for layouts that
+    /// may be rejected.
     ///
-    /// Debug builds additionally run translation validation on the linked
-    /// image, proving the layout preserved the program's control flow.
-    pub fn image(&self, set: OptimizationSet) -> Arc<Image> {
-        let layout = self.layout(set);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("optimized layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{set}` app image failed translation validation: {e}"));
-        Arc::new(image)
-    }
-
-    /// Links a kernel image for an optimization set using the kernel
-    /// profile (the paper's "optimize the operating system" experiment).
-    pub fn kernel_image(&self, set: OptimizationSet) -> Arc<Image> {
-        let layout =
-            LayoutPipeline::new(&self.kernel.program, self.active_kernel_profile()).build(set);
-        let image = link(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
-            .expect("optimized kernel layouts are valid");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.kernel.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{set}` kernel image failed translation validation: {e}"));
-        Arc::new(image)
-    }
-
-    /// Builds the application layout for any [`LayoutSeries`] — the
-    /// paper's six sets via [`Study::layout`], plus hot/cold, CFA,
-    /// ext-TSP and Codestitcher behind the same surface — with the
-    /// active profile source.
-    pub fn layout_series(&self, series: LayoutSeries) -> Layout {
-        self.layout_series_with(series, self.profile_source())
-    }
-
-    /// [`Study::layout_series`] with an explicit profile source, for
-    /// figures that compare measured-profile and static-profile layouts
-    /// side by side regardless of the environment knob.
-    pub fn layout_series_with(&self, series: LayoutSeries, source: ProfileSource) -> Layout {
-        LayoutPipeline::new(&self.app.program, self.profile_for(source)).build_series(series)
-    }
-
-    /// Links the application image for any [`LayoutSeries`], with the
-    /// same debug-build translation validation as [`Study::image`].
-    pub fn image_series(&self, series: LayoutSeries) -> Arc<Image> {
-        self.image_series_with(series, self.profile_source())
-    }
-
-    /// [`Study::image_series`] with an explicit profile source.
-    pub fn image_series_with(&self, series: LayoutSeries, source: ProfileSource) -> Arc<Image> {
-        let layout = self.layout_series_with(series, source);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("series layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{series}` app image failed translation validation: {e}"));
-        Arc::new(image)
-    }
-
-    /// Builds the application layout for any [`LayoutSeries`] with
-    /// explicit layout-construction parameters instead of the defaults,
-    /// using the active profile. This is the autotuner's entry point:
-    /// `codelayout-tune` materializes each candidate [`ParamPoint`] into
-    /// a [`LayoutParams`] and builds the series through here.
-    ///
-    /// [`ParamPoint`]: codelayout_core::ParamPoint
-    pub fn layout_series_params(&self, series: LayoutSeries, params: &LayoutParams) -> Layout {
-        LayoutPipeline::with_params(&self.app.program, self.active_profile(), *params)
-            .build_series(series)
-    }
-
-    /// Links the application image for any [`LayoutSeries`] built with
-    /// explicit layout-construction parameters, with the same
-    /// debug-build translation validation as [`Study::image_series`].
-    pub fn image_series_params(&self, series: LayoutSeries, params: &LayoutParams) -> Arc<Image> {
-        let layout = self.layout_series_params(series, params);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("parameterized series layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| {
-                panic!("tuned `{series}` app image failed translation validation: {e}")
-            });
-        Arc::new(image)
-    }
-
-    /// Links a kernel image for any [`LayoutSeries`] using the active
-    /// kernel profile, with the same debug-build translation validation
-    /// as [`Study::kernel_image`].
-    pub fn kernel_image_series(&self, series: LayoutSeries) -> Arc<Image> {
-        let layout = LayoutPipeline::new(&self.kernel.program, self.active_kernel_profile())
-            .build_series(series);
-        let image = link(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
-            .expect("series kernel layouts are valid");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.kernel.program, &layout, &image)
-            .unwrap_or_else(|e| {
-                panic!("`{series}` kernel image failed translation validation: {e}")
-            });
-        Arc::new(image)
+    /// # Errors
+    /// [`BuildError::Link`] when the layout does not link (for example,
+    /// it is not a permutation of the program's blocks);
+    /// [`BuildError::Validation`] when the image does not preserve the
+    /// program's control flow.
+    pub fn link_validated(&self, layout: &Layout) -> Result<Arc<Image>, BuildError> {
+        link_checked(&self.app.program, layout, APP_TEXT_BASE)
     }
 
     /// Runs warm-up transactions (trace discarded), then streams the
@@ -488,6 +424,33 @@ impl Study {
     }
 }
 
+/// Why a layout could not become an image.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BuildError {
+    /// The linker rejected the layout.
+    Link(IrError),
+    /// The linked image does not preserve the program's control flow.
+    Validation(ValidationError),
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Link(e) => write!(f, "link failed: {e}"),
+            BuildError::Validation(e) => write!(f, "translation validation failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// The one link-and-validate step behind every study image.
+fn link_checked(program: &Program, layout: &Layout, base: u64) -> Result<Arc<Image>, BuildError> {
+    let image = link(program, layout, base).map_err(BuildError::Link)?;
+    validate_translation(program, layout, &image).map_err(BuildError::Validation)?;
+    Ok(Arc::new(image))
+}
+
 /// SplitMix64 step for seeding per-process RNG states.
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -500,6 +463,7 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codelayout_core::OptimizationSet;
     use codelayout_vm::CountingSink;
 
     #[test]
@@ -542,5 +506,23 @@ mod tests {
                 "layout {set} changed architectural results"
             );
         }
+    }
+
+    #[test]
+    fn link_validated_rejects_a_non_permutation_without_panicking() {
+        let study = build_study(&Scenario::quick());
+        let mut layout = study.layout(OptimizationSet::ALL);
+        assert!(study.link_validated(&layout).is_ok());
+        let first = layout.order[0];
+        layout.order[1] = first;
+        assert!(matches!(
+            study.link_validated(&layout),
+            Err(BuildError::Link(_))
+        ));
+        layout.order.pop();
+        assert!(matches!(
+            study.link_validated(&layout),
+            Err(BuildError::Link(_))
+        ));
     }
 }

@@ -45,7 +45,7 @@ mod scenario;
 mod sga;
 
 pub use app::{gen_app, AppSpec};
-pub use driver::{build_study, RunOutcome, Study};
+pub use driver::{build_study, BuildError, RunOutcome, Study};
 pub use kernel::{gen_kernel, KernelSpec, SYS_LOG_WRITE, SYS_RECEIVE, SYS_REPLY};
 pub use scenario::{drift_schedule, CodeScale, MixPhase, Scenario};
 pub use sga::{

@@ -23,11 +23,11 @@
 //!    sample shard, and compute the drift score against the reference
 //!    distribution the deployed layout was built from.
 //! 3. **Decide**: if drift ≥ threshold, rebuild the layout from the
-//!    sampled profile, link it, and run
-//!    [`codelayout_analysis::validate_translation`] — unconditionally,
-//!    not just in debug builds. Only a validated image is swapped in,
-//!    and the swap takes effect at the next epoch boundary (which is a
-//!    transaction boundary by construction).
+//!    sampled profile and link it through the study's validated build
+//!    step ([`codelayout_oltp::Study::link_validated`], which runs
+//!    translation validation in every build). Only a validated image is
+//!    swapped in, and the swap takes effect at the next epoch boundary
+//!    (which is a transaction boundary by construction).
 //! 4. **Observe**: every epoch emits a JSONL record through the span
 //!    tracer (`ev:"O"`, path `serve/epoch`), updates `serve.*` metrics
 //!    (drift gauge, swap-latency histogram, epoch counters), and appends
@@ -54,19 +54,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use codelayout_analysis::validate_translation;
 use codelayout_core::{LayoutPipeline, LayoutSeries, OptimizationSet};
-use codelayout_ir::link::link;
 use codelayout_ir::Image;
 use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
-use codelayout_obs::{run_env, ProfileSource, SweepEngine, VmEngine};
-use codelayout_oltp::{drift_schedule, words, MixPhase, Scenario, SgaLayout, Study};
+use codelayout_obs::{run_env, SweepEngine, VmEngine};
+use codelayout_oltp::{drift_schedule, words, BuildError, MixPhase, Scenario, SgaLayout, Study};
 use codelayout_profile::{
     edge_l1_milli, profile_from_edge_samples, DecayedEdgeCounts, EdgeSampler, PixieCollector,
 };
-use codelayout_vm::{
-    ExecHook, Machine, NullHook, RunReport, TraceBuffer, TraceSink, APP_TEXT_BASE,
-};
+use codelayout_vm::{ExecHook, Machine, NullHook, RunReport, TraceBuffer, TraceSink};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -512,26 +508,23 @@ fn run_window<H: ExecHook>(
     }
 }
 
-/// Links and validates a layout built from `profile`, returning the
-/// image only if translation validation proves it preserves the
-/// program's control flow.
+/// Builds a layout from `profile` and links it through the study's
+/// validated build step, returning the image only if translation
+/// validation proves it preserves the program's control flow.
 fn build_validated_image(
     study: &Study,
     cfg: &ServeConfig,
     profile: &codelayout_profile::Profile,
 ) -> Option<Arc<Image>> {
     let layout = LayoutPipeline::new(&study.app.program, profile).build_series(cfg.series);
-    let image = match link(&study.app.program, &layout, APP_TEXT_BASE) {
-        Ok(image) => image,
-        Err(e) => {
+    match study.link_validated(&layout) {
+        Ok(image) => Some(image),
+        Err(BuildError::Link(e)) => {
             codelayout_obs::metrics().add("serve.link_rejects", 1);
             eprintln!("serve: candidate layout failed to link: {e:?}");
-            return None;
+            None
         }
-    };
-    match validate_translation(&study.app.program, &layout, &image) {
-        Ok(_) => Some(Arc::new(image)),
-        Err(e) => {
+        Err(BuildError::Validation(e)) => {
             codelayout_obs::metrics().add("serve.validation_rejects", 1);
             eprintln!("serve: candidate image failed translation validation: {e:?}");
             None
@@ -561,8 +554,7 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
 
     // Initial offline deployment, from the study's profiling run — the
     // layout a DBA would have shipped. Validated like every later swap.
-    let initial_profile = study.profile_for(ProfileSource::Measured);
-    let initial_image = build_validated_image(study, cfg, initial_profile)
+    let initial_image = build_validated_image(study, cfg, &study.profile)
         .expect("initial deployment must link and validate");
     let base_digest = image_digest(&initial_image);
 
@@ -831,6 +823,7 @@ mod tests {
     #[test]
     fn image_digest_tracks_layout_identity() {
         use codelayout_ir::{link::link, Layout, ProcBuilder, ProgramBuilder};
+        use codelayout_vm::APP_TEXT_BASE;
         let mut pb = ProgramBuilder::new("digest-test");
         let main = pb.declare_proc("main");
         let helper = pb.declare_proc("helper");

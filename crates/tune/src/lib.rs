@@ -13,13 +13,14 @@
 //!    fetches as `(block, offset, cpu, pid)` tuples — a layout-independent
 //!    representation of the control-flow the workload executed.
 //! 2. **Remap + replay per candidate.** For each candidate parameter
-//!    point, build the layout ([`codelayout_core::LayoutPipeline`]),
-//!    link it, and run [`codelayout_analysis::validate_translation`]
-//!    **unconditionally** (an invalid candidate scores `u64::MAX` and can
-//!    never win). Then translate every recorded tuple into the candidate
-//!    image's addresses and replay the window through the parallel cache
-//!    sweep ([`codelayout_memsim::ParallelSweep`]); the fitness is the
-//!    summed miss count over the evaluation grid.
+//!    point, build the layout ([`codelayout_oltp::Study::layout`]) and
+//!    link and validate it through the same step as every study image
+//!    ([`codelayout_oltp::Study::link_validated`]) — **unconditionally**
+//!    (an invalid candidate scores `u64::MAX` and can never win). Then
+//!    translate every recorded tuple into the candidate image's
+//!    addresses and replay the window through the parallel cache sweep
+//!    ([`codelayout_memsim::ParallelSweep`]); the fitness is the summed
+//!    miss count over the evaluation grid.
 //! 3. **Search.** Per series family: evaluate the defaults first (the
 //!    fixed series everyone ships), greedy coordinate descent from
 //!    there, then seeded random restarts, under a per-family candidate
@@ -45,13 +46,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use codelayout_core::{LayoutParams, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace};
-use codelayout_ir::link::link;
+use codelayout_core::{
+    LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
+};
 use codelayout_ir::Image;
 use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
 use codelayout_obs::{run_env, SweepEngine};
 use codelayout_oltp::{Scenario, Study};
-use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink, APP_TEXT_BASE};
+use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
@@ -453,24 +455,18 @@ impl FamilySearch {
             return None;
         }
         let params = self.space.params(point);
-        let layout = oracle.study.layout_series_params(self.series, &params);
+        let layout = oracle
+            .study
+            .layout(LayoutRequest::from(self.series).with_params(params));
         // Validation is unconditional for every candidate — a layout the
         // validator rejects can never win, whatever the cache says.
-        let (score, cells, validated) =
-            match link(&oracle.study.app.program, &layout, APP_TEXT_BASE) {
-                Ok(image) => match codelayout_analysis::validate_translation(
-                    &oracle.study.app.program,
-                    &layout,
-                    &image,
-                ) {
-                    Ok(_) => {
-                        let (score, cells) = oracle.replay(&image);
-                        (score, cells, true)
-                    }
-                    Err(_) => (u64::MAX, Vec::new(), false),
-                },
-                Err(_) => (u64::MAX, Vec::new(), false),
-            };
+        let (score, cells, validated) = match oracle.study.link_validated(&layout) {
+            Ok(image) => {
+                let (score, cells) = oracle.replay(&image);
+                (score, cells, true)
+            }
+            Err(_) => (u64::MAX, Vec::new(), false),
+        };
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
@@ -628,16 +624,7 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
     let fixed_span = codelayout_obs::span("tune_fixed");
     let mut fixed = Vec::new();
     for series in LayoutSeries::comparison() {
-        let space = ParamSpace::for_series(series);
-        let params = space.params(&space.default_point());
-        let layout = study.layout_series_params(series, &params);
-        let image = link(&study.app.program, &layout, APP_TEXT_BASE)
-            .expect("fixed comparison series layouts are valid permutations");
-        codelayout_analysis::validate_translation(&study.app.program, &layout, &image)
-            .unwrap_or_else(|e| {
-                panic!("fixed `{series}` image failed translation validation: {e}")
-            });
-        let (score, cells) = oracle.replay(&image);
+        let (score, cells) = oracle.replay(&study.image(series));
         fixed.push(FixedResult {
             series,
             score,
