@@ -3,6 +3,7 @@
 //! misses dilute the instruction-fetch gains).
 
 use codelayout_bench::Harness;
+use codelayout_core::OptimizationSet;
 use codelayout_oltp::Scenario;
 use codelayout_timing::TimingModel;
 
@@ -13,19 +14,14 @@ fn main() {
         ("4 CPUs", Scenario::paper_sim()),
     ] {
         let mut h = Harness::new(&scenario);
-        let (base_cycles, opt_cycles);
-        {
-            let d = h.run("base");
-            base_cycles = model
-                .evaluate(d.user_fetches + d.kernel_fetches, &d.hier_21264)
-                .total();
-        }
-        {
-            let d = h.run("all");
-            opt_cycles = model
-                .evaluate(d.user_fetches + d.kernel_fetches, &d.hier_21264)
-                .total();
-        }
+        // The hierarchy sees every fetch, so its fetch count is the
+        // instruction count the model charges.
+        let mut cycles = |req: OptimizationSet| {
+            let hier = h.timing(req).hier_21264;
+            model.evaluate(hier.fetches, &hier).total()
+        };
+        let (base_cycles, opt_cycles) =
+            (cycles(OptimizationSet::BASE), cycles(OptimizationSet::ALL));
         println!(
             "{label}: speedup of 'all' = {:.2}x (paper: 1.33x on 1p, 1.25x on 4p)",
             base_cycles as f64 / opt_cycles as f64

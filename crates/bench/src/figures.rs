@@ -544,8 +544,9 @@ pub fn fig15(h: &mut Harness) -> Value {
     for (_, set) in OptimizationSet::paper_series() {
         let d = h.run_request(set);
         let instrs = d.user_fetches + d.kernel_fetches;
-        cycles264.push(m264.evaluate(instrs, &d.hier_21264).total());
-        cycles164.push(m164.evaluate(instrs, &d.hier_21164).total());
+        let t = h.timing(set);
+        cycles264.push(m264.evaluate(instrs, &t.hier_21264).total());
+        cycles164.push(m164.evaluate(instrs, &t.hier_21164).total());
     }
     let mut rows = Vec::new();
     let mut series = Vec::new();
@@ -853,8 +854,9 @@ pub fn claims(h: &mut Harness) -> Value {
         .evaluate(out.report.instructions, sink.stats())
         .total();
     let dbase = h.run("base");
+    let base_instrs = dbase.user_fetches + dbase.kernel_fetches;
     let base_cycles = model
-        .evaluate(dbase.user_fetches + dbase.kernel_fetches, &dbase.hier_21264)
+        .evaluate(base_instrs, &h.timing(OptimizationSet::BASE).hier_21264)
         .total();
     let kernel_gain = 100.0 * (1.0 - kopt_cycles as f64 / base_cycles as f64);
 

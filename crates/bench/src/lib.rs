@@ -7,30 +7,38 @@
 //! figures, and writes `results/figNN.json` files plus human-readable
 //! tables.
 //!
-//! The harness runs each code layout **once**, with a composite trace sink
-//! that does two things in the same pass:
+//! The harness runs each code layout **once**: the live pass is the VM
+//! feeding a [`codelayout_vm::TraceBuffer`] that records every
+//! instruction fetch and data reference (8 bytes per event), plus a
+//! fetch counter. Everything else *replays* the frozen trace through one
+//! [`ParallelSweep`] pool:
 //!
-//! * feeds the *streaming* collectors that want the live event stream —
+//! * the cache grids — the direct-mapped line-size grid (Fig. 4/5) and
+//!   the 128-byte 4-way size sweeps for user/kernel/combined streams
+//!   (Figs. 6, 7, 12, 13) — sharded across the workers;
+//! * for fully-instrumented layouts, the order-sensitive collectors —
 //!   the sequence profiler (Fig. 8), the locality cache (Figs. 9–11),
-//!   footprint counters (packing claims), and three full memory
-//!   hierarchies (Fig. 14 and the Fig. 15 timing models);
-//! * records the instruction fetch stream into a compact
-//!   [`codelayout_vm::TraceBuffer`] (8 bytes per instruction).
+//!   the footprint counter (packing claims) and the SimOS memory
+//!   hierarchy (Fig. 14) — each as one [`codelayout_memsim::Collector`]
+//!   job that a worker feeds, in the same walk of the trace as its grid
+//!   shards, with every event in recorded order.
 //!
-//! The cache-grid sweeps — the direct-mapped line-size grid (Fig. 4/5)
-//! and the 128-byte 4-way size sweeps for user/kernel/combined streams
-//! (Figs. 6, 7, 12, 13) — then *replay* the frozen trace through a
-//! [`ParallelSweep`]. Every grid is named by a
-//! [`codelayout_memsim::SweepSpec`]; the replay engine is the
-//! single-pass stack-distance profiler by default (one Mattson stack
-//! per line size answers every size × associativity at once), with the
-//! direct per-configuration simulator kept as the equivalence oracle —
-//! both selected by `CODELAYOUT_SWEEP_ENGINE` and bit-identical by
-//! construction. The worker count honors `CODELAYOUT_THREADS`. The
-//! first fully-instrumented layout also replays the identical jobs on
+//! Every grid is named by a [`codelayout_memsim::SweepSpec`]; the replay
+//! engine is the single-pass stack-distance profiler by default (one
+//! Mattson stack per line size answers every size × associativity at
+//! once), with the direct per-configuration simulator kept as the
+//! equivalence oracle — both selected by `CODELAYOUT_SWEEP_ENGINE` and
+//! bit-identical by construction. The worker count honors
+//! `CODELAYOUT_THREADS`; results do not depend on it. The first
+//! fully-instrumented layout also replays the identical grid jobs on
 //! the *other* engine at the same thread count, asserting equality and
 //! timing both, so `run_all` can report the measured engine speedup
-//! (see [`Harness::sweep_timing`]).
+//! (see [`Harness::sweep_timing`]); that layout's collectors replay in a
+//! pool walk of their own, after both timed sweeps.
+//!
+//! The Fig. 15 timing models' 21264- and 21164-like hierarchies are not
+//! part of a layout's measurement: [`Harness::timing`] runs the VM once
+//! more into just those two, for the layouts that need them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +49,13 @@ pub mod lint;
 use codelayout_core::{LayoutRequest, OptimizationSet};
 use codelayout_ir::Image;
 use codelayout_memsim::{
-    CacheConfig, FootprintCounter, HierarchyStats, LocalityCache, LocalityStats, MemoryHierarchy,
-    ParallelSweep, SequenceProfiler, SequenceStats, StreamFilter, SweepCell, SweepEngine,
-    SweepSpec,
+    CacheConfig, Collector, FootprintCounter, HierarchyConfig, HierarchyStats, LocalityCache,
+    LocalityStats, MemoryHierarchy, ParallelSweep, SequenceProfiler, SequenceStats, StreamFilter,
+    SweepCell, SweepEngine, SweepSpec,
 };
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
-use codelayout_vm::{DataRecord, FetchRecord, TraceBuffer, TraceSink, VmEngine};
+use codelayout_vm::{CountingSink, FrozenTrace, TeeSink, TraceBuffer, VmEngine};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -88,10 +96,6 @@ pub struct LayoutData {
     pub footprint_instr_bytes: Option<u64>,
     /// Paper base SimOS hierarchy counters (full runs only).
     pub hier_simos: Option<HierarchyStats>,
-    /// 21264-like hierarchy counters.
-    pub hier_21264: HierarchyStats,
-    /// 21164-like hierarchy counters.
-    pub hier_21164: HierarchyStats,
     /// Application instructions fetched during measurement.
     pub user_fetches: u64,
     /// Kernel instructions fetched during measurement.
@@ -111,103 +115,47 @@ fn sizes_4w_spec(num_cpus: usize, filter: StreamFilter) -> SweepSpec {
         .filter(filter)
 }
 
-/// Composite sink for the live pass: streaming collectors that need the
-/// raw event stream, plus a compact fetch-trace recording. The cache
-/// grids are *not* simulated here — they replay the recorded trace in
-/// parallel afterwards (see [`Harness`]).
-struct CompositeSink {
-    full: bool,
-    trace: TraceBuffer,
-    seq_user: SequenceProfiler,
-    locality: LocalityCache,
-    fp: FootprintCounter,
-    hier_simos: MemoryHierarchy,
-    hier_21264: MemoryHierarchy,
-    hier_21164: MemoryHierarchy,
-    user_fetches: u64,
-    kernel_fetches: u64,
+/// The order-sensitive collectors a fully-instrumented layout replays
+/// on the sweep pool, one of each [`Collector`] kind.
+fn full_run_collectors(num_cpus: usize) -> Vec<Collector> {
+    vec![
+        Collector::Hierarchy(MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus))),
+        Collector::Locality(LocalityCache::new(
+            locality_config(),
+            StreamFilter::UserOnly,
+        )),
+        Collector::Sequence(SequenceProfiler::new(StreamFilter::UserOnly)),
+        Collector::Footprint(FootprintCounter::new(128, StreamFilter::UserOnly)),
+    ]
 }
 
-impl CompositeSink {
-    fn new(num_cpus: usize, full: bool) -> Self {
-        CompositeSink {
-            full,
-            trace: TraceBuffer::fetch_only(),
-            seq_user: SequenceProfiler::new(StreamFilter::UserOnly),
-            locality: LocalityCache::new(locality_config(), StreamFilter::UserOnly),
-            fp: FootprintCounter::new(128, StreamFilter::UserOnly),
-            hier_simos: MemoryHierarchy::new(codelayout_memsim::HierarchyConfig::simos_base(
-                num_cpus,
-            )),
-            hier_21264: MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
-            hier_21164: MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
-            user_fetches: 0,
-            kernel_fetches: 0,
-        }
-    }
+/// The live pass's sink: the fetch-and-data trace recording (pre-sized
+/// for `reserve` events) plus the user/kernel fetch counts.
+fn live_sink(reserve: usize) -> TeeSink<TraceBuffer, CountingSink> {
+    let mut trace = TraceBuffer::new();
+    trace.reserve(reserve);
+    TeeSink(trace, CountingSink::default())
 }
 
-impl TraceSink for CompositeSink {
-    #[inline]
-    fn fetch(&mut self, rec: FetchRecord) {
-        if rec.kernel {
-            self.kernel_fetches += 1;
-        } else {
-            self.user_fetches += 1;
-        }
-        self.trace.fetch(rec);
-        self.hier_21264.fetch(rec);
-        self.hier_21164.fetch(rec);
-        if self.full {
-            self.seq_user.fetch(rec);
-            self.locality.fetch(rec);
-            self.fp.fetch(rec);
-            self.hier_simos.fetch(rec);
-        }
-    }
-
-    #[inline]
-    fn data(&mut self, rec: DataRecord) {
-        self.hier_21264.data(rec);
-        self.hier_21164.data(rec);
-        if self.full {
-            self.hier_simos.data(rec);
-        }
-    }
-
-    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
-        // Batch the counters and the trace append; the cache hierarchies
-        // are inherently per-access and see the expanded stream.
-        if first.kernel {
-            self.kernel_fetches += n;
-        } else {
-            self.user_fetches += n;
-        }
-        self.trace.fetch_run(first, n);
-        let mut rec = first;
-        for _ in 0..n {
-            self.hier_21264.fetch(rec);
-            self.hier_21164.fetch(rec);
-            if self.full {
-                self.seq_user.fetch(rec);
-                self.locality.fetch(rec);
-                self.fp.fetch(rec);
-                self.hier_simos.fetch(rec);
-            }
-            rec.addr += codelayout_ir::INSTR_BYTES;
-        }
-    }
+/// The Fig. 15 timing models' machines, fed by one measured run of a
+/// layout (see [`Harness::timing`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimingData {
+    /// 21264-like hierarchy counters.
+    pub hier_21264: HierarchyStats,
+    /// 21164-like hierarchy counters.
+    pub hier_21164: HierarchyStats,
 }
 
 /// Wall-clock measurement of one layout's grid sweeps: the
 /// stack-distance engine vs the direct per-configuration engine
-/// replaying the identical jobs at the same thread count (and asserted
-/// bit-identical).
+/// replaying the identical grid jobs at the same thread count (and
+/// asserted bit-identical).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepTiming {
     /// Worker threads both replays used.
     pub threads: usize,
-    /// Fetch events replayed per sweep pass.
+    /// Fetch events the grids replayed per sweep pass.
     pub events: u64,
     /// (configuration, CPU) simulators the direct engine instantiates.
     pub shards: usize,
@@ -230,8 +178,9 @@ impl SweepTiming {
 
 /// Wall-clock measurement of one layout's measured run on both VM
 /// execution tiers: the block-compiled engine vs the interpreter
-/// oracle executing the identical workload (asserted to produce a
-/// bit-identical instruction trace and outcome).
+/// oracle executing the identical workload into the identical sink
+/// (the live pass's trace recording and fetch counter), asserted to
+/// produce a bit-identical trace and outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct VmTiming {
     /// Instructions the measured phase executed (identical on both tiers).
@@ -270,6 +219,7 @@ pub struct Harness {
     /// The prepared study (workload + profile).
     pub study: Study,
     runs: HashMap<LayoutRequest, LayoutData>,
+    timings: HashMap<LayoutRequest, TimingData>,
     out_dir: PathBuf,
     scenario_label: String,
     sweeper: ParallelSweep,
@@ -277,7 +227,7 @@ pub struct Harness {
     vm_timing: Option<VmTiming>,
     output_digests: Vec<(String, String)>,
     extra_sections: Vec<(String, serde_json::Value)>,
-    /// Largest fetch-event count seen so far; pre-sizes the next
+    /// Largest trace length seen so far; pre-sizes the next
     /// layout's trace buffer so growth reallocs don't land inside the
     /// timed measured run.
     expected_events: usize,
@@ -300,6 +250,7 @@ impl Harness {
         Harness {
             study: build_study(scenario),
             runs: HashMap::new(),
+            timings: HashMap::new(),
             out_dir: PathBuf::from("results"),
             scenario_label: label.to_string(),
             sweeper: ParallelSweep::from_env(),
@@ -370,7 +321,8 @@ impl Harness {
     /// Runs (or returns the cached) measurement for a layout request.
     /// Requests that differ in any field — series, profile source or
     /// parameters — are measured separately. The bare `base` and `all`
-    /// requests get the full instrumentation; others the light set.
+    /// requests are fully instrumented (all four grids and the
+    /// collectors); others replay only the user size sweep.
     pub fn run_request(&mut self, req: impl Into<LayoutRequest>) -> &LayoutData {
         let req = req.into();
         if !self.runs.contains_key(&req) {
@@ -383,32 +335,65 @@ impl Harness {
         &self.runs[&req]
     }
 
+    /// Runs (or returns the cached) timing-model measurement for a
+    /// layout request: one measured run feeding the 21264- and
+    /// 21164-like hierarchies of [`TimingModel`] (Fig. 15, the
+    /// kernel-layout claim). Instruction counts come from
+    /// [`Harness::run_request`]'s fetch counts or the hierarchies' own.
+    pub fn timing(&mut self, req: impl Into<LayoutRequest>) -> &TimingData {
+        let req = req.into();
+        if !self.timings.contains_key(&req) {
+            let _measure_span = codelayout_obs::span("measure");
+            let image = self.study.image(req);
+            let num_cpus = self.study.scenario.num_cpus;
+            let mut sink = TeeSink(
+                MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
+                MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
+            );
+            self.study
+                .run_measured(&image, &self.study.base_kernel_image, &mut sink)
+                .assert_correct();
+            let data = TimingData {
+                hier_21264: *sink.0.stats(),
+                hier_21164: *sink.1.stats(),
+            };
+            self.timings.insert(req, data);
+        }
+        &self.timings[&req]
+    }
+
     fn measure(&mut self, req: LayoutRequest, full: bool) -> LayoutData {
         let _measure_span = codelayout_obs::span("measure");
         let name = &req.to_string();
         let image = self.study.image(req);
         let num_cpus = self.study.scenario.num_cpus;
-        let mut sink = CompositeSink::new(num_cpus, full);
-        sink.trace.reserve(self.expected_events);
+        let mut sink = live_sink(self.expected_events);
         let outcome = self
             .study
             .run_measured(&image, &self.study.base_kernel_image, &mut sink);
         outcome.assert_correct();
 
-        // Record-once / replay-in-parallel: the live pass above recorded
-        // the fetch stream; every grid sweep now replays it from worker
-        // threads. Jobs: [user sizes, dm grid, combined sizes, kernel
-        // sizes] — the last three only for fully-instrumented layouts.
-        let trace = std::mem::take(&mut sink.trace).freeze();
+        // Record-once / replay-in-parallel: the live pass above only
+        // recorded the trace; every grid sweep and collector now replays
+        // it on the pool. Grid jobs: [user sizes, dm grid, combined
+        // sizes, kernel sizes] — the last three, and the collectors,
+        // only for fully-instrumented layouts.
+        let TeeSink(trace, counts) = sink;
+        let trace = trace.freeze();
+        let fetches = (
+            counts.fetches - counts.kernel_fetches,
+            counts.kernel_fetches,
+        );
         self.expected_events = self.expected_events.max(trace.len());
         codelayout_obs::metrics().gauge_set(
             &format!("vm.run.{name}.insts_per_sec"),
             outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
         );
         if full && self.vm_timing.is_none() {
-            self.vm_oracle_run(name, &image, &trace, &outcome);
+            self.vm_oracle_run(name, &image, &trace, counts, &outcome);
         }
         let mut jobs = vec![sizes_4w_spec(num_cpus, StreamFilter::UserOnly)];
+        let mut collectors = Vec::new();
         if full {
             jobs.push(
                 SweepSpec::paper_grid(1)
@@ -417,18 +402,28 @@ impl Harness {
             );
             jobs.push(sizes_4w_spec(num_cpus, StreamFilter::All));
             jobs.push(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly));
+            collectors = full_run_collectors(num_cpus);
         }
+        // Once per evaluation, the first fully-instrumented layout times
+        // its grid sweeps against the other engine's; its collectors
+        // replay apart, afterwards, so both timings cover the grids alone.
+        let cross_check = full && self.sweep_timing.is_none();
+        let late_collectors = if cross_check {
+            std::mem::take(&mut collectors)
+        } else {
+            Vec::new()
+        };
         // Phase timers (not ad-hoc `Instant` pairs) time both replays, so
         // the speedup `run_all` reports is exactly what the phase tree and
         // the run manifest show for the same work.
         let replay_span = codelayout_obs::span("replay");
-        let mut grids = self.sweeper.run(&trace, &jobs);
+        let (mut grids, mut collected) = self.sweeper.run_collecting(&trace, &jobs, collectors);
         let primary_secs = replay_span.finish().as_secs_f64();
-        self.record_replay_metrics(name, &sink, &jobs, &trace, primary_secs);
-        if full && self.sweep_timing.is_none() {
-            // Once per evaluation: replay the identical jobs on the
-            // *other* engine at the same thread count — a standing
-            // cross-engine equivalence check and the speedup baseline.
+        self.record_replay_metrics(name, fetches, &jobs, primary_secs);
+        if cross_check {
+            // Replay the identical grid jobs on the *other* engine at the
+            // same thread count: a standing cross-engine equivalence check
+            // and the speedup baseline.
             let other_engine = match self.sweeper.engine() {
                 SweepEngine::Stack => SweepEngine::Direct,
                 SweepEngine::Direct => SweepEngine::Stack,
@@ -448,13 +443,24 @@ impl Harness {
             };
             let timing = SweepTiming {
                 threads: self.sweeper.threads(),
-                events: trace.len() as u64,
+                events: counts.fetches,
                 shards: jobs.iter().map(SweepSpec::shard_count).sum(),
                 stack_secs,
                 direct_secs,
             };
             codelayout_obs::metrics().gauge_set("sweep.engine_speedup", timing.speedup());
             self.sweep_timing = Some(timing);
+            let _replay_span = codelayout_obs::span("replay");
+            collected = self.sweeper.run_collecting(&trace, &[], late_collectors).1;
+        }
+        let (mut hier_simos, mut locality, mut seq_user, mut footprint) = (None, None, None, None);
+        for c in collected {
+            match c {
+                Collector::Hierarchy(c) => hier_simos = Some(*c.stats()),
+                Collector::Locality(c) => locality = Some(c.finish()),
+                Collector::Sequence(c) => seq_user = Some(c.finish()),
+                Collector::Footprint(c) => footprint = Some(c),
+            }
         }
         let mut pop_full = || {
             if full {
@@ -473,28 +479,33 @@ impl Harness {
             sizes_4w_user,
             sizes_4w_all,
             sizes_4w_kernel,
-            seq_user: full.then(|| sink.seq_user.finish()),
-            locality: full.then(|| sink.locality.finish()),
-            footprint_line_bytes: full.then(|| sink.fp.line_footprint_bytes()),
-            footprint_instr_bytes: full.then(|| sink.fp.instr_footprint_bytes()),
-            hier_simos: full.then(|| *sink.hier_simos.stats()),
-            hier_21264: *sink.hier_21264.stats(),
-            hier_21164: *sink.hier_21164.stats(),
-            user_fetches: sink.user_fetches,
-            kernel_fetches: sink.kernel_fetches,
+            seq_user,
+            locality,
+            footprint_line_bytes: footprint
+                .as_ref()
+                .map(FootprintCounter::line_footprint_bytes),
+            footprint_instr_bytes: footprint
+                .as_ref()
+                .map(FootprintCounter::instr_footprint_bytes),
+            hier_simos,
+            user_fetches: fetches.0,
+            kernel_fetches: fetches.1,
             outcome,
         }
     }
 
     /// Once per evaluation: re-execute the measured run on the *other*
-    /// VM execution tier (interpreter oracle vs block-compiled) and
-    /// assert the instruction trace and outcome are bit-identical — the
-    /// standing correctness check behind the engine-speedup number.
+    /// VM execution tier (interpreter oracle vs block-compiled), into the
+    /// same kind of sink as the live pass, and assert the recorded
+    /// trace (fetches and data references), fetch counts and outcome
+    /// are bit-identical — the standing correctness check behind the
+    /// engine-speedup number.
     fn vm_oracle_run(
         &mut self,
         name: &str,
         image: &Arc<Image>,
-        trace: &codelayout_vm::FrozenTrace,
+        trace: &FrozenTrace,
+        counts: CountingSink,
         outcome: &RunOutcome,
     ) {
         let engine = self.study.machine_config().engine;
@@ -503,16 +514,16 @@ impl Harness {
             VmEngine::Block => VmEngine::Interp,
         };
         let oracle_span = codelayout_obs::span("oracle_run");
-        let mut oracle_trace = TraceBuffer::fetch_only();
-        oracle_trace.reserve(trace.len());
+        let mut oracle_sink = live_sink(trace.len());
         let oracle = self.study.run_measured_with(
             image,
             &self.study.base_kernel_image,
-            &mut oracle_trace,
+            &mut oracle_sink,
             other,
         );
         oracle_span.finish();
         oracle.assert_correct();
+        let TeeSink(oracle_trace, oracle_counts) = oracle_sink;
         assert_eq!(
             oracle_trace.freeze(),
             *trace,
@@ -520,6 +531,7 @@ impl Harness {
             other.label(),
             engine.label(),
         );
+        assert_eq!(oracle_counts, counts, "{name}: fetch counts diverged");
         assert_eq!(oracle.report, outcome.report, "{name}: reports diverged");
         assert_eq!(
             oracle.invariants, outcome.invariants,
@@ -561,12 +573,14 @@ impl Harness {
     /// labels follow the fixed job order [`Harness::measure`] builds:
     /// the user size sweep always runs; fully-instrumented layouts add
     /// the direct-mapped grid and the combined/kernel size sweeps.
+    /// `parallel_secs` is the primary pool walk's time, which includes
+    /// the collectors when they share it (every fully-instrumented
+    /// layout but the engine cross-check one).
     fn record_replay_metrics(
         &self,
         name: &str,
-        sink: &CompositeSink,
+        (user_fetches, kernel_fetches): (u64, u64),
         jobs: &[SweepSpec],
-        trace: &codelayout_vm::FrozenTrace,
         parallel_secs: f64,
     ) {
         const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
@@ -574,14 +588,14 @@ impl Harness {
         let secs = parallel_secs.max(1e-9);
         m.gauge_set(
             &format!("replay.{name}.insts_per_sec"),
-            trace.len() as f64 / secs,
+            (user_fetches + kernel_fetches) as f64 / secs,
         );
         for (j, job) in jobs.iter().enumerate() {
             let label = JOB_LABELS.get(j).copied().unwrap_or("extra");
             let events = match job.stream() {
-                StreamFilter::UserOnly => sink.user_fetches,
-                StreamFilter::KernelOnly => sink.kernel_fetches,
-                StreamFilter::All => sink.user_fetches + sink.kernel_fetches,
+                StreamFilter::UserOnly => user_fetches,
+                StreamFilter::KernelOnly => kernel_fetches,
+                StreamFilter::All => user_fetches + kernel_fetches,
             };
             m.gauge_set(
                 &format!("replay.{name}.{label}.insts_per_sec"),
@@ -748,6 +762,101 @@ pub fn pct(n: u64, d: u64) -> String {
 mod tests {
     use super::*;
     use codelayout_core::LayoutParams;
+    use codelayout_memsim::SweepSink;
+
+    #[test]
+    fn pool_replayed_measurement_equals_a_live_feed() {
+        // The oracle: every collector and grid of a full measurement fed
+        // straight from the VM, as a live pass with no recording would.
+        // `base` is the engine cross-check layout, whose collectors replay
+        // apart from its grids; `all` replays both in one pool walk.
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
+        let num_cpus = h.study.scenario.num_cpus;
+        for set in [OptimizationSet::BASE, OptimizationSet::ALL] {
+            let image = h.study.image(set);
+            let grid = |spec: SweepSpec| SweepSink::from_spec(&spec);
+            let mut live = TeeSink(
+                TeeSink(
+                    TeeSink(
+                        MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus)),
+                        LocalityCache::new(locality_config(), StreamFilter::UserOnly),
+                    ),
+                    TeeSink(
+                        SequenceProfiler::new(StreamFilter::UserOnly),
+                        FootprintCounter::new(128, StreamFilter::UserOnly),
+                    ),
+                ),
+                TeeSink(
+                    TeeSink(
+                        grid(sizes_4w_spec(num_cpus, StreamFilter::UserOnly)),
+                        grid(
+                            SweepSpec::paper_grid(1)
+                                .cpus(num_cpus)
+                                .filter(StreamFilter::UserOnly),
+                        ),
+                    ),
+                    TeeSink(
+                        TeeSink(
+                            grid(sizes_4w_spec(num_cpus, StreamFilter::All)),
+                            grid(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly)),
+                        ),
+                        CountingSink::default(),
+                    ),
+                ),
+            );
+            let outcome = h
+                .study
+                .run_measured(&image, &h.study.base_kernel_image, &mut live);
+            outcome.assert_correct();
+            let TeeSink(TeeSink(TeeSink(hier, locality), TeeSink(seq, fp)), grids) = live;
+            let TeeSink(TeeSink(user, dm), TeeSink(TeeSink(all, kernel), counts)) = grids;
+
+            let d = h.run_request(set);
+            assert_eq!(d.hier_simos, Some(*hier.stats()));
+            assert!(hier.stats().data_accesses > 0);
+            assert_eq!(d.locality, Some(locality.finish()));
+            assert_eq!(d.seq_user, Some(seq.finish()));
+            assert_eq!(d.footprint_line_bytes, Some(fp.line_footprint_bytes()));
+            assert_eq!(d.footprint_instr_bytes, Some(fp.instr_footprint_bytes()));
+            assert_eq!(d.sizes_4w_user, user.results());
+            assert_eq!(d.dm_grid_user, dm.results());
+            assert_eq!(d.sizes_4w_all, all.results());
+            assert_eq!(d.sizes_4w_kernel, kernel.results());
+            assert_eq!(d.user_fetches, counts.fetches - counts.kernel_fetches);
+            assert_eq!(d.kernel_fetches, counts.kernel_fetches);
+            assert_eq!(d.outcome.report, outcome.report);
+        }
+        assert!(h.sweep_timing().is_some());
+    }
+
+    #[test]
+    fn timing_equals_a_live_feed_of_both_hierarchies() {
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
+        let num_cpus = h.study.scenario.num_cpus;
+        let req = LayoutRequest::from(OptimizationSet::CHAIN);
+        let mut live = TeeSink(
+            MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
+            MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
+        );
+        h.study
+            .run_measured(&h.study.image(req), &h.study.base_kernel_image, &mut live)
+            .assert_correct();
+
+        let t = *h.timing(req);
+        assert_eq!(t.hier_21264, *live.0.stats());
+        assert_eq!(t.hier_21164, *live.1.stats());
+        assert!(t.hier_21164.l1i_misses > t.hier_21264.l1i_misses);
+        // The hierarchies see every fetch: their count is the light
+        // measurement's instruction count.
+        let d = h.run_request(req);
+        assert_eq!(t.hier_21264.fetches, d.user_fetches + d.kernel_fetches);
+        assert!(
+            d.hier_simos.is_none(),
+            "a light request replays no collectors"
+        );
+        assert_eq!(*h.timing(req), t);
+        assert_eq!(h.timings.len(), 1);
+    }
 
     #[test]
     fn distinct_params_for_one_series_are_distinct_runs() {

@@ -18,8 +18,9 @@
 //! * [`ParallelSweep`] — replays a recorded [`codelayout_vm::FrozenTrace`]
 //!   through [`SweepSpec`] jobs on scoped worker threads, with a choice of
 //!   [`SweepEngine`] (stack-distance by default, direct as the oracle),
-//!   bit-identical to the serial sweep (the record-once/replay-in-parallel
-//!   path the harness uses);
+//!   bit-identical to the serial sweep, and feeds whole-trace
+//!   [`Collector`] jobs on the same workers (the record-once /
+//!   replay-in-parallel path the harness uses);
 //! * [`LocalityCache`] — per-line word-use bitmaps, word reuse counters and
 //!   line lifetimes (Figures 9, 10, 11, and the unused-fetch claim);
 //! * [`SequenceProfiler`] — sequential run-length histogram (Figure 8);
@@ -55,7 +56,7 @@ pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use icache::{AccessClass, CacheStats, ICacheSim};
 pub use itlb::Itlb;
 pub use locality::{LocalityCache, LocalityStats};
-pub use parallel::ParallelSweep;
+pub use parallel::{Collector, ParallelSweep};
 pub use sequence::{SequenceProfiler, SequenceStats};
 pub use spec::{SweepSpec, LINES_B, SIZES_KB};
 pub use stack::StackDistanceSim;

@@ -41,15 +41,91 @@
 //! statistics exactly, and [`CacheStats::merge`] is commutative `u64`
 //! addition.
 //!
+//! [`ParallelSweep::run_collecting`] adds a second kind of job: a
+//! [`Collector`] — a memory hierarchy, locality cache, sequence profiler
+//! or footprint counter — that must see the *whole* trace, fetches and
+//! data, in order. Collectors are not sharded; each rides on one pool
+//! worker, which feeds it in the same walk of the trace that feeds the
+//! worker's grid shards. A collector's input is therefore the recorded
+//! stream itself wherever it is placed, and its result equals a serial
+//! [`FrozenTrace::replay`] into it for any thread count. Grid shards
+//! ignore data events, so grids replayed from a fetch-and-data trace
+//! equal grids replayed from its fetch-only twin.
+//!
 //! [`SweepSink`]: crate::SweepSink
 
 use crate::config::StreamFilter;
+use crate::footprint::FootprintCounter;
+use crate::hierarchy::MemoryHierarchy;
 use crate::icache::{AccessClass, CacheStats, ICacheSim};
+use crate::locality::LocalityCache;
+use crate::sequence::SequenceProfiler;
 use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
 use codelayout_obs::SweepEngine;
-use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
+use codelayout_vm::{DataRecord, FetchRecord, FrozenTrace, TraceSink};
+
+/// A whole-trace consumer for [`ParallelSweep::run_collecting`]: one
+/// pool worker feeds it every event of the trace, fetches and data, in
+/// recorded order, and hands it back when the walk ends.
+#[derive(Debug, Clone)]
+pub enum Collector {
+    /// A full memory hierarchy, such as Figure 14's SimOS system; the
+    /// only kind that consumes data events.
+    Hierarchy(MemoryHierarchy),
+    /// Word-use, reuse and lifetime metrics (Figures 9–11).
+    Locality(LocalityCache),
+    /// Sequential run lengths (Figure 8).
+    Sequence(SequenceProfiler),
+    /// Unique lines and instructions (the packing claim).
+    Footprint(FootprintCounter),
+}
+
+impl TraceSink for Collector {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        match self {
+            Collector::Hierarchy(c) => c.fetch(rec),
+            Collector::Locality(c) => c.fetch(rec),
+            Collector::Sequence(c) => c.fetch(rec),
+            Collector::Footprint(c) => c.fetch(rec),
+        }
+    }
+
+    #[inline]
+    fn data(&mut self, rec: DataRecord) {
+        if let Collector::Hierarchy(c) = self {
+            c.data(rec);
+        }
+    }
+}
+
+/// One pool worker: its grid shards (`G`, an engine's worker) plus the
+/// collectors placed on it, if any (tagged with their placement index),
+/// fed in one walk of the trace.
+struct PoolWorker<G> {
+    grid: G,
+    collectors: Vec<(usize, Collector)>,
+}
+
+impl<G: TraceSink> TraceSink for PoolWorker<G> {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        self.grid.fetch(rec);
+        for (_, c) in &mut self.collectors {
+            c.fetch(rec);
+        }
+    }
+
+    #[inline]
+    fn data(&mut self, rec: DataRecord) {
+        // Grid shards simulate instruction caches only.
+        for (_, c) in &mut self.collectors {
+            c.data(rec);
+        }
+    }
+}
 
 /// One direct-engine unit: a (configuration, CPU) simulator.
 struct DirectShard {
@@ -155,7 +231,9 @@ struct StackWorker {
 }
 
 impl TraceSink for StackWorker {
-    #[inline]
+    // Always inlined into `PoolWorker::fetch`: outlined, a call per
+    // record costs the replay loop about 10%.
+    #[inline(always)]
     fn fetch(&mut self, rec: FetchRecord) {
         let key =
             ((rec.addr >> self.batch_shift) << 9) | ((rec.cpu as u64) << 1) | rec.kernel as u64;
@@ -205,8 +283,8 @@ impl StackWorker {
     }
 }
 
-/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs on
-/// a pool of scoped threads.
+/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs, and
+/// optionally [`Collector`] jobs, on a pool of scoped threads.
 ///
 /// ```
 /// use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSink, SweepSpec};
@@ -276,6 +354,22 @@ impl ParallelSweep {
     /// over CPUs — the exact shape [`crate::SweepSink::results`]
     /// returns).
     pub fn run(&self, trace: &FrozenTrace, jobs: &[SweepSpec]) -> Vec<Vec<SweepCell>> {
+        self.run_collecting(trace, jobs, Vec::new()).0
+    }
+
+    /// Like [`ParallelSweep::run`], and also feeds every collector the
+    /// whole trace on the same pool: each collector rides on one worker,
+    /// which walks the trace once for its grid shards and its
+    /// collectors together. Returns the grid results and the collectors,
+    /// in the order given, each in the state a serial
+    /// [`FrozenTrace::replay`] into it would leave (for any thread count
+    /// and placement).
+    pub fn run_collecting(
+        &self,
+        trace: &FrozenTrace,
+        jobs: &[SweepSpec],
+        collectors: Vec<Collector>,
+    ) -> (Vec<Vec<SweepCell>>, Vec<Collector>) {
         let _sweep_span = codelayout_obs::span("sweep");
         let grids: Vec<Vec<crate::CacheConfig>> = jobs.iter().map(SweepSpec::configs).collect();
         let mut results: Vec<Vec<SweepCell>> = grids
@@ -289,11 +383,11 @@ impl ParallelSweep {
                     .collect()
             })
             .collect();
-        match self.engine {
-            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results),
-            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results),
-        }
-        results
+        let collectors = match self.engine {
+            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results, collectors),
+            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results, collectors),
+        };
+        (results, collectors)
     }
 
     fn run_direct(
@@ -302,7 +396,8 @@ impl ParallelSweep {
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
-    ) {
+        collectors: Vec<Collector>,
+    ) -> Vec<Collector> {
         // Enumerate shards per job, then round-robin them over workers
         // so each worker carries a similar mix of small and large
         // simulations. Workers keep their shards grouped by job so the
@@ -312,7 +407,7 @@ impl ParallelSweep {
             .zip(jobs)
             .map(|(g, j)| g.len() * j.num_cpus())
             .sum();
-        let num_workers = self.record_pool(jobs.len(), total);
+        let num_workers = self.record_pool(jobs.len(), total, collectors.len());
         let mut workers: Vec<DirectWorker> = (0..num_workers)
             .map(|_| DirectWorker { jobs: Vec::new() })
             .collect();
@@ -334,7 +429,8 @@ impl ParallelSweep {
             }
         }
 
-        for worker in replay_pool(trace, workers, |_| {}) {
+        let (workers, collectors) = replay_pool(trace, workers, collectors, next, |_| {});
+        for worker in workers {
             for dj in worker.jobs {
                 let cells = &mut results[dj.job];
                 for shard in dj.shards {
@@ -342,6 +438,7 @@ impl ParallelSweep {
                 }
             }
         }
+        collectors
     }
 
     fn run_stack(
@@ -350,7 +447,8 @@ impl ParallelSweep {
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
-    ) {
+        collectors: Vec<Collector>,
+    ) -> Vec<Collector> {
         let mut shards: Vec<StackShard> = Vec::new();
         for (job, (spec, grid)) in jobs.iter().zip(grids).enumerate() {
             let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
@@ -379,7 +477,8 @@ impl ParallelSweep {
             .map(|s| s.prof.line_bytes().trailing_zeros())
             .min()
             .unwrap_or(0);
-        let num_workers = self.record_pool(jobs.len(), shards.len());
+        let num_shards = shards.len();
+        let num_workers = self.record_pool(jobs.len(), num_shards, collectors.len());
         let mut workers: Vec<StackWorker> = (0..num_workers)
             .map(|_| StackWorker {
                 shards: Vec::new(),
@@ -397,7 +496,14 @@ impl ParallelSweep {
             worker.seal();
         }
 
-        for worker in replay_pool(trace, workers, StackWorker::flush_repeats) {
+        let (workers, collectors) = replay_pool(
+            trace,
+            workers,
+            collectors,
+            num_shards,
+            StackWorker::flush_repeats,
+        );
+        for worker in workers {
             for shard in worker.shards {
                 let cells = &mut results[shard.job];
                 for (config_idx, stats) in shard.prof.results() {
@@ -405,12 +511,13 @@ impl ParallelSweep {
                 }
             }
         }
+        collectors
     }
 
-    /// Clamps the pool size to the shard count and records the run's
-    /// shape in the metrics registry.
-    fn record_pool(&self, jobs: usize, shards: usize) -> usize {
-        let num_workers = self.threads.min(shards.max(1));
+    /// Clamps the pool size to the number of units (grid shards plus
+    /// collectors) and records the grid's shape in the metrics registry.
+    fn record_pool(&self, jobs: usize, shards: usize, collectors: usize) -> usize {
+        let num_workers = self.threads.min((shards + collectors).max(1));
         let m = codelayout_obs::metrics();
         m.add("sweep.runs", 1);
         m.add("sweep.jobs", jobs as u64);
@@ -427,6 +534,45 @@ impl ParallelSweep {
     }
 }
 
+/// Replays `trace` into every grid worker on its own scoped thread,
+/// with `collectors` dealt round-robin onto the workers from unit index
+/// `next` on (the grid shards take the indices before it). Calls
+/// `finish` on each grid worker after its last record and hands back the
+/// grid workers and the collectors, the latter in the order given.
+fn replay_pool<G, F>(
+    trace: &FrozenTrace,
+    grids: Vec<G>,
+    collectors: Vec<Collector>,
+    next: usize,
+    finish: F,
+) -> (Vec<G>, Vec<Collector>)
+where
+    G: TraceSink + Send,
+    F: Fn(&mut G) + Sync,
+{
+    let n = grids.len();
+    let mut workers: Vec<PoolWorker<G>> = grids
+        .into_iter()
+        .map(|grid| PoolWorker {
+            grid,
+            collectors: Vec::new(),
+        })
+        .collect();
+    for (k, c) in collectors.into_iter().enumerate() {
+        workers[(next + k) % n].collectors.push((k, c));
+    }
+    let mut collected = Vec::new();
+    let grids = replay_workers(trace, workers, |w| finish(&mut w.grid))
+        .into_iter()
+        .map(|w| {
+            collected.extend(w.collectors);
+            w.grid
+        })
+        .collect();
+    collected.sort_unstable_by_key(|&(k, _)| k);
+    (grids, collected.into_iter().map(|(_, c)| c).collect())
+}
+
 /// Replays `trace` into every worker on its own scoped thread, calling
 /// `finish` on each worker after its last record, and hands the workers
 /// back for result collection.
@@ -435,7 +581,7 @@ impl ParallelSweep {
 /// spawn-to-start latency, plus replay duration) which is merged into
 /// the global registry at join time; the per-event replay path stays
 /// untouched.
-fn replay_pool<W, F>(trace: &FrozenTrace, workers: Vec<W>, finish: F) -> Vec<W>
+fn replay_workers<W, F>(trace: &FrozenTrace, workers: Vec<W>, finish: F) -> Vec<W>
 where
     W: TraceSink + Send,
     F: Fn(&mut W) + Sync,
@@ -482,6 +628,7 @@ where
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
+    use crate::hierarchy::HierarchyConfig;
     use crate::sweep::SweepSink;
     use codelayout_vm::TraceBuffer;
 
@@ -503,6 +650,153 @@ mod tests {
             });
         }
         buf.freeze()
+    }
+
+    /// A mixed fetch-and-data trace and its fetch-only twin, recorded
+    /// from one stream: mostly sequential user/kernel fetches on three
+    /// CPUs, with a load or store after about one fetch in four.
+    fn mixed_traces() -> (FrozenTrace, FrozenTrace) {
+        let (mut mixed, mut fetch_only) = (TraceBuffer::new(), TraceBuffer::fetch_only());
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut pc = 0x40_0000u64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let kernel = i % 400 < 60;
+            pc = if x.is_multiple_of(9) {
+                (x % (96 * 1024)) & !3
+            } else {
+                pc + 4
+            };
+            let base = if kernel { 0x8000_0000 } else { 0x40_0000 };
+            let (cpu, pid) = ((i / 500 % 3) as u8, (i / 1500 % 7) as u8);
+            let rec = FetchRecord {
+                addr: base + pc,
+                cpu,
+                pid,
+                kernel,
+            };
+            mixed.fetch(rec);
+            fetch_only.fetch(rec);
+            if x % 4 == 1 {
+                let data = DataRecord {
+                    addr: 0x1000_0000 + (x >> 7) % (256 * 1024),
+                    cpu,
+                    pid,
+                    kernel,
+                    write: x.is_multiple_of(3),
+                };
+                mixed.data(data);
+                fetch_only.data(data);
+            }
+        }
+        (mixed.freeze(), fetch_only.freeze())
+    }
+
+    /// One collector of every kind, the hierarchy on a small machine so
+    /// its L1s and L2 miss often.
+    fn every_collector() -> Vec<Collector> {
+        let small = HierarchyConfig {
+            num_cpus: 3,
+            l1i: CacheConfig::new(4 * 1024, 64, 2),
+            l1d: CacheConfig::new(4 * 1024, 64, 2),
+            l2: CacheConfig::new(32 * 1024, 64, 4),
+            itlb_entries: 8,
+            page_bytes: 4096,
+        };
+        vec![
+            Collector::Hierarchy(MemoryHierarchy::new(small)),
+            Collector::Locality(LocalityCache::new(
+                CacheConfig::new(8 * 1024, 128, 4),
+                StreamFilter::UserOnly,
+            )),
+            Collector::Sequence(SequenceProfiler::new(StreamFilter::All)),
+            Collector::Footprint(FootprintCounter::new(128, StreamFilter::KernelOnly)),
+        ]
+    }
+
+    /// A collector's final result, comparable across runs.
+    fn collector_result(c: Collector) -> String {
+        match c {
+            Collector::Hierarchy(h) => format!("{:?}", h.stats()),
+            Collector::Locality(l) => format!("{:?}", l.finish()),
+            Collector::Sequence(s) => format!("{:?}", s.finish()),
+            Collector::Footprint(f) => format!(
+                "{} {} {} {}",
+                f.unique_lines(),
+                f.unique_instructions(),
+                f.line_footprint_bytes(),
+                f.instr_footprint_bytes()
+            ),
+        }
+    }
+
+    #[test]
+    fn collectors_on_the_pool_match_serial_replay() {
+        let (trace, _) = mixed_traces();
+        let mut replayed = every_collector();
+        for c in &mut replayed {
+            trace.replay(c);
+        }
+        // The hierarchy really consumes the data events.
+        let Collector::Hierarchy(h) = &replayed[0] else {
+            unreachable!("every_collector starts with the hierarchy")
+        };
+        assert!(h.stats().data_accesses > 4_000, "{:?}", h.stats());
+        let expected: Vec<String> = replayed.into_iter().map(collector_result).collect();
+        let jobs = [
+            SweepSpec::paper_grid(1).cpus(3),
+            SweepSpec::grid()
+                .size_kb(2)
+                .line_b(64)
+                .cpus(3)
+                .filter(StreamFilter::KernelOnly),
+        ];
+        let cells: Vec<Vec<SweepCell>> = jobs.iter().map(|j| serial(&trace, j)).collect();
+        for threads in [1, 2, 5, 64] {
+            for sweep in both_engines(threads) {
+                let what = format!("threads = {threads}, engine = {}", sweep.engine().label());
+                // Alongside grid jobs (collectors share workers with
+                // shards) and alone (every worker is a collector).
+                for jobs in [&jobs[..], &[]] {
+                    let (grids, collected) = sweep.run_collecting(&trace, jobs, every_collector());
+                    assert_eq!(grids, cells[..jobs.len()], "{what}");
+                    let got: Vec<String> = collected.into_iter().map(collector_result).collect();
+                    assert_eq!(got, expected, "{what}, {} grid jobs", jobs.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grids_ignore_data_events() {
+        let (mixed, fetch_only) = mixed_traces();
+        assert!(mixed.len() > fetch_only.len());
+        let jobs = vec![
+            SweepSpec::paper_grid(1).cpus(3),
+            sizes_grid(StreamFilter::All),
+            sizes_grid(StreamFilter::KernelOnly),
+        ];
+        for threads in [1, 3] {
+            for sweep in both_engines(threads) {
+                assert_eq!(
+                    sweep.run(&mixed, &jobs),
+                    sweep.run(&fetch_only, &jobs),
+                    "threads = {threads}, engine = {}",
+                    sweep.engine().label()
+                );
+            }
+        }
+    }
+
+    fn sizes_grid(filter: StreamFilter) -> SweepSpec {
+        SweepSpec::grid()
+            .sizes_kb(&[1, 4, 16])
+            .line_b(128)
+            .ways(4)
+            .cpus(3)
+            .filter(filter)
     }
 
     fn serial(trace: &FrozenTrace, spec: &SweepSpec) -> Vec<SweepCell> {
