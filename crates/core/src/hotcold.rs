@@ -25,6 +25,7 @@ pub fn hot_cold_layout(program: &Program, profile: &Profile) -> Layout {
 /// the per-procedure orders, `hotcold.hot_threshold` sets the execution
 /// count above which a block counts as hot.
 pub fn hot_cold_layout_with(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
+    let _span = codelayout_obs::span("hotcold");
     let orders = chain_all_with(program, profile, &params.chain);
     let nprocs = program.procs.len();
     let threshold = params.hotcold.hot_threshold;

@@ -21,6 +21,10 @@
 //!   bit-identical to the serial sweep, and feeds whole-trace
 //!   [`Collector`] jobs on the same workers (the record-once /
 //!   replay-in-parallel path the harness uses);
+//! * [`GridSink`] — one [`SweepSpec`] on either engine, fed record by
+//!   record on the calling thread and bit-identical to
+//!   [`ParallelSweep::run_one`] (the autotuner streams its remapped
+//!   window into it);
 //! * [`LocalityCache`] — per-line word-use bitmaps, word reuse counters and
 //!   line lifetimes (Figures 9, 10, 11, and the unused-fetch claim);
 //! * [`SequenceProfiler`] — sequential run-length histogram (Figure 8);
@@ -56,7 +60,7 @@ pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use icache::{AccessClass, CacheStats, ICacheSim};
 pub use itlb::Itlb;
 pub use locality::{LocalityCache, LocalityStats};
-pub use parallel::{Collector, ParallelSweep};
+pub use parallel::{Collector, GridSink, ParallelSweep};
 pub use sequence::{SequenceProfiler, SequenceStats};
 pub use spec::{SweepSpec, LINES_B, SIZES_KB};
 pub use stack::StackDistanceSim;

@@ -52,6 +52,12 @@
 //! ignore data events, so grids replayed from a fetch-and-data trace
 //! equal grids replayed from its fetch-only twin.
 //!
+//! [`GridSink`] is the serial form of one grid job for a caller that
+//! generates its stream on the fly, such as the autotuner's remapped
+//! window: a single stack worker holding every shard, built by the same
+//! shard constructor as the pool, or a [`SweepSink`] on the direct
+//! engine. It equals [`ParallelSweep::run_one`] on the recorded stream.
+//!
 //! [`SweepSink`]: crate::SweepSink
 
 use crate::config::StreamFilter;
@@ -252,7 +258,72 @@ impl TraceSink for StackWorker {
     }
 }
 
+/// The stack-engine shards of `jobs` (with `grids[j]` = `jobs[j]`'s
+/// configurations), in job, line-size, CPU order: one profiler per
+/// (job, line size, CPU), covering every configuration of that line
+/// size in its job.
+fn stack_shards(jobs: &[SweepSpec], grids: &[Vec<crate::CacheConfig>]) -> Vec<StackShard> {
+    let mut shards = Vec::new();
+    for (job, (spec, grid)) in jobs.iter().zip(grids).enumerate() {
+        let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            let group: Vec<(usize, crate::CacheConfig)> = grid
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.line_bytes == line)
+                .map(|(i, &c)| (i, c))
+                .collect();
+            for cpu in 0..spec.num_cpus() {
+                shards.push(StackShard {
+                    job,
+                    cpu,
+                    filter: spec.stream(),
+                    num_cpus: spec.num_cpus(),
+                    prof: StackDistanceSim::new(line, group.iter().copied()),
+                });
+            }
+        }
+    }
+    shards
+}
+
 impl StackWorker {
+    /// An empty worker batching runs at `batch_shift`
+    /// ([`StackWorker::batch_shift`] of every shard of the run).
+    fn new(batch_shift: u32) -> Self {
+        StackWorker {
+            shards: Vec::new(),
+            routes: Vec::new(),
+            batch_shift,
+            last_key: u64::MAX,
+            last_route: 0,
+            pending: 0,
+        }
+    }
+
+    /// The batching shift for a run over `shards`: the smallest line
+    /// size any of them profiles.
+    fn batch_shift(shards: &[StackShard]) -> u32 {
+        shards
+            .iter()
+            .map(|s| s.prof.line_bytes().trailing_zeros())
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Adds every shard's per-configuration statistics into its job's
+    /// cells. Call after the final [`StackWorker::flush_repeats`].
+    fn merge_into(self, results: &mut [Vec<SweepCell>]) {
+        for shard in self.shards {
+            let cells = &mut results[shard.job];
+            for (config_idx, stats) in shard.prof.results() {
+                cells[config_idx].stats.merge(&stats);
+            }
+        }
+    }
+
     /// Builds the dispatch table; must run after the last shard is
     /// pushed and before replay.
     fn seal(&mut self) {
@@ -372,17 +443,7 @@ impl ParallelSweep {
     ) -> (Vec<Vec<SweepCell>>, Vec<Collector>) {
         let _sweep_span = codelayout_obs::span("sweep");
         let grids: Vec<Vec<crate::CacheConfig>> = jobs.iter().map(SweepSpec::configs).collect();
-        let mut results: Vec<Vec<SweepCell>> = grids
-            .iter()
-            .map(|grid| {
-                grid.iter()
-                    .map(|&config| SweepCell {
-                        config,
-                        stats: CacheStats::default(),
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut results: Vec<Vec<SweepCell>> = grids.iter().map(|g| empty_cells(g)).collect();
         let collectors = match self.engine {
             SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results, collectors),
             SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results, collectors),
@@ -449,45 +510,12 @@ impl ParallelSweep {
         results: &mut [Vec<SweepCell>],
         collectors: Vec<Collector>,
     ) -> Vec<Collector> {
-        let mut shards: Vec<StackShard> = Vec::new();
-        for (job, (spec, grid)) in jobs.iter().zip(grids).enumerate() {
-            let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
-            lines.sort_unstable();
-            lines.dedup();
-            for line in lines {
-                let group: Vec<(usize, crate::CacheConfig)> = grid
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.line_bytes == line)
-                    .map(|(i, &c)| (i, c))
-                    .collect();
-                for cpu in 0..spec.num_cpus() {
-                    shards.push(StackShard {
-                        job,
-                        cpu,
-                        filter: spec.stream(),
-                        num_cpus: spec.num_cpus(),
-                        prof: StackDistanceSim::new(line, group.iter().copied()),
-                    });
-                }
-            }
-        }
-        let batch_shift = shards
-            .iter()
-            .map(|s| s.prof.line_bytes().trailing_zeros())
-            .min()
-            .unwrap_or(0);
+        let shards = stack_shards(jobs, grids);
+        let batch_shift = StackWorker::batch_shift(&shards);
         let num_shards = shards.len();
         let num_workers = self.record_pool(jobs.len(), num_shards, collectors.len());
         let mut workers: Vec<StackWorker> = (0..num_workers)
-            .map(|_| StackWorker {
-                shards: Vec::new(),
-                routes: Vec::new(),
-                batch_shift,
-                last_key: u64::MAX,
-                last_route: 0,
-                pending: 0,
-            })
+            .map(|_| StackWorker::new(batch_shift))
             .collect();
         for (i, shard) in shards.into_iter().enumerate() {
             workers[i % num_workers].shards.push(shard);
@@ -504,12 +532,7 @@ impl ParallelSweep {
             StackWorker::flush_repeats,
         );
         for worker in workers {
-            for shard in worker.shards {
-                let cells = &mut results[shard.job];
-                for (config_idx, stats) in shard.prof.results() {
-                    cells[config_idx].stats.merge(&stats);
-                }
-            }
+            worker.merge_into(results);
         }
         collectors
     }
@@ -531,6 +554,109 @@ impl ParallelSweep {
         self.run(trace, std::slice::from_ref(spec))
             .pop()
             .expect("one job in, one result out")
+    }
+}
+
+/// Zeroed cells for `grid`, in its configuration order.
+fn empty_cells(grid: &[crate::CacheConfig]) -> Vec<SweepCell> {
+    grid.iter()
+        .map(|&config| SweepCell {
+            config,
+            stats: CacheStats::default(),
+        })
+        .collect()
+}
+
+/// One [`SweepSpec`] simulated on the calling thread, fed record by
+/// record: the serial twin of [`ParallelSweep::run_one`] for a caller
+/// that produces its stream on the fly and never materializes a trace.
+///
+/// The stack engine is one sealed stack worker holding every shard of
+/// the spec (the very routing and run batching a pool worker uses); the
+/// direct engine is a [`crate::SweepSink`]. Either way
+/// [`GridSink::finish`] returns exactly the cells
+/// [`ParallelSweep::run_one`] returns for the same records, at any
+/// thread count.
+///
+/// ```
+/// use codelayout_memsim::{GridSink, ParallelSweep, SweepEngine, SweepSpec};
+/// use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
+///
+/// let spec = SweepSpec::paper_grid(2).cpus(2);
+/// let mut sink = GridSink::new(&spec, SweepEngine::Stack);
+/// let mut buf = TraceBuffer::fetch_only();
+/// for i in 0..1000u64 {
+///     let rec = FetchRecord { addr: i % 96 * 64, cpu: (i % 2) as u8, pid: 0, kernel: false };
+///     sink.fetch(rec);
+///     buf.fetch(rec);
+/// }
+/// assert_eq!(sink.finish(), ParallelSweep::new(3).run_one(&buf.freeze(), &spec));
+/// ```
+pub struct GridSink {
+    engine: GridEngine,
+}
+
+enum GridEngine {
+    Stack {
+        worker: StackWorker,
+        cells: Vec<SweepCell>,
+    },
+    Direct(crate::SweepSink),
+}
+
+impl GridSink {
+    /// An empty sink simulating `spec` on `engine`.
+    pub fn new(spec: &SweepSpec, engine: SweepEngine) -> Self {
+        let engine = match engine {
+            SweepEngine::Direct => GridEngine::Direct(crate::SweepSink::from_spec(spec)),
+            SweepEngine::Stack => {
+                let grid = spec.configs();
+                let shards = stack_shards(std::slice::from_ref(spec), std::slice::from_ref(&grid));
+                let mut worker = StackWorker::new(StackWorker::batch_shift(&shards));
+                worker.shards = shards;
+                worker.seal();
+                GridEngine::Stack {
+                    worker,
+                    cells: empty_cells(&grid),
+                }
+            }
+        };
+        GridSink { engine }
+    }
+
+    /// The spec's cells (configuration order, summed over CPUs) for every
+    /// record fed so far.
+    pub fn finish(self) -> Vec<SweepCell> {
+        match self.engine {
+            GridEngine::Stack {
+                mut worker,
+                mut cells,
+            } => {
+                worker.flush_repeats();
+                worker.merge_into(std::slice::from_mut(&mut cells));
+                cells
+            }
+            GridEngine::Direct(sink) => sink.results(),
+        }
+    }
+}
+
+impl TraceSink for GridSink {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        match &mut self.engine {
+            GridEngine::Stack { worker, .. } => worker.fetch(rec),
+            GridEngine::Direct(sink) => sink.fetch(rec),
+        }
+    }
+
+    // One engine dispatch per run, not per record.
+    #[inline]
+    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
+        match &mut self.engine {
+            GridEngine::Stack { worker, .. } => worker.fetch_run(first, n),
+            GridEngine::Direct(sink) => sink.fetch_run(first, n),
+        }
     }
 }
 

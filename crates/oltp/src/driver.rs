@@ -447,6 +447,7 @@ impl std::error::Error for BuildError {}
 /// The one link-and-validate step behind every study image.
 fn link_checked(program: &Program, layout: &Layout, base: u64) -> Result<Arc<Image>, BuildError> {
     let image = link(program, layout, base).map_err(BuildError::Link)?;
+    let _span = codelayout_obs::span("validate");
     validate_translation(program, layout, &image).map_err(BuildError::Validation)?;
     Ok(Arc::new(image))
 }

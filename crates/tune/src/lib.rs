@@ -10,17 +10,22 @@
 //!
 //! 1. **Record once.** Run the measured transaction window on the
 //!    baseline image and keep the first [`TuneConfig::window`] user-mode
-//!    fetches as `(block, offset, cpu, pid)` tuples — a layout-independent
-//!    representation of the control-flow the workload executed.
+//!    fetches, layout-independently, as run-length
+//!    `(block, offset, len, cpu, pid)` runs: `len` consecutive
+//!    instructions of one block from `offset`, on one CPU and process.
+//!    Sequential fetch makes runs long — on `sim`, a million fetches
+//!    are about 221 k runs.
 //! 2. **Remap + replay per candidate.** For each candidate parameter
 //!    point, build the layout ([`codelayout_oltp::Study::layout`]) and
 //!    link and validate it through the same step as every study image
 //!    ([`codelayout_oltp::Study::link_validated`]) — **unconditionally**
 //!    (an invalid candidate scores `u64::MAX` and can never win). Then
-//!    translate every recorded tuple into the candidate image's
-//!    addresses and replay the window through the parallel cache sweep
-//!    ([`codelayout_memsim::ParallelSweep`]); the fitness is the summed
-//!    miss count over the evaluation grid.
+//!    stream every recorded run, translated into the candidate image's
+//!    addresses, straight into a serial cache grid
+//!    ([`codelayout_memsim::GridSink`], bit-identical to the parallel
+//!    sweep); no trace is materialized. The fitness is the summed miss
+//!    count over the evaluation grid. The baseline and the fixed
+//!    yardsticks are scored by the same path.
 //! 3. **Search.** Per series family: evaluate the defaults first (the
 //!    fixed series everyone ships), greedy coordinate descent from
 //!    there, then seeded random restarts, under a per-family candidate
@@ -28,6 +33,25 @@
 //!    ([`rand::rngs::StdRng`], one stream per family), duplicate points
 //!    hit a cache instead of consuming budget, and every fresh
 //!    evaluation is streamed as a `tune/candidate` tracer event.
+//!
+//! **Lanes.** A candidate's score is a pure function of its parameter
+//! point, so candidates can be evaluated anywhere, in any order.
+//! [`TuneConfig::sweep_threads`] sets the number of evaluation lanes;
+//! each lane runs a candidate's whole build → link → validate → remap →
+//! replay on one core. Lane 0 is the calling thread, the others are
+//! scoped threads under a `tune_lane` root span. Before a probe the
+//! search has not seen, it evaluates that probe together with the next
+//! uncached ±1 neighbours the descent would probe after it (if the
+//! current point does not move) on the lanes, into a per-family memo.
+//! The batch is capped by the lane count and the family's remaining
+//! candidate budget, and none starts once the wall budget is spent. The
+//! search itself stays sequential: it charges points in the same order
+//! as a single lane would, taking a memoized result instead of
+//! recomputing it. Candidate indices, `tune/candidate` events, `tune.*`
+//! counters, cache hits, the budget and the trajectory therefore cannot
+//! depend on the lane count. A memoized point the search never reaches
+//! (the descent moved first) is wasted work, never a different result.
+//! The fixed yardsticks are spread over the lanes too.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -37,11 +61,11 @@
 //! across candidates.
 //!
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
-//! across sweep engines and thread counts, and contains no wall-clock.
-//! A wall budget ([`TuneConfig::budget_ms`]) that actually fires cuts
-//! the search at a time-dependent point — the default (0, unlimited)
-//! keeps the whole trajectory reproducible from the seed, and a
-//! triggered cut is recorded as `budget_hit`.
+//! across sweep engines, thread counts and lane counts, and contains no
+//! wall-clock. A wall budget ([`TuneConfig::budget_ms`]) that actually
+//! fires cuts the search at a time-dependent point — the default (0,
+//! unlimited) keeps the whole trajectory reproducible from the seed,
+//! and a triggered cut is recorded as `budget_hit`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,10 +74,10 @@ use codelayout_core::{
     LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
 };
 use codelayout_ir::Image;
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
+use codelayout_memsim::{GridSink, StreamFilter, SweepSpec};
 use codelayout_obs::{run_env, SweepEngine};
 use codelayout_oltp::{Scenario, Study};
-use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
+use codelayout_vm::{FetchRecord, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
@@ -93,7 +117,10 @@ pub struct TuneConfig {
     pub series: Vec<LayoutSeries>,
     /// Cache-replay engine for the fitness oracle.
     pub sweep_engine: SweepEngine,
-    /// Worker threads for the cache replay.
+    /// Evaluation lanes (clamped to ≥ 1): candidates and fixed yardsticks
+    /// evaluated concurrently, each built, validated and replayed
+    /// serially on its own lane (see the module docs). The report does
+    /// not depend on it.
     pub sweep_threads: usize,
 }
 
@@ -320,37 +347,58 @@ impl TuneReport {
     }
 }
 
-/// One recorded user-mode fetch, in layout-independent coordinates.
-#[derive(Debug, Clone, Copy)]
-struct WindowEvent {
+/// A run of recorded user-mode fetches in layout-independent
+/// coordinates: `len` consecutive instructions of one block of the
+/// recording image, from offset `off`, all on one CPU and process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WindowRun {
     /// Block index in the program.
     block: u32,
-    /// Instruction offset from the block's start in the recording image.
+    /// Instruction offset of the run's first fetch from the block's
+    /// start in the recording image.
     off: u32,
+    /// Fetches in the run.
+    len: u32,
     cpu: u8,
     pid: u8,
 }
 
 /// A [`TraceSink`] keeping the first `cap` user-mode fetches as
-/// [`WindowEvent`]s, resolved against the recording image.
+/// [`WindowRun`]s, resolved against the recording image. A fetch of the
+/// instruction right after the previous one, in the same block and on
+/// the same CPU and process, extends the last run.
 struct WindowSink<'a> {
     image: &'a Image,
-    cap: usize,
-    events: Vec<WindowEvent>,
+    cap: u64,
+    events: u64,
+    runs: Vec<WindowRun>,
 }
 
 impl TraceSink for WindowSink<'_> {
     fn fetch(&mut self, rec: FetchRecord) {
-        if rec.kernel || self.events.len() >= self.cap {
+        if rec.kernel || self.events >= self.cap {
             return;
         }
         let Some(idx) = self.image.index_of(rec.addr) else {
             return;
         };
         let b = self.image.block_of[idx as usize];
-        self.events.push(WindowEvent {
-            block: b.index() as u32,
-            off: idx - self.image.block_start[b.index()],
+        let (block, off) = (b.index() as u32, idx - self.image.block_start[b.index()]);
+        self.events += 1;
+        if let Some(last) = self.runs.last_mut() {
+            if last.block == block
+                && last.off + last.len == off
+                && last.cpu == rec.cpu
+                && last.pid == rec.pid
+            {
+                last.len += 1;
+                return;
+            }
+        }
+        self.runs.push(WindowRun {
+            block,
+            off,
+            len: 1,
             cpu: rec.cpu,
             pid: rec.pid,
         });
@@ -368,6 +416,41 @@ fn block_lengths(image: &Image, nblocks: usize) -> Vec<u32> {
     len
 }
 
+/// Streams `window`, remapped onto `image`, into `sink`: every recorded
+/// offset becomes the same offset in the image's copy of its block,
+/// clamped to the block's last instruction (and to the image's last).
+/// The unclamped head of a run is one [`TraceSink::fetch_run`]; a
+/// clamped tail repeats its one address.
+fn remap_into<S: TraceSink>(window: &[WindowRun], image: &Image, nblocks: usize, sink: &mut S) {
+    let lens = block_lengths(image, nblocks);
+    let last = image.len() as u32 - 1;
+    for run in window {
+        let b = run.block as usize;
+        let start = image.block_start[b];
+        let max_off = lens[b].saturating_sub(1);
+        let rec = |idx: u32| FetchRecord {
+            addr: image.addr(idx),
+            cpu: run.cpu,
+            pid: run.pid,
+            kernel: false,
+        };
+        // Offsets up to `free_to` map to consecutive instructions.
+        let free_to = max_off.min(last.saturating_sub(start));
+        let free = if start <= last && run.off <= free_to {
+            run.len.min(free_to - run.off + 1)
+        } else {
+            0
+        };
+        if free > 0 {
+            sink.fetch_run(rec(start + run.off), u64::from(free));
+        }
+        let clamped = rec((start + max_off).min(last));
+        for _ in free..run.len {
+            sink.fetch(clamped);
+        }
+    }
+}
+
 /// FNV-1a of a label, for per-family RNG stream separation.
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -378,12 +461,97 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-struct Oracle<'a> {
+/// What evaluating one candidate produced.
+#[derive(Debug)]
+struct Evaluation {
+    /// Window miss count (`u64::MAX` when rejected).
+    score: u64,
+    /// Per-cell window misses (empty when rejected).
+    cells: Vec<u64>,
+    /// True when the linked image passed translation validation.
+    validated: bool,
+}
+
+/// The read-only fitness oracle every lane shares: the study, the
+/// recorded window and the evaluation grid.
+struct Lab<'a> {
     study: &'a Study,
-    sweeper: ParallelSweep,
     spec: SweepSpec,
-    window: Vec<WindowEvent>,
+    engine: SweepEngine,
+    window: Vec<WindowRun>,
     nblocks: usize,
+    lanes: usize,
+}
+
+impl Lab<'_> {
+    /// Replays the window remapped onto `image` on the calling thread;
+    /// returns (total misses, per-cell misses).
+    fn replay(&self, image: &Image) -> (u64, Vec<u64>) {
+        let _span = codelayout_obs::span("sweep");
+        let mut sink = GridSink::new(&self.spec, self.engine);
+        remap_into(&self.window, image, self.nblocks, &mut sink);
+        let per_cell: Vec<u64> = sink.finish().iter().map(|c| c.stats.misses).collect();
+        (per_cell.iter().sum(), per_cell)
+    }
+
+    /// Builds, links, validates and replays one candidate. Validation is
+    /// unconditional — a layout the validator rejects can never win,
+    /// whatever the cache says.
+    fn evaluate(&self, series: LayoutSeries, params: LayoutParams) -> Evaluation {
+        let layout = self
+            .study
+            .layout(LayoutRequest::from(series).with_params(params));
+        match self.study.link_validated(&layout) {
+            Ok(image) => {
+                let (score, cells) = self.replay(&image);
+                Evaluation {
+                    score,
+                    cells,
+                    validated: true,
+                }
+            }
+            Err(_) => Evaluation {
+                score: u64::MAX,
+                cells: Vec::new(),
+                validated: false,
+            },
+        }
+    }
+
+    /// `f` of every item, in item order, computed on up to `lanes`
+    /// lanes: lane 0 is the calling thread, each other lane a scoped
+    /// thread under a `tune_lane` root span. Lane `l` takes items `l`,
+    /// `l + lanes`, …
+    fn on_lanes<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let lanes = self.lanes.clamp(1, items.len().max(1));
+        let lane = |l: usize| -> Vec<(usize, R)> {
+            let picked = items.iter().enumerate().skip(l).step_by(lanes);
+            picked.map(|(i, item)| (i, f(item))).collect()
+        };
+        let mut out = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..lanes)
+                .map(|l| {
+                    s.spawn(move || {
+                        let _span = codelayout_obs::span("tune_lane");
+                        lane(l)
+                    })
+                })
+                .collect();
+            let mut out = lane(0);
+            for h in helpers {
+                out.extend(h.join().expect("tune lane panicked"));
+            }
+            out
+        });
+        out.sort_unstable_by_key(|&(i, _)| i);
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+}
+
+/// The sequential search's mutable state: the shared oracle plus the
+/// wall budget and the global trajectory.
+struct Oracle<'a> {
+    lab: Lab<'a>,
     start: std::time::Instant,
     budget_ms: u64,
     budget_hit: bool,
@@ -392,30 +560,6 @@ struct Oracle<'a> {
 }
 
 impl Oracle<'_> {
-    /// Replays the window remapped onto `image`; returns (total misses,
-    /// per-cell misses).
-    fn replay(&self, image: &Image) -> (u64, Vec<u64>) {
-        let len = block_lengths(image, self.nblocks);
-        let last = image.len() as u32 - 1;
-        let mut buf = TraceBuffer::fetch_only();
-        buf.reserve(self.window.len());
-        for ev in &self.window {
-            let b = ev.block as usize;
-            let off = ev.off.min(len[b].saturating_sub(1));
-            let idx = (image.block_start[b] + off).min(last);
-            buf.fetch(FetchRecord {
-                addr: image.addr(idx),
-                cpu: ev.cpu,
-                pid: ev.pid,
-                kernel: false,
-            });
-        }
-        let frozen = buf.freeze();
-        let cells = self.sweeper.run_one(&frozen, &self.spec);
-        let per_cell: Vec<u64> = cells.iter().map(|c| c.stats.misses).collect();
-        (per_cell.iter().sum(), per_cell)
-    }
-
     /// True when the wall budget is exhausted (records `budget_hit`).
     fn wall_exhausted(&mut self) -> bool {
         if self.budget_ms > 0 && self.start.elapsed().as_millis() as u64 >= self.budget_ms {
@@ -430,6 +574,9 @@ struct FamilySearch {
     space: ParamSpace,
     budget: u64,
     cache: BTreeMap<ParamPoint, u64>,
+    /// Speculative evaluations not yet charged: what the lanes computed
+    /// ahead of the sequential search.
+    memo: BTreeMap<ParamPoint, Evaluation>,
     evaluated: u64,
     cache_hits: u64,
     rejected: u64,
@@ -438,9 +585,60 @@ struct FamilySearch {
 }
 
 impl FamilySearch {
+    /// Before the search evaluates `next`, evaluates it on the lanes
+    /// together with the first points the search would evaluate after it
+    /// if `cur` does not move — descent probes from `cur` at pass
+    /// positions `from..`, then, when the pass has already moved (`wrap`:
+    /// another pass follows), the next pass's probes before `from` — that
+    /// are neither cached nor memoized, into the memo. The batch never
+    /// holds more points than there are lanes or than the candidate
+    /// budget can still charge, and nothing runs once the wall budget is
+    /// spent.
+    fn prefetch(
+        &mut self,
+        oracle: &mut Oracle<'_>,
+        next: &ParamPoint,
+        cur: &ParamPoint,
+        from: usize,
+        wrap: bool,
+    ) {
+        if self.cache.contains_key(next)
+            || self.memo.contains_key(next)
+            || self.evaluated >= self.budget
+            || oracle.wall_exhausted()
+        {
+            return;
+        }
+        let room = (self.budget - self.evaluated).min(oracle.lab.lanes as u64) as usize;
+        let wrapped = if wrap { 0..from } else { 0..0 };
+        let ahead = (from..2 * self.space.len())
+            .chain(wrapped)
+            .filter_map(|pos| self.probe(cur, pos));
+        let mut batch = vec![next.clone()];
+        for p in ahead {
+            if batch.len() >= room {
+                break;
+            }
+            if !self.cache.contains_key(&p) && !self.memo.contains_key(&p) && !batch.contains(&p) {
+                batch.push(p);
+            }
+        }
+        let (lab, series, space) = (&oracle.lab, self.series, &self.space);
+        let evals = lab.on_lanes(&batch, |p| lab.evaluate(series, space.params(p)));
+        self.memo.extend(batch.into_iter().zip(evals));
+    }
+
+    /// Descent probe `pos` from `cur`: knob `pos / 2`, step −1 for even
+    /// `pos` and +1 for odd.
+    fn probe(&self, cur: &ParamPoint, pos: usize) -> Option<ParamPoint> {
+        cur.step(&self.space, pos / 2, [-1, 1][pos % 2])
+    }
+
     /// Evaluates one point: cache hit is free, a fresh evaluation spends
-    /// budget, builds + links + validates + replays, and appends to the
-    /// trajectory. Returns `None` when out of budget (candidate or wall).
+    /// budget, builds + links + validates + replays (or takes the lanes'
+    /// memoized result, which is the same pure function of the point),
+    /// and appends to the trajectory. Returns `None` when out of budget
+    /// (candidate or wall).
     fn eval(
         &mut self,
         oracle: &mut Oracle<'_>,
@@ -455,17 +653,13 @@ impl FamilySearch {
             return None;
         }
         let params = self.space.params(point);
-        let layout = oracle
-            .study
-            .layout(LayoutRequest::from(self.series).with_params(params));
-        // Validation is unconditional for every candidate — a layout the
-        // validator rejects can never win, whatever the cache says.
-        let (score, cells, validated) = match oracle.study.link_validated(&layout) {
-            Ok(image) => {
-                let (score, cells) = oracle.replay(&image);
-                (score, cells, true)
-            }
-            Err(_) => (u64::MAX, Vec::new(), false),
+        let Evaluation {
+            score,
+            cells,
+            validated,
+        } = match self.memo.remove(point) {
+            Some(ev) => ev,
+            None => oracle.lab.evaluate(self.series, params),
         };
         self.evaluated += 1;
         if !validated {
@@ -512,25 +706,25 @@ impl FamilySearch {
     /// neighbors in order, move on strict improvement, repeat until a
     /// full pass makes no move (or the budget runs out).
     fn descend(&mut self, oracle: &mut Oracle<'_>, start: ParamPoint) {
+        self.prefetch(oracle, &start, &start, 0, false);
         let Some(mut cur_score) = self.eval(oracle, &start, CandidateOrigin::Restart) else {
             return;
         };
         let mut cur = start;
         loop {
             let mut improved = false;
-            for knob in 0..self.space.len() {
-                for delta in [-1i64, 1] {
-                    let Some(next) = cur.step(&self.space, knob, delta) else {
-                        continue;
-                    };
-                    let Some(s) = self.eval(oracle, &next, CandidateOrigin::Descent) else {
-                        return;
-                    };
-                    if s < cur_score {
-                        cur = next;
-                        cur_score = s;
-                        improved = true;
-                    }
+            for pos in 0..2 * self.space.len() {
+                let Some(next) = self.probe(&cur, pos) else {
+                    continue;
+                };
+                self.prefetch(oracle, &next, &cur, pos + 1, improved);
+                let Some(s) = self.eval(oracle, &next, CandidateOrigin::Descent) else {
+                    return;
+                };
+                if s < cur_score {
+                    cur = next;
+                    cur_score = s;
+                    improved = true;
                 }
             }
             if !improved {
@@ -542,6 +736,7 @@ impl FamilySearch {
     /// The full family search: default point, descent, random restarts.
     fn run(&mut self, oracle: &mut Oracle<'_>, seed: u64) {
         let default = self.space.default_point();
+        self.prefetch(oracle, &default, &default, 0, false);
         if self
             .eval(oracle, &default, CandidateOrigin::Default)
             .is_none()
@@ -588,49 +783,53 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
     let record_span = codelayout_obs::span("tune_record");
     let mut sink = WindowSink {
         image: &study.base_image,
-        cap: cfg.window as usize,
-        events: Vec::new(),
+        cap: cfg.window,
+        events: 0,
+        runs: Vec::new(),
     };
     study.run_measured(&study.base_image, &study.base_kernel_image, &mut sink);
     record_span.finish();
     assert!(
-        !sink.events.is_empty(),
+        sink.events > 0,
         "recording run produced no user-mode fetches"
     );
 
     let mut oracle = Oracle {
-        study,
-        sweeper: ParallelSweep::new(cfg.sweep_threads).with_engine(cfg.sweep_engine),
-        spec: SweepSpec::grid()
-            .sizes_kb(&TUNE_SIZES_KB)
-            .line_b(EVAL_LINE_B)
-            .ways(EVAL_WAYS)
-            .cpus(study.scenario.num_cpus)
-            .filter(StreamFilter::UserOnly),
-        window: sink.events,
-        nblocks: study.app.program.blocks.len(),
+        lab: Lab {
+            study,
+            spec: SweepSpec::grid()
+                .sizes_kb(&TUNE_SIZES_KB)
+                .line_b(EVAL_LINE_B)
+                .ways(EVAL_WAYS)
+                .cpus(study.scenario.num_cpus)
+                .filter(StreamFilter::UserOnly),
+            engine: cfg.sweep_engine,
+            window: sink.runs,
+            nblocks: study.app.program.blocks.len(),
+            lanes: cfg.sweep_threads.max(1),
+        },
         start,
         budget_ms: cfg.budget_ms,
         budget_hit: false,
         candidate_no: 0,
         trajectory: Vec::new(),
     };
-    let window_events = oracle.window.len() as u64;
-    let (base_score, base_cells) = oracle.replay(&study.base_image);
+    let window_events = sink.events;
+    let (base_score, base_cells) = oracle.lab.replay(&study.base_image);
 
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
     // grid, so the comparison is apples-to-apples and deterministic.
     let fixed_span = codelayout_obs::span("tune_fixed");
-    let mut fixed = Vec::new();
-    for series in LayoutSeries::comparison() {
-        let (score, cells) = oracle.replay(&study.image(series));
-        fixed.push(FixedResult {
+    let lab = &oracle.lab;
+    let fixed = lab.on_lanes(&LayoutSeries::comparison(), |&series| {
+        let (score, cells) = lab.replay(&study.image(series));
+        FixedResult {
             series,
             score,
             cells,
-        });
-    }
+        }
+    });
     fixed_span.finish();
 
     let search_span = codelayout_obs::span("tune_search");
@@ -645,6 +844,7 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             space,
             budget: cfg.candidates,
             cache: BTreeMap::new(),
+            memo: BTreeMap::new(),
             evaluated: 0,
             cache_hits: 0,
             rejected: 0,
@@ -687,6 +887,176 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codelayout_memsim::ParallelSweep;
+    use codelayout_oltp::build_study;
+    use codelayout_vm::{FrozenTrace, RecordingSink, TeeSink, TraceBuffer};
+
+    /// One recorded fetch, one record per event: the window as it was
+    /// stored before run compression.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct WindowEvent {
+        block: u32,
+        off: u32,
+        cpu: u8,
+        pid: u8,
+    }
+
+    /// The per-event window recorder run compression replaced.
+    struct EventWindowSink<'a> {
+        image: &'a Image,
+        cap: usize,
+        events: Vec<WindowEvent>,
+    }
+
+    impl TraceSink for EventWindowSink<'_> {
+        fn fetch(&mut self, rec: FetchRecord) {
+            if rec.kernel || self.events.len() >= self.cap {
+                return;
+            }
+            let Some(idx) = self.image.index_of(rec.addr) else {
+                return;
+            };
+            let b = self.image.block_of[idx as usize];
+            self.events.push(WindowEvent {
+                block: b.index() as u32,
+                off: idx - self.image.block_start[b.index()],
+                cpu: rec.cpu,
+                pid: rec.pid,
+            });
+        }
+    }
+
+    /// The per-event remap the streamed one replaced: every event
+    /// clamped and materialized into a trace buffer.
+    fn event_remap(events: &[WindowEvent], image: &Image, nblocks: usize) -> FrozenTrace {
+        let len = block_lengths(image, nblocks);
+        let last = image.len() as u32 - 1;
+        let mut buf = TraceBuffer::fetch_only();
+        for ev in events {
+            let b = ev.block as usize;
+            let off = ev.off.min(len[b].saturating_sub(1));
+            let idx = (image.block_start[b] + off).min(last);
+            buf.fetch(FetchRecord {
+                addr: image.addr(idx),
+                cpu: ev.cpu,
+                pid: ev.pid,
+                kernel: false,
+            });
+        }
+        buf.freeze()
+    }
+
+    /// Expands runs back into one event per recorded fetch.
+    fn expand(runs: &[WindowRun]) -> Vec<WindowEvent> {
+        runs.iter()
+            .flat_map(|r| {
+                (r.off..r.off + r.len).map(move |off| WindowEvent {
+                    block: r.block,
+                    off,
+                    cpu: r.cpu,
+                    pid: r.pid,
+                })
+            })
+            .collect()
+    }
+
+    /// Records the `quick` study's window both ways in one measured run.
+    fn record_both(study: &Study, cap: usize) -> (Vec<WindowRun>, u64, Vec<WindowEvent>) {
+        let mut tee = TeeSink(
+            WindowSink {
+                image: &study.base_image,
+                cap: cap as u64,
+                events: 0,
+                runs: Vec::new(),
+            },
+            EventWindowSink {
+                image: &study.base_image,
+                cap,
+                events: Vec::new(),
+            },
+        );
+        study.run_measured(&study.base_image, &study.base_kernel_image, &mut tee);
+        let TeeSink(runs, events) = tee;
+        (runs.runs, runs.events, events.events)
+    }
+
+    fn tune_spec(study: &Study) -> SweepSpec {
+        SweepSpec::grid()
+            .sizes_kb(&TUNE_SIZES_KB)
+            .line_b(EVAL_LINE_B)
+            .ways(EVAL_WAYS)
+            .cpus(study.scenario.num_cpus)
+            .filter(StreamFilter::UserOnly)
+    }
+
+    #[test]
+    fn run_compressed_window_expands_to_the_per_event_window() {
+        let study = build_study(&Scenario::quick());
+        for cap in [1, 777, 50_000, usize::MAX] {
+            let (runs, events, reference) = record_both(&study, cap);
+            assert_eq!(events, reference.len() as u64, "cap {cap}");
+            assert_eq!(expand(&runs), reference, "cap {cap}");
+            if cap > 1_000 {
+                assert!(runs.len() * 2 < reference.len(), "runs do not compress");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_remap_equals_the_buffered_replay() {
+        let study = build_study(&Scenario::quick());
+        let (runs, _, reference) = record_both(&study, 200_000);
+        let nblocks = study.app.program.blocks.len();
+        let spec = tune_spec(&study);
+        // `all` splits and chains: block lengths change, so the clamp
+        // must fire somewhere in the window.
+        let all = study.image(LayoutSeries::Paper(OptimizationSet::ALL));
+        let lens = block_lengths(&all, nblocks);
+        assert!(
+            reference.iter().any(|e| e.off >= lens[e.block as usize]),
+            "no recorded offset needs clamping on the `all` image"
+        );
+        for image in [
+            all,
+            study.image(LayoutSeries::ExtTsp),
+            study.base_image.clone(),
+        ] {
+            let old = event_remap(&reference, &image, nblocks);
+            let (mut want, mut got) = (RecordingSink::default(), RecordingSink::default());
+            old.replay(&mut want);
+            remap_into(&runs, &image, nblocks, &mut got);
+            assert_eq!(got.fetches, want.fetches, "remapped record streams differ");
+            for engine in [SweepEngine::Stack, SweepEngine::Direct] {
+                let want = ParallelSweep::new(1)
+                    .with_engine(engine)
+                    .run_one(&old, &spec);
+                let mut sink = GridSink::new(&spec, engine);
+                remap_into(&runs, &image, nblocks, &mut sink);
+                assert_eq!(sink.finish(), want, "engine {}", engine.label());
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_return_results_in_item_order() {
+        let study = build_study(&Scenario::quick());
+        let items: Vec<u64> = (0..11).collect();
+        for lanes in [1, 2, 3, 16] {
+            let lab = Lab {
+                study: &study,
+                spec: tune_spec(&study),
+                engine: SweepEngine::Stack,
+                window: Vec::new(),
+                nblocks: 0,
+                lanes,
+            };
+            assert_eq!(
+                lab.on_lanes(&items, |&i| i * i),
+                items.iter().map(|i| i * i).collect::<Vec<_>>()
+            );
+            assert!(lab.on_lanes(&[] as &[u64], |&i| i).is_empty());
+        }
+    }
 
     #[test]
     fn origin_labels_are_stable() {

@@ -1,7 +1,7 @@
 //! End-to-end determinism of the autotuner: the search trajectory and
-//! report must be bit-identical across cache-replay engines and worker
-//! thread counts, and every accepted candidate must have passed
-//! translation validation.
+//! report must be bit-identical across cache-replay engines and lane
+//! counts (speculative evaluation on extra lanes must not show), and
+//! every accepted candidate must have passed translation validation.
 
 use codelayout_obs::SweepEngine;
 use codelayout_oltp::{build_study, Scenario};
@@ -20,17 +20,33 @@ fn tune_is_deterministic_across_engines_and_threads() {
     cfg.sweep_engine = SweepEngine::Stack;
     cfg.sweep_threads = 1;
     let a = run_tune(&study, &cfg);
-
-    cfg.sweep_engine = SweepEngine::Direct;
-    cfg.sweep_threads = 7;
-    let b = run_tune(&study, &cfg);
-
     let ja = serde_json::to_string_pretty(&a.deterministic_json()).unwrap();
-    let jb = serde_json::to_string_pretty(&b.deterministic_json()).unwrap();
-    assert_eq!(
-        ja, jb,
-        "tune report differs between stack/1-thread and direct/7-thread runs"
-    );
+
+    // `sweep_threads` is also the lane count: every extra lane evaluates
+    // candidates speculatively, and none of that may show in the report.
+    let others = [
+        (SweepEngine::Stack, 2),
+        (SweepEngine::Stack, 3),
+        (SweepEngine::Direct, 7),
+    ];
+    for (engine, threads) in others {
+        cfg.sweep_engine = engine;
+        cfg.sweep_threads = threads;
+        let b = run_tune(&study, &cfg);
+        let what = format!("{}/{threads}-thread", engine.label());
+        let jb = serde_json::to_string_pretty(&b.deterministic_json()).unwrap();
+        assert_eq!(
+            ja, jb,
+            "tune report differs between stack/1-thread and {what} runs"
+        );
+        let counts = |r: &codelayout_tune::TuneReport| -> Vec<(u64, u64, u64)> {
+            r.families
+                .iter()
+                .map(|f| (f.evaluated, f.cache_hits, f.rejected))
+                .collect()
+        };
+        assert_eq!(counts(&a), counts(&b), "family counts differ at {what}");
+    }
 
     // The deterministic report must not leak engine, thread, or wall
     // fields (run_all byte-diffs it across engines).
