@@ -286,12 +286,14 @@ pub fn lint_layout(
         pos[b.index()] = i;
     }
 
+    let sa = StaticAnalysis::of(program);
+
     let mut report = LintReport::default();
     lint_fallthroughs(program, profile, layout, &owner, &pos, config, &mut report);
     lint_segments(program, profile, &pos, config, &mut report);
     lint_alignment(profile, layout, image, config, &mut report);
-    lint_unreachable(program, layout, image, config, &mut report);
-    lint_loops(program, layout, image, &pos, config, &mut report);
+    lint_unreachable(program, layout, image, &sa.cfg, &pos, config, &mut report);
+    lint_loops(program, layout, image, &sa, &pos, config, &mut report);
     report
 }
 
@@ -526,10 +528,11 @@ fn lint_unreachable(
     program: &Program,
     layout: &Layout,
     image: &Image,
+    cfg: &SourceCfg,
+    pos: &[usize],
     config: &LintConfig,
     report: &mut LintReport,
 ) {
-    let cfg = SourceCfg::of(program);
     let mut l005 = CodeBucket::new("L005", config.max_per_code);
     let mut dead_proc = vec![false; program.procs.len()];
     for (pi, proc) in program.procs.iter().enumerate() {
@@ -538,7 +541,7 @@ fn lint_unreachable(
             let instrs: usize = proc
                 .blocks
                 .iter()
-                .map(|&b| region_len(layout, image, b))
+                .map(|&b| region_len(layout, image, pos, b))
                 .sum();
             l005.push(
                 Severity::Info,
@@ -580,26 +583,19 @@ fn lint_loops(
     program: &Program,
     layout: &Layout,
     image: &Image,
+    sa: &StaticAnalysis,
     pos: &[usize],
     config: &LintConfig,
     report: &mut LintReport,
 ) {
-    let sa = StaticAnalysis::of(program);
     if sa.loops.loops.is_empty() {
         return;
     }
-    let sprof = estimate_static_profile_with(program, &sa);
+    let sprof = estimate_static_profile_with(program, sa);
 
     // Placed byte extents per block (0 bytes when the linker erased the
     // whole region, e.g. an empty block whose jump became fall-through).
-    let region_bytes = |b: BlockId| -> u64 {
-        let start = u64::from(image.block_start[b.index()]);
-        let end = match layout.order.get(pos[b.index()] + 1) {
-            Some(&nb) => u64::from(image.block_start[nb.index()]),
-            None => image.code.len() as u64,
-        };
-        (end - start) * INSTR_BYTES
-    };
+    let region_bytes = |b: BlockId| region_len(layout, image, pos, b) as u64 * INSTR_BYTES;
 
     // L007 — iterate headers in layout order so findings come out in
     // layout order within the code.
@@ -694,14 +690,12 @@ fn lint_loops(
     l008.drain_into(report);
 }
 
-/// Number of image instructions in a block's region.
-fn region_len(layout: &Layout, image: &Image, b: BlockId) -> usize {
+/// Number of image instructions in a block's region; `pos` maps each
+/// block to its index in `layout.order`.
+fn region_len(layout: &Layout, image: &Image, pos: &[usize], b: BlockId) -> usize {
     let start = image.block_start[b.index()] as usize;
-    let at = layout
-        .order
-        .iter()
-        .position(|&x| x == b)
-        .expect("block present in layout");
+    let at = pos[b.index()];
+    assert!(at < layout.order.len(), "block {b} present in layout");
     match layout.order.get(at + 1) {
         Some(&nb) => image.block_start[nb.index()] as usize - start,
         None => image.code.len() - start,

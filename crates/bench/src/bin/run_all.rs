@@ -41,18 +41,6 @@ fn main() {
         eprintln!("[run_all] {name} in {:?}", fig_span.finish());
     }
 
-    if let Some(t) = h.sweep_timing() {
-        eprintln!(
-            "[run_all] grid sweep replay: {} direct shards x {} events on {} threads: \
-             {:.3}s stack-distance vs {:.3}s direct ({:.2}x engine speedup)",
-            t.shards,
-            t.events,
-            t.threads,
-            t.stack_secs,
-            t.direct_secs,
-            t.speedup()
-        );
-    }
     if let Some(t) = h.vm_timing() {
         eprintln!(
             "[run_all] vm execution: {} instrs, {} compiled runs ({} KiB cache): \
@@ -131,8 +119,8 @@ fn main() {
 }
 
 /// Per-layout, per-job replay throughput from the metrics registry (the
-/// `replay.<layout>.<job>.insts_per_sec` gauges `Harness::measure`
-/// records for every sweep it replays).
+/// `replay.<layout>.<job>.insts_per_sec` gauges the harness records for
+/// every fully-instrumented layout it replays on the pool).
 fn print_throughput_table() {
     let snapshot = codelayout_obs::metrics().snapshot();
     let mut rows: Vec<Vec<String>> = Vec::new();

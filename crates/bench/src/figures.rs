@@ -223,8 +223,17 @@ pub fn fig06(h: &mut Harness) -> Value {
     })
 }
 
+/// The paper's six optimization combinations as layout requests, in
+/// [`OptimizationSet::paper_series`] order (Figures 7 and 15).
+pub(crate) fn paper_requests() -> impl Iterator<Item = LayoutRequest> {
+    OptimizationSet::paper_series()
+        .into_iter()
+        .map(|(_, set)| set.into())
+}
+
 /// Figure 7: optimization combinations × cache sizes (128 B, 4-way).
 pub fn fig07(h: &mut Harness) -> Value {
+    h.prefetch(paper_requests());
     let mut rows = Vec::new();
     let mut series = serde_json::Map::new();
     for (name, set) in OptimizationSet::paper_series() {
@@ -541,6 +550,7 @@ pub fn fig15(h: &mut Harness) -> Value {
     let m164 = TimingModel::alpha_21164();
     let mut cycles264 = Vec::new();
     let mut cycles164 = Vec::new();
+    h.prefetch(paper_requests());
     for (_, set) in OptimizationSet::paper_series() {
         let d = h.run_request(set);
         let instrs = d.user_fetches + d.kernel_fetches;
@@ -616,6 +626,7 @@ pub fn compare(h: &mut Harness) -> Value {
 /// default list so a caller's `CODELAYOUT_LAYOUT_SERIES` cannot change
 /// the snapshot).
 pub fn compare_with(h: &mut Harness, series_list: &[LayoutSeries]) -> Value {
+    h.prefetch(series_list.iter().map(|&s| LayoutRequest::from(s)));
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut scores: Vec<(LayoutSeries, u64)> = Vec::new();
@@ -706,23 +717,16 @@ pub fn compare_with(h: &mut Harness, series_list: &[LayoutSeries]) -> Value {
 /// the static-profile `all` layout must beat the `base` layout's
 /// 128 KB miss count on the scenario.
 pub fn fig_static(h: &mut Harness) -> Value {
-    let env_src = run_env().profile_source;
+    let reqs = static_requests();
+    h.prefetch(reqs.iter().flat_map(|&(_, m_req, s_req)| [m_req, s_req]));
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut base_m128 = 0u64;
     let mut static_all_m128 = u64::MAX;
-    for series in LayoutSeries::lint_matrix() {
+    for (series, m_req, s_req) in reqs {
         let label = series.label();
-        // Bare requests honor the environment knob, so whichever source
-        // the env selects shares its measurement cache with the other
-        // figures; the opposite source is pinned explicitly.
         let bare = LayoutRequest::from(series);
-        let (m_req, s_req) = match env_src {
-            ProfileSource::Measured => (bare, bare.with_source(ProfileSource::Static)),
-            ProfileSource::Static => (bare.with_source(ProfileSource::Measured), bare),
-        };
         let is_base = series == LayoutSeries::Paper(OptimizationSet::BASE);
-        let s_req = if is_base { m_req } else { s_req };
         let (m_misses, user_fetches) = {
             let d = h.run_request(m_req);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
@@ -808,6 +812,31 @@ pub fn fig_static(h: &mut Harness) -> Value {
                   layout must still beat the base layout",
         "measured": entries,
     })
+}
+
+/// The requests [`fig_static`] measures: per lint-matrix series, the
+/// measured-profile and the static-profile request. Bare requests honor
+/// the environment knob, so whichever source the env selects shares its
+/// measurement cache with the other figures; the opposite source is
+/// pinned explicitly. `base` ignores the profile, so both of its
+/// requests are the measured one.
+pub(crate) fn static_requests() -> Vec<(LayoutSeries, LayoutRequest, LayoutRequest)> {
+    let env_src = run_env().profile_source;
+    LayoutSeries::lint_matrix()
+        .into_iter()
+        .map(|series| {
+            let bare = LayoutRequest::from(series);
+            let (m_req, s_req) = match env_src {
+                ProfileSource::Measured => (bare, bare.with_source(ProfileSource::Static)),
+                ProfileSource::Static => (bare.with_source(ProfileSource::Measured), bare),
+            };
+            if series == LayoutSeries::Paper(OptimizationSet::BASE) {
+                (series, m_req, m_req)
+            } else {
+                (series, m_req, s_req)
+            }
+        })
+        .collect()
 }
 
 /// In-text numeric claims (§4–5): packing, unused fetch fraction, miss
@@ -1017,9 +1046,11 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
             Some(f),
         )
     });
+    let measured: Vec<_> = fixed.into_iter().chain(tuned).collect();
+    h.prefetch(measured.iter().map(|&(req, _)| req));
     let mut rows = Vec::new();
     let mut entries = Vec::new();
-    for (req, family) in fixed.into_iter().chain(tuned) {
+    for (req, family) in measured {
         let (misses, user_fetches) = {
             let d = h.run_request(req);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)

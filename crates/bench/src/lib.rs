@@ -7,34 +7,34 @@
 //! figures, and writes `results/figNN.json` files plus human-readable
 //! tables.
 //!
-//! The harness runs each code layout **once**: the live pass is the VM
-//! feeding a [`codelayout_vm::TraceBuffer`] that records every
-//! instruction fetch and data reference (8 bytes per event), plus a
-//! fetch counter. Everything else *replays* the frozen trace through one
-//! [`ParallelSweep`] pool:
+//! The harness runs each code layout **once**, in one of two ways.
 //!
-//! * the cache grids — the direct-mapped line-size grid (Fig. 4/5) and
-//!   the 128-byte 4-way size sweeps for user/kernel/combined streams
-//!   (Figs. 6, 7, 12, 13) — sharded across the workers;
-//! * for fully-instrumented layouts, the order-sensitive collectors —
-//!   the sequence profiler (Fig. 8), the locality cache (Figs. 9–11),
-//!   the footprint counter (packing claims) and the SimOS memory
-//!   hierarchy (Fig. 14) — each as one [`codelayout_memsim::Collector`]
-//!   job that a worker feeds, in the same walk of the trace as its grid
-//!   shards, with every event in recorded order.
+//! * The fully-instrumented layouts (`base` and `all`) record: the live
+//!   pass is the VM feeding a [`codelayout_vm::TraceBuffer`] that records
+//!   every instruction fetch and data reference (8 bytes per event), plus
+//!   a fetch counter. Everything else *replays* the frozen trace in one
+//!   walk of a [`ParallelSweep`] pool: the cache grids — the
+//!   direct-mapped line-size grid (Fig. 4/5) and the 128-byte 4-way size
+//!   sweeps for user/kernel/combined streams (Figs. 6, 7, 12, 13) —
+//!   sharded across the workers, and the order-sensitive collectors —
+//!   the sequence profiler (Fig. 8), the locality cache (Figs. 9–11), the
+//!   footprint counter (packing claims) and the SimOS memory hierarchy
+//!   (Fig. 14) — each as one [`codelayout_memsim::Collector`] job that a
+//!   worker feeds, with every event in recorded order.
+//! * Every other layout is *light*: it needs only the user size sweep, so
+//!   its live pass streams the VM straight into a serial
+//!   [`codelayout_memsim::GridSink`] and the fetch counter, and records
+//!   nothing. [`Harness::prefetch`] measures a figure's light layouts on
+//!   parallel lanes, one live pass per layout.
 //!
-//! Every grid is named by a [`codelayout_memsim::SweepSpec`]; the replay
-//! engine is the single-pass stack-distance profiler by default (one
-//! Mattson stack per line size answers every size × associativity at
-//! once), with the direct per-configuration simulator kept as the
-//! equivalence oracle — both selected by `CODELAYOUT_SWEEP_ENGINE` and
-//! bit-identical by construction. The worker count honors
-//! `CODELAYOUT_THREADS`; results do not depend on it. The first
-//! fully-instrumented layout also replays the identical grid jobs on
-//! the *other* engine at the same thread count, asserting equality and
-//! timing both, so `run_all` can report the measured engine speedup
-//! (see [`Harness::sweep_timing`]); that layout's collectors replay in a
-//! pool walk of their own, after both timed sweeps.
+//! Every grid is named by a [`codelayout_memsim::SweepSpec`]; the engine
+//! is the single-pass stack-distance profiler by default (one Mattson
+//! stack per line size answers every size × associativity at once). The
+//! direct per-configuration simulator, selected by
+//! `CODELAYOUT_SWEEP_ENGINE`, is bit-identical by construction and serves
+//! as the test oracle; no run replays a layout on both engines. The pool
+//! size and the lane count honor `CODELAYOUT_THREADS`; results do not
+//! depend on it.
 //!
 //! The Fig. 15 timing models' 21264- and 21164-like hierarchies are not
 //! part of a layout's measurement: [`Harness::timing`] runs the VM once
@@ -49,13 +49,13 @@ pub mod lint;
 use codelayout_core::{LayoutRequest, OptimizationSet};
 use codelayout_ir::Image;
 use codelayout_memsim::{
-    CacheConfig, Collector, FootprintCounter, HierarchyConfig, HierarchyStats, LocalityCache,
-    LocalityStats, MemoryHierarchy, ParallelSweep, SequenceProfiler, SequenceStats, StreamFilter,
-    SweepCell, SweepEngine, SweepSpec,
+    CacheConfig, Collector, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats,
+    LocalityCache, LocalityStats, MemoryHierarchy, ParallelSweep, SequenceProfiler, SequenceStats,
+    StreamFilter, SweepCell, SweepEngine, SweepSpec,
 };
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
-use codelayout_vm::{CountingSink, FrozenTrace, TeeSink, TraceBuffer, VmEngine};
+use codelayout_vm::{CountingSink, FrozenTrace, TeeSink, TraceBuffer, TraceSink, VmEngine};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,6 +104,35 @@ pub struct LayoutData {
     pub outcome: RunOutcome,
 }
 
+impl LayoutData {
+    /// A measurement with only the user size sweep and the fetch counts;
+    /// the full-run grids and collectors stay empty.
+    fn light(
+        label: &str,
+        image: &Image,
+        counts: CountingSink,
+        outcome: RunOutcome,
+        sizes_4w_user: Vec<SweepCell>,
+    ) -> Self {
+        LayoutData {
+            label: label.to_string(),
+            text_bytes: image.text_bytes(),
+            dm_grid_user: Vec::new(),
+            sizes_4w_user,
+            sizes_4w_all: Vec::new(),
+            sizes_4w_kernel: Vec::new(),
+            seq_user: None,
+            locality: None,
+            footprint_line_bytes: None,
+            footprint_instr_bytes: None,
+            hier_simos: None,
+            user_fetches: counts.fetches - counts.kernel_fetches,
+            kernel_fetches: counts.kernel_fetches,
+            outcome,
+        }
+    }
+}
+
 /// The 128 B / 4-way size-sweep spec shared by several figures
 /// (Figures 6, 7, 12, 13).
 fn sizes_4w_spec(num_cpus: usize, filter: StreamFilter) -> SweepSpec {
@@ -137,6 +166,77 @@ fn live_sink(reserve: usize) -> TeeSink<TraceBuffer, CountingSink> {
     TeeSink(trace, CountingSink::default())
 }
 
+/// True for the requests the harness instruments fully: the bare `base`
+/// and `all` layouts, whose collectors and full grids the figures read.
+fn is_full(req: &LayoutRequest) -> bool {
+    [OptimizationSet::BASE, OptimizationSet::ALL]
+        .into_iter()
+        .any(|set| *req == set.into())
+}
+
+/// Runs the measured phase of `image` into `sink`, asserts it correct
+/// and records its `vm.run.<name>.insts_per_sec` gauge.
+fn run_live<S: TraceSink>(
+    study: &Study,
+    name: &str,
+    image: &Arc<Image>,
+    sink: &mut S,
+) -> RunOutcome {
+    let outcome = study.run_measured(image, &study.base_kernel_image, sink);
+    outcome.assert_correct();
+    codelayout_obs::metrics().gauge_set(
+        &format!("vm.run.{name}.insts_per_sec"),
+        outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
+    );
+    outcome
+}
+
+/// A light request's measurement: one live pass on the calling thread,
+/// the VM feeding the user size sweep and the fetch counter directly.
+fn measure_light(study: &Study, engine: SweepEngine, req: LayoutRequest) -> LayoutData {
+    let _measure_span = codelayout_obs::span("measure");
+    let name = &req.to_string();
+    let image = study.image(req);
+    let spec = sizes_4w_spec(study.scenario.num_cpus, StreamFilter::UserOnly);
+    let mut sink = TeeSink(GridSink::new(&spec, engine), CountingSink::default());
+    let outcome = run_live(study, name, &image, &mut sink);
+    let TeeSink(grid, counts) = sink;
+    LayoutData::light(name, &image, counts, outcome, grid.finish())
+}
+
+/// Replay throughput gauges for one fully-instrumented layout: the whole
+/// pool walk (grids and collectors, `secs` long) and each grid job, in
+/// the job order [`Harness::measure_full`] builds.
+fn record_replay_metrics(
+    name: &str,
+    (user_fetches, kernel_fetches): (u64, u64),
+    jobs: &[SweepSpec; 4],
+    secs: f64,
+) {
+    const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
+    let m = codelayout_obs::metrics();
+    let secs = secs.max(1e-9);
+    m.gauge_set(
+        &format!("replay.{name}.insts_per_sec"),
+        (user_fetches + kernel_fetches) as f64 / secs,
+    );
+    for (label, job) in JOB_LABELS.into_iter().zip(jobs) {
+        let events = match job.stream() {
+            StreamFilter::UserOnly => user_fetches,
+            StreamFilter::KernelOnly => kernel_fetches,
+            StreamFilter::All => user_fetches + kernel_fetches,
+        };
+        m.gauge_set(
+            &format!("replay.{name}.{label}.insts_per_sec"),
+            events as f64 / secs,
+        );
+        m.gauge_set(
+            &format!("replay.{name}.{label}.shards"),
+            job.shard_count() as f64,
+        );
+    }
+}
+
 /// The Fig. 15 timing models' machines, fed by one measured run of a
 /// layout (see [`Harness::timing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,35 +245,6 @@ pub struct TimingData {
     pub hier_21264: HierarchyStats,
     /// 21164-like hierarchy counters.
     pub hier_21164: HierarchyStats,
-}
-
-/// Wall-clock measurement of one layout's grid sweeps: the
-/// stack-distance engine vs the direct per-configuration engine
-/// replaying the identical grid jobs at the same thread count (and
-/// asserted bit-identical).
-#[derive(Debug, Clone, Copy)]
-pub struct SweepTiming {
-    /// Worker threads both replays used.
-    pub threads: usize,
-    /// Fetch events the grids replayed per sweep pass.
-    pub events: u64,
-    /// (configuration, CPU) simulators the direct engine instantiates.
-    pub shards: usize,
-    /// Wall-clock seconds of the stack-distance replay.
-    pub stack_secs: f64,
-    /// Wall-clock seconds of the direct replay.
-    pub direct_secs: f64,
-}
-
-impl SweepTiming {
-    /// Measured engine speedup (direct time / stack time).
-    pub fn speedup(&self) -> f64 {
-        if self.stack_secs > 0.0 {
-            self.direct_secs / self.stack_secs
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Wall-clock measurement of one layout's measured run on both VM
@@ -223,7 +294,6 @@ pub struct Harness {
     out_dir: PathBuf,
     scenario_label: String,
     sweeper: ParallelSweep,
-    sweep_timing: Option<SweepTiming>,
     vm_timing: Option<VmTiming>,
     output_digests: Vec<(String, String)>,
     extra_sections: Vec<(String, serde_json::Value)>,
@@ -236,8 +306,9 @@ pub struct Harness {
 impl Harness {
     /// Builds the study for a scenario. The results directory defaults to
     /// `results/` under the current directory (created on demand). The
-    /// sweep worker count honors `CODELAYOUT_THREADS`, defaulting to the
-    /// host's available parallelism. The scenario label (used for the run
+    /// sweep worker count and the measurement lane count honor
+    /// `CODELAYOUT_THREADS`, defaulting to the host's available
+    /// parallelism. The scenario label (used for the run
     /// manifest's `results/<scenario>/` directory) defaults to the
     /// `CODELAYOUT_SCENARIO` selection; use [`Harness::with_label`] when
     /// the scenario was chosen some other way.
@@ -254,7 +325,6 @@ impl Harness {
             out_dir: PathBuf::from("results"),
             scenario_label: label.to_string(),
             sweeper: ParallelSweep::from_env(),
-            sweep_timing: None,
             vm_timing: None,
             output_digests: Vec::new(),
             extra_sections: Vec::new(),
@@ -283,13 +353,6 @@ impl Harness {
     /// write order, as `(file name, digest)` pairs.
     pub fn output_digests(&self) -> &[(String, String)] {
         &self.output_digests
-    }
-
-    /// Timing of the first fully-instrumented layout's grid sweeps:
-    /// parallel replay vs a single-thread replay of the same jobs.
-    /// `None` until a full layout (`base`/`all`) has been measured.
-    pub fn sweep_timing(&self) -> Option<&SweepTiming> {
-        self.sweep_timing.as_ref()
     }
 
     /// Timing of the first fully-instrumented layout's measured run on
@@ -322,17 +385,40 @@ impl Harness {
     /// Requests that differ in any field — series, profile source or
     /// parameters — are measured separately. The bare `base` and `all`
     /// requests are fully instrumented (all four grids and the
-    /// collectors); others replay only the user size sweep.
+    /// collectors); others measure only the user size sweep, in one live
+    /// pass on the calling thread (see [`Harness::prefetch`]).
     pub fn run_request(&mut self, req: impl Into<LayoutRequest>) -> &LayoutData {
         let req = req.into();
-        if !self.runs.contains_key(&req) {
-            let full = [OptimizationSet::BASE, OptimizationSet::ALL]
-                .into_iter()
-                .any(|set| req == set.into());
-            let data = self.measure(req, full);
-            self.runs.insert(req, data);
-        }
+        self.prefetch([req]);
         &self.runs[&req]
+    }
+
+    /// Measures every request in `reqs` that is not cached yet, so the
+    /// [`Harness::run_request`] calls that follow are cache hits. Full
+    /// requests record and replay on the pool, one at a time. Light
+    /// requests each take one live pass, spread over
+    /// [`ParallelSweep::threads`] lanes: lane 0 is the calling thread and
+    /// each other lane a scoped thread under a `measure_lane` root span.
+    /// Every measurement is the same whatever the lane count.
+    pub fn prefetch(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>) {
+        let mut light = Vec::new();
+        for req in reqs {
+            if self.runs.contains_key(&req) || light.contains(&req) {
+                continue;
+            }
+            if is_full(&req) {
+                let data = self.measure_full(req);
+                self.runs.insert(req, data);
+            } else {
+                light.push(req);
+            }
+        }
+        let (study, engine) = (&self.study, self.sweeper.engine());
+        let measured =
+            codelayout_memsim::on_lanes(self.sweeper.threads(), "measure_lane", &light, |&req| {
+                measure_light(study, engine, req)
+            });
+        self.runs.extend(light.into_iter().zip(measured));
     }
 
     /// Runs (or returns the cached) timing-model measurement for a
@@ -362,97 +448,40 @@ impl Harness {
         &self.timings[&req]
     }
 
-    fn measure(&mut self, req: LayoutRequest, full: bool) -> LayoutData {
+    /// A fully-instrumented request's measurement: one live pass
+    /// recording the trace, then every grid and collector replayed from
+    /// it in one walk of the pool.
+    fn measure_full(&mut self, req: LayoutRequest) -> LayoutData {
         let _measure_span = codelayout_obs::span("measure");
         let name = &req.to_string();
         let image = self.study.image(req);
         let num_cpus = self.study.scenario.num_cpus;
         let mut sink = live_sink(self.expected_events);
-        let outcome = self
-            .study
-            .run_measured(&image, &self.study.base_kernel_image, &mut sink);
-        outcome.assert_correct();
-
-        // Record-once / replay-in-parallel: the live pass above only
-        // recorded the trace; every grid sweep and collector now replays
-        // it on the pool. Grid jobs: [user sizes, dm grid, combined
-        // sizes, kernel sizes] — the last three, and the collectors,
-        // only for fully-instrumented layouts.
+        let outcome = run_live(&self.study, name, &image, &mut sink);
         let TeeSink(trace, counts) = sink;
         let trace = trace.freeze();
-        let fetches = (
-            counts.fetches - counts.kernel_fetches,
-            counts.kernel_fetches,
-        );
         self.expected_events = self.expected_events.max(trace.len());
-        codelayout_obs::metrics().gauge_set(
-            &format!("vm.run.{name}.insts_per_sec"),
-            outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
-        );
-        if full && self.vm_timing.is_none() {
+        if self.vm_timing.is_none() {
             self.vm_oracle_run(name, &image, &trace, counts, &outcome);
         }
-        let mut jobs = vec![sizes_4w_spec(num_cpus, StreamFilter::UserOnly)];
-        let mut collectors = Vec::new();
-        if full {
-            jobs.push(
-                SweepSpec::paper_grid(1)
-                    .cpus(num_cpus)
-                    .filter(StreamFilter::UserOnly),
-            );
-            jobs.push(sizes_4w_spec(num_cpus, StreamFilter::All));
-            jobs.push(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly));
-            collectors = full_run_collectors(num_cpus);
-        }
-        // Once per evaluation, the first fully-instrumented layout times
-        // its grid sweeps against the other engine's; its collectors
-        // replay apart, afterwards, so both timings cover the grids alone.
-        let cross_check = full && self.sweep_timing.is_none();
-        let late_collectors = if cross_check {
-            std::mem::take(&mut collectors)
-        } else {
-            Vec::new()
-        };
-        // Phase timers (not ad-hoc `Instant` pairs) time both replays, so
-        // the speedup `run_all` reports is exactly what the phase tree and
-        // the run manifest show for the same work.
+        let jobs = [
+            sizes_4w_spec(num_cpus, StreamFilter::UserOnly),
+            SweepSpec::paper_grid(1)
+                .cpus(num_cpus)
+                .filter(StreamFilter::UserOnly),
+            sizes_4w_spec(num_cpus, StreamFilter::All),
+            sizes_4w_spec(num_cpus, StreamFilter::KernelOnly),
+        ];
+        // The phase timer (not an ad-hoc `Instant` pair) times the replay,
+        // so the throughput gauges are exactly what the phase tree and the
+        // run manifest show for the same work.
         let replay_span = codelayout_obs::span("replay");
-        let (mut grids, mut collected) = self.sweeper.run_collecting(&trace, &jobs, collectors);
-        let primary_secs = replay_span.finish().as_secs_f64();
-        self.record_replay_metrics(name, fetches, &jobs, primary_secs);
-        if cross_check {
-            // Replay the identical grid jobs on the *other* engine at the
-            // same thread count: a standing cross-engine equivalence check
-            // and the speedup baseline.
-            let other_engine = match self.sweeper.engine() {
-                SweepEngine::Stack => SweepEngine::Direct,
-                SweepEngine::Direct => SweepEngine::Stack,
-            };
-            let other_span = codelayout_obs::span("oracle_replay");
-            let other = ParallelSweep::new(self.sweeper.threads())
-                .with_engine(other_engine)
-                .run(&trace, &jobs);
-            let other_secs = other_span.finish().as_secs_f64();
-            assert_eq!(
-                other, grids,
-                "stack-distance sweep diverged from the direct engine"
-            );
-            let (stack_secs, direct_secs) = match self.sweeper.engine() {
-                SweepEngine::Stack => (primary_secs, other_secs),
-                SweepEngine::Direct => (other_secs, primary_secs),
-            };
-            let timing = SweepTiming {
-                threads: self.sweeper.threads(),
-                events: counts.fetches,
-                shards: jobs.iter().map(SweepSpec::shard_count).sum(),
-                stack_secs,
-                direct_secs,
-            };
-            codelayout_obs::metrics().gauge_set("sweep.engine_speedup", timing.speedup());
-            self.sweep_timing = Some(timing);
-            let _replay_span = codelayout_obs::span("replay");
-            collected = self.sweeper.run_collecting(&trace, &[], late_collectors).1;
-        }
+        let (grids, collected) =
+            self.sweeper
+                .run_collecting(&trace, &jobs, full_run_collectors(num_cpus));
+        let secs = replay_span.finish().as_secs_f64();
+        let data = LayoutData::light(name, &image, counts, outcome, Vec::new());
+        record_replay_metrics(name, (data.user_fetches, data.kernel_fetches), &jobs, secs);
         let (mut hier_simos, mut locality, mut seq_user, mut footprint) = (None, None, None, None);
         for c in collected {
             match c {
@@ -462,19 +491,9 @@ impl Harness {
                 Collector::Footprint(c) => footprint = Some(c),
             }
         }
-        let mut pop_full = || {
-            if full {
-                grids.pop().unwrap()
-            } else {
-                Vec::new()
-            }
-        };
-        let (sizes_4w_kernel, sizes_4w_all, dm_grid_user) = (pop_full(), pop_full(), pop_full());
-        let sizes_4w_user = grids.pop().unwrap();
-
+        let [sizes_4w_user, dm_grid_user, sizes_4w_all, sizes_4w_kernel]: [Vec<SweepCell>; 4] =
+            grids.try_into().expect("one result per grid job");
         LayoutData {
-            label: name.to_string(),
-            text_bytes: image.text_bytes(),
             dm_grid_user,
             sizes_4w_user,
             sizes_4w_all,
@@ -488,9 +507,7 @@ impl Harness {
                 .as_ref()
                 .map(FootprintCounter::instr_footprint_bytes),
             hier_simos,
-            user_fetches: fetches.0,
-            kernel_fetches: fetches.1,
-            outcome,
+            ..data
         }
     }
 
@@ -567,45 +584,6 @@ impl Harness {
         };
         codelayout_obs::metrics().gauge_set("vm.engine_speedup", timing.speedup());
         self.vm_timing = Some(timing);
-    }
-
-    /// Per-job replay throughput gauges for one measured layout. Job
-    /// labels follow the fixed job order [`Harness::measure`] builds:
-    /// the user size sweep always runs; fully-instrumented layouts add
-    /// the direct-mapped grid and the combined/kernel size sweeps.
-    /// `parallel_secs` is the primary pool walk's time, which includes
-    /// the collectors when they share it (every fully-instrumented
-    /// layout but the engine cross-check one).
-    fn record_replay_metrics(
-        &self,
-        name: &str,
-        (user_fetches, kernel_fetches): (u64, u64),
-        jobs: &[SweepSpec],
-        parallel_secs: f64,
-    ) {
-        const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
-        let m = codelayout_obs::metrics();
-        let secs = parallel_secs.max(1e-9);
-        m.gauge_set(
-            &format!("replay.{name}.insts_per_sec"),
-            (user_fetches + kernel_fetches) as f64 / secs,
-        );
-        for (j, job) in jobs.iter().enumerate() {
-            let label = JOB_LABELS.get(j).copied().unwrap_or("extra");
-            let events = match job.stream() {
-                StreamFilter::UserOnly => user_fetches,
-                StreamFilter::KernelOnly => kernel_fetches,
-                StreamFilter::All => user_fetches + kernel_fetches,
-            };
-            m.gauge_set(
-                &format!("replay.{name}.{label}.insts_per_sec"),
-                events as f64 / secs,
-            );
-            m.gauge_set(
-                &format!("replay.{name}.{label}.shards"),
-                job.shard_count() as f64,
-            );
-        }
     }
 
     /// Writes a figure's JSON result under the results directory and
@@ -761,15 +739,13 @@ pub fn pct(n: u64, d: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codelayout_core::LayoutParams;
+    use codelayout_core::{LayoutParams, LayoutSeries};
     use codelayout_memsim::SweepSink;
 
     #[test]
     fn pool_replayed_measurement_equals_a_live_feed() {
         // The oracle: every collector and grid of a full measurement fed
         // straight from the VM, as a live pass with no recording would.
-        // `base` is the engine cross-check layout, whose collectors replay
-        // apart from its grids; `all` replays both in one pool walk.
         let mut h = Harness::with_label(&Scenario::quick(), "quick");
         let num_cpus = h.study.scenario.num_cpus;
         for set in [OptimizationSet::BASE, OptimizationSet::ALL] {
@@ -826,7 +802,88 @@ mod tests {
             assert_eq!(d.kernel_fetches, counts.kernel_fetches);
             assert_eq!(d.outcome.report, outcome.report);
         }
-        assert!(h.sweep_timing().is_some());
+    }
+
+    /// Asserts two measurements of one request agree on every field but
+    /// the wall time.
+    fn assert_same_measurement(got: &LayoutData, want: &LayoutData) {
+        let label = &want.label;
+        assert_eq!(got.label, *label);
+        assert_eq!(got.text_bytes, want.text_bytes, "{label}");
+        assert_eq!(got.dm_grid_user, want.dm_grid_user, "{label}");
+        assert_eq!(got.sizes_4w_user, want.sizes_4w_user, "{label}");
+        assert_eq!(got.sizes_4w_all, want.sizes_4w_all, "{label}");
+        assert_eq!(got.sizes_4w_kernel, want.sizes_4w_kernel, "{label}");
+        assert_eq!(got.seq_user, want.seq_user, "{label}");
+        assert_eq!(got.locality, want.locality, "{label}");
+        assert_eq!(
+            got.footprint_line_bytes, want.footprint_line_bytes,
+            "{label}"
+        );
+        assert_eq!(
+            got.footprint_instr_bytes, want.footprint_instr_bytes,
+            "{label}"
+        );
+        assert_eq!(got.hier_simos, want.hier_simos, "{label}");
+        assert_eq!(got.user_fetches, want.user_fetches, "{label}");
+        assert_eq!(got.kernel_fetches, want.kernel_fetches, "{label}");
+        assert_eq!(got.outcome.report, want.outcome.report, "{label}");
+        assert_eq!(got.outcome.invariants, want.outcome.invariants, "{label}");
+        assert_eq!(
+            got.outcome.per_process_txns, want.outcome.per_process_txns,
+            "{label}"
+        );
+    }
+
+    #[test]
+    fn prefetched_lanes_equal_a_live_feed_and_a_fresh_run() {
+        // The request lists of fig07, compare and fig_static, with their
+        // overlaps and fig_static's repeated `base`.
+        let reqs: Vec<LayoutRequest> = figures::paper_requests()
+            .chain(LayoutSeries::comparison().map(LayoutRequest::from))
+            .chain(
+                figures::static_requests()
+                    .into_iter()
+                    .flat_map(|(_, m_req, s_req)| [m_req, s_req]),
+            )
+            .collect();
+        let scenario = Scenario::quick();
+        let study = build_study(&scenario);
+        let num_cpus = scenario.num_cpus;
+        // The oracle: each request's user size sweep and fetch counts fed
+        // straight from the VM.
+        let live: HashMap<LayoutRequest, _> = reqs
+            .iter()
+            .map(|&req| {
+                let spec = sizes_4w_spec(num_cpus, StreamFilter::UserOnly);
+                let mut sink = TeeSink(SweepSink::from_spec(&spec), CountingSink::default());
+                let outcome =
+                    study.run_measured(&study.image(req), &study.base_kernel_image, &mut sink);
+                outcome.assert_correct();
+                (req, (sink.0.results(), sink.1, outcome.report))
+            })
+            .collect();
+        for engine in [SweepEngine::Stack, SweepEngine::Direct] {
+            let mut fresh = Harness::with_label(&scenario, "quick");
+            fresh.sweeper = ParallelSweep::new(1).with_engine(engine);
+            // 1 and 3 lanes, then the `CODELAYOUT_THREADS` lane count.
+            for threads in [1, 3, ParallelSweep::from_env().threads()] {
+                let mut h = Harness::with_label(&scenario, "quick");
+                h.sweeper = ParallelSweep::new(threads).with_engine(engine);
+                h.prefetch(reqs.iter().copied());
+                assert_eq!(h.runs.len(), live.len());
+                for req in &reqs {
+                    let d = &h.runs[req];
+                    let (user, counts, report) = &live[req];
+                    assert_eq!(d.sizes_4w_user, *user, "{req} on {threads} lanes");
+                    assert_eq!(d.user_fetches, counts.fetches - counts.kernel_fetches);
+                    assert_eq!(d.kernel_fetches, counts.kernel_fetches);
+                    assert_eq!(d.outcome.report, *report);
+                    assert_eq!(d.hier_simos.is_some(), is_full(req), "{req}");
+                    assert_same_measurement(d, fresh.run_request(*req));
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 
 #[test]
 fn manifest_quick_schema_matches_golden_snapshot() {
+    // The harness measures light layouts on `CODELAYOUT_THREADS` lanes,
+    // and which spans land under which lane follows the lane count. Pin
+    // two lanes (before anything reads the environment) so the snapshot,
+    // `measure_lane` root included, is the same on every host.
+    std::env::set_var(codelayout_obs::env::THREADS_ENV, "2");
     // The harness writes results/ relative to the working directory;
     // keep test artifacts out of the source tree.
     let scratch = std::env::temp_dir().join(format!("codelayout-golden-{}", std::process::id()));

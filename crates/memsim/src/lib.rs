@@ -60,7 +60,7 @@ pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use icache::{AccessClass, CacheStats, ICacheSim};
 pub use itlb::Itlb;
 pub use locality::{LocalityCache, LocalityStats};
-pub use parallel::{Collector, GridSink, ParallelSweep};
+pub use parallel::{on_lanes, Collector, GridSink, ParallelSweep};
 pub use sequence::{SequenceProfiler, SequenceStats};
 pub use spec::{SweepSpec, LINES_B, SIZES_KB};
 pub use stack::StackDistanceSim;

@@ -58,6 +58,11 @@
 //! shard constructor as the pool, or a [`SweepSink`] on the direct
 //! engine. It equals [`ParallelSweep::run_one`] on the recorded stream.
 //!
+//! [`on_lanes`] is the pool's counterpart for work that is independent
+//! per item rather than per shard — a candidate layout to tune, a layout
+//! to measure: each item runs whole on one lane, and the results come
+//! back in item order whatever the lane count.
+//!
 //! [`SweepSink`]: crate::SweepSink
 
 use crate::config::StreamFilter;
@@ -658,6 +663,45 @@ impl TraceSink for GridSink {
             GridEngine::Direct(sink) => sink.fetch_run(first, n),
         }
     }
+}
+
+/// `f` of every item, in item order, computed on up to `lanes` lanes:
+/// lane 0 is the calling thread, each other lane a scoped thread under a
+/// root span named `span`. Lane `l` takes items `l`, `l + lanes`, …
+///
+/// ```
+/// let items: Vec<u64> = (0..11).collect();
+/// let squares = codelayout_memsim::on_lanes(3, "lane", &items, |&i| i * i);
+/// assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+/// ```
+pub fn on_lanes<T: Sync, R: Send>(
+    lanes: usize,
+    span: &'static str,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let lanes = lanes.clamp(1, items.len().max(1));
+    let lane = |l: usize| -> Vec<(usize, R)> {
+        let picked = items.iter().enumerate().skip(l).step_by(lanes);
+        picked.map(|(i, item)| (i, f(item))).collect()
+    };
+    let mut out = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..lanes)
+            .map(|l| {
+                s.spawn(move || {
+                    let _span = codelayout_obs::span(span);
+                    lane(l)
+                })
+            })
+            .collect();
+        let mut out = lane(0);
+        for h in helpers {
+            out.extend(h.join().expect("lane panicked"));
+        }
+        out
+    });
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Replays `trace` into every grid worker on its own scoped thread,

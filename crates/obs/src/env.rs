@@ -13,7 +13,7 @@
 //! | Variable | Field | Meaning |
 //! |---|---|---|
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
-//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | sweep worker count, and the autotuner's evaluation lanes (default: available parallelism) |
+//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | sweep worker count, the harness's measurement lanes and the autotuner's evaluation lanes (default: available parallelism) |
 //! | `CODELAYOUT_SWEEP_ENGINE` | [`RunEnv::sweep_engine`] | `stack` (default) or `direct` grid-replay engine |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
 //! | `CODELAYOUT_LAYOUT_SERIES` | [`RunEnv::layout_series`] | comma-separated layout-series labels for the comparison table (default: the five-series comparison set) |

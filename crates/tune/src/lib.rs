@@ -518,33 +518,10 @@ impl Lab<'_> {
         }
     }
 
-    /// `f` of every item, in item order, computed on up to `lanes`
-    /// lanes: lane 0 is the calling thread, each other lane a scoped
-    /// thread under a `tune_lane` root span. Lane `l` takes items `l`,
-    /// `l + lanes`, …
+    /// `f` of every item, in item order, on the tuner's lanes (helper
+    /// lanes under a `tune_lane` root span; see [`codelayout_memsim::on_lanes`]).
     fn on_lanes<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        let lanes = self.lanes.clamp(1, items.len().max(1));
-        let lane = |l: usize| -> Vec<(usize, R)> {
-            let picked = items.iter().enumerate().skip(l).step_by(lanes);
-            picked.map(|(i, item)| (i, f(item))).collect()
-        };
-        let mut out = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..lanes)
-                .map(|l| {
-                    s.spawn(move || {
-                        let _span = codelayout_obs::span("tune_lane");
-                        lane(l)
-                    })
-                })
-                .collect();
-            let mut out = lane(0);
-            for h in helpers {
-                out.extend(h.join().expect("tune lane panicked"));
-            }
-            out
-        });
-        out.sort_unstable_by_key(|&(i, _)| i);
-        out.into_iter().map(|(_, r)| r).collect()
+        codelayout_memsim::on_lanes(self.lanes, "tune_lane", items, f)
     }
 }
 

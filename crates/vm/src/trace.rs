@@ -110,14 +110,15 @@ impl TraceBuffer {
         self.events.extend((0..n).map(|i| ev + i * STEP));
     }
 
-    /// Seals the buffer into an immutable, `Arc`-shared trace.
+    /// Seals the buffer into an immutable, `Arc`-shared trace. The
+    /// recorded events keep their allocation: freezing never copies them.
     pub fn freeze(self) -> FrozenTrace {
         let m = codelayout_obs::metrics();
         m.add("trace.frozen", 1);
         m.add("trace.events", self.events.len() as u64);
         m.add("trace.bytes", self.size_bytes() as u64);
         FrozenTrace {
-            events: Arc::from(self.events),
+            events: Arc::new(self.events),
         }
     }
 }
@@ -176,7 +177,7 @@ impl TraceSink for TraceBuffer {
 /// what the cross-VM-engine oracle in the bench harness asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenTrace {
-    events: Arc<[u64]>,
+    events: Arc<Vec<u64>>,
 }
 
 impl FrozenTrace {
@@ -305,6 +306,19 @@ mod tests {
         frozen.replay(&mut replayed);
         assert_eq!(replayed.fetches.len(), 2);
         assert!(replayed.data.is_empty());
+    }
+
+    #[test]
+    fn freezing_keeps_the_recorded_allocation() {
+        let mut buf = TraceBuffer::new();
+        buf.reserve(1_000);
+        for i in 0..1_000u64 {
+            buf.fetch(fetch(0x40_0000 + i * 4, 0, 0, false));
+        }
+        let recorded = buf.events.as_ptr();
+        let frozen = buf.freeze();
+        assert_eq!(frozen.events.as_ptr(), recorded);
+        assert_eq!(frozen.len(), 1_000);
     }
 
     #[test]
