@@ -14,6 +14,7 @@ fn main() {
         ("4 CPUs", Scenario::paper_sim()),
     ] {
         let mut h = Harness::new(&scenario);
+        h.prefetch_timing([OptimizationSet::BASE.into(), OptimizationSet::ALL.into()]);
         // The hierarchy sees every fetch, so its fetch count is the
         // instruction count the model charges.
         let mut cycles = |req: OptimizationSet| {

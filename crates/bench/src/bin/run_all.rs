@@ -41,19 +41,6 @@ fn main() {
         eprintln!("[run_all] {name} in {:?}", fig_span.finish());
     }
 
-    if let Some(t) = h.vm_timing() {
-        eprintln!(
-            "[run_all] vm execution: {} instrs, {} compiled runs ({} KiB cache): \
-             {:.3}s block vs {:.3}s interp ({:.2}x engine speedup)",
-            t.instructions,
-            t.cache.0,
-            t.cache.1 / 1024,
-            t.block_secs,
-            t.interp_secs,
-            t.speedup()
-        );
-    }
-
     // Figure 15 on the single-processor scenario (the paper's hardware
     // execution-time runs are 1-processor).
     let fig15_span = codelayout_obs::span("fig15");
@@ -118,40 +105,11 @@ fn main() {
     }
 }
 
-/// Per-layout, per-job replay throughput from the metrics registry (the
-/// `replay.<layout>.<job>.insts_per_sec` gauges the harness records for
-/// every fully-instrumented layout it replays on the pool).
+/// Execution throughput of the measured runs (the
+/// `vm.run.<layout>.insts_per_sec` gauges, on the configured engine).
 fn print_throughput_table() {
     let snapshot = codelayout_obs::metrics().snapshot();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        let Some(rest) = name.strip_prefix("replay.") else {
-            continue;
-        };
-        let Some(rest) = rest.strip_suffix(".insts_per_sec") else {
-            continue;
-        };
-        let (layout, job) = match rest.split_once('.') {
-            Some((layout, job)) => (layout, job),
-            None => (rest, "(all jobs)"),
-        };
-        rows.push(vec![
-            layout.to_string(),
-            job.to_string(),
-            format!("{:.1}", value / 1e6),
-        ]);
-    }
-    if !rows.is_empty() {
-        print_table(
-            "replay throughput (M insts/sec)",
-            &["layout", "job", "Minsts/s"],
-            &rows,
-        );
-    }
-
-    // Execution throughput of the measured runs themselves (the
-    // `vm.run.<layout>.insts_per_sec` gauges, on the configured engine).
-    let mut vm_rows: Vec<Vec<String>> = Vec::new();
     for (name, value) in &snapshot.gauges {
         let Some(rest) = name.strip_prefix("vm.run.") else {
             continue;
@@ -159,13 +117,13 @@ fn print_throughput_table() {
         let Some(layout) = rest.strip_suffix(".insts_per_sec") else {
             continue;
         };
-        vm_rows.push(vec![layout.to_string(), format!("{:.1}", value / 1e6)]);
+        rows.push(vec![layout.to_string(), format!("{:.1}", value / 1e6)]);
     }
-    if !vm_rows.is_empty() {
+    if !rows.is_empty() {
         print_table(
             "vm execution throughput (M insts/sec)",
             &["layout", "Minsts/s"],
-            &vm_rows,
+            &rows,
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Per-figure experiment logic. Each function prints the figure's series
 //! as a table and returns a JSON record (saved by the caller).
 
-use crate::{pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
+use crate::{full_requests, pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
 use codelayout_core::{exttsp_score, LayoutRequest, LayoutSeries, OptimizationSet};
 use codelayout_memsim::SweepCell;
 use codelayout_obs::ProfileSource;
@@ -97,6 +97,7 @@ pub fn fig03(h: &mut Harness) -> Value {
 /// Figure 4: application I-cache misses across size × line grids,
 /// direct-mapped, for the base (a) and optimized (b) binaries.
 pub fn fig04(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let mut out = serde_json::Map::new();
     for name in ["base", "all"] {
         let grid = h.run(name).dm_grid_user.clone();
@@ -138,6 +139,7 @@ pub fn fig04(h: &mut Harness) -> Value {
 
 /// Figure 5: optimized/base miss ratio per line size per cache size.
 pub fn fig05(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let base = h.run("base").dm_grid_user.clone();
     let opt = h.run("all").dm_grid_user.clone();
     let mut rows = Vec::new();
@@ -177,6 +179,7 @@ pub fn fig05(h: &mut Harness) -> Value {
 
 /// Figure 6: associativity impact (1-way vs 4-way, 128 B lines).
 pub fn fig06(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let mut series = Vec::new();
     let mut rows = Vec::new();
     let grab = |h: &mut Harness, name: &str, ways: u32, size: u64| -> u64 {
@@ -258,6 +261,7 @@ pub fn fig07(h: &mut Harness) -> Value {
 
 /// Figure 8: sequential run lengths (average + histogram).
 pub fn fig08(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     // Average dynamic basic block size from the profile.
     let program = &h.study.app.program;
     let profile = &h.study.profile;
@@ -315,6 +319,7 @@ pub fn fig08(h: &mut Harness) -> Value {
 
 /// Figure 9: unique words used per 128 B line before replacement.
 pub fn fig09(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let base = h.run("base").locality.clone().expect("full run");
     let opt = h.run("all").locality.clone().expect("full run");
     let mut rows = Vec::new();
@@ -347,6 +352,7 @@ pub fn fig09(h: &mut Harness) -> Value {
 
 /// Figure 10: times a word is used before replacement.
 pub fn fig10(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let base = h.run("base").locality.clone().expect("full run");
     let opt = h.run("all").locality.clone().expect("full run");
     let mut rows = Vec::new();
@@ -375,6 +381,7 @@ pub fn fig10(h: &mut Harness) -> Value {
 
 /// Figure 11: cache line lifetimes (log2 cache cycles).
 pub fn fig11(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let base = h.run("base").locality.clone().expect("full run");
     let opt = h.run("all").locality.clone().expect("full run");
     let mut rows = Vec::new();
@@ -413,6 +420,7 @@ pub fn fig11(h: &mut Harness) -> Value {
 
 /// Figure 12: combined application + kernel misses vs cache size.
 pub fn fig12(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let mut out = serde_json::Map::new();
     for name in ["base", "all"] {
         let d = h.run(name);
@@ -461,6 +469,7 @@ pub fn fig12(h: &mut Harness) -> Value {
 
 /// Figure 13: interference matrix at 128 KB (who displaces whom).
 pub fn fig13(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let mut out = serde_json::Map::new();
     for name in ["base", "all"] {
         let d = h.run(name);
@@ -507,6 +516,7 @@ pub fn fig13(h: &mut Harness) -> Value {
 
 /// Figure 14: iTLB and L2 behaviour (base SimOS hierarchy).
 pub fn fig14(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let base = h.run("base").hier_simos.expect("full run");
     let opt = h.run("all").hier_simos.expect("full run");
     let rows = vec![
@@ -550,7 +560,7 @@ pub fn fig15(h: &mut Harness) -> Value {
     let m164 = TimingModel::alpha_21164();
     let mut cycles264 = Vec::new();
     let mut cycles164 = Vec::new();
-    h.prefetch(paper_requests());
+    h.prefetch_timing(paper_requests());
     for (_, set) in OptimizationSet::paper_series() {
         let d = h.run_request(set);
         let instrs = d.user_fetches + d.kernel_fetches;
@@ -842,6 +852,7 @@ pub(crate) fn static_requests() -> Vec<(LayoutSeries, LayoutRequest, LayoutReque
 /// In-text numeric claims (§4–5): packing, unused fetch fraction, miss
 /// reduction bands, kernel-layout gain.
 pub fn claims(h: &mut Harness) -> Value {
+    h.prefetch(full_requests());
     let reduction = |b: u64, o: u64| 100.0 * (1.0 - o as f64 / b as f64);
 
     let (base_fp, base_instr_fp, base_seq, base_unused);

@@ -7,38 +7,33 @@
 //! figures, and writes `results/figNN.json` files plus human-readable
 //! tables.
 //!
-//! The harness runs each code layout **once**, in one of two ways.
+//! The harness measures a code layout in one way: one live pass of the
+//! VM straight into the simulators a figure reads, recording nothing.
+//! What the pass feeds is its depth, and each depth feeds everything the
+//! shallower ones do:
 //!
-//! * The fully-instrumented layouts (`base` and `all`) record: the live
-//!   pass is the VM feeding a [`codelayout_vm::TraceBuffer`] that records
-//!   every instruction fetch and data reference (8 bytes per event), plus
-//!   a fetch counter. Everything else *replays* the frozen trace in one
-//!   walk of a [`ParallelSweep`] pool: the cache grids — the
-//!   direct-mapped line-size grid (Fig. 4/5) and the 128-byte 4-way size
-//!   sweeps for user/kernel/combined streams (Figs. 6, 7, 12, 13) —
-//!   sharded across the workers, and the order-sensitive collectors —
-//!   the sequence profiler (Fig. 8), the locality cache (Figs. 9–11), the
-//!   footprint counter (packing claims) and the SimOS memory hierarchy
-//!   (Fig. 14) — each as one [`codelayout_memsim::Collector`] job that a
-//!   worker feeds, with every event in recorded order.
-//! * Every other layout is *light*: it needs only the user size sweep, so
-//!   its live pass streams the VM straight into a serial
-//!   [`codelayout_memsim::GridSink`] and the fetch counter, and records
-//!   nothing. [`Harness::prefetch`] measures a figure's light layouts on
-//!   parallel lanes, one live pass per layout.
+//! * *light* — the 128-byte 4-way user size sweep (Figs. 7, 12, 13) and
+//!   the user/kernel fetch counts. Every request but the two below.
+//! * *timed* — plus the Fig. 15 timing models' 21264- and 21164-like
+//!   hierarchies, for the requests [`Harness::timing`] reads.
+//! * *full* — plus the direct-mapped line-size grid (Figs. 4/5), the
+//!   combined and kernel size sweeps (Figs. 12, 13), the sequence
+//!   profiler (Fig. 8), the locality cache (Figs. 9–11), the footprint
+//!   counter (packing claims) and the SimOS memory hierarchy (Fig. 14).
+//!   The bare `base` and `all` requests, which those figures read.
 //!
-//! Every grid is named by a [`codelayout_memsim::SweepSpec`]; the engine
-//! is the single-pass stack-distance profiler by default (one Mattson
-//! stack per line size answers every size × associativity at once). The
-//! direct per-configuration simulator, selected by
-//! `CODELAYOUT_SWEEP_ENGINE`, is bit-identical by construction and serves
-//! as the test oracle; no run replays a layout on both engines. The pool
-//! size and the lane count honor `CODELAYOUT_THREADS`; results do not
-//! depend on it.
+//! A cached measurement serves any depth up to its own; a deeper request
+//! measures the layout again and replaces it. [`Harness::prefetch`]
+//! measures a figure's requests on parallel lanes, one live pass per
+//! request.
 //!
-//! The Fig. 15 timing models' 21264- and 21164-like hierarchies are not
-//! part of a layout's measurement: [`Harness::timing`] runs the VM once
-//! more into just those two, for the layouts that need them.
+//! Every grid is named by a [`codelayout_memsim::SweepSpec`] and fed
+//! through a [`GridSink`]; the engine is the single-pass stack-distance
+//! profiler by default (one Mattson stack per line size answers every
+//! size × associativity at once). The direct per-configuration
+//! simulator, selected by `CODELAYOUT_SWEEP_ENGINE`, is bit-identical by
+//! construction and serves as the test oracle. The lane count honors
+//! `CODELAYOUT_THREADS`; results do not depend on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,18 +42,16 @@ pub mod figures;
 pub mod lint;
 
 use codelayout_core::{LayoutRequest, OptimizationSet};
-use codelayout_ir::Image;
 use codelayout_memsim::{
-    CacheConfig, Collector, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats,
-    LocalityCache, LocalityStats, MemoryHierarchy, ParallelSweep, SequenceProfiler, SequenceStats,
-    StreamFilter, SweepCell, SweepEngine, SweepSpec,
+    CacheConfig, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats, LocalityCache,
+    LocalityStats, MemoryHierarchy, SequenceProfiler, SequenceStats, StreamFilter, SweepCell,
+    SweepEngine, SweepSpec,
 };
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
-use codelayout_vm::{CountingSink, FrozenTrace, TeeSink, TraceBuffer, TraceSink, VmEngine};
+use codelayout_vm::{CountingSink, DataRecord, FetchRecord, TeeSink, TraceSink};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 pub use codelayout_memsim::{run_env, RunEnv, LINES_B, SIZES_KB};
 pub use codelayout_obs::ScenarioSel;
@@ -96,6 +89,9 @@ pub struct LayoutData {
     pub footprint_instr_bytes: Option<u64>,
     /// Paper base SimOS hierarchy counters (full runs only).
     pub hier_simos: Option<HierarchyStats>,
+    /// The Fig. 15 timing models' hierarchy counters (timed and full
+    /// runs only; see [`Harness::timing`]).
+    pub timing: Option<TimingData>,
     /// Application instructions fetched during measurement.
     pub user_fetches: u64,
     /// Kernel instructions fetched during measurement.
@@ -105,135 +101,15 @@ pub struct LayoutData {
 }
 
 impl LayoutData {
-    /// A measurement with only the user size sweep and the fetch counts;
-    /// the full-run grids and collectors stay empty.
-    fn light(
-        label: &str,
-        image: &Image,
-        counts: CountingSink,
-        outcome: RunOutcome,
-        sizes_4w_user: Vec<SweepCell>,
-    ) -> Self {
-        LayoutData {
-            label: label.to_string(),
-            text_bytes: image.text_bytes(),
-            dm_grid_user: Vec::new(),
-            sizes_4w_user,
-            sizes_4w_all: Vec::new(),
-            sizes_4w_kernel: Vec::new(),
-            seq_user: None,
-            locality: None,
-            footprint_line_bytes: None,
-            footprint_instr_bytes: None,
-            hier_simos: None,
-            user_fetches: counts.fetches - counts.kernel_fetches,
-            kernel_fetches: counts.kernel_fetches,
-            outcome,
+    /// The depth this measurement was taken at.
+    fn depth(&self) -> Depth {
+        if self.hier_simos.is_some() {
+            Depth::Full
+        } else if self.timing.is_some() {
+            Depth::Timed
+        } else {
+            Depth::Light
         }
-    }
-}
-
-/// The 128 B / 4-way size-sweep spec shared by several figures
-/// (Figures 6, 7, 12, 13).
-fn sizes_4w_spec(num_cpus: usize, filter: StreamFilter) -> SweepSpec {
-    SweepSpec::grid()
-        .sizes_kb(&SIZES_KB)
-        .line_b(128)
-        .ways(4)
-        .cpus(num_cpus)
-        .filter(filter)
-}
-
-/// The order-sensitive collectors a fully-instrumented layout replays
-/// on the sweep pool, one of each [`Collector`] kind.
-fn full_run_collectors(num_cpus: usize) -> Vec<Collector> {
-    vec![
-        Collector::Hierarchy(MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus))),
-        Collector::Locality(LocalityCache::new(
-            locality_config(),
-            StreamFilter::UserOnly,
-        )),
-        Collector::Sequence(SequenceProfiler::new(StreamFilter::UserOnly)),
-        Collector::Footprint(FootprintCounter::new(128, StreamFilter::UserOnly)),
-    ]
-}
-
-/// The live pass's sink: the fetch-and-data trace recording (pre-sized
-/// for `reserve` events) plus the user/kernel fetch counts.
-fn live_sink(reserve: usize) -> TeeSink<TraceBuffer, CountingSink> {
-    let mut trace = TraceBuffer::new();
-    trace.reserve(reserve);
-    TeeSink(trace, CountingSink::default())
-}
-
-/// True for the requests the harness instruments fully: the bare `base`
-/// and `all` layouts, whose collectors and full grids the figures read.
-fn is_full(req: &LayoutRequest) -> bool {
-    [OptimizationSet::BASE, OptimizationSet::ALL]
-        .into_iter()
-        .any(|set| *req == set.into())
-}
-
-/// Runs the measured phase of `image` into `sink`, asserts it correct
-/// and records its `vm.run.<name>.insts_per_sec` gauge.
-fn run_live<S: TraceSink>(
-    study: &Study,
-    name: &str,
-    image: &Arc<Image>,
-    sink: &mut S,
-) -> RunOutcome {
-    let outcome = study.run_measured(image, &study.base_kernel_image, sink);
-    outcome.assert_correct();
-    codelayout_obs::metrics().gauge_set(
-        &format!("vm.run.{name}.insts_per_sec"),
-        outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
-    );
-    outcome
-}
-
-/// A light request's measurement: one live pass on the calling thread,
-/// the VM feeding the user size sweep and the fetch counter directly.
-fn measure_light(study: &Study, engine: SweepEngine, req: LayoutRequest) -> LayoutData {
-    let _measure_span = codelayout_obs::span("measure");
-    let name = &req.to_string();
-    let image = study.image(req);
-    let spec = sizes_4w_spec(study.scenario.num_cpus, StreamFilter::UserOnly);
-    let mut sink = TeeSink(GridSink::new(&spec, engine), CountingSink::default());
-    let outcome = run_live(study, name, &image, &mut sink);
-    let TeeSink(grid, counts) = sink;
-    LayoutData::light(name, &image, counts, outcome, grid.finish())
-}
-
-/// Replay throughput gauges for one fully-instrumented layout: the whole
-/// pool walk (grids and collectors, `secs` long) and each grid job, in
-/// the job order [`Harness::measure_full`] builds.
-fn record_replay_metrics(
-    name: &str,
-    (user_fetches, kernel_fetches): (u64, u64),
-    jobs: &[SweepSpec; 4],
-    secs: f64,
-) {
-    const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
-    let m = codelayout_obs::metrics();
-    let secs = secs.max(1e-9);
-    m.gauge_set(
-        &format!("replay.{name}.insts_per_sec"),
-        (user_fetches + kernel_fetches) as f64 / secs,
-    );
-    for (label, job) in JOB_LABELS.into_iter().zip(jobs) {
-        let events = match job.stream() {
-            StreamFilter::UserOnly => user_fetches,
-            StreamFilter::KernelOnly => kernel_fetches,
-            StreamFilter::All => user_fetches + kernel_fetches,
-        };
-        m.gauge_set(
-            &format!("replay.{name}.{label}.insts_per_sec"),
-            events as f64 / secs,
-        );
-        m.gauge_set(
-            &format!("replay.{name}.{label}.shards"),
-            job.shard_count() as f64,
-        );
     }
 }
 
@@ -247,42 +123,228 @@ pub struct TimingData {
     pub hier_21164: HierarchyStats,
 }
 
-/// Wall-clock measurement of one layout's measured run on both VM
-/// execution tiers: the block-compiled engine vs the interpreter
-/// oracle executing the identical workload into the identical sink
-/// (the live pass's trace recording and fetch counter), asserted to
-/// produce a bit-identical trace and outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct VmTiming {
-    /// Instructions the measured phase executed (identical on both tiers).
-    pub instructions: u64,
-    /// Wall-clock seconds of the measured phase on the interpreter.
-    pub interp_secs: f64,
-    /// Wall-clock seconds of the measured phase on the block engine.
-    pub block_secs: f64,
-    /// Compiled code-cache footprint of the block run: `(runs, bytes)`.
-    pub cache: (usize, usize),
+/// How much of a layout one live pass measures; each depth measures
+/// everything the shallower ones do (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Depth {
+    /// The user size sweep and the fetch counts.
+    Light,
+    /// Plus the Fig. 15 timing hierarchies.
+    Timed,
+    /// Plus every other grid and collector.
+    Full,
 }
 
-impl VmTiming {
-    /// Measured execution-tier speedup (interpreter time / block time).
-    pub fn speedup(&self) -> f64 {
-        if self.block_secs > 0.0 {
-            self.interp_secs / self.block_secs
+impl Depth {
+    /// The depth `req` needs: full for [`full_requests`], light otherwise.
+    fn of(req: &LayoutRequest) -> Depth {
+        if full_requests().contains(req) {
+            Depth::Full
         } else {
-            1.0
+            Depth::Light
+        }
+    }
+}
+
+/// The bare `base` and `all` requests, whose collectors and full grids
+/// the figures read, so the harness measures them at full depth. A
+/// figure that reads them prefetches both, so they are measured side by
+/// side on two lanes.
+pub(crate) fn full_requests() -> [LayoutRequest; 2] {
+    [OptimizationSet::BASE.into(), OptimizationSet::ALL.into()]
+}
+
+/// The 128 B / 4-way size-sweep spec shared by several figures
+/// (Figures 6, 7, 12, 13).
+fn sizes_4w_spec(num_cpus: usize, filter: StreamFilter) -> SweepSpec {
+    SweepSpec::grid()
+        .sizes_kb(&SIZES_KB)
+        .line_b(128)
+        .ways(4)
+        .cpus(num_cpus)
+        .filter(filter)
+}
+
+/// The grids and collectors only a full measurement feeds.
+struct FullSink {
+    dm_grid_user: GridSink,
+    sizes_4w_all: GridSink,
+    sizes_4w_kernel: GridSink,
+    seq_user: SequenceProfiler,
+    locality: LocalityCache,
+    footprint: FootprintCounter,
+    hier_simos: MemoryHierarchy,
+}
+
+impl FullSink {
+    fn new(num_cpus: usize, engine: SweepEngine) -> Self {
+        let grid = |spec: SweepSpec| GridSink::new(&spec, engine);
+        FullSink {
+            dm_grid_user: grid(
+                SweepSpec::paper_grid(1)
+                    .cpus(num_cpus)
+                    .filter(StreamFilter::UserOnly),
+            ),
+            sizes_4w_all: grid(sizes_4w_spec(num_cpus, StreamFilter::All)),
+            sizes_4w_kernel: grid(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly)),
+            seq_user: SequenceProfiler::new(StreamFilter::UserOnly),
+            locality: LocalityCache::new(locality_config(), StreamFilter::UserOnly),
+            footprint: FootprintCounter::new(128, StreamFilter::UserOnly),
+            hier_simos: MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus)),
         }
     }
 
-    /// Instruction throughput of the block engine, instructions/second.
-    pub fn block_ips(&self) -> f64 {
-        self.instructions as f64 / self.block_secs.max(1e-9)
+    /// Fills `data`'s full-run fields.
+    fn finish_into(self, data: &mut LayoutData) {
+        data.dm_grid_user = self.dm_grid_user.finish();
+        data.sizes_4w_all = self.sizes_4w_all.finish();
+        data.sizes_4w_kernel = self.sizes_4w_kernel.finish();
+        data.seq_user = Some(self.seq_user.finish());
+        data.locality = Some(self.locality.finish());
+        data.footprint_line_bytes = Some(self.footprint.line_footprint_bytes());
+        data.footprint_instr_bytes = Some(self.footprint.instr_footprint_bytes());
+        data.hier_simos = Some(*self.hier_simos.stats());
+    }
+}
+
+impl TraceSink for FullSink {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        self.dm_grid_user.fetch(rec);
+        self.sizes_4w_all.fetch(rec);
+        self.sizes_4w_kernel.fetch(rec);
+        self.seq_user.fetch(rec);
+        self.locality.fetch(rec);
+        self.footprint.fetch(rec);
+        self.hier_simos.fetch(rec);
     }
 
-    /// Instruction throughput of the interpreter, instructions/second.
-    pub fn interp_ips(&self) -> f64 {
-        self.instructions as f64 / self.interp_secs.max(1e-9)
+    // The hierarchy is the only consumer of data references.
+    #[inline]
+    fn data(&mut self, rec: DataRecord) {
+        self.hier_simos.data(rec);
     }
+
+    #[inline]
+    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
+        self.dm_grid_user.fetch_run(first, n);
+        self.sizes_4w_all.fetch_run(first, n);
+        self.sizes_4w_kernel.fetch_run(first, n);
+        self.seq_user.fetch_run(first, n);
+        self.locality.fetch_run(first, n);
+        self.footprint.fetch_run(first, n);
+        self.hier_simos.fetch_run(first, n);
+    }
+}
+
+/// The timing models' two hierarchies, 21264-like first.
+type TimingSink = TeeSink<MemoryHierarchy, MemoryHierarchy>;
+
+/// The live pass's sink at one [`Depth`]: the light sinks always, the
+/// deeper ones when the depth asks for them.
+struct LiveSink {
+    counts: CountingSink,
+    sizes_4w_user: GridSink,
+    timing: Option<TimingSink>,
+    full: Option<FullSink>,
+}
+
+impl LiveSink {
+    fn new(num_cpus: usize, engine: SweepEngine, depth: Depth) -> Self {
+        LiveSink {
+            counts: CountingSink::default(),
+            sizes_4w_user: GridSink::new(&sizes_4w_spec(num_cpus, StreamFilter::UserOnly), engine),
+            timing: (depth >= Depth::Timed).then(|| {
+                TeeSink(
+                    MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
+                    MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
+                )
+            }),
+            full: (depth == Depth::Full).then(|| FullSink::new(num_cpus, engine)),
+        }
+    }
+}
+
+impl TraceSink for LiveSink {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        self.counts.fetch(rec);
+        self.sizes_4w_user.fetch(rec);
+        if let Some(t) = &mut self.timing {
+            t.fetch(rec);
+        }
+        if let Some(f) = &mut self.full {
+            f.fetch(rec);
+        }
+    }
+
+    #[inline]
+    fn data(&mut self, rec: DataRecord) {
+        if let Some(t) = &mut self.timing {
+            t.data(rec);
+        }
+        if let Some(f) = &mut self.full {
+            f.data(rec);
+        }
+    }
+
+    #[inline]
+    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
+        self.counts.fetch_run(first, n);
+        self.sizes_4w_user.fetch_run(first, n);
+        if let Some(t) = &mut self.timing {
+            t.fetch_run(first, n);
+        }
+        if let Some(f) = &mut self.full {
+            f.fetch_run(first, n);
+        }
+    }
+}
+
+/// Measures `req` at `depth`: one live pass of its measured phase into a
+/// [`LiveSink`], asserted correct, recording the run's
+/// `vm.run.<name>.insts_per_sec` gauge.
+fn measure(study: &Study, engine: SweepEngine, req: LayoutRequest, depth: Depth) -> LayoutData {
+    let _measure_span = codelayout_obs::span("measure");
+    let name = req.to_string();
+    let image = study.image(req);
+    let mut sink = LiveSink::new(study.scenario.num_cpus, engine, depth);
+    let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
+    outcome.assert_correct();
+    codelayout_obs::metrics().gauge_set(
+        &format!("vm.run.{name}.insts_per_sec"),
+        outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
+    );
+    let LiveSink {
+        counts,
+        sizes_4w_user,
+        timing,
+        full,
+    } = sink;
+    let mut data = LayoutData {
+        label: name,
+        text_bytes: image.text_bytes(),
+        dm_grid_user: Vec::new(),
+        sizes_4w_user: sizes_4w_user.finish(),
+        sizes_4w_all: Vec::new(),
+        sizes_4w_kernel: Vec::new(),
+        seq_user: None,
+        locality: None,
+        footprint_line_bytes: None,
+        footprint_instr_bytes: None,
+        hier_simos: None,
+        timing: timing.map(|TeeSink(h264, h164)| TimingData {
+            hier_21264: *h264.stats(),
+            hier_21164: *h164.stats(),
+        }),
+        user_fetches: counts.fetches - counts.kernel_fetches,
+        kernel_fetches: counts.kernel_fetches,
+        outcome,
+    };
+    if let Some(full) = full {
+        full.finish_into(&mut data);
+    }
+    data
 }
 
 /// Builds and caches per-layout measurements for one scenario.
@@ -290,25 +352,20 @@ pub struct Harness {
     /// The prepared study (workload + profile).
     pub study: Study,
     runs: HashMap<LayoutRequest, LayoutData>,
-    timings: HashMap<LayoutRequest, TimingData>,
     out_dir: PathBuf,
     scenario_label: String,
-    sweeper: ParallelSweep,
-    vm_timing: Option<VmTiming>,
+    lanes: usize,
+    engine: SweepEngine,
     output_digests: Vec<(String, String)>,
     extra_sections: Vec<(String, serde_json::Value)>,
-    /// Largest trace length seen so far; pre-sizes the next
-    /// layout's trace buffer so growth reallocs don't land inside the
-    /// timed measured run.
-    expected_events: usize,
 }
 
 impl Harness {
     /// Builds the study for a scenario. The results directory defaults to
     /// `results/` under the current directory (created on demand). The
-    /// sweep worker count and the measurement lane count honor
-    /// `CODELAYOUT_THREADS`, defaulting to the host's available
-    /// parallelism. The scenario label (used for the run
+    /// measurement lane count honors `CODELAYOUT_THREADS`, defaulting to
+    /// the host's available parallelism, and the grid engine
+    /// `CODELAYOUT_SWEEP_ENGINE`. The scenario label (used for the run
     /// manifest's `results/<scenario>/` directory) defaults to the
     /// `CODELAYOUT_SCENARIO` selection; use [`Harness::with_label`] when
     /// the scenario was chosen some other way.
@@ -321,14 +378,12 @@ impl Harness {
         Harness {
             study: build_study(scenario),
             runs: HashMap::new(),
-            timings: HashMap::new(),
             out_dir: PathBuf::from("results"),
             scenario_label: label.to_string(),
-            sweeper: ParallelSweep::from_env(),
-            vm_timing: None,
+            lanes: run_env().sweep_threads(),
+            engine: run_env().sweep_engine,
             output_digests: Vec::new(),
             extra_sections: Vec::new(),
-            expected_events: 0,
         }
     }
 
@@ -355,14 +410,6 @@ impl Harness {
         &self.output_digests
     }
 
-    /// Timing of the first fully-instrumented layout's measured run on
-    /// both VM execution tiers (block-compiled vs interpreter oracle,
-    /// asserted trace-identical). `None` until a full layout has been
-    /// measured.
-    pub fn vm_timing(&self) -> Option<&VmTiming> {
-        self.vm_timing.as_ref()
-    }
-
     /// Builds the scenario selected by `CODELAYOUT_SCENARIO`
     /// (`quick`/`sim`/`hw`; default `sim`).
     pub fn from_env() -> Self {
@@ -384,206 +431,64 @@ impl Harness {
     /// Runs (or returns the cached) measurement for a layout request.
     /// Requests that differ in any field — series, profile source or
     /// parameters — are measured separately. The bare `base` and `all`
-    /// requests are fully instrumented (all four grids and the
-    /// collectors); others measure only the user size sweep, in one live
-    /// pass on the calling thread (see [`Harness::prefetch`]).
+    /// requests are measured at full depth (all four grids and the
+    /// collectors), the others light (see the module docs).
     pub fn run_request(&mut self, req: impl Into<LayoutRequest>) -> &LayoutData {
         let req = req.into();
         self.prefetch([req]);
         &self.runs[&req]
     }
 
-    /// Measures every request in `reqs` that is not cached yet, so the
-    /// [`Harness::run_request`] calls that follow are cache hits. Full
-    /// requests record and replay on the pool, one at a time. Light
-    /// requests each take one live pass, spread over
-    /// [`ParallelSweep::threads`] lanes: lane 0 is the calling thread and
-    /// each other lane a scoped thread under a `measure_lane` root span.
-    /// Every measurement is the same whatever the lane count.
-    pub fn prefetch(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>) {
-        let mut light = Vec::new();
-        for req in reqs {
-            if self.runs.contains_key(&req) || light.contains(&req) {
-                continue;
-            }
-            if is_full(&req) {
-                let data = self.measure_full(req);
-                self.runs.insert(req, data);
-            } else {
-                light.push(req);
-            }
-        }
-        let (study, engine) = (&self.study, self.sweeper.engine());
-        let measured =
-            codelayout_memsim::on_lanes(self.sweeper.threads(), "measure_lane", &light, |&req| {
-                measure_light(study, engine, req)
-            });
-        self.runs.extend(light.into_iter().zip(measured));
-    }
-
     /// Runs (or returns the cached) timing-model measurement for a
-    /// layout request: one measured run feeding the 21264- and
-    /// 21164-like hierarchies of [`TimingModel`] (Fig. 15, the
-    /// kernel-layout claim). Instruction counts come from
-    /// [`Harness::run_request`]'s fetch counts or the hierarchies' own.
+    /// layout request: the 21264- and 21164-like hierarchies of
+    /// [`TimingModel`] (Fig. 15, the kernel-layout claim), fed by the
+    /// request's live pass at timed depth or deeper. Instruction counts
+    /// come from the same [`LayoutData`]'s fetch counts or the
+    /// hierarchies' own.
     pub fn timing(&mut self, req: impl Into<LayoutRequest>) -> &TimingData {
         let req = req.into();
-        if !self.timings.contains_key(&req) {
-            let _measure_span = codelayout_obs::span("measure");
-            let image = self.study.image(req);
-            let num_cpus = self.study.scenario.num_cpus;
-            let mut sink = TeeSink(
-                MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
-                MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
-            );
-            self.study
-                .run_measured(&image, &self.study.base_kernel_image, &mut sink)
-                .assert_correct();
-            let data = TimingData {
-                hier_21264: *sink.0.stats(),
-                hier_21164: *sink.1.stats(),
-            };
-            self.timings.insert(req, data);
-        }
-        &self.timings[&req]
+        self.prefetch_timing([req]);
+        self.runs[&req]
+            .timing
+            .as_ref()
+            .expect("a timed measurement carries timing data")
     }
 
-    /// A fully-instrumented request's measurement: one live pass
-    /// recording the trace, then every grid and collector replayed from
-    /// it in one walk of the pool.
-    fn measure_full(&mut self, req: LayoutRequest) -> LayoutData {
-        let _measure_span = codelayout_obs::span("measure");
-        let name = &req.to_string();
-        let image = self.study.image(req);
-        let num_cpus = self.study.scenario.num_cpus;
-        let mut sink = live_sink(self.expected_events);
-        let outcome = run_live(&self.study, name, &image, &mut sink);
-        let TeeSink(trace, counts) = sink;
-        let trace = trace.freeze();
-        self.expected_events = self.expected_events.max(trace.len());
-        if self.vm_timing.is_none() {
-            self.vm_oracle_run(name, &image, &trace, counts, &outcome);
-        }
-        let jobs = [
-            sizes_4w_spec(num_cpus, StreamFilter::UserOnly),
-            SweepSpec::paper_grid(1)
-                .cpus(num_cpus)
-                .filter(StreamFilter::UserOnly),
-            sizes_4w_spec(num_cpus, StreamFilter::All),
-            sizes_4w_spec(num_cpus, StreamFilter::KernelOnly),
-        ];
-        // The phase timer (not an ad-hoc `Instant` pair) times the replay,
-        // so the throughput gauges are exactly what the phase tree and the
-        // run manifest show for the same work.
-        let replay_span = codelayout_obs::span("replay");
-        let (grids, collected) =
-            self.sweeper
-                .run_collecting(&trace, &jobs, full_run_collectors(num_cpus));
-        let secs = replay_span.finish().as_secs_f64();
-        let data = LayoutData::light(name, &image, counts, outcome, Vec::new());
-        record_replay_metrics(name, (data.user_fetches, data.kernel_fetches), &jobs, secs);
-        let (mut hier_simos, mut locality, mut seq_user, mut footprint) = (None, None, None, None);
-        for c in collected {
-            match c {
-                Collector::Hierarchy(c) => hier_simos = Some(*c.stats()),
-                Collector::Locality(c) => locality = Some(c.finish()),
-                Collector::Sequence(c) => seq_user = Some(c.finish()),
-                Collector::Footprint(c) => footprint = Some(c),
+    /// Measures every request in `reqs` not cached at the depth it needs,
+    /// so the [`Harness::run_request`] calls that follow are cache hits.
+    /// Each request takes one live pass, spread over
+    /// `CODELAYOUT_THREADS` lanes: lane 0 is the calling thread and each
+    /// other lane a scoped thread under a `measure_lane` root span. Every
+    /// measurement is the same whatever the lane count.
+    pub fn prefetch(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>) {
+        self.prefetch_at(reqs, Depth::Light);
+    }
+
+    /// [`Harness::prefetch`] with the timing hierarchies too, so the
+    /// [`Harness::timing`] calls that follow are cache hits.
+    pub fn prefetch_timing(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>) {
+        self.prefetch_at(reqs, Depth::Timed);
+    }
+
+    /// Measures each request at `min` or the depth it needs, whichever is
+    /// deeper, unless a cached measurement is that deep already; a
+    /// shallower cached one is measured again and replaced.
+    fn prefetch_at(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>, min: Depth) {
+        let mut todo: Vec<(LayoutRequest, Depth)> = Vec::new();
+        for req in reqs {
+            let depth = Depth::of(&req).max(min);
+            let cached = self.runs.get(&req).is_some_and(|d| d.depth() >= depth);
+            if !cached && !todo.iter().any(|&(r, _)| r == req) {
+                todo.push((req, depth));
             }
         }
-        let [sizes_4w_user, dm_grid_user, sizes_4w_all, sizes_4w_kernel]: [Vec<SweepCell>; 4] =
-            grids.try_into().expect("one result per grid job");
-        LayoutData {
-            dm_grid_user,
-            sizes_4w_user,
-            sizes_4w_all,
-            sizes_4w_kernel,
-            seq_user,
-            locality,
-            footprint_line_bytes: footprint
-                .as_ref()
-                .map(FootprintCounter::line_footprint_bytes),
-            footprint_instr_bytes: footprint
-                .as_ref()
-                .map(FootprintCounter::instr_footprint_bytes),
-            hier_simos,
-            ..data
-        }
-    }
-
-    /// Once per evaluation: re-execute the measured run on the *other*
-    /// VM execution tier (interpreter oracle vs block-compiled), into the
-    /// same kind of sink as the live pass, and assert the recorded
-    /// trace (fetches and data references), fetch counts and outcome
-    /// are bit-identical — the standing correctness check behind the
-    /// engine-speedup number.
-    fn vm_oracle_run(
-        &mut self,
-        name: &str,
-        image: &Arc<Image>,
-        trace: &FrozenTrace,
-        counts: CountingSink,
-        outcome: &RunOutcome,
-    ) {
-        let engine = self.study.machine_config().engine;
-        let other = match engine {
-            VmEngine::Interp => VmEngine::Block,
-            VmEngine::Block => VmEngine::Interp,
-        };
-        let oracle_span = codelayout_obs::span("oracle_run");
-        let mut oracle_sink = live_sink(trace.len());
-        let oracle = self.study.run_measured_with(
-            image,
-            &self.study.base_kernel_image,
-            &mut oracle_sink,
-            other,
-        );
-        oracle_span.finish();
-        oracle.assert_correct();
-        let TeeSink(oracle_trace, oracle_counts) = oracle_sink;
-        assert_eq!(
-            oracle_trace.freeze(),
-            *trace,
-            "{name}: {} engine diverged from {} engine",
-            other.label(),
-            engine.label(),
-        );
-        assert_eq!(oracle_counts, counts, "{name}: fetch counts diverged");
-        assert_eq!(oracle.report, outcome.report, "{name}: reports diverged");
-        assert_eq!(
-            oracle.invariants, outcome.invariants,
-            "{name}: invariants diverged"
-        );
-        assert_eq!(
-            oracle.per_process_txns, outcome.per_process_txns,
-            "{name}: per-process transaction counts diverged"
-        );
-        let (interp_secs, block_secs) = match engine {
-            VmEngine::Block => (
-                oracle.run_wall.as_secs_f64(),
-                outcome.run_wall.as_secs_f64(),
-            ),
-            VmEngine::Interp => (
-                outcome.run_wall.as_secs_f64(),
-                oracle.run_wall.as_secs_f64(),
-            ),
-        };
-        // The code cache still holds this image's compiled form (the
-        // image `Arc` is alive), so a fresh machine reports it cheaply.
-        let cache = self
-            .study
-            .new_machine_with(image, &self.study.base_kernel_image, 0, VmEngine::Block)
-            .0
-            .code_cache_stats()
-            .unwrap_or((0, 0));
-        let timing = VmTiming {
-            instructions: outcome.report.instructions,
-            interp_secs,
-            block_secs,
-            cache,
-        };
-        codelayout_obs::metrics().gauge_set("vm.engine_speedup", timing.speedup());
-        self.vm_timing = Some(timing);
+        let (study, engine) = (&self.study, self.engine);
+        let measured =
+            codelayout_memsim::on_lanes(self.lanes, "measure_lane", &todo, |&(req, depth)| {
+                measure(study, engine, req, depth)
+            });
+        self.runs
+            .extend(todo.into_iter().map(|(req, _)| req).zip(measured));
     }
 
     /// Writes a figure's JSON result under the results directory and
@@ -620,8 +525,8 @@ impl Harness {
             "warmup_txns": sc.warmup_txns,
             "measure_txns": sc.measure_txns,
             "seed": sc.seed,
-            "sweep_threads": self.sweeper.threads() as u64,
-            "sweep_engine": self.sweeper.engine().label(),
+            "sweep_threads": self.lanes as u64,
+            "sweep_engine": self.engine.label(),
             "vm_engine": self.study.machine_config().engine.label(),
         })
     }
@@ -741,74 +646,76 @@ mod tests {
     use super::*;
     use codelayout_core::{LayoutParams, LayoutSeries};
     use codelayout_memsim::SweepSink;
+    use codelayout_vm::{FrozenTrace, TraceBuffer};
 
-    #[test]
-    fn pool_replayed_measurement_equals_a_live_feed() {
-        // The oracle: every collector and grid of a full measurement fed
-        // straight from the VM, as a live pass with no recording would.
-        let mut h = Harness::with_label(&Scenario::quick(), "quick");
-        let num_cpus = h.study.scenario.num_cpus;
-        for set in [OptimizationSet::BASE, OptimizationSet::ALL] {
-            let image = h.study.image(set);
-            let grid = |spec: SweepSpec| SweepSink::from_spec(&spec);
-            let mut live = TeeSink(
-                TeeSink(
-                    TeeSink(
-                        MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus)),
-                        LocalityCache::new(locality_config(), StreamFilter::UserOnly),
-                    ),
-                    TeeSink(
-                        SequenceProfiler::new(StreamFilter::UserOnly),
-                        FootprintCounter::new(128, StreamFilter::UserOnly),
-                    ),
-                ),
-                TeeSink(
-                    TeeSink(
-                        grid(sizes_4w_spec(num_cpus, StreamFilter::UserOnly)),
-                        grid(
-                            SweepSpec::paper_grid(1)
-                                .cpus(num_cpus)
-                                .filter(StreamFilter::UserOnly),
-                        ),
-                    ),
-                    TeeSink(
-                        TeeSink(
-                            grid(sizes_4w_spec(num_cpus, StreamFilter::All)),
-                            grid(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly)),
-                        ),
-                        CountingSink::default(),
-                    ),
-                ),
-            );
-            let outcome = h
-                .study
-                .run_measured(&image, &h.study.base_kernel_image, &mut live);
-            outcome.assert_correct();
-            let TeeSink(TeeSink(TeeSink(hier, locality), TeeSink(seq, fp)), grids) = live;
-            let TeeSink(TeeSink(user, dm), TeeSink(TeeSink(all, kernel), counts)) = grids;
+    /// Replays `trace` into `sink` and hands it back.
+    fn replay<S: TraceSink>(trace: &FrozenTrace, mut sink: S) -> S {
+        trace.replay(&mut sink);
+        sink
+    }
 
-            let d = h.run_request(set);
-            assert_eq!(d.hier_simos, Some(*hier.stats()));
-            assert!(hier.stats().data_accesses > 0);
-            assert_eq!(d.locality, Some(locality.finish()));
-            assert_eq!(d.seq_user, Some(seq.finish()));
-            assert_eq!(d.footprint_line_bytes, Some(fp.line_footprint_bytes()));
-            assert_eq!(d.footprint_instr_bytes, Some(fp.instr_footprint_bytes()));
-            assert_eq!(d.sizes_4w_user, user.results());
-            assert_eq!(d.dm_grid_user, dm.results());
-            assert_eq!(d.sizes_4w_all, all.results());
-            assert_eq!(d.sizes_4w_kernel, kernel.results());
-            assert_eq!(d.user_fetches, counts.fetches - counts.kernel_fetches);
-            assert_eq!(d.kernel_fetches, counts.kernel_fetches);
-            assert_eq!(d.outcome.report, outcome.report);
+    /// The oracle: `req`'s fetch-and-data trace, recorded once and
+    /// replayed serially into every grid, collector and timing hierarchy
+    /// a measurement of any depth feeds.
+    fn replayed(study: &Study, req: LayoutRequest) -> LayoutData {
+        let num_cpus = study.scenario.num_cpus;
+        let image = study.image(req);
+        let mut sink = TeeSink(TraceBuffer::new(), CountingSink::default());
+        let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
+        outcome.assert_correct();
+        let TeeSink(trace, counts) = sink;
+        let trace = trace.freeze();
+        let grid = |spec: SweepSpec| replay(&trace, SweepSink::from_spec(&spec)).results();
+        let hier = |cfg: HierarchyConfig| *replay(&trace, MemoryHierarchy::new(cfg)).stats();
+        let footprint = replay(&trace, FootprintCounter::new(128, StreamFilter::UserOnly));
+        let user = StreamFilter::UserOnly;
+        LayoutData {
+            label: req.to_string(),
+            text_bytes: image.text_bytes(),
+            dm_grid_user: grid(SweepSpec::paper_grid(1).cpus(num_cpus).filter(user)),
+            sizes_4w_user: grid(sizes_4w_spec(num_cpus, user)),
+            sizes_4w_all: grid(sizes_4w_spec(num_cpus, StreamFilter::All)),
+            sizes_4w_kernel: grid(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly)),
+            seq_user: Some(replay(&trace, SequenceProfiler::new(user)).finish()),
+            locality: Some(replay(&trace, LocalityCache::new(locality_config(), user)).finish()),
+            footprint_line_bytes: Some(footprint.line_footprint_bytes()),
+            footprint_instr_bytes: Some(footprint.instr_footprint_bytes()),
+            hier_simos: Some(hier(HierarchyConfig::simos_base(num_cpus))),
+            timing: Some(TimingData {
+                hier_21264: hier(TimingModel::hierarchy_21264(num_cpus)),
+                hier_21164: hier(TimingModel::hierarchy_21164(num_cpus)),
+            }),
+            user_fetches: counts.fetches - counts.kernel_fetches,
+            kernel_fetches: counts.kernel_fetches,
+            outcome,
         }
+    }
+
+    /// `all` with the fields a measurement at `depth` leaves empty
+    /// cleared.
+    fn at_depth(all: &LayoutData, depth: Depth) -> LayoutData {
+        let mut d = all.clone();
+        if depth < Depth::Timed {
+            d.timing = None;
+        }
+        if depth < Depth::Full {
+            d.dm_grid_user.clear();
+            d.sizes_4w_all.clear();
+            d.sizes_4w_kernel.clear();
+            d.seq_user = None;
+            d.locality = None;
+            d.footprint_line_bytes = None;
+            d.footprint_instr_bytes = None;
+            d.hier_simos = None;
+        }
+        d
     }
 
     /// Asserts two measurements of one request agree on every field but
     /// the wall time.
-    fn assert_same_measurement(got: &LayoutData, want: &LayoutData) {
-        let label = &want.label;
-        assert_eq!(got.label, *label);
+    fn assert_same_measurement(got: &LayoutData, want: &LayoutData, what: &str) {
+        let label = &format!("{} {what}", want.label);
+        assert_eq!(got.label, want.label, "{what}");
         assert_eq!(got.text_bytes, want.text_bytes, "{label}");
         assert_eq!(got.dm_grid_user, want.dm_grid_user, "{label}");
         assert_eq!(got.sizes_4w_user, want.sizes_4w_user, "{label}");
@@ -825,6 +732,7 @@ mod tests {
             "{label}"
         );
         assert_eq!(got.hier_simos, want.hier_simos, "{label}");
+        assert_eq!(got.timing, want.timing, "{label}");
         assert_eq!(got.user_fetches, want.user_fetches, "{label}");
         assert_eq!(got.kernel_fetches, want.kernel_fetches, "{label}");
         assert_eq!(got.outcome.report, want.outcome.report, "{label}");
@@ -836,9 +744,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_lanes_equal_a_live_feed_and_a_fresh_run() {
+    fn measurements_equal_a_serial_replay_of_the_recorded_trace() {
         // The request lists of fig07, compare and fig_static, with their
-        // overlaps and fig_static's repeated `base`.
+        // overlaps and fig_static's repeated `base`: `base` and `all` are
+        // full, the rest light.
         let reqs: Vec<LayoutRequest> = figures::paper_requests()
             .chain(LayoutSeries::comparison().map(LayoutRequest::from))
             .chain(
@@ -849,70 +758,63 @@ mod tests {
             .collect();
         let scenario = Scenario::quick();
         let study = build_study(&scenario);
-        let num_cpus = scenario.num_cpus;
-        // The oracle: each request's user size sweep and fetch counts fed
-        // straight from the VM.
-        let live: HashMap<LayoutRequest, _> = reqs
+        let replays: HashMap<LayoutRequest, LayoutData> = reqs
             .iter()
-            .map(|&req| {
-                let spec = sizes_4w_spec(num_cpus, StreamFilter::UserOnly);
-                let mut sink = TeeSink(SweepSink::from_spec(&spec), CountingSink::default());
-                let outcome =
-                    study.run_measured(&study.image(req), &study.base_kernel_image, &mut sink);
-                outcome.assert_correct();
-                (req, (sink.0.results(), sink.1, outcome.report))
-            })
+            .map(|&req| (req, replayed(&study, req)))
             .collect();
+        for d in replays.values() {
+            // The hierarchies consume the data events, see every fetch,
+            // and the smaller 21164-like L1 misses more.
+            assert!(d.hier_simos.expect("replayed").data_accesses > 0);
+            let t = d.timing.expect("replayed");
+            assert_eq!(t.hier_21264.fetches, d.user_fetches + d.kernel_fetches);
+            assert!(t.hier_21164.l1i_misses > t.hier_21264.l1i_misses);
+        }
         for engine in [SweepEngine::Stack, SweepEngine::Direct] {
-            let mut fresh = Harness::with_label(&scenario, "quick");
-            fresh.sweeper = ParallelSweep::new(1).with_engine(engine);
             // 1 and 3 lanes, then the `CODELAYOUT_THREADS` lane count.
-            for threads in [1, 3, ParallelSweep::from_env().threads()] {
+            for lanes in [1, 3, run_env().sweep_threads()] {
+                let what = format!("on {lanes} lanes, {} engine", engine.label());
                 let mut h = Harness::with_label(&scenario, "quick");
-                h.sweeper = ParallelSweep::new(threads).with_engine(engine);
+                (h.lanes, h.engine) = (lanes, engine);
                 h.prefetch(reqs.iter().copied());
-                assert_eq!(h.runs.len(), live.len());
+                assert_eq!(h.runs.len(), replays.len());
                 for req in &reqs {
-                    let d = &h.runs[req];
-                    let (user, counts, report) = &live[req];
-                    assert_eq!(d.sizes_4w_user, *user, "{req} on {threads} lanes");
-                    assert_eq!(d.user_fetches, counts.fetches - counts.kernel_fetches);
-                    assert_eq!(d.kernel_fetches, counts.kernel_fetches);
-                    assert_eq!(d.outcome.report, *report);
-                    assert_eq!(d.hier_simos.is_some(), is_full(req), "{req}");
-                    assert_same_measurement(d, fresh.run_request(*req));
+                    let want = at_depth(&replays[req], Depth::of(req));
+                    assert_same_measurement(&h.runs[req], &want, &what);
+                }
+                h.prefetch_timing(reqs.iter().copied());
+                for req in &reqs {
+                    let want = at_depth(&replays[req], Depth::of(req).max(Depth::Timed));
+                    assert_same_measurement(&h.runs[req], &want, &what);
                 }
             }
         }
     }
 
     #[test]
-    fn timing_equals_a_live_feed_of_both_hierarchies() {
+    fn a_timed_request_measures_a_light_entry_again_once() {
         let mut h = Harness::with_label(&Scenario::quick(), "quick");
-        let num_cpus = h.study.scenario.num_cpus;
         let req = LayoutRequest::from(OptimizationSet::CHAIN);
-        let mut live = TeeSink(
-            MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
-            MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
-        );
-        h.study
-            .run_measured(&h.study.image(req), &h.study.base_kernel_image, &mut live)
-            .assert_correct();
-
-        let t = *h.timing(req);
-        assert_eq!(t.hier_21264, *live.0.stats());
-        assert_eq!(t.hier_21164, *live.1.stats());
-        assert!(t.hier_21164.l1i_misses > t.hier_21264.l1i_misses);
-        // The hierarchies see every fetch: their count is the light
-        // measurement's instruction count.
-        let d = h.run_request(req);
-        assert_eq!(t.hier_21264.fetches, d.user_fetches + d.kernel_fetches);
-        assert!(
-            d.hier_simos.is_none(),
-            "a light request replays no collectors"
-        );
-        assert_eq!(*h.timing(req), t);
-        assert_eq!(h.timings.len(), 1);
+        let light = h.run_request(req).clone();
+        assert_eq!(light.depth(), Depth::Light);
+        h.timing(req);
+        let timed = h.runs[&req].clone();
+        assert_eq!(timed.depth(), Depth::Timed);
+        // A new pass (its wall time differs) that agrees on every field
+        // the light one measured.
+        assert_ne!(timed.outcome.run_wall, light.outcome.run_wall);
+        assert_same_measurement(&at_depth(&timed, Depth::Light), &light, "timed");
+        // From now on both depths are cache hits.
+        h.prefetch([req]);
+        h.prefetch_timing([req]);
+        h.run_request(req);
+        h.timing(req);
+        assert_eq!(h.runs[&req].outcome.run_wall, timed.outcome.run_wall);
+        // A full entry serves timing without another pass.
+        let base = h.run("base").outcome.run_wall;
+        h.timing(OptimizationSet::BASE);
+        assert_eq!(h.runs[&OptimizationSet::BASE.into()].outcome.run_wall, base);
+        assert_eq!(h.runs.len(), 2);
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Parallel replay of a frozen trace across sweep grids.
 //!
 //! A [`SweepSink`] feeds every (configuration, CPU) simulator from a
-//! live machine run in one pass. That is optimal when the workload
-//! executes once, but the experiment harness sweeps *several* grids per
-//! layout (direct-mapped user grid, 4-way user/kernel/combined grids),
-//! and the simulators dominate wall-clock time. [`ParallelSweep`] takes
-//! the other half of the record-once/replay-many design: given a
-//! [`FrozenTrace`] and a list of [`SweepSpec`] jobs, it shards the
-//! simulation across scoped worker threads. Each worker owns its
-//! simulators outright and replays the shared trace with no locks or
-//! atomics on the hot path; per-CPU statistics are merged into
-//! per-configuration cells only at join time.
+//! live machine run in one pass. A caller holding a recorded stream,
+//! such as the serving loop scoring an epoch's window, can split that
+//! work instead: given a [`FrozenTrace`] and a list of [`SweepSpec`]
+//! jobs, [`ParallelSweep`] shards the simulation across scoped worker
+//! threads. Each worker owns its simulators outright and replays the
+//! shared trace with no locks or atomics on the hot path; per-CPU
+//! statistics are merged into per-configuration cells only at join
+//! time.
 //!
 //! Two engines implement the same contract ([`SweepEngine`], default
 //! taken from `CODELAYOUT_SWEEP_ENGINE`):
@@ -39,24 +37,15 @@
 //! given shard consumes the identical filtered subsequence of the trace
 //! wherever it runs, the stack profiler reproduces [`ICacheSim`]'s
 //! statistics exactly, and [`CacheStats::merge`] is commutative `u64`
-//! addition.
-//!
-//! [`ParallelSweep::run_collecting`] adds a second kind of job: a
-//! [`Collector`] — a memory hierarchy, locality cache, sequence profiler
-//! or footprint counter — that must see the *whole* trace, fetches and
-//! data, in order. Collectors are not sharded; each rides on one pool
-//! worker, which feeds it in the same walk of the trace that feeds the
-//! worker's grid shards. A collector's input is therefore the recorded
-//! stream itself wherever it is placed, and its result equals a serial
-//! [`FrozenTrace::replay`] into it for any thread count. Grid shards
-//! ignore data events, so grids replayed from a fetch-and-data trace
-//! equal grids replayed from its fetch-only twin.
+//! addition. Grid shards ignore data events, so grids replayed from a
+//! fetch-and-data trace equal grids replayed from its fetch-only twin.
 //!
 //! [`GridSink`] is the serial form of one grid job for a caller that
 //! generates its stream on the fly, such as the autotuner's remapped
-//! window: a single stack worker holding every shard, built by the same
-//! shard constructor as the pool, or a [`SweepSink`] on the direct
-//! engine. It equals [`ParallelSweep::run_one`] on the recorded stream.
+//! window or the harness's live measurement pass: a single stack worker
+//! holding every shard, built by the same shard constructor as the
+//! pool, or a [`SweepSink`] on the direct engine. It equals
+//! [`ParallelSweep::run_one`] on the recorded stream.
 //!
 //! [`on_lanes`] is the pool's counterpart for work that is independent
 //! per item rather than per shard — a candidate layout to tune, a layout
@@ -66,77 +55,12 @@
 //! [`SweepSink`]: crate::SweepSink
 
 use crate::config::StreamFilter;
-use crate::footprint::FootprintCounter;
-use crate::hierarchy::MemoryHierarchy;
 use crate::icache::{AccessClass, CacheStats, ICacheSim};
-use crate::locality::LocalityCache;
-use crate::sequence::SequenceProfiler;
 use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
 use codelayout_obs::SweepEngine;
-use codelayout_vm::{DataRecord, FetchRecord, FrozenTrace, TraceSink};
-
-/// A whole-trace consumer for [`ParallelSweep::run_collecting`]: one
-/// pool worker feeds it every event of the trace, fetches and data, in
-/// recorded order, and hands it back when the walk ends.
-#[derive(Debug, Clone)]
-pub enum Collector {
-    /// A full memory hierarchy, such as Figure 14's SimOS system; the
-    /// only kind that consumes data events.
-    Hierarchy(MemoryHierarchy),
-    /// Word-use, reuse and lifetime metrics (Figures 9–11).
-    Locality(LocalityCache),
-    /// Sequential run lengths (Figure 8).
-    Sequence(SequenceProfiler),
-    /// Unique lines and instructions (the packing claim).
-    Footprint(FootprintCounter),
-}
-
-impl TraceSink for Collector {
-    #[inline]
-    fn fetch(&mut self, rec: FetchRecord) {
-        match self {
-            Collector::Hierarchy(c) => c.fetch(rec),
-            Collector::Locality(c) => c.fetch(rec),
-            Collector::Sequence(c) => c.fetch(rec),
-            Collector::Footprint(c) => c.fetch(rec),
-        }
-    }
-
-    #[inline]
-    fn data(&mut self, rec: DataRecord) {
-        if let Collector::Hierarchy(c) = self {
-            c.data(rec);
-        }
-    }
-}
-
-/// One pool worker: its grid shards (`G`, an engine's worker) plus the
-/// collectors placed on it, if any (tagged with their placement index),
-/// fed in one walk of the trace.
-struct PoolWorker<G> {
-    grid: G,
-    collectors: Vec<(usize, Collector)>,
-}
-
-impl<G: TraceSink> TraceSink for PoolWorker<G> {
-    #[inline]
-    fn fetch(&mut self, rec: FetchRecord) {
-        self.grid.fetch(rec);
-        for (_, c) in &mut self.collectors {
-            c.fetch(rec);
-        }
-    }
-
-    #[inline]
-    fn data(&mut self, rec: DataRecord) {
-        // Grid shards simulate instruction caches only.
-        for (_, c) in &mut self.collectors {
-            c.data(rec);
-        }
-    }
-}
+use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
 
 /// One direct-engine unit: a (configuration, CPU) simulator.
 struct DirectShard {
@@ -242,8 +166,8 @@ struct StackWorker {
 }
 
 impl TraceSink for StackWorker {
-    // Always inlined into `PoolWorker::fetch`: outlined, a call per
-    // record costs the replay loop about 10%.
+    // Always inlined into the replay loop: outlined, a call per record
+    // costs it about 10%.
     #[inline(always)]
     fn fetch(&mut self, rec: FetchRecord) {
         let key =
@@ -359,8 +283,8 @@ impl StackWorker {
     }
 }
 
-/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs, and
-/// optionally [`Collector`] jobs, on a pool of scoped threads.
+/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs on a
+/// pool of scoped threads.
 ///
 /// ```
 /// use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSink, SweepSpec};
@@ -401,14 +325,6 @@ impl ParallelSweep {
         }
     }
 
-    /// Thread count and engine from the process environment
-    /// (`CODELAYOUT_THREADS`, `CODELAYOUT_SWEEP_ENGINE` — see
-    /// [`codelayout_obs::RunEnv`]).
-    pub fn from_env() -> Self {
-        let env = codelayout_obs::run_env();
-        ParallelSweep::new(env.sweep_threads()).with_engine(env.sweep_engine)
-    }
-
     /// Selects the replay engine.
     pub fn with_engine(mut self, engine: SweepEngine) -> Self {
         self.engine = engine;
@@ -430,30 +346,14 @@ impl ParallelSweep {
     /// over CPUs — the exact shape [`crate::SweepSink::results`]
     /// returns).
     pub fn run(&self, trace: &FrozenTrace, jobs: &[SweepSpec]) -> Vec<Vec<SweepCell>> {
-        self.run_collecting(trace, jobs, Vec::new()).0
-    }
-
-    /// Like [`ParallelSweep::run`], and also feeds every collector the
-    /// whole trace on the same pool: each collector rides on one worker,
-    /// which walks the trace once for its grid shards and its
-    /// collectors together. Returns the grid results and the collectors,
-    /// in the order given, each in the state a serial
-    /// [`FrozenTrace::replay`] into it would leave (for any thread count
-    /// and placement).
-    pub fn run_collecting(
-        &self,
-        trace: &FrozenTrace,
-        jobs: &[SweepSpec],
-        collectors: Vec<Collector>,
-    ) -> (Vec<Vec<SweepCell>>, Vec<Collector>) {
         let _sweep_span = codelayout_obs::span("sweep");
         let grids: Vec<Vec<crate::CacheConfig>> = jobs.iter().map(SweepSpec::configs).collect();
         let mut results: Vec<Vec<SweepCell>> = grids.iter().map(|g| empty_cells(g)).collect();
-        let collectors = match self.engine {
-            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results, collectors),
-            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results, collectors),
-        };
-        (results, collectors)
+        match self.engine {
+            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results),
+            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results),
+        }
+        results
     }
 
     fn run_direct(
@@ -462,8 +362,7 @@ impl ParallelSweep {
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
-        collectors: Vec<Collector>,
-    ) -> Vec<Collector> {
+    ) {
         // Enumerate shards per job, then round-robin them over workers
         // so each worker carries a similar mix of small and large
         // simulations. Workers keep their shards grouped by job so the
@@ -473,7 +372,7 @@ impl ParallelSweep {
             .zip(jobs)
             .map(|(g, j)| g.len() * j.num_cpus())
             .sum();
-        let num_workers = self.record_pool(jobs.len(), total, collectors.len());
+        let num_workers = self.record_pool(jobs.len(), total);
         let mut workers: Vec<DirectWorker> = (0..num_workers)
             .map(|_| DirectWorker { jobs: Vec::new() })
             .collect();
@@ -495,8 +394,7 @@ impl ParallelSweep {
             }
         }
 
-        let (workers, collectors) = replay_pool(trace, workers, collectors, next, |_| {});
-        for worker in workers {
+        for worker in replay_workers(trace, workers, |_| {}) {
             for dj in worker.jobs {
                 let cells = &mut results[dj.job];
                 for shard in dj.shards {
@@ -504,7 +402,6 @@ impl ParallelSweep {
                 }
             }
         }
-        collectors
     }
 
     fn run_stack(
@@ -513,12 +410,11 @@ impl ParallelSweep {
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
-        collectors: Vec<Collector>,
-    ) -> Vec<Collector> {
+    ) {
         let shards = stack_shards(jobs, grids);
         let batch_shift = StackWorker::batch_shift(&shards);
         let num_shards = shards.len();
-        let num_workers = self.record_pool(jobs.len(), num_shards, collectors.len());
+        let num_workers = self.record_pool(jobs.len(), num_shards);
         let mut workers: Vec<StackWorker> = (0..num_workers)
             .map(|_| StackWorker::new(batch_shift))
             .collect();
@@ -529,23 +425,15 @@ impl ParallelSweep {
             worker.seal();
         }
 
-        let (workers, collectors) = replay_pool(
-            trace,
-            workers,
-            collectors,
-            num_shards,
-            StackWorker::flush_repeats,
-        );
-        for worker in workers {
+        for worker in replay_workers(trace, workers, StackWorker::flush_repeats) {
             worker.merge_into(results);
         }
-        collectors
     }
 
-    /// Clamps the pool size to the number of units (grid shards plus
-    /// collectors) and records the grid's shape in the metrics registry.
-    fn record_pool(&self, jobs: usize, shards: usize, collectors: usize) -> usize {
-        let num_workers = self.threads.min((shards + collectors).max(1));
+    /// Clamps the pool size to the number of shards and records the
+    /// grid's shape in the metrics registry.
+    fn record_pool(&self, jobs: usize, shards: usize) -> usize {
+        let num_workers = self.threads.min(shards.max(1));
         let m = codelayout_obs::metrics();
         m.add("sweep.runs", 1);
         m.add("sweep.jobs", jobs as u64);
@@ -704,45 +592,6 @@ pub fn on_lanes<T: Sync, R: Send>(
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Replays `trace` into every grid worker on its own scoped thread,
-/// with `collectors` dealt round-robin onto the workers from unit index
-/// `next` on (the grid shards take the indices before it). Calls
-/// `finish` on each grid worker after its last record and hands back the
-/// grid workers and the collectors, the latter in the order given.
-fn replay_pool<G, F>(
-    trace: &FrozenTrace,
-    grids: Vec<G>,
-    collectors: Vec<Collector>,
-    next: usize,
-    finish: F,
-) -> (Vec<G>, Vec<Collector>)
-where
-    G: TraceSink + Send,
-    F: Fn(&mut G) + Sync,
-{
-    let n = grids.len();
-    let mut workers: Vec<PoolWorker<G>> = grids
-        .into_iter()
-        .map(|grid| PoolWorker {
-            grid,
-            collectors: Vec::new(),
-        })
-        .collect();
-    for (k, c) in collectors.into_iter().enumerate() {
-        workers[(next + k) % n].collectors.push((k, c));
-    }
-    let mut collected = Vec::new();
-    let grids = replay_workers(trace, workers, |w| finish(&mut w.grid))
-        .into_iter()
-        .map(|w| {
-            collected.extend(w.collectors);
-            w.grid
-        })
-        .collect();
-    collected.sort_unstable_by_key(|&(k, _)| k);
-    (grids, collected.into_iter().map(|(_, c)| c).collect())
-}
-
 /// Replays `trace` into every worker on its own scoped thread, calling
 /// `finish` on each worker after its last record, and hands the workers
 /// back for result collection.
@@ -798,9 +647,8 @@ where
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::hierarchy::HierarchyConfig;
     use crate::sweep::SweepSink;
-    use codelayout_vm::TraceBuffer;
+    use codelayout_vm::{DataRecord, TraceBuffer};
 
     /// A small mixed user/kernel multi-CPU trace.
     fn test_trace() -> FrozenTrace {
@@ -862,81 +710,6 @@ mod tests {
             }
         }
         (mixed.freeze(), fetch_only.freeze())
-    }
-
-    /// One collector of every kind, the hierarchy on a small machine so
-    /// its L1s and L2 miss often.
-    fn every_collector() -> Vec<Collector> {
-        let small = HierarchyConfig {
-            num_cpus: 3,
-            l1i: CacheConfig::new(4 * 1024, 64, 2),
-            l1d: CacheConfig::new(4 * 1024, 64, 2),
-            l2: CacheConfig::new(32 * 1024, 64, 4),
-            itlb_entries: 8,
-            page_bytes: 4096,
-        };
-        vec![
-            Collector::Hierarchy(MemoryHierarchy::new(small)),
-            Collector::Locality(LocalityCache::new(
-                CacheConfig::new(8 * 1024, 128, 4),
-                StreamFilter::UserOnly,
-            )),
-            Collector::Sequence(SequenceProfiler::new(StreamFilter::All)),
-            Collector::Footprint(FootprintCounter::new(128, StreamFilter::KernelOnly)),
-        ]
-    }
-
-    /// A collector's final result, comparable across runs.
-    fn collector_result(c: Collector) -> String {
-        match c {
-            Collector::Hierarchy(h) => format!("{:?}", h.stats()),
-            Collector::Locality(l) => format!("{:?}", l.finish()),
-            Collector::Sequence(s) => format!("{:?}", s.finish()),
-            Collector::Footprint(f) => format!(
-                "{} {} {} {}",
-                f.unique_lines(),
-                f.unique_instructions(),
-                f.line_footprint_bytes(),
-                f.instr_footprint_bytes()
-            ),
-        }
-    }
-
-    #[test]
-    fn collectors_on_the_pool_match_serial_replay() {
-        let (trace, _) = mixed_traces();
-        let mut replayed = every_collector();
-        for c in &mut replayed {
-            trace.replay(c);
-        }
-        // The hierarchy really consumes the data events.
-        let Collector::Hierarchy(h) = &replayed[0] else {
-            unreachable!("every_collector starts with the hierarchy")
-        };
-        assert!(h.stats().data_accesses > 4_000, "{:?}", h.stats());
-        let expected: Vec<String> = replayed.into_iter().map(collector_result).collect();
-        let jobs = [
-            SweepSpec::paper_grid(1).cpus(3),
-            SweepSpec::grid()
-                .size_kb(2)
-                .line_b(64)
-                .cpus(3)
-                .filter(StreamFilter::KernelOnly),
-        ];
-        let cells: Vec<Vec<SweepCell>> = jobs.iter().map(|j| serial(&trace, j)).collect();
-        for threads in [1, 2, 5, 64] {
-            for sweep in both_engines(threads) {
-                let what = format!("threads = {threads}, engine = {}", sweep.engine().label());
-                // Alongside grid jobs (collectors share workers with
-                // shards) and alone (every worker is a collector).
-                for jobs in [&jobs[..], &[]] {
-                    let (grids, collected) = sweep.run_collecting(&trace, jobs, every_collector());
-                    assert_eq!(grids, cells[..jobs.len()], "{what}");
-                    let got: Vec<String> = collected.into_iter().map(collector_result).collect();
-                    assert_eq!(got, expected, "{what}, {} grid jobs", jobs.len());
-                }
-            }
-        }
     }
 
     #[test]
