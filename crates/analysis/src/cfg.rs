@@ -1,9 +1,10 @@
-//! Source-level control-flow facts shared by the validator and the linter.
+//! Source-level control-flow facts shared by the linter and the static
+//! analyses.
 //!
 //! Everything here is derived from the [`Program`] alone — no layout, no
-//! image — so it is the *specification* side of translation validation:
-//! the reconstructed image CFG must be provably equivalent to what this
-//! module computes.
+//! image. It is the same specification translation validation proves the
+//! image against; the validator walks the program directly instead, so
+//! that a validation allocates nothing per block.
 
 use codelayout_ir::{BlockId, Instr, ProcId, Program};
 

@@ -18,7 +18,6 @@
 //! divergence is a hard [`ValidationError`] naming the offending block and
 //! edge.
 
-use crate::cfg::SourceCfg;
 use codelayout_ir::{
     verify_layout, BlockId, Image, Instr, LInstr, Layout, ProcId, Program, Terminator,
 };
@@ -238,9 +237,10 @@ pub struct TranslationReport {
 }
 
 /// How one block's control leaves it in the image, reconstructed by the
-/// walker.
+/// walker. Jump-table targets are borrowed from the source terminator:
+/// the decoder proves every encoded entry equal to its source target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum ImageExit {
+enum ImageExit<'p> {
     /// Falls off the end of the region into the next block.
     FallThrough(BlockId),
     /// Unconditional branch to a block.
@@ -253,20 +253,22 @@ enum ImageExit {
         inverted: bool,
         split: bool,
     },
-    /// Jump table: in-range targets then default.
-    Table(Vec<BlockId>),
+    /// Jump table: in-range targets, then the default.
+    Table(&'p [BlockId], BlockId),
     /// Return or halt: no successors.
     Stop,
 }
 
-impl ImageExit {
-    fn successors(&self) -> Vec<BlockId> {
-        match self {
-            ImageExit::FallThrough(t) | ImageExit::Branch(t) => vec![*t],
-            ImageExit::Cond { taken, other, .. } => vec![*taken, *other],
-            ImageExit::Table(ts) => ts.clone(),
-            ImageExit::Stop => Vec::new(),
-        }
+impl ImageExit<'_> {
+    /// The exit's successor edges, in encoding order, without allocating.
+    fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (head, last): (&[BlockId], Option<BlockId>) = match self {
+            ImageExit::FallThrough(t) | ImageExit::Branch(t) => (std::slice::from_ref(t), None),
+            ImageExit::Cond { taken, other, .. } => (std::slice::from_ref(taken), Some(*other)),
+            ImageExit::Table(targets, default) => (targets, Some(*default)),
+            ImageExit::Stop => (&[], None),
+        };
+        head.iter().copied().chain(last)
     }
 }
 
@@ -297,12 +299,15 @@ pub fn validate_translation(
     }
     let owner_of = |idx: u32| image.block_of[idx as usize];
 
-    let cfg = SourceCfg::of(program);
     let mut report = TranslationReport {
         blocks: n,
         ..TranslationReport::default()
     };
     let mut exits: Vec<Option<ImageExit>> = vec![None; n];
+    // The current block's source successors (deduplicated, in terminator
+    // order) and its image successor set (sorted), reused across blocks:
+    // the walk allocates nothing per block.
+    let (mut expected, mut found_set) = (Vec::new(), Vec::new());
 
     for (pos, &b) in layout.order.iter().enumerate() {
         let blk = program.block(b);
@@ -332,42 +337,44 @@ pub fn validate_translation(
         let exit = decode_exit(image, b, &blk.term, tail, next, &mut report)?;
 
         // 3. Edge-set equivalence against the source CFG.
-        let mut found = exit.successors();
-        found.dedup();
-        let mut f_sorted = found.clone();
-        f_sorted.sort_unstable();
-        f_sorted.dedup();
-        let mut e_sorted = cfg.succs[b.index()].clone();
-        e_sorted.sort_unstable();
-        if f_sorted != e_sorted {
+        expected.clear();
+        for t in blk.term.successors() {
+            if !expected.contains(&t) {
+                expected.push(t);
+            }
+        }
+        found_set.clear();
+        found_set.extend(exit.successors());
+        found_set.sort_unstable();
+        found_set.dedup();
+        let same_set = found_set.len() == expected.len()
+            && expected.iter().all(|t| found_set.binary_search(t).is_ok());
+        if !same_set {
+            let mut found: Vec<BlockId> = exit.successors().collect();
+            found.dedup();
             return Err(ValidationError::EdgeMismatch {
                 block: b,
-                expected: cfg.succs[b.index()].clone(),
+                expected: expected.clone(),
                 found,
             });
         }
-        report.edges += e_sorted.len();
+        report.edges += expected.len();
         exits[b.index()] = Some(exit);
     }
 
-    // 4. Reachability equivalence: walk the reconstructed image CFG the
-    // same way SourceCfg walks the source (successors + call entries) and
-    // require the identical block set.
-    let mut image_reach = vec![false; n];
-    let entry_block = owner_of(image.entry);
-    let mut work = vec![entry_block];
-    image_reach[entry_block.index()] = true;
-    while let Some(b) = work.pop() {
-        let exit = exits[b.index()].as_ref().expect("all blocks decoded");
-        let callees = cfg.calls[b.index()].iter().map(|&c| program.proc(c).entry);
-        for t in exit.successors().into_iter().chain(callees) {
-            if !image_reach[t.index()] {
-                image_reach[t.index()] = true;
-                work.push(t);
-            }
-        }
-    }
-    for (i, (&in_image, &in_source)) in image_reach.iter().zip(&cfg.reachable).enumerate() {
+    // 4. Reachability equivalence: walk the reconstructed image CFG and
+    // the source CFG the same way (successors + call entries) and require
+    // the identical block set.
+    let image_reach = reachable(program, owner_of(image.entry), |b| {
+        exits[b.index()]
+            .as_ref()
+            .expect("all blocks decoded")
+            .successors()
+    });
+    let source_reach = reachable(program, program.proc(program.entry).entry, |b| {
+        program.block(b).term.successors()
+    });
+    for (i, (&in_image, &in_source)) in image_reach.iter().zip(&source_reach).enumerate() {
         if in_image != in_source {
             return Err(ValidationError::ReachabilityDivergence {
                 block: BlockId(u32::try_from(i).expect("verified")),
@@ -376,20 +383,45 @@ pub fn validate_translation(
             });
         }
     }
-    report.reachable_blocks = cfg.reachable_count();
+    report.reachable_blocks = source_reach.iter().filter(|&&r| r).count();
     Ok(report)
 }
 
+/// The blocks reachable from `entry` over `succs` and call edges: a block
+/// reaches its successors and the entry block of every procedure its body
+/// calls (the same closure as [`SourceCfg`](crate::SourceCfg) computes).
+fn reachable<I: Iterator<Item = BlockId>>(
+    program: &Program,
+    entry: BlockId,
+    succs: impl Fn(BlockId) -> I,
+) -> Vec<bool> {
+    let mut reach = vec![false; program.blocks.len()];
+    let mut work = vec![entry];
+    reach[entry.index()] = true;
+    while let Some(b) = work.pop() {
+        let callees = program.block(b).instrs.iter().filter_map(|i| match i {
+            Instr::Call { callee } => Some(program.proc(*callee).entry),
+            _ => None,
+        });
+        for t in succs(b).chain(callees) {
+            if !reach[t.index()] {
+                reach[t.index()] = true;
+                work.push(t);
+            }
+        }
+    }
+    reach
+}
+
 /// Decodes one block's exit and proves it realizes the source terminator.
-/// Exposed to the lint engine via [`decode_exits`].
-fn decode_exit(
+fn decode_exit<'p>(
     image: &Image,
     b: BlockId,
-    term: &Terminator,
+    term: &'p Terminator,
     tail: &[LInstr],
     next: Option<BlockId>,
     report: &mut TranslationReport,
-) -> Result<ImageExit, ValidationError> {
+) -> Result<ImageExit<'p>, ValidationError> {
     let start_of = |t: BlockId| image.block_start[t.index()];
     // Maps an encoded target index to the block it must start; a target
     // inside a block is corruption.
@@ -533,7 +565,6 @@ fn decode_exit(
                         targets.len()
                     )));
                 }
-                let mut succ = Vec::with_capacity(targets.len() + 1);
                 for (&enc, &src) in table.iter().zip(targets) {
                     let dest = block_at(enc)?;
                     if dest != src {
@@ -543,7 +574,6 @@ fn decode_exit(
                             found: vec![dest],
                         });
                     }
-                    succ.push(dest);
                 }
                 let dd = block_at(*d)?;
                 if dd != *default {
@@ -553,8 +583,7 @@ fn decode_exit(
                         found: vec![dd],
                     });
                 }
-                succ.push(dd);
-                Ok(ImageExit::Table(succ))
+                Ok(ImageExit::Table(targets, dd))
             }
             _ => Err(mismatch(&render_tail(tail))),
         },

@@ -265,10 +265,19 @@ pub fn exttsp_proc_order_with(
         params,
         merge_chains,
         span_score_with,
+        true,
     )
 }
 
 /// [`exttsp_proc_order_with`] over a given chain merger and span scorer.
+///
+/// With `unlinked_shortcut`, a procedure with no weighted edge between
+/// two distinct blocks skips merging and candidate selection: every
+/// arrangement then scores the same (a self-loop's score depends only on
+/// its block's size), the merger merges nothing, and the merged order —
+/// which wins score ties — is its emit order: the entry first, then the
+/// other blocks by block count, descending, then local index. The test
+/// reference runs the full path instead.
 fn proc_order_by(
     program: &Program,
     profile: &Profile,
@@ -276,6 +285,7 @@ fn proc_order_by(
     params: &LayoutParams,
     merge: MergeFn,
     span_score: SpanScoreFn,
+    unlinked_shortcut: bool,
 ) -> Vec<BlockId> {
     let ep = &params.exttsp;
     let blocks = &program.proc(proc).blocks;
@@ -289,7 +299,6 @@ fn proc_order_by(
     for (i, &b) in blocks.iter().enumerate() {
         local.insert(b, i as u32);
     }
-    let sizes: Vec<u64> = blocks.iter().map(|&b| block_bytes(program, b)).collect();
     let entry_local = local[&entry];
 
     // Weighted intra-procedure edges in local indices, deduplicated.
@@ -311,6 +320,15 @@ fn proc_order_by(
         }
     }
 
+    if unlinked_shortcut && edges.is_empty() {
+        let mut rest: Vec<usize> = (0..n).filter(|&i| i != entry_local as usize).collect();
+        rest.sort_by_key(|&i| (std::cmp::Reverse(profile.block_count(blocks[i])), i));
+        return std::iter::once(entry)
+            .chain(rest.into_iter().map(|i| blocks[i]))
+            .collect();
+    }
+
+    let sizes: Vec<u64> = blocks.iter().map(|&b| block_bytes(program, b)).collect();
     let merged = merge(n, &sizes, &edges, entry_local, profile, blocks, ep);
 
     // Candidate selection under the shared scorer; the merged order wins
@@ -1179,14 +1197,23 @@ mod tests {
         for p in 0..program.procs.len() {
             let proc = ProcId(p as u32);
             assert_eq!(
-                proc_order_by(program, profile, proc, params, merge_chains, no_score),
+                proc_order_by(
+                    program,
+                    profile,
+                    proc,
+                    params,
+                    merge_chains,
+                    no_score,
+                    false
+                ),
                 proc_order_by(
                     program,
                     profile,
                     proc,
                     params,
                     reference::merge_chains,
-                    no_score
+                    no_score,
+                    false
                 ),
                 "{} proc {p}: merged order under {ep:?}",
                 program.name
@@ -1200,7 +1227,8 @@ mod tests {
                     proc,
                     params,
                     reference::merge_chains,
-                    reference::span_score_dense
+                    reference::span_score_dense,
+                    false
                 ),
                 "{} proc {p}: final order under {ep:?}",
                 program.name
@@ -1283,6 +1311,141 @@ mod tests {
                         reference::span_score_dense(&program, &profile, &ep, &span),
                         "span {:?}", span
                     );
+                }
+            }
+        }
+    }
+
+    /// How [`loopy_case`] profiles one procedure.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum ProcHeat {
+        /// Nothing ran.
+        Cold,
+        /// Only the entry block ran; no edge was taken.
+        EntryOnly,
+        /// Blocks ran, but only self-loop edges were taken.
+        SelfLoops,
+        /// Random counts on every block and edge.
+        Hot,
+    }
+
+    /// A program of procedures whose blocks may loop on themselves, and a
+    /// profile that leaves each procedure cold, entry-only, self-loop-only
+    /// or hot (drawn per procedure).
+    fn loopy_case(seed: u64) -> (Program, Profile, Vec<ProcHeat>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pb = ProgramBuilder::new(format!("loopy-{seed}"));
+        let procs: Vec<ProcId> = (0..6).map(|i| pb.declare_proc(format!("p{i}"))).collect();
+        for (pi, &id) in procs.iter().enumerate() {
+            let mut f = ProcBuilder::new();
+            let mut blocks = vec![f.entry()];
+            for _ in 1..rng.gen_range(1..=10usize) {
+                blocks.push(f.new_block());
+            }
+            let n = blocks.len();
+            for i in 0..n {
+                f.select(blocks[i]);
+                for _ in 0..rng.gen_range(0..4u32) {
+                    f.nop();
+                }
+                if i + 1 == n {
+                    if pi == 0 {
+                        f.halt();
+                    } else {
+                        f.ret();
+                    }
+                    continue;
+                }
+                let later = |rng: &mut StdRng| blocks[rng.gen_range(i + 1..n)];
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let t = later(&mut rng);
+                        f.jump(t);
+                    }
+                    1 => {
+                        let t = later(&mut rng);
+                        f.branch(Cond::Ne, Reg(1), Operand::Imm(0), blocks[i], t);
+                    }
+                    _ => {
+                        let (t, e) = (later(&mut rng), later(&mut rng));
+                        f.branch(Cond::Lt, Reg(1), Operand::Imm(3), t, e);
+                    }
+                }
+            }
+            pb.define_proc(id, f).expect("generated body is valid");
+        }
+        let program = pb.finish(procs[0]).expect("generated program verifies");
+        let mut profile = Profile::new(program.blocks.len());
+        let mut heat = Vec::new();
+        for proc in &program.procs {
+            let h = [
+                ProcHeat::Cold,
+                ProcHeat::EntryOnly,
+                ProcHeat::SelfLoops,
+                ProcHeat::Hot,
+            ][rng.gen_range(0..4usize)];
+            for &b in &proc.blocks {
+                let ran = match h {
+                    ProcHeat::Cold => false,
+                    ProcHeat::EntryOnly => b == proc.entry,
+                    ProcHeat::SelfLoops | ProcHeat::Hot => true,
+                };
+                if ran {
+                    profile.block_counts[b.index()] = rng.gen_range(1..=999);
+                }
+                for t in program.block(b).term.successors() {
+                    if h == ProcHeat::Hot || (h == ProcHeat::SelfLoops && t == b) {
+                        profile
+                            .edge_counts
+                            .insert((b.0, t.0), rng.gen_range(1..=999));
+                    }
+                }
+            }
+            heat.push(h);
+        }
+        (program, profile, heat)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A procedure with no weighted edge between distinct blocks takes
+        /// the pass's shortcut and still gets the order of the full merger
+        /// and candidate selection: the entry, then the other blocks by
+        /// count, descending, then position. Hot procedures take the full
+        /// path and match it too.
+        #[test]
+        fn unlinked_shortcut_matches_the_full_merger(
+            seed in 0u64..100_000,
+            knob_i in 0usize..64,
+            value_i in 0usize..64,
+        ) {
+            let (program, profile, heat) = loopy_case(seed);
+            let space = exttsp_knobs();
+            let drawn = &space.knobs()[knob_i % space.len()];
+            let mut params = LayoutParams::default();
+            drawn.set(&mut params, drawn.values()[value_i % drawn.values().len()]);
+            for (p, &h) in heat.iter().enumerate() {
+                let proc = ProcId(p as u32);
+                let order = exttsp_proc_order_with(&program, &profile, proc, &params);
+                prop_assert_eq!(
+                    &order,
+                    &proc_order_by(
+                        &program,
+                        &profile,
+                        proc,
+                        &params,
+                        reference::merge_chains,
+                        reference::span_score_dense,
+                        false,
+                    ),
+                    "proc {} ({:?})", p, h
+                );
+                if h != ProcHeat::Hot {
+                    let blocks = &program.procs[p].blocks;
+                    let mut want = blocks.clone();
+                    want[1..].sort_by_key(|&b| std::cmp::Reverse(profile.block_count(b)));
+                    prop_assert_eq!(&order, &want, "proc {} ({:?})", p, h);
                 }
             }
         }

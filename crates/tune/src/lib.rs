@@ -15,17 +15,27 @@
 //!    instructions of one block from `offset`, on one CPU and process.
 //!    Sequential fetch makes runs long — on `sim`, a million fetches
 //!    are about 221 k runs.
-//! 2. **Remap + replay per candidate.** For each candidate parameter
-//!    point, build the layout ([`codelayout_oltp::Study::layout`]) and
-//!    link and validate it through the same step as every study image
+//! 2. **Score each distinct block order once.** For each candidate
+//!    parameter point, build the layout ([`codelayout_oltp::Study::layout`]).
+//!    The score is a pure function of the layout's block order, so a
+//!    per-family memo keyed by the whole order (compared element by
+//!    element, never by a hash alone) answers an order the family's
+//!    search already scored. Only a new order is linked and validated
+//!    through the same step as every study image
 //!    ([`codelayout_oltp::Study::link_validated`]) — **unconditionally**
-//!    (an invalid candidate scores `u64::MAX` and can never win). Then
-//!    stream every recorded run, translated into the candidate image's
-//!    addresses, straight into a serial cache grid
+//!    (an invalid candidate scores `u64::MAX` and can never win) — and
+//!    replayed: every recorded run, translated into the candidate
+//!    image's addresses, streams straight into a serial cache grid
 //!    ([`codelayout_memsim::GridSink`], bit-identical to the parallel
 //!    sweep); no trace is materialized. The fitness is the summed miss
-//!    count over the evaluation grid. The baseline and the fixed
-//!    yardsticks are scored by the same path.
+//!    count over the evaluation grid. A memo hit is still charged as a
+//!    fresh candidate (and counted in `tune.layout_hits`), so the
+//!    trajectory and the budget do not depend on the memo. The fixed
+//!    yardsticks are scored by the same path, and each searched family's
+//!    memo starts with its yardstick's order (the family's default point
+//!    is the same series at the same parameters); the memo is dropped
+//!    when the family ends. On `sim`, 71 of the 145 candidates repeat an
+//!    earlier order of their family.
 //! 3. **Search.** Per series family: evaluate the defaults first (the
 //!    fixed series everyone ships), greedy coordinate descent from
 //!    there, then seeded random restarts, under a per-family candidate
@@ -36,22 +46,27 @@
 //!
 //! **Lanes.** A candidate's score is a pure function of its parameter
 //! point, so candidates can be evaluated anywhere, in any order.
-//! [`TuneConfig::sweep_threads`] sets the number of evaluation lanes;
-//! each lane runs a candidate's whole build → link → validate → remap →
-//! replay on one core. Lane 0 is the calling thread, the others are
-//! scoped threads under a `tune_lane` root span. Before a probe the
-//! search has not seen, it evaluates that probe together with the next
-//! uncached ±1 neighbours the descent would probe after it (if the
-//! current point does not move) on the lanes, into a per-family memo.
-//! The batch is capped by the lane count and the family's remaining
-//! candidate budget, and none starts once the wall budget is spent. The
-//! search itself stays sequential: it charges points in the same order
-//! as a single lane would, taking a memoized result instead of
-//! recomputing it. Candidate indices, `tune/candidate` events, `tune.*`
-//! counters, cache hits, the budget and the trajectory therefore cannot
-//! depend on the lane count. A memoized point the search never reaches
-//! (the descent moved first) is wasted work, never a different result.
-//! The fixed yardsticks are spread over the lanes too.
+//! [`TuneConfig::sweep_threads`] sets the number of evaluation lanes.
+//! Lane 0 is the calling thread, the others are scoped threads under a
+//! `tune_lane` root span. Before a probe the search has not seen, it
+//! evaluates that probe together with the next uncached ±1 neighbours
+//! the descent would probe after it (if the current point does not
+//! move) as one batch. The lanes build the batch's layouts; the calling
+//! thread looks each order up in the family's memo and dedups the batch;
+//! the lanes then link, validate and replay each distinct new order on
+//! one core; and the calling thread records them in the memo. Lanes
+//! never touch the memo, so each distinct order is linked, validated
+//! and replayed once per family, whatever the lane count. The batch is
+//! capped by the lane count and the family's remaining candidate budget,
+//! and none starts once the wall budget is spent. The search itself
+//! stays sequential: it charges points in the same order as a single
+//! lane would, taking a result computed ahead instead of recomputing it.
+//! Candidate indices, `tune/candidate` events, `tune.*` counters, cache
+//! and layout hits, the budget and the trajectory therefore cannot
+//! depend on the lane count. A point computed ahead that the search
+//! never reaches (the descent moved first) is wasted work, never a
+//! different result. The fixed yardsticks are spread over the lanes
+//! too.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -73,7 +88,7 @@
 use codelayout_core::{
     LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
 };
-use codelayout_ir::Image;
+use codelayout_ir::{BlockId, Image, Layout};
 use codelayout_memsim::{GridSink, StreamFilter, SweepSpec};
 use codelayout_obs::{run_env, SweepEngine};
 use codelayout_oltp::{Scenario, Study};
@@ -81,7 +96,7 @@ use codelayout_vm::{FetchRecord, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Cache sizes (KB) of the fitness-oracle grid. Deliberately extends
 /// the paper's 32–512 KB sweep *downward*: layout quality shows up as
@@ -247,6 +262,10 @@ pub struct FamilyResult {
     pub cache_hits: u64,
     /// Candidates rejected by translation validation.
     pub rejected: u64,
+    /// Fresh candidates whose block order an earlier candidate of the
+    /// family already had: charged, but scored from the order memo
+    /// instead of being linked, validated and replayed again.
+    pub layout_hits: u64,
 }
 
 /// One fixed comparison series evaluated through the same window
@@ -256,10 +275,14 @@ pub struct FamilyResult {
 pub struct FixedResult {
     /// The fixed series.
     pub series: LayoutSeries,
-    /// Window miss count under default parameters.
+    /// Window miss count under default parameters (`u64::MAX` when
+    /// rejected).
     pub score: u64,
-    /// Per-cell window misses (size-major over [`TUNE_SIZES_KB`]).
+    /// Per-cell window misses (size-major over [`TUNE_SIZES_KB`]; empty
+    /// when rejected).
     pub cells: Vec<u64>,
+    /// True when the linked image passed translation validation.
+    pub validated: bool,
 }
 
 /// The full autotuning outcome.
@@ -461,8 +484,8 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// What evaluating one candidate produced.
-#[derive(Debug)]
+/// What evaluating one layout produced.
+#[derive(Debug, Clone)]
 struct Evaluation {
     /// Window miss count (`u64::MAX` when rejected).
     score: u64,
@@ -470,6 +493,52 @@ struct Evaluation {
     cells: Vec<u64>,
     /// True when the linked image passed translation validation.
     validated: bool,
+    /// The layout's block order, numbered in its [`OrderMemo`]: equal
+    /// orders get equal numbers.
+    order: usize,
+}
+
+/// The block orders a search has scored, each with its evaluation. A
+/// candidate's score is a pure function of its block order, so an order
+/// already here is not linked, validated or replayed again. The key is
+/// the whole order, compared element by element, never a hash alone;
+/// orders are numbered in the order they were first recorded.
+#[derive(Default)]
+struct OrderMemo {
+    numbers: HashMap<Vec<BlockId>, usize>,
+    scored: Vec<Evaluation>,
+}
+
+impl OrderMemo {
+    fn get(&self, order: &[BlockId]) -> Option<&Evaluation> {
+        self.numbers.get(order).map(|&n| &self.scored[n])
+    }
+
+    /// Records the evaluation of `order`, unless the order is already
+    /// here, and returns `ev` under the order's number.
+    fn record(&mut self, order: Vec<BlockId>, ev: Evaluation) -> Evaluation {
+        let next = self.scored.len();
+        let number = *self.numbers.entry(order).or_insert(next);
+        if number == next {
+            self.scored.push(Evaluation {
+                order: number,
+                ..ev.clone()
+            });
+        }
+        Evaluation {
+            order: number,
+            ..ev
+        }
+    }
+
+    /// A memo holding only the order numbered `number`.
+    fn only(&self, number: usize) -> OrderMemo {
+        let mut memo = OrderMemo::default();
+        if let Some((order, _)) = self.numbers.iter().find(|&(_, &n)| n == number) {
+            memo.record(order.clone(), self.scored[number].clone());
+        }
+        memo
+    }
 }
 
 /// The read-only fitness oracle every lane shares: the study, the
@@ -481,6 +550,9 @@ struct Lab<'a> {
     window: Vec<WindowRun>,
     nblocks: usize,
     lanes: usize,
+    /// Take an order already scored from the memo. Off only in the tests
+    /// that check the memo against fresh evaluations.
+    memoize: bool,
 }
 
 impl Lab<'_> {
@@ -494,27 +566,58 @@ impl Lab<'_> {
         (per_cell.iter().sum(), per_cell)
     }
 
-    /// Builds, links, validates and replays one candidate. Validation is
-    /// unconditional — a layout the validator rejects can never win,
+    /// Scores a batch of layout requests, in request order, on the lanes:
+    /// builds every layout, then links, validates and replays each block
+    /// order that neither `memo` nor an earlier request of the batch has,
+    /// and records it in `memo`. Validation is unconditional for every
+    /// order scored — a layout the validator rejects can never win,
     /// whatever the cache says.
-    fn evaluate(&self, series: LayoutSeries, params: LayoutParams) -> Evaluation {
-        let layout = self
-            .study
-            .layout(LayoutRequest::from(series).with_params(params));
-        match self.study.link_validated(&layout) {
+    fn evaluate(&self, reqs: &[LayoutRequest], memo: &mut OrderMemo) -> Vec<Evaluation> {
+        let layouts = self.on_lanes(reqs, |&req| self.study.layout(req));
+        // Each layout's evaluation: from the memo, or the index of the
+        // fresh order it scores as.
+        let mut fresh: Vec<Layout> = Vec::new();
+        let slots: Vec<Result<Evaluation, usize>> = layouts
+            .into_iter()
+            .map(|layout| {
+                if self.memoize {
+                    if let Some(ev) = memo.get(&layout.order) {
+                        return Ok(ev.clone());
+                    }
+                    if let Some(i) = fresh.iter().position(|f| f.order == layout.order) {
+                        return Err(i);
+                    }
+                }
+                fresh.push(layout);
+                Err(fresh.len() - 1)
+            })
+            .collect();
+        let scored = self.on_lanes(&fresh, |layout| self.score(layout));
+        let scored: Vec<Evaluation> = fresh
+            .into_iter()
+            .zip(scored)
+            .map(|(layout, ev)| memo.record(layout.order, ev))
+            .collect();
+        slots
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|i| scored[i].clone()))
+            .collect()
+    }
+
+    /// Links, validates and replays one layout.
+    fn score(&self, layout: &Layout) -> Evaluation {
+        let (score, cells, validated) = match self.study.link_validated(layout) {
             Ok(image) => {
                 let (score, cells) = self.replay(&image);
-                Evaluation {
-                    score,
-                    cells,
-                    validated: true,
-                }
+                (score, cells, true)
             }
-            Err(_) => Evaluation {
-                score: u64::MAX,
-                cells: Vec::new(),
-                validated: false,
-            },
+            Err(_) => (u64::MAX, Vec::new(), false),
+        };
+        Evaluation {
+            score,
+            cells,
+            validated,
+            order: 0,
         }
     }
 
@@ -553,10 +656,16 @@ struct FamilySearch {
     cache: BTreeMap<ParamPoint, u64>,
     /// Speculative evaluations not yet charged: what the lanes computed
     /// ahead of the sequential search.
-    memo: BTreeMap<ParamPoint, Evaluation>,
+    ahead: BTreeMap<ParamPoint, Evaluation>,
+    /// Every block order the family's search scored, seeded with the
+    /// family's fixed yardstick.
+    orders: OrderMemo,
+    /// Numbers of the block orders charged so far.
+    charged_orders: BTreeSet<usize>,
     evaluated: u64,
     cache_hits: u64,
     rejected: u64,
+    layout_hits: u64,
     best: Option<(ParamPoint, u64, Vec<u64>)>,
     default_score: u64,
 }
@@ -567,7 +676,7 @@ impl FamilySearch {
     /// if `cur` does not move — descent probes from `cur` at pass
     /// positions `from..`, then, when the pass has already moved (`wrap`:
     /// another pass follows), the next pass's probes before `from` — that
-    /// are neither cached nor memoized, into the memo. The batch never
+    /// are neither cached nor already ahead, into `ahead`. The batch never
     /// holds more points than there are lanes or than the candidate
     /// budget can still charge, and nothing runs once the wall budget is
     /// spent.
@@ -580,7 +689,7 @@ impl FamilySearch {
         wrap: bool,
     ) {
         if self.cache.contains_key(next)
-            || self.memo.contains_key(next)
+            || self.ahead.contains_key(next)
             || self.evaluated >= self.budget
             || oracle.wall_exhausted()
         {
@@ -596,13 +705,18 @@ impl FamilySearch {
             if batch.len() >= room {
                 break;
             }
-            if !self.cache.contains_key(&p) && !self.memo.contains_key(&p) && !batch.contains(&p) {
+            if !self.cache.contains_key(&p) && !self.ahead.contains_key(&p) && !batch.contains(&p) {
                 batch.push(p);
             }
         }
-        let (lab, series, space) = (&oracle.lab, self.series, &self.space);
-        let evals = lab.on_lanes(&batch, |p| lab.evaluate(series, space.params(p)));
-        self.memo.extend(batch.into_iter().zip(evals));
+        let reqs: Vec<LayoutRequest> = batch.iter().map(|p| self.request(p)).collect();
+        let evals = oracle.lab.evaluate(&reqs, &mut self.orders);
+        self.ahead.extend(batch.into_iter().zip(evals));
+    }
+
+    /// The layout request of one point of the family's space.
+    fn request(&self, point: &ParamPoint) -> LayoutRequest {
+        LayoutRequest::from(self.series).with_params(self.space.params(point))
     }
 
     /// Descent probe `pos` from `cur`: knob `pos / 2`, step −1 for even
@@ -612,9 +726,11 @@ impl FamilySearch {
     }
 
     /// Evaluates one point: cache hit is free, a fresh evaluation spends
-    /// budget, builds + links + validates + replays (or takes the lanes'
-    /// memoized result, which is the same pure function of the point),
-    /// and appends to the trajectory. Returns `None` when out of budget
+    /// budget, builds the layout and scores it (or takes the lanes'
+    /// result computed ahead, which is the same pure function of the
+    /// point), and appends to the trajectory. A fresh point whose block
+    /// order an earlier fresh point already had is still charged, and
+    /// counts as a layout hit. Returns `None` when out of budget
     /// (candidate or wall).
     fn eval(
         &mut self,
@@ -629,18 +745,26 @@ impl FamilySearch {
         if self.evaluated >= self.budget || oracle.wall_exhausted() {
             return None;
         }
-        let params = self.space.params(point);
         let Evaluation {
             score,
             cells,
             validated,
-        } = match self.memo.remove(point) {
+            order,
+        } = match self.ahead.remove(point) {
             Some(ev) => ev,
-            None => oracle.lab.evaluate(self.series, params),
+            None => oracle
+                .lab
+                .evaluate(&[self.request(point)], &mut self.orders)
+                .pop()
+                .expect("one evaluation per request"),
         };
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
+        }
+        let layout_hit = !self.charged_orders.insert(order);
+        if layout_hit {
+            self.layout_hits += 1;
         }
         let accepted = validated && self.best.as_ref().is_none_or(|(_, s, _)| score < *s);
         if accepted {
@@ -661,7 +785,7 @@ impl FamilySearch {
                 "candidate": rec.candidate,
                 "series": rec.series.label(),
                 "point": rec.point.indices(),
-                "params": params_json(&self.space, &params),
+                "params": params_json(&self.space, &self.space.params(point)),
                 "score": if validated { json!(score) } else { json!(null) },
                 "accepted": rec.accepted,
                 "validated": rec.validated,
@@ -670,6 +794,7 @@ impl FamilySearch {
         );
         let m = codelayout_obs::metrics();
         m.add("tune.candidates", 1);
+        m.add("tune.layout_hits", u64::from(layout_hit));
         if !validated {
             m.add("tune.rejected", 1);
         }
@@ -754,6 +879,12 @@ impl FamilySearch {
 /// # Panics
 /// Panics if the recording run produced no user-mode fetches.
 pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
+    tune(study, cfg, true)
+}
+
+/// [`run_tune`], taking already-scored block orders from the order memo
+/// only when `memoize` is set.
+fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let _span = codelayout_obs::span("tune");
     let start = std::time::Instant::now();
 
@@ -784,6 +915,7 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             window: sink.runs,
             nblocks: study.app.program.blocks.len(),
             lanes: cfg.sweep_threads.max(1),
+            memoize,
         },
         start,
         budget_ms: cfg.budget_ms,
@@ -796,17 +928,14 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
 
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
-    // grid, so the comparison is apples-to-apples and deterministic.
+    // grid, so the comparison is apples-to-apples and deterministic. A
+    // searched family's memo starts with its yardstick's order: the
+    // family's default point is the same series at the same parameters.
     let fixed_span = codelayout_obs::span("tune_fixed");
-    let lab = &oracle.lab;
-    let fixed = lab.on_lanes(&LayoutSeries::comparison(), |&series| {
-        let (score, cells) = lab.replay(&study.image(series));
-        FixedResult {
-            series,
-            score,
-            cells,
-        }
-    });
+    let comparison = LayoutSeries::comparison();
+    let mut fixed_memo = OrderMemo::default();
+    let reqs = comparison.map(LayoutRequest::from);
+    let fixed_evals = oracle.lab.evaluate(&reqs, &mut fixed_memo);
     fixed_span.finish();
 
     let search_span = codelayout_obs::span("tune_search");
@@ -816,15 +945,23 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
         if space.is_empty() {
             continue;
         }
+        let orders = comparison
+            .iter()
+            .position(|&s| s == series)
+            .map(|i| fixed_memo.only(fixed_evals[i].order))
+            .unwrap_or_default();
         let mut fam = FamilySearch {
             series,
             space,
             budget: cfg.candidates,
             cache: BTreeMap::new(),
-            memo: BTreeMap::new(),
+            ahead: BTreeMap::new(),
+            orders,
+            charged_orders: BTreeSet::new(),
             evaluated: 0,
             cache_hits: 0,
             rejected: 0,
+            layout_hits: 0,
             best: None,
             default_score: u64::MAX,
         };
@@ -844,10 +981,21 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             evaluated: fam.evaluated,
             cache_hits: fam.cache_hits,
             rejected: fam.rejected,
+            layout_hits: fam.layout_hits,
         });
     }
     search_span.finish();
 
+    let fixed = comparison
+        .into_iter()
+        .zip(fixed_evals)
+        .map(|(series, ev)| FixedResult {
+            series,
+            score: ev.score,
+            cells: ev.cells,
+            validated: ev.validated,
+        })
+        .collect();
     TuneReport {
         config: cfg.clone(),
         window_events,
@@ -1014,6 +1162,44 @@ mod tests {
         }
     }
 
+    /// The search scored through the order memo reports byte for byte
+    /// what it reports when every candidate is linked, validated and
+    /// replayed afresh, at 1 and 3 lanes and at `CODELAYOUT_THREADS`
+    /// lanes, where lanes race on the memo. Each family's layout hits are
+    /// its charged points whose block order an earlier charged point of
+    /// the family had, counted here by rebuilding every layout.
+    #[test]
+    fn memoized_scoring_equals_fresh_evaluation() {
+        let study = build_study(&Scenario::quick());
+        let mut cfg = TuneConfig::for_scenario(&study.scenario);
+        let mut total_hits = 0;
+        for lanes in [1, 3, run_env().sweep_threads()] {
+            cfg.sweep_threads = lanes;
+            let memo = tune(&study, &cfg, true);
+            let fresh = tune(&study, &cfg, false);
+            let json = |r: &TuneReport| serde_json::to_string(&r.deterministic_json()).unwrap();
+            assert_eq!(json(&memo), json(&fresh), "{lanes} lanes");
+            for (f, g) in memo.families.iter().zip(&fresh.families) {
+                let space = ParamSpace::for_series(f.series);
+                let mut seen: Vec<Vec<BlockId>> = Vec::new();
+                let mut repeats = 0;
+                for c in memo.trajectory.iter().filter(|c| c.series == f.series) {
+                    let req = LayoutRequest::from(f.series).with_params(space.params(&c.point));
+                    let order = study.layout(req).order;
+                    if seen.contains(&order) {
+                        repeats += 1;
+                    } else {
+                        seen.push(order);
+                    }
+                }
+                assert_eq!(f.layout_hits, repeats, "{} at {lanes} lanes", f.series);
+                assert_eq!(g.layout_hits, repeats, "{} at {lanes} lanes", f.series);
+                total_hits += repeats;
+            }
+        }
+        assert!(total_hits > 0, "no candidate repeated a block order");
+    }
+
     #[test]
     fn lanes_return_results_in_item_order() {
         let study = build_study(&Scenario::quick());
@@ -1026,6 +1212,7 @@ mod tests {
                 window: Vec::new(),
                 nblocks: 0,
                 lanes,
+                memoize: true,
             };
             assert_eq!(
                 lab.on_lanes(&items, |&i| i * i),
