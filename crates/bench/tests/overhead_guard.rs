@@ -1,9 +1,11 @@
 //! Observability overhead guard.
 //!
-//! The design claim behind the sharded metrics layer is that the replay
-//! hot loop carries **zero** per-event instrumentation: workers time
-//! themselves into a private shard outside the loop and merge once at
-//! join. This test holds the implementation to that claim two ways:
+//! The design claim: grid simulation carries **zero** per-event
+//! instrumentation. No simulator or replay loop records a metric, and
+//! [`ParallelSweep::run`] (one `GridSink` per job, on lanes) opens only
+//! its `sweep` span, plus helper-lane and `lane_wait` spans when it runs
+//! on more than one lane. This test holds the implementation to that
+//! claim two ways:
 //!
 //! 1. **Bit-identical results** — a sweep replayed with observability
 //!    enabled produces exactly the same cells as one replayed with it

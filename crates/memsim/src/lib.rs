@@ -15,14 +15,15 @@
 //! * [`StackDistanceSim`] — single-pass Mattson stack-distance profiler:
 //!   exact per-configuration statistics for every size × associativity at
 //!   one line size, bit-identical to [`ICacheSim`];
-//! * [`ParallelSweep`] — replays a recorded [`codelayout_vm::FrozenTrace`]
-//!   through [`SweepSpec`] jobs on scoped worker threads, with a choice of
-//!   [`SweepEngine`] (stack-distance by default, direct as the oracle),
-//!   bit-identical to the serial sweep;
-//! * [`GridSink`] — one [`SweepSpec`] on either engine, fed record by
-//!   record on the calling thread and bit-identical to
-//!   [`ParallelSweep::run_one`] (the autotuner streams its remapped
-//!   window into it, and the harness its live measurement passes);
+//! * [`GridSink`] — one [`SweepSpec`] on either [`SweepEngine`]
+//!   (stack-distance by default, direct as the oracle), fed record by
+//!   record on the calling thread and bit-identical to [`SweepSink`]
+//!   (the harness streams its live measurement passes into it, the
+//!   autotuner its remapped window, the serving loop its epoch windows);
+//! * [`on_lanes`] — independent items spread over scoped threads, results
+//!   in item order; [`ParallelSweep`] replays a recorded
+//!   [`codelayout_vm::FrozenTrace`] through [`SweepSpec`] jobs that way,
+//!   one [`GridSink`] per job;
 //! * [`LocalityCache`] — per-line word-use bitmaps, word reuse counters and
 //!   line lifetimes (Figures 9, 10, 11, and the unused-fetch claim);
 //! * [`SequenceProfiler`] — sequential run-length histogram (Figure 8);

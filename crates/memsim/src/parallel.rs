@@ -1,140 +1,58 @@
-//! Parallel replay of a frozen trace across sweep grids.
+//! Grid simulation on the calling thread, and work spread over lanes.
 //!
-//! A [`SweepSink`] feeds every (configuration, CPU) simulator from a
-//! live machine run in one pass. A caller holding a recorded stream,
-//! such as the serving loop scoring an epoch's window, can split that
-//! work instead: given a [`FrozenTrace`] and a list of [`SweepSpec`]
-//! jobs, [`ParallelSweep`] shards the simulation across scoped worker
-//! threads. Each worker owns its simulators outright and replays the
-//! shared trace with no locks or atomics on the hot path; per-CPU
-//! statistics are merged into per-configuration cells only at join
-//! time.
+//! [`GridSink`] simulates one [`SweepSpec`] from a stream fed record by
+//! record: the harness's live measurement passes, the autotuner's
+//! remapped window and the serving loop's epoch windows all drain into
+//! one. Two engines implement the same contract ([`SweepEngine`],
+//! default taken from `CODELAYOUT_SWEEP_ENGINE`):
 //!
-//! Two engines implement the same contract ([`SweepEngine`], default
-//! taken from `CODELAYOUT_SWEEP_ENGINE`):
+//! * **Stack** — one [`StackDistanceSim`] per (line size, CPU). A
+//!   single pass over the stream yields exact misses for every size ×
+//!   associativity at that line size (Mattson inclusion), so per-record
+//!   cost is O(line sizes), not O(configurations). Two replay-loop
+//!   specializations stack on top: routing is a precomputed (kernel
+//!   flag, CPU) → profiler-list table instead of a per-record walk over
+//!   filters, and consecutive records that repeat the previous one —
+//!   same line at the *smallest* line size in the grid (hence the same
+//!   line at every larger one), same CPU, same kernel flag — collapse
+//!   to one counter increment, flushed in bulk with
+//!   [`StackDistanceSim::repeat_last`] when the run breaks. Instruction
+//!   streams are mostly sequential (the very property the paper's
+//!   optimizations maximize), so such runs cover most of the stream.
+//! * **Direct** — a [`SweepSink`]: one [`ICacheSim`] per
+//!   (configuration, CPU), the straightforward oracle the stack engine
+//!   is proven against. It has no batching and no routing table, so a
+//!   divergence between the engines always indicts exactly one of them.
 //!
-//! * **Stack** — one [`StackDistanceSim`] per (job, line size, CPU).
-//!   A single pass over the shard's stream yields exact misses for
-//!   every size × associativity at that line size (Mattson inclusion),
-//!   so per-record cost is O(line sizes), not O(configurations). Two
-//!   replay-loop specializations stack on top: routing is a
-//!   precomputed (kernel flag, CPU) → profiler-list table instead of a
-//!   per-record walk over jobs and filters, and consecutive records
-//!   that repeat the previous one — same line at the *smallest* line
-//!   size in the grid (hence the same line at every larger one), same
-//!   CPU, same kernel flag — collapse to one counter increment,
-//!   flushed in bulk with [`StackDistanceSim::repeat_last`] when the
-//!   run breaks. Instruction streams are mostly sequential (the very
-//!   property the paper's optimizations maximize), so such runs cover
-//!   most of the trace.
-//! * **Direct** — one [`ICacheSim`] per (job, configuration, CPU); the
-//!   straightforward oracle the stack engine is proven against. Its
-//!   replay loop is kept deliberately plain — no batching, no routing
-//!   table — so a divergence between the engines always indicts
-//!   exactly one of them.
+//! Results are **bit-identical** across engines: the stack profiler
+//! reproduces [`ICacheSim`]'s statistics exactly, and per-CPU partials
+//! are summed with [`CacheStats::merge`], commutative `u64` addition.
+//! Grids ignore data events, so a fetch-and-data stream sweeps exactly
+//! like its fetch-only twin.
 //!
-//! Results are **bit-identical** across engines and thread counts: a
-//! given shard consumes the identical filtered subsequence of the trace
-//! wherever it runs, the stack profiler reproduces [`ICacheSim`]'s
-//! statistics exactly, and [`CacheStats::merge`] is commutative `u64`
-//! addition. Grid shards ignore data events, so grids replayed from a
-//! fetch-and-data trace equal grids replayed from its fetch-only twin.
-//!
-//! [`GridSink`] is the serial form of one grid job for a caller that
-//! generates its stream on the fly, such as the autotuner's remapped
-//! window or the harness's live measurement pass: a single stack worker
-//! holding every shard, built by the same shard constructor as the
-//! pool, or a [`SweepSink`] on the direct engine. It equals
-//! [`ParallelSweep::run_one`] on the recorded stream.
-//!
-//! [`on_lanes`] is the pool's counterpart for work that is independent
-//! per item rather than per shard — a candidate layout to tune, a layout
-//! to measure: each item runs whole on one lane, and the results come
-//! back in item order whatever the lane count.
+//! [`on_lanes`] spreads independent items — a candidate layout to tune,
+//! a layout to measure, a recovery window to serve — over lanes: each
+//! item runs whole on one lane, and the results come back in item order
+//! whatever the lane count. [`ParallelSweep`] replays a recorded
+//! [`FrozenTrace`] through a list of jobs that way, one [`GridSink`]
+//! per job; no production run records a trace, so its callers are the
+//! tests and the benchmark's sweep probes.
 //!
 //! [`SweepSink`]: crate::SweepSink
+//! [`ICacheSim`]: crate::ICacheSim
 
 use crate::config::StreamFilter;
-use crate::icache::{AccessClass, CacheStats, ICacheSim};
+use crate::icache::{AccessClass, CacheStats};
 use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
 use codelayout_obs::SweepEngine;
 use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
 
-/// One direct-engine unit: a (configuration, CPU) simulator.
-struct DirectShard {
-    config_idx: usize,
-    cpu: usize,
-    sim: ICacheSim,
-}
-
-/// A direct worker's shards for one job, with the job's filter and CPU
-/// count hoisted so the per-record stream checks run once per job — not
-/// once per shard, as the old per-config loop did.
-struct DirectJob {
-    job: usize,
-    filter: StreamFilter,
-    num_cpus: usize,
-    shards: Vec<DirectShard>,
-}
-
-/// A direct-engine worker: the plain oracle replay loop. Filtering and
-/// CPU decimation match [`crate::SweepSink::fetch`] exactly.
-struct DirectWorker {
-    jobs: Vec<DirectJob>,
-}
-
-impl TraceSink for DirectWorker {
-    #[inline]
-    fn fetch(&mut self, rec: FetchRecord) {
-        let class = AccessClass::from_kernel_flag(rec.kernel);
-        let rec_cpu = rec.cpu as usize;
-        for dj in &mut self.jobs {
-            if !dj.filter.accepts(rec.kernel) {
-                continue;
-            }
-            // Traces from an N-CPU machine replayed into an N-CPU spec
-            // (the harness invariant) never take the modulo; the branch
-            // predicts perfectly and skips a hardware division per job
-            // per record.
-            let cpu = if rec_cpu < dj.num_cpus {
-                rec_cpu
-            } else {
-                rec_cpu % dj.num_cpus
-            };
-            for shard in &mut dj.shards {
-                if shard.cpu == cpu {
-                    shard.sim.access(rec.addr, class);
-                }
-            }
-        }
-    }
-}
-
-impl DirectWorker {
-    fn push(&mut self, job: usize, spec: &SweepSpec, shard: DirectShard) {
-        if self.jobs.last().is_none_or(|dj| dj.job != job) {
-            self.jobs.push(DirectJob {
-                job,
-                filter: spec.stream(),
-                num_cpus: spec.num_cpus(),
-                shards: Vec::new(),
-            });
-        }
-        self.jobs
-            .last_mut()
-            .expect("job pushed above")
-            .shards
-            .push(shard);
-    }
-}
-
-/// One stack-engine unit: a (job, line size, CPU) profiler covering
-/// every configuration of that line size in its job, plus the routing
-/// inputs its worker bakes into the dispatch table.
+/// One stack-engine unit: a (line size, CPU) profiler covering every
+/// configuration of that line size, plus the routing inputs
+/// [`StackWorker::new`] bakes into the dispatch table.
 struct StackShard {
-    job: usize,
     cpu: usize,
     filter: StreamFilter,
     num_cpus: usize,
@@ -144,11 +62,12 @@ struct StackShard {
 /// Routing-table width: one entry per (kernel flag, `u8` CPU id).
 const ROUTES: usize = 2 * 256;
 
-/// A stack-engine worker. [`StackWorker::seal`] precomputes, for every
-/// possible (kernel flag, record CPU) pair, the list of profilers that
-/// accept such a record — the per-record work is then one table lookup
-/// and one profiler access per list entry, with same-line runs batched
-/// down to a single counter increment (see the module docs).
+/// The stack engine's replay loop over every shard of one grid. For
+/// every possible (kernel flag, record CPU) pair it precomputes the list
+/// of profilers that accept such a record — the per-record work is then
+/// one table lookup and one profiler access per list entry, with
+/// same-line runs batched down to a single counter increment (see the
+/// module docs).
 struct StackWorker {
     shards: Vec<StackShard>,
     /// `routes[kernel << 8 | cpu]` = indices into `shards`.
@@ -187,17 +106,16 @@ impl TraceSink for StackWorker {
     }
 }
 
-/// The stack-engine shards of `jobs` (with `grids[j]` = `jobs[j]`'s
-/// configurations), in job, line-size, CPU order: one profiler per
-/// (job, line size, CPU), covering every configuration of that line
-/// size in its job.
-fn stack_shards(jobs: &[SweepSpec], grids: &[Vec<crate::CacheConfig>]) -> Vec<StackShard> {
-    let mut shards = Vec::new();
-    for (job, (spec, grid)) in jobs.iter().zip(grids).enumerate() {
+impl StackWorker {
+    /// A worker over every shard of `spec` (with `grid` = its
+    /// configurations): one profiler per (line size, CPU), covering
+    /// every configuration of that line size, in line-size, CPU order.
+    fn new(spec: &SweepSpec, grid: &[crate::CacheConfig]) -> Self {
         let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
         lines.sort_unstable();
         lines.dedup();
-        for line in lines {
+        let mut shards = Vec::new();
+        for &line in &lines {
             let group: Vec<(usize, crate::CacheConfig)> = grid
                 .iter()
                 .enumerate()
@@ -206,7 +124,6 @@ fn stack_shards(jobs: &[SweepSpec], grids: &[Vec<crate::CacheConfig>]) -> Vec<St
                 .collect();
             for cpu in 0..spec.num_cpus() {
                 shards.push(StackShard {
-                    job,
                     cpu,
                     filter: spec.stream(),
                     num_cpus: spec.num_cpus(),
@@ -214,52 +131,10 @@ fn stack_shards(jobs: &[SweepSpec], grids: &[Vec<crate::CacheConfig>]) -> Vec<St
                 });
             }
         }
-    }
-    shards
-}
-
-impl StackWorker {
-    /// An empty worker batching runs at `batch_shift`
-    /// ([`StackWorker::batch_shift`] of every shard of the run).
-    fn new(batch_shift: u32) -> Self {
-        StackWorker {
-            shards: Vec::new(),
-            routes: Vec::new(),
-            batch_shift,
-            last_key: u64::MAX,
-            last_route: 0,
-            pending: 0,
-        }
-    }
-
-    /// The batching shift for a run over `shards`: the smallest line
-    /// size any of them profiles.
-    fn batch_shift(shards: &[StackShard]) -> u32 {
-        shards
-            .iter()
-            .map(|s| s.prof.line_bytes().trailing_zeros())
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Adds every shard's per-configuration statistics into its job's
-    /// cells. Call after the final [`StackWorker::flush_repeats`].
-    fn merge_into(self, results: &mut [Vec<SweepCell>]) {
-        for shard in self.shards {
-            let cells = &mut results[shard.job];
-            for (config_idx, stats) in shard.prof.results() {
-                cells[config_idx].stats.merge(&stats);
-            }
-        }
-    }
-
-    /// Builds the dispatch table; must run after the last shard is
-    /// pushed and before replay.
-    fn seal(&mut self) {
-        self.routes = (0..ROUTES)
+        let routes = (0..ROUTES)
             .map(|r| {
                 let (kernel, rec_cpu) = (r >> 8 != 0, r & 0xFF);
-                self.shards
+                shards
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| s.filter.accepts(kernel) && rec_cpu % s.num_cpus == s.cpu)
@@ -267,6 +142,24 @@ impl StackWorker {
                     .collect()
             })
             .collect();
+        StackWorker {
+            shards,
+            routes,
+            batch_shift: lines.first().map_or(0, |l| l.trailing_zeros()),
+            last_key: u64::MAX,
+            last_route: 0,
+            pending: 0,
+        }
+    }
+
+    /// Adds every shard's per-configuration statistics into `cells`.
+    /// Call after the final [`StackWorker::flush_repeats`].
+    fn merge_into(self, cells: &mut [SweepCell]) {
+        for shard in self.shards {
+            for (config_idx, stats) in shard.prof.results() {
+                cells[config_idx].stats.merge(&stats);
+            }
+        }
     }
 
     /// Delivers a batched run of repeat records to the profilers the
@@ -283,8 +176,9 @@ impl StackWorker {
     }
 }
 
-/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs on a
-/// pool of scoped threads.
+/// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs:
+/// each job is one [`GridSink`] fed by [`FrozenTrace::replay`], and the
+/// jobs run side by side on up to `threads` lanes ([`on_lanes`]).
 ///
 /// ```
 /// use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSink, SweepSpec};
@@ -315,9 +209,9 @@ pub struct ParallelSweep {
 }
 
 impl ParallelSweep {
-    /// A sweep runner using up to `threads` workers (clamped to ≥ 1; a
-    /// run never spawns more workers than it has shards) and the
-    /// default stack-distance engine.
+    /// A sweep runner using up to `threads` lanes (clamped to ≥ 1; a run
+    /// never uses more lanes than it has jobs) and the default
+    /// stack-distance engine.
     pub fn new(threads: usize) -> Self {
         ParallelSweep {
             threads: threads.max(1),
@@ -331,7 +225,7 @@ impl ParallelSweep {
         self
     }
 
-    /// The configured worker count.
+    /// The configured lane count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -344,102 +238,14 @@ impl ParallelSweep {
     /// Replays `trace` through every job, returning one result vector
     /// per job (same order; cells in each job's config order, summed
     /// over CPUs — the exact shape [`crate::SweepSink::results`]
-    /// returns).
+    /// returns). Helper lanes run under `sweep_lane` root spans.
     pub fn run(&self, trace: &FrozenTrace, jobs: &[SweepSpec]) -> Vec<Vec<SweepCell>> {
         let _sweep_span = codelayout_obs::span("sweep");
-        let grids: Vec<Vec<crate::CacheConfig>> = jobs.iter().map(SweepSpec::configs).collect();
-        let mut results: Vec<Vec<SweepCell>> = grids.iter().map(|g| empty_cells(g)).collect();
-        match self.engine {
-            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results),
-            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results),
-        }
-        results
-    }
-
-    fn run_direct(
-        &self,
-        trace: &FrozenTrace,
-        jobs: &[SweepSpec],
-        grids: &[Vec<crate::CacheConfig>],
-        results: &mut [Vec<SweepCell>],
-    ) {
-        // Enumerate shards per job, then round-robin them over workers
-        // so each worker carries a similar mix of small and large
-        // simulations. Workers keep their shards grouped by job so the
-        // per-record filter and CPU checks are per job, not per shard.
-        let total: usize = grids
-            .iter()
-            .zip(jobs)
-            .map(|(g, j)| g.len() * j.num_cpus())
-            .sum();
-        let num_workers = self.record_pool(jobs.len(), total);
-        let mut workers: Vec<DirectWorker> = (0..num_workers)
-            .map(|_| DirectWorker { jobs: Vec::new() })
-            .collect();
-        let mut next = 0usize;
-        for (job, (spec, grid)) in jobs.iter().zip(grids).enumerate() {
-            for (config_idx, &config) in grid.iter().enumerate() {
-                for cpu in 0..spec.num_cpus() {
-                    workers[next % num_workers].push(
-                        job,
-                        spec,
-                        DirectShard {
-                            config_idx,
-                            cpu,
-                            sim: ICacheSim::new(config),
-                        },
-                    );
-                    next += 1;
-                }
-            }
-        }
-
-        for worker in replay_workers(trace, workers, |_| {}) {
-            for dj in worker.jobs {
-                let cells = &mut results[dj.job];
-                for shard in dj.shards {
-                    cells[shard.config_idx].stats.merge(shard.sim.stats());
-                }
-            }
-        }
-    }
-
-    fn run_stack(
-        &self,
-        trace: &FrozenTrace,
-        jobs: &[SweepSpec],
-        grids: &[Vec<crate::CacheConfig>],
-        results: &mut [Vec<SweepCell>],
-    ) {
-        let shards = stack_shards(jobs, grids);
-        let batch_shift = StackWorker::batch_shift(&shards);
-        let num_shards = shards.len();
-        let num_workers = self.record_pool(jobs.len(), num_shards);
-        let mut workers: Vec<StackWorker> = (0..num_workers)
-            .map(|_| StackWorker::new(batch_shift))
-            .collect();
-        for (i, shard) in shards.into_iter().enumerate() {
-            workers[i % num_workers].shards.push(shard);
-        }
-        for worker in &mut workers {
-            worker.seal();
-        }
-
-        for worker in replay_workers(trace, workers, StackWorker::flush_repeats) {
-            worker.merge_into(results);
-        }
-    }
-
-    /// Clamps the pool size to the number of shards and records the
-    /// grid's shape in the metrics registry.
-    fn record_pool(&self, jobs: usize, shards: usize) -> usize {
-        let num_workers = self.threads.min(shards.max(1));
-        let m = codelayout_obs::metrics();
-        m.add("sweep.runs", 1);
-        m.add("sweep.jobs", jobs as u64);
-        m.add("sweep.shards", shards as u64);
-        m.gauge_set("sweep.workers", num_workers as f64);
-        num_workers
+        on_lanes(self.threads, "sweep_lane", jobs, |spec| {
+            let mut sink = GridSink::new(spec, self.engine);
+            trace.replay(&mut sink);
+            sink.finish()
+        })
     }
 
     /// Convenience for a single job: replays and returns its cells.
@@ -450,40 +256,29 @@ impl ParallelSweep {
     }
 }
 
-/// Zeroed cells for `grid`, in its configuration order.
-fn empty_cells(grid: &[crate::CacheConfig]) -> Vec<SweepCell> {
-    grid.iter()
-        .map(|&config| SweepCell {
-            config,
-            stats: CacheStats::default(),
-        })
-        .collect()
-}
-
 /// One [`SweepSpec`] simulated on the calling thread, fed record by
-/// record: the serial twin of [`ParallelSweep::run_one`] for a caller
-/// that produces its stream on the fly and never materializes a trace.
+/// record, for a caller that produces its stream on the fly and never
+/// materializes a trace.
 ///
-/// The stack engine is one sealed stack worker holding every shard of
-/// the spec (the very routing and run batching a pool worker uses); the
-/// direct engine is a [`crate::SweepSink`]. Either way
-/// [`GridSink::finish`] returns exactly the cells
-/// [`ParallelSweep::run_one`] returns for the same records, at any
-/// thread count.
+/// The stack engine is one stack worker holding every (line size, CPU)
+/// profiler of the spec, with the routing table and run batching of the
+/// module docs; the direct engine is a [`crate::SweepSink`]. Either way
+/// [`GridSink::finish`] returns exactly the cells a [`crate::SweepSink`]
+/// returns for the same records.
 ///
 /// ```
-/// use codelayout_memsim::{GridSink, ParallelSweep, SweepEngine, SweepSpec};
-/// use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
+/// use codelayout_memsim::{GridSink, SweepEngine, SweepSink, SweepSpec};
+/// use codelayout_vm::{FetchRecord, TraceSink};
 ///
 /// let spec = SweepSpec::paper_grid(2).cpus(2);
 /// let mut sink = GridSink::new(&spec, SweepEngine::Stack);
-/// let mut buf = TraceBuffer::fetch_only();
+/// let mut oracle = SweepSink::from_spec(&spec);
 /// for i in 0..1000u64 {
 ///     let rec = FetchRecord { addr: i % 96 * 64, cpu: (i % 2) as u8, pid: 0, kernel: false };
 ///     sink.fetch(rec);
-///     buf.fetch(rec);
+///     oracle.fetch(rec);
 /// }
-/// assert_eq!(sink.finish(), ParallelSweep::new(3).run_one(&buf.freeze(), &spec));
+/// assert_eq!(sink.finish(), oracle.results());
 /// ```
 pub struct GridSink {
     engine: GridEngine,
@@ -504,13 +299,15 @@ impl GridSink {
             SweepEngine::Direct => GridEngine::Direct(crate::SweepSink::from_spec(spec)),
             SweepEngine::Stack => {
                 let grid = spec.configs();
-                let shards = stack_shards(std::slice::from_ref(spec), std::slice::from_ref(&grid));
-                let mut worker = StackWorker::new(StackWorker::batch_shift(&shards));
-                worker.shards = shards;
-                worker.seal();
                 GridEngine::Stack {
-                    worker,
-                    cells: empty_cells(&grid),
+                    worker: StackWorker::new(spec, &grid),
+                    cells: grid
+                        .into_iter()
+                        .map(|config| SweepCell {
+                            config,
+                            stats: CacheStats::default(),
+                        })
+                        .collect(),
                 }
             }
         };
@@ -526,7 +323,7 @@ impl GridSink {
                 mut cells,
             } => {
                 worker.flush_repeats();
-                worker.merge_into(std::slice::from_mut(&mut cells));
+                worker.merge_into(&mut cells);
                 cells
             }
             GridEngine::Direct(sink) => sink.results(),
@@ -556,6 +353,8 @@ impl TraceSink for GridSink {
 /// `f` of every item, in item order, computed on up to `lanes` lanes:
 /// lane 0 is the calling thread, each other lane a scoped thread under a
 /// root span named `span`. Lane `l` takes items `l`, `l + lanes`, …
+/// With helper lanes, lane 0's wait for them after its own items is a
+/// `lane_wait` span.
 ///
 /// ```
 /// let items: Vec<u64> = (0..11).collect();
@@ -583,6 +382,7 @@ pub fn on_lanes<T: Sync, R: Send>(
             })
             .collect();
         let mut out = lane(0);
+        let _wait = (lanes > 1).then(|| codelayout_obs::span("lane_wait"));
         for h in helpers {
             out.extend(h.join().expect("lane panicked"));
         }
@@ -590,57 +390,6 @@ pub fn on_lanes<T: Sync, R: Send>(
     });
     out.sort_unstable_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Replays `trace` into every worker on its own scoped thread, calling
-/// `finish` on each worker after its last record, and hands the workers
-/// back for result collection.
-///
-/// Workers time themselves into a private lock-free shard (queue wait =
-/// spawn-to-start latency, plus replay duration) which is merged into
-/// the global registry at join time; the per-event replay path stays
-/// untouched.
-fn replay_workers<W, F>(trace: &FrozenTrace, workers: Vec<W>, finish: F) -> Vec<W>
-where
-    W: TraceSink + Send,
-    F: Fn(&mut W) + Sync,
-{
-    let m = codelayout_obs::metrics();
-    let enqueue_ns = codelayout_obs::now_ns();
-    let finish = &finish;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|mut w| {
-                let trace = trace.clone();
-                s.spawn(move || {
-                    let _worker_span = codelayout_obs::span("sweep_worker");
-                    let start_ns = codelayout_obs::now_ns();
-                    trace.replay(&mut w);
-                    finish(&mut w);
-                    let mut shard = codelayout_obs::MetricsShard::new();
-                    shard.observe(
-                        "sweep.queue_wait_us",
-                        start_ns.saturating_sub(enqueue_ns) / 1_000,
-                    );
-                    shard.observe(
-                        "sweep.worker_us",
-                        codelayout_obs::now_ns().saturating_sub(start_ns) / 1_000,
-                    );
-                    shard.add("sweep.events_replayed", trace.len() as u64);
-                    (w, shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let (w, metrics_shard) = h.join().expect("sweep worker panicked");
-                m.merge_shard(&metrics_shard);
-                w
-            })
-            .collect()
-    })
 }
 
 #[cfg(test)]

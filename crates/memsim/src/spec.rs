@@ -37,10 +37,10 @@ pub const LINES_B: [u32; 5] = [16, 32, 64, 128, 256];
 /// A declarative sweep description: the cross product of cache sizes ×
 /// line sizes × associativities, simulated for `cpus` CPUs over one
 /// filtered stream. Built fluently from [`SweepSpec::grid`]; consumed
-/// by [`SweepSink::from_spec`] and [`ParallelSweep::run`].
+/// by [`SweepSink::from_spec`] and [`GridSink::new`].
 ///
 /// [`SweepSink::from_spec`]: crate::SweepSink::from_spec
-/// [`ParallelSweep::run`]: crate::ParallelSweep::run
+/// [`GridSink::new`]: crate::GridSink::new
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
     sizes_b: Vec<u64>,

@@ -161,11 +161,6 @@ impl StackDistanceSim {
         }
     }
 
-    /// The line size this profiler serves.
-    pub fn line_bytes(&self) -> u32 {
-        1 << self.line_shift
-    }
-
     /// Processes one fetch. The caller applies stream filtering and CPU
     /// decimation first, exactly as it would before an
     /// [`crate::ICacheSim::access`].

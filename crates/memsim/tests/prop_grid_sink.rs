@@ -1,11 +1,11 @@
 //! Differential property test for the serial grid sink: on random fetch
 //! streams — user and kernel records, CPU ids at and above the spec's
 //! CPU count, several line sizes and associativities — a [`GridSink`]
-//! fed record by record (and by runs) must finish with exactly the cells
-//! [`ParallelSweep::run_one`] returns for the recorded trace, at 1 and 3
-//! threads, on both engines.
+//! fed record by record (and by runs) must finish, on both engines, with
+//! exactly the cells of the serial oracle: a [`SweepSink`] fed the same
+//! records, and one fed the recorded trace's replay.
 
-use codelayout_memsim::{GridSink, ParallelSweep, StreamFilter, SweepEngine, SweepSpec};
+use codelayout_memsim::{GridSink, StreamFilter, SweepEngine, SweepSink, SweepSpec};
 use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn grid_sink_equals_the_parallel_sweep(
+    fn grid_sink_equals_the_serial_sweep(
         seed in 0u64..100_000,
         cpus in 1usize..4,
         max_cpu in 0u8..8,
@@ -71,18 +71,15 @@ proptest! {
             .filter(filter);
         let mut stack = GridSink::new(&spec, SweepEngine::Stack);
         let mut direct = GridSink::new(&spec, SweepEngine::Direct);
+        let mut live = SweepSink::from_spec(&spec);
         let mut buf = TraceBuffer::fetch_only();
-        feed(seed, 6_000, max_cpu, &mut [&mut stack, &mut direct, &mut buf]);
-        let trace = buf.freeze();
-        let (stack, direct) = (stack.finish(), direct.finish());
-        for threads in [1usize, 3] {
-            for engine in [SweepEngine::Stack, SweepEngine::Direct] {
-                let want = ParallelSweep::new(threads).with_engine(engine).run_one(&trace, &spec);
-                let what = format!("seed {seed}, {threads} threads, {}", engine.label());
-                prop_assert_eq!(&stack, &want, "stack sink vs pool: {}", what);
-                prop_assert_eq!(&direct, &want, "direct sink vs pool: {}", what);
-            }
-        }
+        feed(seed, 6_000, max_cpu, &mut [&mut stack, &mut direct, &mut live, &mut buf]);
+        let mut replayed = SweepSink::from_spec(&spec);
+        buf.freeze().replay(&mut replayed);
+        let want = live.results();
+        prop_assert_eq!(&replayed.results(), &want, "seed {}: replay vs live oracle", seed);
+        prop_assert_eq!(&stack.finish(), &want, "seed {}: stack sink", seed);
+        prop_assert_eq!(&direct.finish(), &want, "seed {}: direct sink", seed);
     }
 }
 

@@ -4,7 +4,7 @@
 //! and the Figure 13 displaced-line matrix — to the direct per-config
 //! `ICacheSim` sweep, across the paper's Figure 4 grid (25 geometries,
 //! direct-mapped and 2-way) and Figure 6 grid (sizes at 128 B / 4-way),
-//! for 1, 2 and 7 worker threads, and every stream filter.
+//! for 1, 2 and 7 lanes, and every stream filter.
 
 use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSpec, LINES_B, SIZES_KB};
 use codelayout_vm::{FetchRecord, FrozenTrace, TraceBuffer, TraceSink};

@@ -13,7 +13,7 @@
 //! | Variable | Field | Meaning |
 //! |---|---|---|
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
-//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | sweep worker count, the harness's measurement lanes and the autotuner's evaluation lanes (default: available parallelism) |
+//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | lane count: the harness's measurement lanes, the autotuner's evaluation lanes and the serving loop's recovery lanes (default: available parallelism) |
 //! | `CODELAYOUT_SWEEP_ENGINE` | [`RunEnv::sweep_engine`] | `stack` (default) or `direct` grid-replay engine |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
 //! | `CODELAYOUT_LAYOUT_SERIES` | [`RunEnv::layout_series`] | comma-separated layout-series labels for the comparison table (default: the five-series comparison set) |
@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 
 /// Environment variable selecting the workload scenario.
 pub const SCENARIO_ENV: &str = "CODELAYOUT_SCENARIO";
-/// Environment variable overriding the sweep worker-thread count.
+/// Environment variable overriding the lane count.
 pub const THREADS_ENV: &str = "CODELAYOUT_THREADS";
 /// Environment variable selecting the grid-replay engine.
 pub const SWEEP_ENGINE_ENV: &str = "CODELAYOUT_SWEEP_ENGINE";
@@ -191,7 +191,7 @@ impl ProfileSource {
 pub struct RunEnv {
     /// Workload scale (`CODELAYOUT_SCENARIO`), default [`ScenarioSel::Sim`].
     pub scenario: ScenarioSel,
-    /// Sweep worker-thread override (`CODELAYOUT_THREADS`); `None`
+    /// Lane-count override (`CODELAYOUT_THREADS`); `None`
     /// falls back to the host's available parallelism.
     pub threads: Option<usize>,
     /// Grid-replay engine (`CODELAYOUT_SWEEP_ENGINE`), default
@@ -322,7 +322,7 @@ impl RunEnv {
         }
     }
 
-    /// The sweep worker count: the `CODELAYOUT_THREADS` override, or
+    /// The lane count: the `CODELAYOUT_THREADS` override, or
     /// the host's available parallelism.
     pub fn sweep_threads(&self) -> usize {
         self.threads.unwrap_or_else(|| {

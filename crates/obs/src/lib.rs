@@ -18,14 +18,12 @@
 //!   Aggregated phase totals are queried as a tree
 //!   ([`Tracer::phase_tree`]) and rendered as a human `--report`
 //!   breakdown with percentages ([`Tracer::render_report`]).
-//! * **Metrics** ([`metrics`], [`Registry`], [`MetricsShard`],
-//!   [`Histogram`]). Named counters, gauges, and power-of-two-bucket
-//!   histograms. The global registry takes a lock per update, which is
-//!   fine for coarse events (images linked, layouts built) but not for
-//!   replay workers; those own a lock-free [`MetricsShard`] and merge
-//!   it into the registry once, at join time, so the replay hot loop
-//!   carries **zero** instrumentation cost per event. Snapshots render
-//!   to JSON and to Prometheus text exposition.
+//! * **Metrics** ([`metrics`], [`Registry`], [`Histogram`]). Named
+//!   counters, gauges, and power-of-two-bucket histograms. The global
+//!   registry takes a lock per update, which is fine for coarse events
+//!   (images linked, layouts built, epochs served); no simulator or
+//!   replay loop records one per event. Snapshots render to JSON and to
+//!   Prometheus text exposition.
 //! * **Run manifests** ([`manifest::ManifestBuilder`]). `run_all` and
 //!   the figure binaries write `results/<scenario>/manifest.json`:
 //!   config, `git describe`, per-phase wall times with coverage,
@@ -52,7 +50,7 @@ pub mod metrics;
 pub mod span;
 
 pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, SweepEngine, VmEngine};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsShard, MetricsSnapshot, Registry};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::{PhaseNode, PhaseStat, Span, Tracer};
 
 use std::sync::OnceLock;

@@ -1,18 +1,10 @@
 //! Near-zero-overhead metrics: counters, gauges, and power-of-two
-//! histograms, with per-worker shards merged at report time.
+//! histograms.
 //!
-//! Two write paths, by cost:
-//!
-//! * **Registry updates** ([`Registry::add`], [`Registry::observe`],
-//!   [`Registry::gauge_set`]) take one mutex per call. Used for coarse
-//!   events — an image linked, a layout built, a sweep finished.
-//! * **Shard updates** ([`MetricsShard`]). A worker thread owns a plain
-//!   unsynchronized shard, updates it with ordinary integer arithmetic,
-//!   and merges it into the registry **once**, at join time
-//!   ([`Registry::merge_shard`]). The replay hot loop therefore runs
-//!   with no locks, no atomics, and no per-event instrumentation at
-//!   all — the overhead-guard test holds instrumented replay to within
-//!   5% of uninstrumented throughput (and bit-identical results).
+//! Updates ([`Registry::add`], [`Registry::observe`],
+//! [`Registry::gauge_set`]) take one mutex per call, so they mark coarse
+//! events — an image linked, a layout built, an epoch served — never a
+//! per-event hot loop: no simulator or replay loop records a metric.
 //!
 //! Snapshots ([`Registry::snapshot`]) are immutable maps rendered to
 //! JSON ([`MetricsSnapshot::to_json`]) for the run manifest and to
@@ -29,8 +21,7 @@ use std::sync::Mutex;
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed-footprint histogram over `u64` samples with power-of-two
-/// buckets. Merging is element-wise addition, so shard-merged totals
-/// are independent of how samples were distributed over shards.
+/// buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -134,18 +125,6 @@ impl Histogram {
         self.max
     }
 
-    /// Adds every sample of `other` into `self`. Element-wise and
-    /// commutative: merging shards in any order yields the same totals.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as `(inclusive_upper_edge, count)` pairs, in
     /// ascending edge order (for Prometheus cumulative rendering).
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
@@ -221,60 +200,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A thread-local, lock-free batch of metric updates. Workers fill one
-/// of these with plain integer arithmetic and merge it into the
-/// [`Registry`] exactly once, at join time.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsShard {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        MetricsShard::default()
-    }
-
-    /// Adds `delta` to the named counter.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Sets the named gauge (last write wins at merge time).
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Records a sample into the named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds another shard into this one (counters add, histograms
-    /// merge, gauges take `other`'s value).
-    pub fn merge(&mut self, other: &MetricsShard) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -345,23 +270,6 @@ impl Registry {
             .entry(name.to_string())
             .or_default()
             .record(value);
-    }
-
-    /// Merges a worker's shard under one lock acquisition.
-    pub fn merge_shard(&self, shard: &MetricsShard) {
-        if !self.is_enabled() || shard.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        for (k, v) in &shard.counters {
-            *inner.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &shard.gauges {
-            inner.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &shard.histograms {
-            inner.histograms.entry(k.clone()).or_default().merge(h);
-        }
     }
 
     /// Clears every metric (the enabled flag is kept).
@@ -511,33 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_order_independent_and_matches_direct() {
-        let samples: Vec<u64> = (0..1000u64)
-            .map(|i| i.wrapping_mul(2654435761) >> 20)
-            .collect();
-        let mut direct = Histogram::new();
-        for &s in &samples {
-            direct.record(s);
-        }
-        // Split over 7 shards round-robin, merge in two different orders.
-        let mut shards = vec![Histogram::new(); 7];
-        for (i, &s) in samples.iter().enumerate() {
-            shards[i % 7].record(s);
-        }
-        let mut fwd = Histogram::new();
-        for s in &shards {
-            fwd.merge(s);
-        }
-        let mut rev = Histogram::new();
-        for s in shards.iter().rev() {
-            rev.merge(s);
-        }
-        assert_eq!(fwd, direct);
-        assert_eq!(rev, direct);
-        assert_eq!(fwd.snapshot(), direct.snapshot());
-    }
-
-    #[test]
     fn empty_histogram_is_well_defined() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
@@ -549,50 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_equals_direct_registry_updates() {
-        let direct = Registry::new();
-        let sharded = Registry::new();
-        let mut shards = vec![MetricsShard::new(); 3];
-        for i in 0..300u64 {
-            direct.add("c.events", i);
-            direct.observe("h.lat", i * 3);
-            shards[(i % 3) as usize].add("c.events", i);
-            shards[(i % 3) as usize].observe("h.lat", i * 3);
-        }
-        direct.gauge_set("g.rate", 42.5);
-        shards[2].gauge_set("g.rate", 42.5);
-        for s in &shards {
-            sharded.merge_shard(s);
-        }
-        assert_eq!(direct.snapshot(), sharded.snapshot());
-        assert_eq!(sharded.counter("c.events"), (0..300u64).sum());
-        assert_eq!(sharded.gauge("g.rate"), Some(42.5));
-    }
-
-    #[test]
-    fn shards_merge_into_each_other() {
-        let mut a = MetricsShard::new();
-        let mut b = MetricsShard::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.observe("h", 7);
-        a.merge(&b);
-        let r = Registry::new();
-        r.merge_shard(&a);
-        assert_eq!(r.counter("x"), 3);
-        assert_eq!(r.snapshot().histograms["h"].count, 1);
-    }
-
-    #[test]
     fn disabled_registry_records_nothing() {
         let r = Registry::new();
         r.set_enabled(false);
         r.add("c", 5);
         r.observe("h", 5);
         r.gauge_set("g", 5.0);
-        let mut shard = MetricsShard::new();
-        shard.add("c", 9);
-        r.merge_shard(&shard);
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());

@@ -18,7 +18,8 @@
 //! 1. **Serve** `epoch_txns` transactions under the currently deployed
 //!    image, with an [`codelayout_profile::EdgeSampler`] attached (one
 //!    sample every `sample_period` control transfers) and the fetch
-//!    stream captured for cache replay.
+//!    stream fed live into the evaluation cache
+//!    ([`codelayout_memsim::GridSink`]); nothing is recorded.
 //! 2. **Account**: decay the accumulated edge counts, absorb the epoch's
 //!    sample shard, and compute the drift score against the reference
 //!    distribution the deployed layout was built from.
@@ -41,9 +42,10 @@
 //! across epochs while code addresses are free to change.
 //!
 //! The report ends with a staleness evaluation over the final epoch
-//! window: the same window is replayed from the same snapshot under the
-//! initial (stale) image, the final served image, and an oracle image
-//! built from an exact profile of that window. [`RecoveryReport`]
+//! window: the same window is run again from the same snapshot under the
+//! initial (stale) image and the final served image, side by side on
+//! [`ServeConfig::sweep_threads`] lanes, and then under an oracle image
+//! built from an exact profile of the stale run. [`RecoveryReport`]
 //! expresses how much of the stale→oracle miss gap the serving loop
 //! recovered, in milli (1000 = all of it).
 //!
@@ -56,13 +58,13 @@
 
 use codelayout_core::{LayoutPipeline, LayoutSeries, OptimizationSet};
 use codelayout_ir::Image;
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
+use codelayout_memsim::{on_lanes, GridSink, StreamFilter, SweepSpec};
 use codelayout_obs::{run_env, SweepEngine, VmEngine};
 use codelayout_oltp::{drift_schedule, words, BuildError, MixPhase, Scenario, SgaLayout, Study};
 use codelayout_profile::{
     edge_l1_milli, profile_from_edge_samples, DecayedEdgeCounts, EdgeSampler, PixieCollector,
 };
-use codelayout_vm::{ExecHook, Machine, NullHook, RunReport, TraceBuffer, TraceSink};
+use codelayout_vm::{ExecHook, Machine, NullHook, NullSink, RunReport, TeeSink, TraceSink};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,9 +106,11 @@ pub struct ServeConfig {
     pub series: LayoutSeries,
     /// VM execution tier for the serving runs.
     pub vm_engine: VmEngine,
-    /// Cache-replay engine for the per-epoch miss evaluation.
+    /// Cache-simulation engine for the per-epoch miss evaluation.
     pub sweep_engine: SweepEngine,
-    /// Worker threads for the cache replay.
+    /// Lanes for the staleness evaluation: its stale and served windows
+    /// run side by side ([`codelayout_memsim::on_lanes`]). Every window
+    /// simulates its cache on the lane that drains it.
     pub sweep_threads: usize,
 }
 
@@ -245,9 +249,9 @@ pub struct EpochRecord {
     /// Whether a new image was swapped in at the end of this epoch.
     pub swapped: bool,
     /// User-stream instruction-cache misses for the epoch window on the
-    /// evaluation cache (64 KB / 128 B / 2-way).
+    /// evaluation cache (8 KB direct-mapped, 32 B lines).
     pub misses: u64,
-    /// User-stream fetches replayed for the epoch window.
+    /// User-stream fetches the evaluation cache saw in the epoch window.
     pub fetches: u64,
     /// Epoch index whose profile built the image this epoch ran under;
     /// `-1` means the initial offline deployment.
@@ -292,7 +296,7 @@ impl EpochRecord {
 }
 
 /// Staleness evaluation over the final epoch window: the same
-/// transactions, replayed from the same SGA snapshot, under three images.
+/// transactions, run again from the same SGA snapshot, under three images.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Misses under the initial offline deployment (the stale layout).
@@ -302,7 +306,9 @@ pub struct RecoveryReport {
     /// Misses under the oracle: an offline re-layout from an exact
     /// profile of the window itself.
     pub oracle_misses: u64,
-    /// User fetches in the window (identical across the three replays).
+    /// User fetches in the stale window. The served and oracle windows
+    /// run the same transactions, but a layout that erases or adds jumps
+    /// fetches a few more or fewer instructions.
     pub window_fetches: u64,
     /// Fraction of the stale→oracle miss gap recovered by the serving
     /// loop, in milli, clamped to 0..=2000; 1000 when there is no gap.
@@ -383,7 +389,7 @@ pub fn image_digest(image: &Image) -> String {
     format!("fnv1a64:{h:016x}")
 }
 
-/// The evaluation cache every epoch window is replayed against: the
+/// The evaluation cache every epoch window is simulated on: the
 /// paper machine's (Alpha 21164) 8 KB direct-mapped L1 instruction
 /// cache with 32-byte lines, user stream only (the serving loop
 /// re-layouts the application, not the kernel). The small L1 is the
@@ -438,20 +444,23 @@ pub fn drain_chunks<S: TraceSink, H: ExecHook>(
     report
 }
 
-/// Outcome of draining one epoch (or replay) window.
-struct WindowRun {
+/// Outcome of draining one epoch (or recovery) window.
+struct WindowRun<T> {
     report: RunReport,
     misses: u64,
     fetches: u64,
     shared: Vec<i64>,
+    /// Fed every record the evaluation cache was: a [`NullSink`] in
+    /// production, a recorder in the tests.
+    tap: T,
 }
 
 /// Runs transactions `[snapshot counter, end_txn)` on a fresh machine:
 /// restores the SGA snapshot (when given), pins the variant rotation,
-/// drains every server process, checks the TPC-B invariants, and replays
-/// the captured fetch stream against the evaluation cache.
+/// drains every server process straight into the evaluation cache, and
+/// checks the TPC-B invariants.
 #[allow(clippy::too_many_arguments)]
-fn run_window<H: ExecHook>(
+fn run_window<H: ExecHook, T: TraceSink + Default>(
     study: &Study,
     cfg: &ServeConfig,
     image: &Arc<Image>,
@@ -460,7 +469,8 @@ fn run_window<H: ExecHook>(
     rotation: usize,
     hook: &mut H,
     duty: u64,
-) -> WindowRun {
+) -> WindowRun<T> {
+    let _span = codelayout_obs::span("window");
     let (mut m, sga) =
         study.new_machine_with(image, &study.base_kernel_image, end_txn, cfg.vm_engine);
     if let Some(words_snapshot) = snapshot {
@@ -477,8 +487,11 @@ fn run_window<H: ExecHook>(
     }
     SgaLayout::fill_variant_table_rotated(&mut m, study.scenario.scale.stmt_variants, rotation);
 
-    let mut trace = TraceBuffer::fetch_only();
-    let report = drain_chunks(&mut m, &mut trace, hook, duty);
+    let mut sink = TeeSink(
+        GridSink::new(&window_spec(study), cfg.sweep_engine),
+        T::default(),
+    );
+    let report = drain_chunks(&mut m, &mut sink, hook, duty);
     assert!(
         report.faults.is_empty(),
         "faulted processes in serving window: {:?}",
@@ -494,17 +507,15 @@ fn run_window<H: ExecHook>(
         "serving window committed the wrong number of transactions"
     );
 
-    let shared = m.shared_mem().to_vec();
-    let frozen = trace.freeze();
-    let cells = ParallelSweep::new(cfg.sweep_threads)
-        .with_engine(cfg.sweep_engine)
-        .run_one(&frozen, &window_spec(study));
+    let TeeSink(grid, tap) = sink;
+    let cells = grid.finish();
     let cell = cells.first().expect("window spec yields one cell");
     WindowRun {
         report,
         misses: cell.stats.misses,
         fetches: cell.stats.accesses,
-        shared,
+        shared: m.shared_mem().to_vec(),
+        tap,
     }
 }
 
@@ -540,6 +551,12 @@ fn build_validated_image(
 /// the wrong number of transactions — all of which indicate a bug, not
 /// an environmental condition.
 pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
+    serve::<NullSink>(study, cfg).0
+}
+
+/// [`run_serve`], also handing back each window's tap (see [`WindowRun`]):
+/// the epochs' in order, then the stale, served and oracle windows'.
+fn serve<T: TraceSink + Default + Send>(study: &Study, cfg: &ServeConfig) -> (ServeReport, Vec<T>) {
     let _span = codelayout_obs::span("serve");
     let met = codelayout_obs::metrics();
     let capacity = study
@@ -576,6 +593,7 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
     let mut last_window_snapshot: Option<Vec<i64>> = None;
 
     let mut epochs: Vec<EpochRecord> = Vec::new();
+    let mut taps: Vec<T> = Vec::new();
     let mut relayouts = 0u64;
     let mut swaps = 0u64;
 
@@ -589,7 +607,7 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
             last_window_snapshot = snapshot.clone();
         }
 
-        let window = run_window(
+        let window: WindowRun<T> = run_window(
             study,
             cfg,
             &current_image,
@@ -600,6 +618,7 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
             cfg.sample_duty,
         );
         snapshot = Some(window.shared);
+        taps.push(window.tap);
 
         let shard = sampler.take_shard();
         let (events, samples) = (shard.events, shard.samples);
@@ -667,45 +686,54 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
         epochs.push(record);
     }
 
-    // Staleness evaluation: replay the final epoch window from its start
-    // snapshot under the stale, served, and oracle images. The stale
-    // replay doubles as the oracle's exact profiling run — the hook
-    // streams are layout-invariant, so the profile it collects is the
-    // window's true edge profile regardless of which image runs it.
+    // Staleness evaluation: run the final epoch window again from its
+    // start snapshot under the stale and served images, side by side,
+    // then under the oracle image. The stale run doubles as the oracle's
+    // exact profiling run — the hook streams are layout-invariant, so
+    // the profile it collects is the window's true edge profile
+    // regardless of which image runs it.
     let eval_span = codelayout_obs::span("recovery_eval");
     let last_epoch = total_epochs - 1;
     let window_end = cfg.total_txns();
     let rotation = cfg.rotation_for_epoch(last_epoch);
     let num_blocks = study.app.program.blocks.len();
+    let snapshot = last_window_snapshot.as_deref();
 
-    let mut pixie = PixieCollector::user(num_blocks);
-    let stale = run_window(
-        study,
-        cfg,
-        &initial_image,
-        last_window_snapshot.as_deref(),
-        window_end,
-        rotation,
-        &mut pixie,
-        1,
+    let runs = on_lanes(
+        cfg.sweep_threads,
+        "serve_lane",
+        &[(&initial_image, true), (&current_image, false)],
+        |&(image, profile)| {
+            let mut pixie = profile.then(|| PixieCollector::user(num_blocks));
+            let run = match &mut pixie {
+                Some(hook) => {
+                    run_window(study, cfg, image, snapshot, window_end, rotation, hook, 1)
+                }
+                None => run_window(
+                    study,
+                    cfg,
+                    image,
+                    snapshot,
+                    window_end,
+                    rotation,
+                    &mut NullHook,
+                    1,
+                ),
+            };
+            (run, pixie)
+        },
     );
+    let mut runs = runs.into_iter();
+    let (stale, pixie) = runs.next().expect("stale window ran");
+    let (served, _) = runs.next().expect("served window ran");
+    let pixie = pixie.expect("the stale window collects the oracle's profile");
     let oracle_image = build_validated_image(study, cfg, pixie.profile())
         .expect("oracle layout must link and validate");
-    let oracle = run_window(
+    let oracle: WindowRun<T> = run_window(
         study,
         cfg,
         &oracle_image,
-        last_window_snapshot.as_deref(),
-        window_end,
-        rotation,
-        &mut NullHook,
-        1,
-    );
-    let served = run_window(
-        study,
-        cfg,
-        &current_image,
-        last_window_snapshot.as_deref(),
+        snapshot,
         window_end,
         rotation,
         &mut NullHook,
@@ -721,8 +749,9 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
         recovery_milli: recovery_milli(stale.misses, served.misses, oracle.misses),
     };
     met.gauge_set("serve.recovery_milli", recovery.recovery_milli as f64);
+    taps.extend([stale.tap, served.tap, oracle.tap]);
 
-    ServeReport {
+    let report = ServeReport {
         config: cfg.clone(),
         epochs,
         relayouts,
@@ -730,7 +759,8 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
         base_image_digest: base_digest,
         final_image_digest: image_digest(&current_image),
         recovery,
-    }
+    };
+    (report, taps)
 }
 
 /// Fraction of the stale→oracle miss gap the serving loop recovered, in
@@ -818,6 +848,49 @@ mod tests {
         let ev = rec.event_json();
         assert_eq!(ev.get("swap_wall_ns").as_u64(), Some(1_000_000));
         assert_eq!(ev.get("epoch").as_u64(), Some(4));
+    }
+
+    #[test]
+    fn live_window_grids_equal_a_replay_of_each_recorded_window() {
+        use codelayout_memsim::SweepSink;
+        use codelayout_vm::TraceBuffer;
+        let base = Scenario::quick();
+        let mut cfg = ServeConfig::drift_demo(&base);
+        cfg.phases = vec![MixPhase::new(2, 0), MixPhase::new(2, 3)];
+        let study = codelayout_oltp::build_study(&cfg.serve_scenario(&base));
+        for (engine, lanes) in [(SweepEngine::Stack, 1), (SweepEngine::Direct, 2)] {
+            cfg.sweep_engine = engine;
+            cfg.sweep_threads = lanes;
+            let (report, traces) = serve::<TraceBuffer>(&study, &cfg);
+            let r = &report.recovery;
+            let live: Vec<u64> = report
+                .epochs
+                .iter()
+                .map(|e| e.misses)
+                .chain([r.stale_misses, r.serve_misses, r.oracle_misses])
+                .collect();
+            assert_eq!(traces.len(), live.len());
+            let mut replayed = Vec::new();
+            for trace in traces {
+                let mut oracle = SweepSink::from_spec(&window_spec(&study));
+                trace.freeze().replay(&mut oracle);
+                replayed.push(oracle.results()[0].stats);
+            }
+            let what = engine.label();
+            assert_eq!(
+                replayed.iter().map(|s| s.misses).collect::<Vec<_>>(),
+                live,
+                "{what}"
+            );
+            for (e, stats) in report.epochs.iter().zip(&replayed) {
+                assert_eq!(e.fetches, stats.accesses, "{what}: epoch {}", e.epoch);
+            }
+            assert_eq!(
+                r.window_fetches,
+                replayed[report.epochs.len()].accesses,
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! the machine emitted, so a simulator fed by replay is bit-identical
 //! to one that observed the live run.
 //!
-//! This is the substrate for the parallel configuration sweeps: the
-//! workload executes once, and the 100+ cache-grid simulations replay
-//! the frozen trace from worker threads.
+//! Production runs stream their events live into the simulators and
+//! record nothing; a frozen trace is the tests' oracle (a recorded run
+//! replayed into serial simulators) and the input of the benchmark's
+//! sweep probes.
 //!
 //! [`RecordingSink`]: crate::RecordingSink
 

@@ -3,12 +3,13 @@
 //! The contract under test: recording a workload's fetch stream once
 //! and replaying it through [`ParallelSweep`] produces **bit-identical**
 //! statistics to the serial [`SweepSink`]s that observed the live run —
-//! for every paper layout tried, every stream filter, any worker
-//! thread count, and **both** replay engines (the direct
-//! per-configuration simulators and the single-pass stack-distance
-//! profiler). This is the property that lets the experiment harness
-//! swap its live grid simulations for parallel stack-distance replay
-//! without changing a single figure.
+//! for every paper layout tried, every stream filter, any lane count,
+//! and **both** engines (the direct per-configuration simulators and the
+//! single-pass stack-distance profiler). Each job is one [`GridSink`]
+//! fed by the replay, the very sink the harness, the autotuner and the
+//! serving loop feed live.
+//!
+//! [`GridSink`]: codelayout::memsim::GridSink
 
 use codelayout::memsim::{
     ParallelSweep, StreamFilter, SweepCell, SweepEngine, SweepSink, SweepSpec,
