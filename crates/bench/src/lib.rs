@@ -28,12 +28,11 @@
 //! request.
 //!
 //! Every grid is named by a [`codelayout_memsim::SweepSpec`] and fed
-//! through a [`GridSink`]; the engine is the single-pass stack-distance
-//! profiler by default (one Mattson stack per line size answers every
-//! size × associativity at once). The direct per-configuration
-//! simulator, selected by `CODELAYOUT_SWEEP_ENGINE`, is bit-identical by
-//! construction and serves as the test oracle. The lane count honors
-//! `CODELAYOUT_THREADS`; results do not depend on it.
+//! through a [`GridSink`], the single-pass stack-distance profiler (one
+//! Mattson stack per line size answers every size × associativity at
+//! once). The tests hold every measurement to a serial replay into the
+//! direct per-configuration [`codelayout_memsim::SweepSink`]. The lane
+//! count honors `CODELAYOUT_THREADS`; results do not depend on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +44,7 @@ use codelayout_core::{LayoutRequest, OptimizationSet};
 use codelayout_memsim::{
     CacheConfig, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats, LocalityCache,
     LocalityStats, MemoryHierarchy, SequenceProfiler, SequenceStats, StreamFilter, SweepCell,
-    SweepEngine, SweepSpec,
+    SweepSpec,
 };
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
@@ -177,8 +176,8 @@ struct FullSink {
 }
 
 impl FullSink {
-    fn new(num_cpus: usize, engine: SweepEngine) -> Self {
-        let grid = |spec: SweepSpec| GridSink::new(&spec, engine);
+    fn new(num_cpus: usize) -> Self {
+        let grid = |spec: SweepSpec| GridSink::new(&spec);
         FullSink {
             dm_grid_user: grid(
                 SweepSpec::paper_grid(1)
@@ -250,17 +249,17 @@ struct LiveSink {
 }
 
 impl LiveSink {
-    fn new(num_cpus: usize, engine: SweepEngine, depth: Depth) -> Self {
+    fn new(num_cpus: usize, depth: Depth) -> Self {
         LiveSink {
             counts: CountingSink::default(),
-            sizes_4w_user: GridSink::new(&sizes_4w_spec(num_cpus, StreamFilter::UserOnly), engine),
+            sizes_4w_user: GridSink::new(&sizes_4w_spec(num_cpus, StreamFilter::UserOnly)),
             timing: (depth >= Depth::Timed).then(|| {
                 TeeSink(
                     MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
                     MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
                 )
             }),
-            full: (depth == Depth::Full).then(|| FullSink::new(num_cpus, engine)),
+            full: (depth == Depth::Full).then(|| FullSink::new(num_cpus)),
         }
     }
 }
@@ -304,11 +303,11 @@ impl TraceSink for LiveSink {
 /// Measures `req` at `depth`: one live pass of its measured phase into a
 /// [`LiveSink`], asserted correct, recording the run's
 /// `vm.run.<name>.insts_per_sec` gauge.
-fn measure(study: &Study, engine: SweepEngine, req: LayoutRequest, depth: Depth) -> LayoutData {
+fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
     let _measure_span = codelayout_obs::span("measure");
     let name = req.to_string();
     let image = study.image(req);
-    let mut sink = LiveSink::new(study.scenario.num_cpus, engine, depth);
+    let mut sink = LiveSink::new(study.scenario.num_cpus, depth);
     let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
     outcome.assert_correct();
     codelayout_obs::metrics().gauge_set(
@@ -355,7 +354,6 @@ pub struct Harness {
     out_dir: PathBuf,
     scenario_label: String,
     lanes: usize,
-    engine: SweepEngine,
     output_digests: Vec<(String, String)>,
     extra_sections: Vec<(String, serde_json::Value)>,
 }
@@ -364,9 +362,8 @@ impl Harness {
     /// Builds the study for a scenario. The results directory defaults to
     /// `results/` under the current directory (created on demand). The
     /// measurement lane count honors `CODELAYOUT_THREADS`, defaulting to
-    /// the host's available parallelism, and the grid engine
-    /// `CODELAYOUT_SWEEP_ENGINE`. The scenario label (used for the run
-    /// manifest's `results/<scenario>/` directory) defaults to the
+    /// the host's available parallelism. The scenario label (used for the
+    /// run manifest's `results/<scenario>/` directory) defaults to the
     /// `CODELAYOUT_SCENARIO` selection; use [`Harness::with_label`] when
     /// the scenario was chosen some other way.
     pub fn new(scenario: &Scenario) -> Self {
@@ -381,7 +378,6 @@ impl Harness {
             out_dir: PathBuf::from("results"),
             scenario_label: label.to_string(),
             lanes: run_env().sweep_threads(),
-            engine: run_env().sweep_engine,
             output_digests: Vec::new(),
             extra_sections: Vec::new(),
         }
@@ -482,10 +478,9 @@ impl Harness {
                 todo.push((req, depth));
             }
         }
-        let (study, engine) = (&self.study, self.engine);
         let measured =
             codelayout_memsim::on_lanes(self.lanes, "measure_lane", &todo, |&(req, depth)| {
-                measure(study, engine, req, depth)
+                measure(&self.study, req, depth)
             });
         self.runs
             .extend(todo.into_iter().map(|(req, _)| req).zip(measured));
@@ -526,7 +521,6 @@ impl Harness {
             "measure_txns": sc.measure_txns,
             "seed": sc.seed,
             "sweep_threads": self.lanes as u64,
-            "sweep_engine": self.engine.label(),
             "vm_engine": self.study.machine_config().engine.label(),
         })
     }
@@ -770,23 +764,21 @@ mod tests {
             assert_eq!(t.hier_21264.fetches, d.user_fetches + d.kernel_fetches);
             assert!(t.hier_21164.l1i_misses > t.hier_21264.l1i_misses);
         }
-        for engine in [SweepEngine::Stack, SweepEngine::Direct] {
-            // 1 and 3 lanes, then the `CODELAYOUT_THREADS` lane count.
-            for lanes in [1, 3, run_env().sweep_threads()] {
-                let what = format!("on {lanes} lanes, {} engine", engine.label());
-                let mut h = Harness::with_label(&scenario, "quick");
-                (h.lanes, h.engine) = (lanes, engine);
-                h.prefetch(reqs.iter().copied());
-                assert_eq!(h.runs.len(), replays.len());
-                for req in &reqs {
-                    let want = at_depth(&replays[req], Depth::of(req));
-                    assert_same_measurement(&h.runs[req], &want, &what);
-                }
-                h.prefetch_timing(reqs.iter().copied());
-                for req in &reqs {
-                    let want = at_depth(&replays[req], Depth::of(req).max(Depth::Timed));
-                    assert_same_measurement(&h.runs[req], &want, &what);
-                }
+        // 1 and 3 lanes, then the `CODELAYOUT_THREADS` lane count.
+        for lanes in [1, 3, run_env().sweep_threads()] {
+            let what = format!("on {lanes} lanes");
+            let mut h = Harness::with_label(&scenario, "quick");
+            h.lanes = lanes;
+            h.prefetch(reqs.iter().copied());
+            assert_eq!(h.runs.len(), replays.len());
+            for req in &reqs {
+                let want = at_depth(&replays[req], Depth::of(req));
+                assert_same_measurement(&h.runs[req], &want, &what);
+            }
+            h.prefetch_timing(reqs.iter().copied());
+            for req in &reqs {
+                let want = at_depth(&replays[req], Depth::of(req).max(Depth::Timed));
+                assert_same_measurement(&h.runs[req], &want, &what);
             }
         }
     }

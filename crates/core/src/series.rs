@@ -74,7 +74,7 @@ impl LayoutSeries {
         ]
     }
 
-    /// Stable lowercase label, as accepted by `CODELAYOUT_LAYOUT_SERIES`
+    /// Stable lowercase label, as accepted by [`LayoutSeries::parse`]
     /// and used by the harness, figures and manifests.
     pub fn label(self) -> &'static str {
         match self {

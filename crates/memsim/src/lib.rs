@@ -15,15 +15,17 @@
 //! * [`StackDistanceSim`] — single-pass Mattson stack-distance profiler:
 //!   exact per-configuration statistics for every size × associativity at
 //!   one line size, bit-identical to [`ICacheSim`];
-//! * [`GridSink`] — one [`SweepSpec`] on either [`SweepEngine`]
-//!   (stack-distance by default, direct as the oracle), fed record by
-//!   record on the calling thread and bit-identical to [`SweepSink`]
-//!   (the harness streams its live measurement passes into it, the
-//!   autotuner its remapped window, the serving loop its epoch windows);
+//! * [`GridSink`] — one [`SweepSpec`] on the stack-distance profilers,
+//!   fed record by record on the calling thread and bit-identical to
+//!   [`SweepSink`] (the harness streams its live measurement passes into
+//!   it, the autotuner its remapped window, the serving loop its epoch
+//!   windows); it is the only grid simulator a run uses;
 //! * [`on_lanes`] — independent items spread over scoped threads, results
 //!   in item order; [`ParallelSweep`] replays a recorded
 //!   [`codelayout_vm::FrozenTrace`] through [`SweepSpec`] jobs that way,
-//!   one [`GridSink`] per job;
+//!   one simulator per job on either [`SweepEngine`] (a [`GridSink`], or
+//!   the direct [`SweepSink`] oracle), for the tests and the benchmark's
+//!   probes;
 //! * [`LocalityCache`] — per-line word-use bitmaps, word reuse counters and
 //!   line lifetimes (Figures 9, 10, 11, and the unused-fetch claim);
 //! * [`SequenceProfiler`] — sequential run-length histogram (Figure 8);
@@ -52,14 +54,14 @@ mod spec;
 mod stack;
 mod sweep;
 
-pub use codelayout_obs::{run_env, RunEnv, SweepEngine};
+pub use codelayout_obs::{run_env, RunEnv};
 pub use config::{CacheConfig, StreamFilter};
 pub use footprint::FootprintCounter;
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use icache::{AccessClass, CacheStats, ICacheSim};
 pub use itlb::Itlb;
 pub use locality::{LocalityCache, LocalityStats};
-pub use parallel::{on_lanes, GridSink, ParallelSweep};
+pub use parallel::{on_lanes, GridSink, ParallelSweep, SweepEngine};
 pub use sequence::{SequenceProfiler, SequenceStats};
 pub use spec::{SweepSpec, LINES_B, SIZES_KB};
 pub use stack::StackDistanceSim;

@@ -3,40 +3,37 @@
 //! [`GridSink`] simulates one [`SweepSpec`] from a stream fed record by
 //! record: the harness's live measurement passes, the autotuner's
 //! remapped window and the serving loop's epoch windows all drain into
-//! one. Two engines implement the same contract ([`SweepEngine`],
-//! default taken from `CODELAYOUT_SWEEP_ENGINE`):
+//! one. It holds one [`StackDistanceSim`] per (line size, CPU). A single
+//! pass over the stream yields exact misses for every size ×
+//! associativity at that line size (Mattson inclusion), so per-record
+//! cost is O(line sizes), not O(configurations). Two replay-loop
+//! specializations stack on top: routing is a precomputed (kernel flag,
+//! CPU) → profiler-list table instead of a per-record walk over filters,
+//! and consecutive records that repeat the previous one — same line at
+//! the *smallest* line size in the grid (hence the same line at every
+//! larger one), same CPU, same kernel flag — collapse to one counter
+//! increment, flushed in bulk with [`StackDistanceSim::repeat_last`]
+//! when the run breaks. Instruction streams are mostly sequential (the
+//! very property the paper's optimizations maximize), so such runs cover
+//! most of the stream.
 //!
-//! * **Stack** — one [`StackDistanceSim`] per (line size, CPU). A
-//!   single pass over the stream yields exact misses for every size ×
-//!   associativity at that line size (Mattson inclusion), so per-record
-//!   cost is O(line sizes), not O(configurations). Two replay-loop
-//!   specializations stack on top: routing is a precomputed (kernel
-//!   flag, CPU) → profiler-list table instead of a per-record walk over
-//!   filters, and consecutive records that repeat the previous one —
-//!   same line at the *smallest* line size in the grid (hence the same
-//!   line at every larger one), same CPU, same kernel flag — collapse
-//!   to one counter increment, flushed in bulk with
-//!   [`StackDistanceSim::repeat_last`] when the run breaks. Instruction
-//!   streams are mostly sequential (the very property the paper's
-//!   optimizations maximize), so such runs cover most of the stream.
-//! * **Direct** — a [`SweepSink`]: one [`ICacheSim`] per
-//!   (configuration, CPU), the straightforward oracle the stack engine
-//!   is proven against. It has no batching and no routing table, so a
-//!   divergence between the engines always indicts exactly one of them.
-//!
-//! Results are **bit-identical** across engines: the stack profiler
-//! reproduces [`ICacheSim`]'s statistics exactly, and per-CPU partials
-//! are summed with [`CacheStats::merge`], commutative `u64` addition.
-//! Grids ignore data events, so a fetch-and-data stream sweeps exactly
-//! like its fetch-only twin.
+//! A [`GridSink`]'s cells are **bit-identical** to a [`SweepSink`]'s:
+//! one [`ICacheSim`] per (configuration, CPU), the straightforward
+//! oracle the stack engine is proven against. The oracle has no batching
+//! and no routing table, so a divergence between the two always indicts
+//! exactly one of them. The stack profiler reproduces [`ICacheSim`]'s
+//! statistics exactly, and per-CPU partials are summed with
+//! [`CacheStats::merge`], commutative `u64` addition. Grids ignore data
+//! events, so a fetch-and-data stream sweeps exactly like its fetch-only
+//! twin.
 //!
 //! [`on_lanes`] spreads independent items — a candidate layout to tune,
 //! a layout to measure, a recovery window to serve — over lanes: each
 //! item runs whole on one lane, and the results come back in item order
 //! whatever the lane count. [`ParallelSweep`] replays a recorded
-//! [`FrozenTrace`] through a list of jobs that way, one [`GridSink`]
-//! per job; no production run records a trace, so its callers are the
-//! tests and the benchmark's sweep probes.
+//! [`FrozenTrace`] through a list of jobs that way, one simulator per
+//! job on either [`SweepEngine`]; no production run records a trace, so
+//! its callers are the tests and the benchmark's sweep probes.
 //!
 //! [`SweepSink`]: crate::SweepSink
 //! [`ICacheSim`]: crate::ICacheSim
@@ -45,13 +42,12 @@ use crate::config::StreamFilter;
 use crate::icache::{AccessClass, CacheStats};
 use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
-use crate::sweep::SweepCell;
-use codelayout_obs::SweepEngine;
+use crate::sweep::{SweepCell, SweepSink};
 use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
 
-/// One stack-engine unit: a (line size, CPU) profiler covering every
-/// configuration of that line size, plus the routing inputs
-/// [`StackWorker::new`] bakes into the dispatch table.
+/// One (line size, CPU) profiler covering every configuration of that
+/// line size, plus the routing inputs [`GridSink::new`] bakes into the
+/// dispatch table.
 struct StackShard {
     cpu: usize,
     filter: StreamFilter,
@@ -62,122 +58,31 @@ struct StackShard {
 /// Routing-table width: one entry per (kernel flag, `u8` CPU id).
 const ROUTES: usize = 2 * 256;
 
-/// The stack engine's replay loop over every shard of one grid. For
-/// every possible (kernel flag, record CPU) pair it precomputes the list
-/// of profilers that accept such a record — the per-record work is then
-/// one table lookup and one profiler access per list entry, with
-/// same-line runs batched down to a single counter increment (see the
-/// module docs).
-struct StackWorker {
-    shards: Vec<StackShard>,
-    /// `routes[kernel << 8 | cpu]` = indices into `shards`.
-    routes: Vec<Vec<u32>>,
-    /// Right-shift turning an address into a line at the smallest line
-    /// size any shard profiles: equal keys ⇒ equal lines everywhere.
-    batch_shift: u32,
-    /// `(line << 9) | (cpu << 1) | kernel` of the previous record;
-    /// `u64::MAX` (unreachable: trace addresses fit 45 bits) initially.
-    last_key: u64,
-    /// Route index of the in-progress run.
-    last_route: usize,
-    /// Repeat records accumulated since the run's first record.
-    pending: u64,
+/// The simulator each [`ParallelSweep`] job runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SweepEngine {
+    /// A [`SweepSink`]: one set-associative LRU simulator per
+    /// (configuration, CPU), the oracle.
+    Direct,
+    /// A [`GridSink`]: one stack-distance profiler per (line size, CPU)
+    /// (default).
+    #[default]
+    Stack,
 }
 
-impl TraceSink for StackWorker {
-    // Always inlined into the replay loop: outlined, a call per record
-    // costs it about 10%.
-    #[inline(always)]
-    fn fetch(&mut self, rec: FetchRecord) {
-        let key =
-            ((rec.addr >> self.batch_shift) << 9) | ((rec.cpu as u64) << 1) | rec.kernel as u64;
-        if key == self.last_key {
-            self.pending += 1;
-            return;
-        }
-        self.flush_repeats();
-        self.last_key = key;
-        self.last_route = (rec.kernel as usize) << 8 | rec.cpu as usize;
-        let class = AccessClass::from_kernel_flag(rec.kernel);
-        let shards = &mut self.shards;
-        for &i in &self.routes[self.last_route] {
-            shards[i as usize].prof.access(rec.addr, class);
-        }
-    }
-}
-
-impl StackWorker {
-    /// A worker over every shard of `spec` (with `grid` = its
-    /// configurations): one profiler per (line size, CPU), covering
-    /// every configuration of that line size, in line-size, CPU order.
-    fn new(spec: &SweepSpec, grid: &[crate::CacheConfig]) -> Self {
-        let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        let mut shards = Vec::new();
-        for &line in &lines {
-            let group: Vec<(usize, crate::CacheConfig)> = grid
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.line_bytes == line)
-                .map(|(i, &c)| (i, c))
-                .collect();
-            for cpu in 0..spec.num_cpus() {
-                shards.push(StackShard {
-                    cpu,
-                    filter: spec.stream(),
-                    num_cpus: spec.num_cpus(),
-                    prof: StackDistanceSim::new(line, group.iter().copied()),
-                });
-            }
-        }
-        let routes = (0..ROUTES)
-            .map(|r| {
-                let (kernel, rec_cpu) = (r >> 8 != 0, r & 0xFF);
-                shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.filter.accepts(kernel) && rec_cpu % s.num_cpus == s.cpu)
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect();
-        StackWorker {
-            shards,
-            routes,
-            batch_shift: lines.first().map_or(0, |l| l.trailing_zeros()),
-            last_key: u64::MAX,
-            last_route: 0,
-            pending: 0,
-        }
-    }
-
-    /// Adds every shard's per-configuration statistics into `cells`.
-    /// Call after the final [`StackWorker::flush_repeats`].
-    fn merge_into(self, cells: &mut [SweepCell]) {
-        for shard in self.shards {
-            for (config_idx, stats) in shard.prof.results() {
-                cells[config_idx].stats.merge(&stats);
-            }
-        }
-    }
-
-    /// Delivers a batched run of repeat records to the profilers the
-    /// run's first record routed to. Must run once more after replay.
-    fn flush_repeats(&mut self) {
-        let n = std::mem::take(&mut self.pending);
-        if n == 0 {
-            return;
-        }
-        let shards = &mut self.shards;
-        for &i in &self.routes[self.last_route] {
-            shards[i as usize].prof.repeat_last(n);
+impl SweepEngine {
+    /// Stable lowercase name (`"direct"` / `"stack"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            SweepEngine::Direct => "direct",
+            SweepEngine::Stack => "stack",
         }
     }
 }
 
 /// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs:
-/// each job is one [`GridSink`] fed by [`FrozenTrace::replay`], and the
+/// each job is one simulator fed by [`FrozenTrace::replay`] — a
+/// [`GridSink`], or on [`SweepEngine::Direct`] a [`SweepSink`] — and the
 /// jobs run side by side on up to `threads` lanes ([`on_lanes`]).
 ///
 /// ```
@@ -237,14 +142,21 @@ impl ParallelSweep {
 
     /// Replays `trace` through every job, returning one result vector
     /// per job (same order; cells in each job's config order, summed
-    /// over CPUs — the exact shape [`crate::SweepSink::results`]
-    /// returns). Helper lanes run under `sweep_lane` root spans.
+    /// over CPUs — the exact shape [`SweepSink::results`] returns).
+    /// Helper lanes run under `sweep_lane` root spans.
     pub fn run(&self, trace: &FrozenTrace, jobs: &[SweepSpec]) -> Vec<Vec<SweepCell>> {
         let _sweep_span = codelayout_obs::span("sweep");
-        on_lanes(self.threads, "sweep_lane", jobs, |spec| {
-            let mut sink = GridSink::new(spec, self.engine);
-            trace.replay(&mut sink);
-            sink.finish()
+        on_lanes(self.threads, "sweep_lane", jobs, |spec| match self.engine {
+            SweepEngine::Stack => {
+                let mut sink = GridSink::new(spec);
+                trace.replay(&mut sink);
+                sink.finish()
+            }
+            SweepEngine::Direct => {
+                let mut sink = SweepSink::from_spec(spec);
+                trace.replay(&mut sink);
+                sink.results()
+            }
         })
     }
 
@@ -260,18 +172,17 @@ impl ParallelSweep {
 /// record, for a caller that produces its stream on the fly and never
 /// materializes a trace.
 ///
-/// The stack engine is one stack worker holding every (line size, CPU)
-/// profiler of the spec, with the routing table and run batching of the
-/// module docs; the direct engine is a [`crate::SweepSink`]. Either way
-/// [`GridSink::finish`] returns exactly the cells a [`crate::SweepSink`]
+/// It holds every (line size, CPU) profiler of the spec, with the
+/// routing table and run batching of the module docs, and
+/// [`GridSink::finish`] returns exactly the cells a [`SweepSink`]
 /// returns for the same records.
 ///
 /// ```
-/// use codelayout_memsim::{GridSink, SweepEngine, SweepSink, SweepSpec};
+/// use codelayout_memsim::{GridSink, SweepSink, SweepSpec};
 /// use codelayout_vm::{FetchRecord, TraceSink};
 ///
 /// let spec = SweepSpec::paper_grid(2).cpus(2);
-/// let mut sink = GridSink::new(&spec, SweepEngine::Stack);
+/// let mut sink = GridSink::new(&spec);
 /// let mut oracle = SweepSink::from_spec(&spec);
 /// for i in 0..1000u64 {
 ///     let rec = FetchRecord { addr: i % 96 * 64, cpu: (i % 2) as u8, pid: 0, kernel: false };
@@ -281,71 +192,124 @@ impl ParallelSweep {
 /// assert_eq!(sink.finish(), oracle.results());
 /// ```
 pub struct GridSink {
-    engine: GridEngine,
-}
-
-enum GridEngine {
-    Stack {
-        worker: StackWorker,
-        cells: Vec<SweepCell>,
-    },
-    Direct(crate::SweepSink),
+    shards: Vec<StackShard>,
+    /// `routes[kernel << 8 | cpu]` = indices into `shards`.
+    routes: Vec<Vec<u32>>,
+    /// Right-shift turning an address into a line at the smallest line
+    /// size any shard profiles: equal keys ⇒ equal lines everywhere.
+    batch_shift: u32,
+    /// `(line << 9) | (cpu << 1) | kernel` of the previous record;
+    /// `u64::MAX` (unreachable: trace addresses fit 45 bits) initially.
+    last_key: u64,
+    /// Route index of the in-progress run.
+    last_route: usize,
+    /// Repeat records accumulated since the run's first record.
+    pending: u64,
+    /// The spec's configurations, in order, with zeroed statistics until
+    /// [`GridSink::finish`] merges the shards into them.
+    cells: Vec<SweepCell>,
 }
 
 impl GridSink {
-    /// An empty sink simulating `spec` on `engine`.
-    pub fn new(spec: &SweepSpec, engine: SweepEngine) -> Self {
-        let engine = match engine {
-            SweepEngine::Direct => GridEngine::Direct(crate::SweepSink::from_spec(spec)),
-            SweepEngine::Stack => {
-                let grid = spec.configs();
-                GridEngine::Stack {
-                    worker: StackWorker::new(spec, &grid),
-                    cells: grid
-                        .into_iter()
-                        .map(|config| SweepCell {
-                            config,
-                            stats: CacheStats::default(),
-                        })
-                        .collect(),
-                }
+    /// An empty sink simulating `spec`: one profiler per (line size,
+    /// CPU), covering every configuration of that line size, in
+    /// line-size, CPU order, and for every possible (kernel flag, record
+    /// CPU) pair the list of profilers that accept such a record.
+    pub fn new(spec: &SweepSpec) -> Self {
+        let grid = spec.configs();
+        let mut lines: Vec<u32> = grid.iter().map(|c| c.line_bytes).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let mut shards = Vec::new();
+        for &line in &lines {
+            let group: Vec<(usize, crate::CacheConfig)> = grid
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.line_bytes == line)
+                .map(|(i, &c)| (i, c))
+                .collect();
+            for cpu in 0..spec.num_cpus() {
+                shards.push(StackShard {
+                    cpu,
+                    filter: spec.stream(),
+                    num_cpus: spec.num_cpus(),
+                    prof: StackDistanceSim::new(line, group.iter().copied()),
+                });
             }
-        };
-        GridSink { engine }
+        }
+        let routes = (0..ROUTES)
+            .map(|r| {
+                let (kernel, rec_cpu) = (r >> 8 != 0, r & 0xFF);
+                shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.filter.accepts(kernel) && rec_cpu % s.num_cpus == s.cpu)
+                    .map(|(i, _)| i as u32)
+                    .collect()
+            })
+            .collect();
+        GridSink {
+            shards,
+            routes,
+            batch_shift: lines.first().map_or(0, |l| l.trailing_zeros()),
+            last_key: u64::MAX,
+            last_route: 0,
+            pending: 0,
+            cells: grid
+                .into_iter()
+                .map(|config| SweepCell {
+                    config,
+                    stats: CacheStats::default(),
+                })
+                .collect(),
+        }
     }
 
     /// The spec's cells (configuration order, summed over CPUs) for every
     /// record fed so far.
-    pub fn finish(self) -> Vec<SweepCell> {
-        match self.engine {
-            GridEngine::Stack {
-                mut worker,
-                mut cells,
-            } => {
-                worker.flush_repeats();
-                worker.merge_into(&mut cells);
-                cells
+    pub fn finish(mut self) -> Vec<SweepCell> {
+        self.flush_repeats();
+        for shard in self.shards {
+            for (config_idx, stats) in shard.prof.results() {
+                self.cells[config_idx].stats.merge(&stats);
             }
-            GridEngine::Direct(sink) => sink.results(),
+        }
+        self.cells
+    }
+
+    /// Delivers a batched run of repeat records to the profilers the
+    /// run's first record routed to. Must run once more after the last
+    /// record.
+    fn flush_repeats(&mut self) {
+        let n = std::mem::take(&mut self.pending);
+        if n == 0 {
+            return;
+        }
+        let shards = &mut self.shards;
+        for &i in &self.routes[self.last_route] {
+            shards[i as usize].prof.repeat_last(n);
         }
     }
 }
 
 impl TraceSink for GridSink {
-    #[inline]
+    // Always inlined into the replay loop: outlined, a call per record
+    // costs it about 10%.
+    #[inline(always)]
     fn fetch(&mut self, rec: FetchRecord) {
-        match &mut self.engine {
-            GridEngine::Stack { worker, .. } => worker.fetch(rec),
-            GridEngine::Direct(sink) => sink.fetch(rec),
+        let key =
+            ((rec.addr >> self.batch_shift) << 9) | ((rec.cpu as u64) << 1) | rec.kernel as u64;
+        if key == self.last_key {
+            self.pending += 1;
+            return;
         }
-    }
-
-    // One engine dispatch per run, not per record.
-    #[inline]
-    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
-        match &mut self.engine {
-            GridEngine::Stack { worker, .. } => worker.fetch_run(first, n),
-            GridEngine::Direct(sink) => sink.fetch_run(first, n),
+        self.flush_repeats();
+        self.last_key = key;
+        self.last_route = (rec.kernel as usize) << 8 | rec.cpu as usize;
+        let class = AccessClass::from_kernel_flag(rec.kernel);
+        let shards = &mut self.shards;
+        for &i in &self.routes[self.last_route] {
+            shards[i as usize].prof.access(rec.addr, class);
         }
     }
 }
@@ -396,7 +360,6 @@ pub fn on_lanes<T: Sync, R: Send>(
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::sweep::SweepSink;
     use codelayout_vm::{DataRecord, TraceBuffer};
 
     /// A small mixed user/kernel multi-CPU trace.

@@ -1,7 +1,7 @@
 //! [`SweepSpec`]: the one way to name a cache-grid sweep.
 //!
-//! Every sweep in the workspace — the serial [`SweepSink`], the
-//! parallel direct engine and the stack-distance engine — is described
+//! Every sweep in the workspace — the direct [`SweepSink`] and the
+//! stack-distance [`GridSink`] — is described
 //! by the same value: a grid of cache geometries (sizes × line sizes ×
 //! associativities), a simulated CPU count and a stream filter. Before
 //! this type existed each call site assembled its own `Vec<CacheConfig>`
@@ -26,6 +26,7 @@
 //! is part of the API contract.
 //!
 //! [`SweepSink`]: crate::SweepSink
+//! [`GridSink`]: crate::GridSink
 
 use crate::config::{CacheConfig, StreamFilter};
 

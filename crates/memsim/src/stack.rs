@@ -76,8 +76,8 @@ struct SetLevel {
 
 /// A stack-distance profiler for every configuration of one line size,
 /// fed by one (CPU, filter) shard of the trace. Produces [`CacheStats`]
-/// bit-identical to running an [`ICacheSim`] per configuration over the
-/// same stream.
+/// bit-identical to running an [`ICacheSim`](crate::ICacheSim) per
+/// configuration over the same stream.
 ///
 /// ```
 /// use codelayout_memsim::{AccessClass, CacheConfig, ICacheSim, StackDistanceSim};

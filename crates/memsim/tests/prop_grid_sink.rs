@@ -1,11 +1,11 @@
 //! Differential property test for the serial grid sink: on random fetch
 //! streams — user and kernel records, CPU ids at and above the spec's
 //! CPU count, several line sizes and associativities — a [`GridSink`]
-//! fed record by record (and by runs) must finish, on both engines, with
-//! exactly the cells of the serial oracle: a [`SweepSink`] fed the same
-//! records, and one fed the recorded trace's replay.
+//! fed record by record (and by runs) must finish with exactly the cells
+//! of the serial oracle: a [`SweepSink`] fed the same records, and one
+//! fed the recorded trace's replay.
 
-use codelayout_memsim::{GridSink, StreamFilter, SweepEngine, SweepSink, SweepSpec};
+use codelayout_memsim::{GridSink, StreamFilter, SweepSink, SweepSpec};
 use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,29 +69,25 @@ proptest! {
             .ways_each(ways)
             .cpus(cpus)
             .filter(filter);
-        let mut stack = GridSink::new(&spec, SweepEngine::Stack);
-        let mut direct = GridSink::new(&spec, SweepEngine::Direct);
+        let mut grid = GridSink::new(&spec);
         let mut live = SweepSink::from_spec(&spec);
         let mut buf = TraceBuffer::fetch_only();
-        feed(seed, 6_000, max_cpu, &mut [&mut stack, &mut direct, &mut live, &mut buf]);
+        feed(seed, 6_000, max_cpu, &mut [&mut grid, &mut live, &mut buf]);
         let mut replayed = SweepSink::from_spec(&spec);
         buf.freeze().replay(&mut replayed);
         let want = live.results();
         prop_assert_eq!(&replayed.results(), &want, "seed {}: replay vs live oracle", seed);
-        prop_assert_eq!(&stack.finish(), &want, "seed {}: stack sink", seed);
-        prop_assert_eq!(&direct.finish(), &want, "seed {}: direct sink", seed);
+        prop_assert_eq!(&grid.finish(), &want, "seed {}: grid sink", seed);
     }
 }
 
 #[test]
 fn empty_sink_has_zeroed_cells_in_config_order() {
     let spec = SweepSpec::paper_grid(4).cpus(2);
-    for engine in [SweepEngine::Stack, SweepEngine::Direct] {
-        let cells = GridSink::new(&spec, engine).finish();
-        assert_eq!(
-            cells.iter().map(|c| c.config).collect::<Vec<_>>(),
-            spec.configs()
-        );
-        assert!(cells.iter().all(|c| c.stats.accesses == 0));
-    }
+    let cells = GridSink::new(&spec).finish();
+    assert_eq!(
+        cells.iter().map(|c| c.config).collect::<Vec<_>>(),
+        spec.configs()
+    );
+    assert!(cells.iter().all(|c| c.stats.accesses == 0));
 }

@@ -14,9 +14,7 @@
 //! |---|---|---|
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
 //! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | lane count: the harness's measurement lanes, the autotuner's evaluation lanes and the serving loop's recovery lanes (default: available parallelism) |
-//! | `CODELAYOUT_SWEEP_ENGINE` | [`RunEnv::sweep_engine`] | `stack` (default) or `direct` grid-replay engine |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
-//! | `CODELAYOUT_LAYOUT_SERIES` | [`RunEnv::layout_series`] | comma-separated layout-series labels for the comparison table (default: the five-series comparison set) |
 //! | `CODELAYOUT_PROFILE_SOURCE` | [`RunEnv::profile_source`] | `measured` (default) or `static` profile feeding the layout passes |
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |
 //! | `CODELAYOUT_UPDATE_GOLDEN` | [`RunEnv::update_golden`] | `1` = rewrite golden snapshots instead of asserting |
@@ -38,14 +36,8 @@ use std::sync::OnceLock;
 pub const SCENARIO_ENV: &str = "CODELAYOUT_SCENARIO";
 /// Environment variable overriding the lane count.
 pub const THREADS_ENV: &str = "CODELAYOUT_THREADS";
-/// Environment variable selecting the grid-replay engine.
-pub const SWEEP_ENGINE_ENV: &str = "CODELAYOUT_SWEEP_ENGINE";
 /// Environment variable selecting the VM execution tier.
 pub const VM_ENGINE_ENV: &str = "CODELAYOUT_VM_ENGINE";
-/// Environment variable selecting the layout series for the comparison
-/// table (comma-separated labels; this crate stores them as opaque
-/// strings — `codelayout-core`'s `LayoutSeries::parse` interprets them).
-pub const LAYOUT_SERIES_ENV: &str = "CODELAYOUT_LAYOUT_SERIES";
 /// Environment variable selecting the profile source feeding the layout
 /// passes: `measured` execution counts or the `static` Ball–Larus-style
 /// estimate (`codelayout-analysis` owns the estimator).
@@ -107,39 +99,12 @@ impl ScenarioSel {
     }
 }
 
-/// Grid-replay engine selected by `CODELAYOUT_SWEEP_ENGINE`.
-///
-/// `Stack` is the single-pass Mattson stack-distance engine (one
-/// profiler per line size yields every configuration's exact miss
-/// counts); `Direct` instantiates one LRU simulator per configuration
-/// and survives as the equivalence oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// One set-associative LRU simulator per (configuration, CPU).
-    Direct,
-    /// One stack-distance profiler per (line size, CPU) (default).
-    #[default]
-    Stack,
-}
-
-impl SweepEngine {
-    /// Stable lowercase name (`"direct"` / `"stack"`), as accepted by
-    /// `CODELAYOUT_SWEEP_ENGINE` and recorded in run manifests.
-    pub fn label(self) -> &'static str {
-        match self {
-            SweepEngine::Direct => "direct",
-            SweepEngine::Stack => "stack",
-        }
-    }
-}
-
 /// VM execution tier selected by `CODELAYOUT_VM_ENGINE`.
 ///
 /// `Block` pre-compiles each basic block of a linked image into a flat
 /// superinstruction form and executes whole blocks at a time; `Interp`
 /// is the deliberately-plain one-instruction-at-a-time decoder that
-/// survives as the equivalence oracle (the same discipline as
-/// [`SweepEngine::Direct`]).
+/// survives as the equivalence oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VmEngine {
     /// Decode-dispatch interpreter; the oracle.
@@ -194,17 +159,9 @@ pub struct RunEnv {
     /// Lane-count override (`CODELAYOUT_THREADS`); `None`
     /// falls back to the host's available parallelism.
     pub threads: Option<usize>,
-    /// Grid-replay engine (`CODELAYOUT_SWEEP_ENGINE`), default
-    /// [`SweepEngine::Stack`].
-    pub sweep_engine: SweepEngine,
     /// VM execution tier (`CODELAYOUT_VM_ENGINE`), default
     /// [`VmEngine::Block`].
     pub vm_engine: VmEngine,
-    /// Layout-series labels for the comparison table
-    /// (`CODELAYOUT_LAYOUT_SERIES`, comma-separated); `None` selects the
-    /// default five-series comparison set. Labels are kept as strings
-    /// here — `codelayout-core` owns their interpretation.
-    pub layout_series: Option<Vec<String>>,
     /// Profile source feeding the layout passes
     /// (`CODELAYOUT_PROFILE_SOURCE`), default [`ProfileSource::Measured`].
     pub profile_source: ProfileSource,
@@ -256,14 +213,6 @@ impl RunEnv {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0);
-        let sweep_engine = match std::env::var(SWEEP_ENGINE_ENV).as_deref() {
-            Ok("direct") => SweepEngine::Direct,
-            Ok("stack") | Err(_) => SweepEngine::Stack,
-            Ok(other) => {
-                eprintln!("warning: {SWEEP_ENGINE_ENV}={other} is not direct/stack; using stack");
-                SweepEngine::Stack
-            }
-        };
         let vm_engine = match std::env::var(VM_ENGINE_ENV).as_deref() {
             Ok("interp") => VmEngine::Interp,
             Ok("block") | Err(_) => VmEngine::Block,
@@ -272,9 +221,6 @@ impl RunEnv {
                 VmEngine::Block
             }
         };
-        let layout_series = std::env::var(LAYOUT_SERIES_ENV)
-            .ok()
-            .and_then(|v| parse_series_list(&v));
         let profile_source = match std::env::var(PROFILE_SOURCE_ENV).as_deref() {
             Ok("static") => ProfileSource::Static,
             Ok("measured") | Err(_) => ProfileSource::Measured,
@@ -305,9 +251,7 @@ impl RunEnv {
         RunEnv {
             scenario,
             threads,
-            sweep_engine,
             vm_engine,
-            layout_series,
             profile_source,
             trace_out,
             update_golden,
@@ -350,21 +294,6 @@ fn parse_u64_knob(var: &str) -> Option<u64> {
     }
 }
 
-/// Splits a comma-separated label list, trimming whitespace and dropping
-/// empty items; an all-empty value means "use the default set".
-fn parse_series_list(v: &str) -> Option<Vec<String>> {
-    let labels: Vec<String> = v
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if labels.is_empty() {
-        None
-    } else {
-        Some(labels)
-    }
-}
-
 static RUN_ENV: OnceLock<RunEnv> = OnceLock::new();
 
 /// The process-global [`RunEnv`], parsed from the environment on first
@@ -398,29 +327,12 @@ mod tests {
         assert_eq!(ScenarioSel::Quick.label(), "quick");
         assert_eq!(ScenarioSel::Sim.label(), "sim");
         assert_eq!(ScenarioSel::Hw.label(), "hw");
-        assert_eq!(SweepEngine::Stack.label(), "stack");
-        assert_eq!(SweepEngine::Direct.label(), "direct");
-        assert_eq!(SweepEngine::default(), SweepEngine::Stack);
         assert_eq!(VmEngine::Interp.label(), "interp");
         assert_eq!(VmEngine::Block.label(), "block");
         assert_eq!(VmEngine::default(), VmEngine::Block);
         assert_eq!(ProfileSource::Measured.label(), "measured");
         assert_eq!(ProfileSource::Static.label(), "static");
         assert_eq!(ProfileSource::default(), ProfileSource::Measured);
-    }
-
-    #[test]
-    fn series_list_parsing() {
-        assert_eq!(
-            parse_series_list("base, exttsp,stitcher"),
-            Some(vec![
-                "base".to_string(),
-                "exttsp".to_string(),
-                "stitcher".to_string()
-            ])
-        );
-        assert_eq!(parse_series_list(""), None);
-        assert_eq!(parse_series_list(" , ,"), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cooperating pieces the rest of the workspace instruments itself
 //! with:
 //!
-//! * **Span tracing** ([`span`], [`Tracer`], [`Span`]). RAII phase
+//! * **Span tracing** ([`span()`], [`Tracer`], [`Span`]). RAII phase
 //!   timers with nested paths (a span opened while another is live on
 //!   the same thread becomes its child, `run_all/fig04/measure/replay`),
 //!   monotonic timing from one process-wide epoch, and thread-tagged
@@ -18,12 +18,12 @@
 //!   Aggregated phase totals are queried as a tree
 //!   ([`Tracer::phase_tree`]) and rendered as a human `--report`
 //!   breakdown with percentages ([`Tracer::render_report`]).
-//! * **Metrics** ([`metrics`], [`Registry`], [`Histogram`]). Named
+//! * **Metrics** ([`metrics()`], [`Registry`], [`Histogram`]). Named
 //!   counters, gauges, and power-of-two-bucket histograms. The global
 //!   registry takes a lock per update, which is fine for coarse events
 //!   (images linked, layouts built, epochs served); no simulator or
-//!   replay loop records one per event. Snapshots render to JSON and to
-//!   Prometheus text exposition.
+//!   replay loop records one per event. Snapshots render to JSON for the
+//!   run manifest.
 //! * **Run manifests** ([`manifest::ManifestBuilder`]). `run_all` and
 //!   the figure binaries write `results/<scenario>/manifest.json`:
 //!   config, `git describe`, per-phase wall times with coverage,
@@ -49,7 +49,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod span;
 
-pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, SweepEngine, VmEngine};
+pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, VmEngine};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::{PhaseNode, PhaseStat, Span, Tracer};
 

@@ -324,7 +324,7 @@ fn validate_phase(p: &Value) -> Result<(), String> {
 /// `wall_ms` the `tune` section's: every other serve/tune field (epoch
 /// records, drift scores, search trajectories, miss counts, image
 /// digests) is deterministic and stays pinned by goldens.
-pub const VOLATILE_KEYS: [&str; 14] = [
+pub const VOLATILE_KEYS: [&str; 13] = [
     "git",
     "created_unix_ms",
     "wall_ns",
@@ -335,7 +335,6 @@ pub const VOLATILE_KEYS: [&str; 14] = [
     "parallelism",
     "threads_env",
     "sweep_threads",
-    "sweep_engine",
     "vm_engine",
     "swap_wall_ns",
     "wall_ms",
@@ -344,8 +343,8 @@ pub const VOLATILE_KEYS: [&str; 14] = [
 /// Returns a copy of a manifest with volatile values masked: values of
 /// [`VOLATILE_KEYS`] anywhere, every value inside `metrics` (metric
 /// *names* stay), and every digest inside `outputs`. Masked numbers
-/// become `0`, strings `"<masked>"`, and arrays `[]` (histogram bucket
-/// lists vary in length with timing, so only their presence is pinned).
+/// become `0`, strings `"<masked>"`, and arrays `[]` (only their
+/// presence is pinned, not their length).
 /// The result is deterministic across machines and runs, so golden
 /// tests can pin it.
 pub fn mask_volatile(v: &Value) -> Value {

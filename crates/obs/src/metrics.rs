@@ -7,9 +7,7 @@
 //! per-event hot loop: no simulator or replay loop records a metric.
 //!
 //! Snapshots ([`Registry::snapshot`]) are immutable maps rendered to
-//! JSON ([`MetricsSnapshot::to_json`]) for the run manifest and to
-//! Prometheus text exposition ([`MetricsSnapshot::to_prometheus`]) for
-//! scraping.
+//! JSON ([`MetricsSnapshot::to_json`]) for the run manifest.
 
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -125,26 +123,6 @@ impl Histogram {
         self.max
     }
 
-    /// Non-empty buckets as `(inclusive_upper_edge, count)` pairs, in
-    /// ascending edge order (for Prometheus cumulative rendering).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let upper = if i == 0 {
-                    0
-                } else if i >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                (upper, c)
-            })
-            .collect()
-    }
-
     /// The fixed summary rendered into snapshots.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -156,7 +134,6 @@ impl Histogram {
             p90: self.quantile(0.90),
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),
-            buckets: self.nonzero_buckets(),
         }
     }
 }
@@ -180,8 +157,6 @@ pub struct HistogramSnapshot {
     pub p95: u64,
     /// Approximate 99th percentile.
     pub p99: u64,
-    /// Non-empty `(upper_edge, count)` buckets, ascending.
-    pub buckets: Vec<(u64, u64)>,
 }
 
 impl HistogramSnapshot {
@@ -340,58 +315,6 @@ impl MetricsSnapshot {
             "histograms": histograms,
         })
     }
-
-    /// Prometheus text exposition (one `# TYPE` line per metric, names
-    /// sanitized to `[a-z0-9_]` and prefixed `codelayout_`). Histograms
-    /// render cumulative `_bucket{le="..."}` series plus `_sum` and
-    /// `_count`, followed by estimated `_p50` / `_p95` / `_p99` gauges
-    /// (bucket-upper-edge quantiles, clamped to the observed max) so
-    /// latency histograms are readable straight off the scrape output.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} histogram");
-            let mut cum = 0u64;
-            for (upper, c) in &h.buckets {
-                cum += c;
-                let _ = writeln!(out, "{n}_bucket{{le=\"{upper}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{n}_sum {}", h.sum);
-            let _ = writeln!(out, "{n}_count {}", h.count);
-            for (suffix, q) in [("p50", h.p50), ("p95", h.p95), ("p99", h.p99)] {
-                let _ = writeln!(out, "# TYPE {n}_{suffix} gauge");
-                let _ = writeln!(out, "{n}_{suffix} {q}");
-            }
-        }
-        out
-    }
-}
-
-/// Sanitizes a dotted metric name into a Prometheus series name.
-fn prom_name(name: &str) -> String {
-    let mut n = String::with_capacity(name.len() + 11);
-    n.push_str("codelayout_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            n.push(c.to_ascii_lowercase());
-        } else {
-            n.push('_');
-        }
-    }
-    n
 }
 
 #[cfg(test)]
@@ -426,7 +349,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
@@ -440,33 +362,6 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let r = Registry::new();
-        r.add("link.fallthroughs", 12);
-        r.gauge_set("replay.rate", 1.5);
-        r.observe("sweep.wait_us", 3);
-        r.observe("sweep.wait_us", 900);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE codelayout_link_fallthroughs counter"));
-        assert!(text.contains("codelayout_link_fallthroughs 12"));
-        assert!(text.contains("# TYPE codelayout_replay_rate gauge"));
-        assert!(text.contains("# TYPE codelayout_sweep_wait_us histogram"));
-        assert!(text.contains("codelayout_sweep_wait_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("codelayout_sweep_wait_us_count 2"));
-        assert!(text.contains("codelayout_sweep_wait_us_sum 903"));
-        // Cumulative buckets are nondecreasing.
-        let mut last = 0u64;
-        for line in text
-            .lines()
-            .filter(|l| l.contains("_bucket{le=\"") && !l.contains("+Inf"))
-        {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last);
-            last = v;
-        }
     }
 
     #[test]
@@ -505,25 +400,6 @@ mod tests {
         }
         let snap = point.snapshot();
         assert_eq!((snap.p50, snap.p95, snap.p99), (700, 700, 700));
-    }
-
-    #[test]
-    fn prometheus_exposition_renders_quantile_gauges() {
-        let r = Registry::new();
-        for _ in 0..99 {
-            r.observe("serve.swap_ns", 1);
-        }
-        r.observe("serve.swap_ns", 1_000_000);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE codelayout_serve_swap_ns_p50 gauge"));
-        assert!(text.contains("codelayout_serve_swap_ns_p50 1\n"));
-        assert!(text.contains("codelayout_serve_swap_ns_p95 1\n"));
-        assert!(text.contains("codelayout_serve_swap_ns_p99 1\n"));
-        // The quantile gauges come after the histogram series proper.
-        assert!(
-            text.find("codelayout_serve_swap_ns_count").unwrap()
-                < text.find("codelayout_serve_swap_ns_p50").unwrap()
-        );
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! recovered, in milli (1000 = all of it).
 //!
 //! Everything in [`ServeReport::deterministic_json`] is bit-identical
-//! across VM engines, sweep engines, and thread counts; wall-clock swap
+//! across VM engines and lane counts; wall-clock swap
 //! latency is reported only through the tracer/metrics side channels.
 
 #![forbid(unsafe_code)]
@@ -59,7 +59,7 @@
 use codelayout_core::{LayoutPipeline, LayoutSeries, OptimizationSet};
 use codelayout_ir::Image;
 use codelayout_memsim::{on_lanes, GridSink, StreamFilter, SweepSpec};
-use codelayout_obs::{run_env, SweepEngine, VmEngine};
+use codelayout_obs::{run_env, VmEngine};
 use codelayout_oltp::{drift_schedule, words, BuildError, MixPhase, Scenario, SgaLayout, Study};
 use codelayout_profile::{
     edge_l1_milli, profile_from_edge_samples, DecayedEdgeCounts, EdgeSampler, PixieCollector,
@@ -106,8 +106,6 @@ pub struct ServeConfig {
     pub series: LayoutSeries,
     /// VM execution tier for the serving runs.
     pub vm_engine: VmEngine,
-    /// Cache-simulation engine for the per-epoch miss evaluation.
-    pub sweep_engine: SweepEngine,
     /// Lanes for the staleness evaluation: its stale and served windows
     /// run side by side ([`codelayout_memsim::on_lanes`]). Every window
     /// simulates its cache on the lane that drains it.
@@ -140,14 +138,13 @@ impl ServeConfig {
             phases: drift_schedule(scenario),
             series: LayoutSeries::Paper(OptimizationSet::ALL),
             vm_engine: VmEngine::default(),
-            sweep_engine: SweepEngine::default(),
             sweep_threads: 1,
         }
     }
 
     /// [`ServeConfig::drift_demo`] with the `CODELAYOUT_SERVE_*`,
-    /// `CODELAYOUT_VM_ENGINE`, `CODELAYOUT_SWEEP_ENGINE` and
-    /// `CODELAYOUT_THREADS` environment knobs applied.
+    /// `CODELAYOUT_VM_ENGINE` and `CODELAYOUT_THREADS` environment knobs
+    /// applied.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::drift_demo(scenario);
@@ -164,7 +161,6 @@ impl ServeConfig {
             cfg.drift_threshold_milli = t;
         }
         cfg.vm_engine = env.vm_engine;
-        cfg.sweep_engine = env.sweep_engine;
         cfg.sweep_threads = env.sweep_threads();
         cfg
     }
@@ -264,7 +260,7 @@ pub struct EpochRecord {
 
 impl EpochRecord {
     /// The record without its volatile wall-clock field — bit-identical
-    /// across VM engines, sweep engines, and thread counts.
+    /// across VM engines and lane counts.
     pub fn deterministic_json(&self) -> Value {
         json!({
             "epoch": self.epoch,
@@ -354,7 +350,7 @@ impl ServeReport {
     }
 
     /// The report without volatile fields — bit-identical across VM
-    /// engines, sweep engines, and thread counts for a fixed config.
+    /// engines and lane counts for a fixed config.
     pub fn deterministic_json(&self) -> Value {
         json!({
             "config": self.config.to_json(),
@@ -487,10 +483,7 @@ fn run_window<H: ExecHook, T: TraceSink + Default>(
     }
     SgaLayout::fill_variant_table_rotated(&mut m, study.scenario.scale.stmt_variants, rotation);
 
-    let mut sink = TeeSink(
-        GridSink::new(&window_spec(study), cfg.sweep_engine),
-        T::default(),
-    );
+    let mut sink = TeeSink(GridSink::new(&window_spec(study)), T::default());
     let report = drain_chunks(&mut m, &mut sink, hook, duty);
     assert!(
         report.faults.is_empty(),
@@ -858,8 +851,7 @@ mod tests {
         let mut cfg = ServeConfig::drift_demo(&base);
         cfg.phases = vec![MixPhase::new(2, 0), MixPhase::new(2, 3)];
         let study = codelayout_oltp::build_study(&cfg.serve_scenario(&base));
-        for (engine, lanes) in [(SweepEngine::Stack, 1), (SweepEngine::Direct, 2)] {
-            cfg.sweep_engine = engine;
+        for lanes in [1, 2] {
             cfg.sweep_threads = lanes;
             let (report, traces) = serve::<TraceBuffer>(&study, &cfg);
             let r = &report.recovery;
@@ -876,7 +868,7 @@ mod tests {
                 trace.freeze().replay(&mut oracle);
                 replayed.push(oracle.results()[0].stats);
             }
-            let what = engine.label();
+            let what = format!("{lanes} lanes");
             assert_eq!(
                 replayed.iter().map(|s| s.misses).collect::<Vec<_>>(),
                 live,

@@ -76,7 +76,7 @@
 //! across candidates.
 //!
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
-//! across sweep engines, thread counts and lane counts, and contains no
+//! across lane counts, and contains no
 //! wall-clock. A wall budget ([`TuneConfig::budget_ms`]) that actually
 //! fires cuts the search at a time-dependent point — the default (0,
 //! unlimited) keeps the whole trajectory reproducible from the seed,
@@ -90,7 +90,7 @@ use codelayout_core::{
 };
 use codelayout_ir::{BlockId, Image, Layout};
 use codelayout_memsim::{GridSink, StreamFilter, SweepSpec};
-use codelayout_obs::{run_env, SweepEngine};
+use codelayout_obs::run_env;
 use codelayout_oltp::{Scenario, Study};
 use codelayout_vm::{FetchRecord, TraceSink};
 use rand::rngs::StdRng;
@@ -130,8 +130,6 @@ pub struct TuneConfig {
     pub budget_ms: u64,
     /// The series families to tune, searched in order.
     pub series: Vec<LayoutSeries>,
-    /// Cache-replay engine for the fitness oracle.
-    pub sweep_engine: SweepEngine,
     /// Evaluation lanes (clamped to ≥ 1): candidates and fixed yardsticks
     /// evaluated concurrently, each built, validated and replayed
     /// serially on its own lane (see the module docs). The report does
@@ -156,15 +154,13 @@ impl TuneConfig {
                 LayoutSeries::ExtTsp,
                 LayoutSeries::Stitcher,
             ],
-            sweep_engine: SweepEngine::default(),
             sweep_threads: 1,
         }
     }
 
     /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED`,
-    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES,WINDOW}`,
-    /// `CODELAYOUT_SWEEP_ENGINE` and `CODELAYOUT_THREADS` environment
-    /// knobs applied.
+    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES,WINDOW}` and
+    /// `CODELAYOUT_THREADS` environment knobs applied.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::for_scenario(scenario);
@@ -180,14 +176,13 @@ impl TuneConfig {
         if let Some(w) = env.tune_window {
             cfg.window = w;
         }
-        cfg.sweep_engine = env.sweep_engine;
         cfg.sweep_threads = env.sweep_threads();
         cfg
     }
 
     /// Configuration echo for manifests and figure JSON. Deterministic:
-    /// engine and thread count are deliberately omitted (the report is
-    /// byte-diffed across both).
+    /// the lane count is deliberately omitted (the report is byte-diffed
+    /// across lane counts).
     pub fn to_json(&self) -> Value {
         json!({
             "seed": self.seed,
@@ -328,9 +323,9 @@ impl TuneReport {
         self.families.iter().min_by_key(|f| f.best_score)
     }
 
-    /// The report as JSON, bit-identical across sweep engines and thread
-    /// counts, with no wall-clock anywhere (the figure-grid CI byte-diffs
-    /// this across engines).
+    /// The report as JSON, bit-identical across lane counts, with no
+    /// wall-clock anywhere (the figure-grid CI byte-diffs this across
+    /// lane counts).
     pub fn deterministic_json(&self) -> Value {
         json!({
             "config": self.config.to_json(),
@@ -546,7 +541,6 @@ impl OrderMemo {
 struct Lab<'a> {
     study: &'a Study,
     spec: SweepSpec,
-    engine: SweepEngine,
     window: Vec<WindowRun>,
     nblocks: usize,
     lanes: usize,
@@ -560,7 +554,7 @@ impl Lab<'_> {
     /// returns (total misses, per-cell misses).
     fn replay(&self, image: &Image) -> (u64, Vec<u64>) {
         let _span = codelayout_obs::span("sweep");
-        let mut sink = GridSink::new(&self.spec, self.engine);
+        let mut sink = GridSink::new(&self.spec);
         remap_into(&self.window, image, self.nblocks, &mut sink);
         let per_cell: Vec<u64> = sink.finish().iter().map(|c| c.stats.misses).collect();
         (per_cell.iter().sum(), per_cell)
@@ -911,7 +905,6 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
                 .ways(EVAL_WAYS)
                 .cpus(study.scenario.num_cpus)
                 .filter(StreamFilter::UserOnly),
-            engine: cfg.sweep_engine,
             window: sink.runs,
             nblocks: study.app.program.blocks.len(),
             lanes: cfg.sweep_threads.max(1),
@@ -1012,7 +1005,7 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codelayout_memsim::ParallelSweep;
+    use codelayout_memsim::SweepSink;
     use codelayout_oltp::build_study;
     use codelayout_vm::{FrozenTrace, RecordingSink, TeeSink, TraceBuffer};
 
@@ -1151,14 +1144,11 @@ mod tests {
             old.replay(&mut want);
             remap_into(&runs, &image, nblocks, &mut got);
             assert_eq!(got.fetches, want.fetches, "remapped record streams differ");
-            for engine in [SweepEngine::Stack, SweepEngine::Direct] {
-                let want = ParallelSweep::new(1)
-                    .with_engine(engine)
-                    .run_one(&old, &spec);
-                let mut sink = GridSink::new(&spec, engine);
-                remap_into(&runs, &image, nblocks, &mut sink);
-                assert_eq!(sink.finish(), want, "engine {}", engine.label());
-            }
+            let mut want = SweepSink::from_spec(&spec);
+            old.replay(&mut want);
+            let mut sink = GridSink::new(&spec);
+            remap_into(&runs, &image, nblocks, &mut sink);
+            assert_eq!(sink.finish(), want.results(), "remapped grids differ");
         }
     }
 
@@ -1208,7 +1198,6 @@ mod tests {
             let lab = Lab {
                 study: &study,
                 spec: tune_spec(&study),
-                engine: SweepEngine::Stack,
                 window: Vec::new(),
                 nblocks: 0,
                 lanes,

@@ -1,9 +1,8 @@
 //! End-to-end determinism of the autotuner: the search trajectory and
-//! report must be bit-identical across cache-replay engines and lane
-//! counts (speculative evaluation on extra lanes must not show), and
+//! report must be bit-identical across lane counts (speculative
+//! evaluation on extra lanes must not show), and
 //! every accepted candidate must have passed translation validation.
 
-use codelayout_obs::SweepEngine;
 use codelayout_oltp::{build_study, Scenario};
 use codelayout_tune::{run_tune, TuneConfig, TUNE_SIZES_KB};
 
@@ -17,27 +16,20 @@ fn tune_is_deterministic_across_engines_and_threads() {
 
     let mut cfg = TuneConfig::for_scenario(&study.scenario);
     cfg.candidates = CANDIDATES;
-    cfg.sweep_engine = SweepEngine::Stack;
     cfg.sweep_threads = 1;
     let a = run_tune(&study, &cfg);
     let ja = serde_json::to_string_pretty(&a.deterministic_json()).unwrap();
 
     // `sweep_threads` is also the lane count: every extra lane evaluates
     // candidates speculatively, and none of that may show in the report.
-    let others = [
-        (SweepEngine::Stack, 2),
-        (SweepEngine::Stack, 3),
-        (SweepEngine::Direct, 7),
-    ];
-    for (engine, threads) in others {
-        cfg.sweep_engine = engine;
+    for threads in [2, 3, 7] {
         cfg.sweep_threads = threads;
         let b = run_tune(&study, &cfg);
-        let what = format!("{}/{threads}-thread", engine.label());
+        let what = format!("{threads}-thread");
         let jb = serde_json::to_string_pretty(&b.deterministic_json()).unwrap();
         assert_eq!(
             ja, jb,
-            "tune report differs between stack/1-thread and {what} runs"
+            "tune report differs between 1-thread and {what} runs"
         );
         let counts = |r: &codelayout_tune::TuneReport| -> Vec<(u64, u64, u64)> {
             r.families
@@ -49,7 +41,7 @@ fn tune_is_deterministic_across_engines_and_threads() {
     }
 
     // The deterministic report must not leak engine, thread, or wall
-    // fields (run_all byte-diffs it across engines).
+    // fields (run_all byte-diffs it across lane counts).
     for leak in ["sweep_engine", "sweep_threads", "wall_ms", "secs"] {
         assert!(!ja.contains(leak), "deterministic report leaks `{leak}`");
     }
