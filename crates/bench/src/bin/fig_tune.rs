@@ -6,8 +6,9 @@
 //! carries the search trajectory summary. Knobs:
 //! `CODELAYOUT_TUNE_BUDGET`, `CODELAYOUT_TUNE_CANDIDATES`,
 //! `CODELAYOUT_TUNE_WINDOW`, `CODELAYOUT_SEED`, plus the usual
-//! scenario/engine/thread knobs. `CODELAYOUT_TRACE_OUT` streams each
-//! evaluated candidate as a `tune/candidate` JSONL event.
+//! scenario/engine/thread knobs. `CODELAYOUT_TRACE_OUT` records each
+//! evaluated candidate as a `tune/candidate` JSONL event, in candidate
+//! order once the search ends.
 
 use codelayout_bench::{figures, finish_run, Harness};
 use codelayout_tune::TuneConfig;

@@ -13,7 +13,7 @@
 //! | Variable | Field | Meaning |
 //! |---|---|---|
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
-//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | lane count: the harness's measurement lanes, the autotuner's evaluation lanes and the serving loop's recovery lanes (default: available parallelism) |
+//! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | lane count: the harness's measurement lanes, the autotuner's family lanes and the serving loop's recovery lanes (default: available parallelism) |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
 //! | `CODELAYOUT_PROFILE_SOURCE` | [`RunEnv::profile_source`] | `measured` (default) or `static` profile feeding the layout passes |
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |

@@ -42,31 +42,26 @@
 //!    budget. The RNG is `CODELAYOUT_SEED`-derived
 //!    ([`rand::rngs::StdRng`], one stream per family), duplicate points
 //!    hit a cache instead of consuming budget, and every fresh
-//!    evaluation is streamed as a `tune/candidate` tracer event.
+//!    evaluation becomes a `tune/candidate` tracer event, emitted in
+//!    candidate order once every family's search has ended.
 //!
-//! **Lanes.** A candidate's score is a pure function of its parameter
-//! point, so candidates can be evaluated anywhere, in any order.
-//! [`TuneConfig::sweep_threads`] sets the number of evaluation lanes.
-//! Lane 0 is the calling thread, the others are scoped threads under a
-//! `tune_lane` root span. Before a probe the search has not seen, it
-//! evaluates that probe together with the next uncached ±1 neighbours
-//! the descent would probe after it (if the current point does not
-//! move) as one batch. The lanes build the batch's layouts; the calling
-//! thread looks each order up in the family's memo and dedups the batch;
-//! the lanes then link, validate and replay each distinct new order on
-//! one core; and the calling thread records them in the memo. Lanes
-//! never touch the memo, so each distinct order is linked, validated
-//! and replayed once per family, whatever the lane count. The batch is
-//! capped by the lane count and the family's remaining candidate budget,
-//! and none starts once the wall budget is spent. The search itself
-//! stays sequential: it charges points in the same order as a single
-//! lane would, taking a result computed ahead instead of recomputing it.
-//! Candidate indices, `tune/candidate` events, `tune.*` counters, cache
-//! and layout hits, the budget and the trajectory therefore cannot
-//! depend on the lane count. A point computed ahead that the search
-//! never reaches (the descent moved first) is wasted work, never a
-//! different result. The fixed yardsticks are spread over the lanes
-//! too.
+//! **Lanes.** The families share nothing mutable: each searches its own
+//! space under its own seed, memo and candidate budget, against the same
+//! read-only window, grid and yardstick orders. So each family's whole
+//! search (default, descent, restarts) is one item on
+//! [`TuneConfig::sweep_threads`] lanes, in a `tune_family` span. Lane 0
+//! is the calling thread, the others are scoped threads under a
+//! `tune_lane` root span. Within a family the search is sequential and
+//! scores one point at a time, so each distinct order is linked,
+//! validated and replayed once per family, whatever the lane count. When
+//! the lanes join, the calling thread numbers the candidates family by
+//! family in [`TuneConfig::series`] order and emits their events and
+//! `tune.*` counters. Candidate indices, events, counters, cache and
+//! layout hits, the budget and the trajectory therefore cannot depend on
+//! the lane count. There is one item per searched family (four by
+//! default), so lanes beyond that sit idle, and the slowest family bounds
+//! the search. Before the search, the fixed yardsticks are scored side
+//! by side on the lanes too, each into its own memo.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -78,9 +73,13 @@
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
 //! across lane counts, and contains no
 //! wall-clock. A wall budget ([`TuneConfig::budget_ms`]) that actually
-//! fires cuts the search at a time-dependent point — the default (0,
-//! unlimited) keeps the whole trajectory reproducible from the seed,
-//! and a triggered cut is recorded as `budget_hit`.
+//! fires cuts every family's search at the same clock time, a
+//! time-dependent point — the default (0, unlimited) keeps the whole
+//! trajectory reproducible from the seed, and a triggered cut is
+//! recorded as `budget_hit`. A family with no validated candidate (the
+//! cut came before its default, or the validator rejected all it scored)
+//! is left out of [`TuneReport::families`], its candidates still in the
+//! trajectory; later families are kept.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,6 +96,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 /// Cache sizes (KB) of the fitness-oracle grid. Deliberately extends
 /// the paper's 32–512 KB sweep *downward*: layout quality shows up as
@@ -130,10 +130,10 @@ pub struct TuneConfig {
     pub budget_ms: u64,
     /// The series families to tune, searched in order.
     pub series: Vec<LayoutSeries>,
-    /// Evaluation lanes (clamped to ≥ 1): candidates and fixed yardsticks
-    /// evaluated concurrently, each built, validated and replayed
-    /// serially on its own lane (see the module docs). The report does
-    /// not depend on it.
+    /// Lanes (clamped to ≥ 1): the fixed yardsticks, then the searched
+    /// families, run side by side, each family's whole search on one
+    /// lane (see the module docs). Lanes beyond the number of families
+    /// sit idle. The report does not depend on it.
     pub sweep_threads: usize,
 }
 
@@ -294,9 +294,11 @@ pub struct TuneReport {
     /// Every fixed comparison series scored by the same oracle, in
     /// [`LayoutSeries::comparison`] order.
     pub fixed: Vec<FixedResult>,
-    /// Per-family results, in [`TuneConfig::series`] order.
+    /// Per-family results, in [`TuneConfig::series`] order, of the
+    /// families with a validated candidate.
     pub families: Vec<FamilyResult>,
-    /// Every fresh evaluation, in search order.
+    /// Every fresh evaluation, family by family in
+    /// [`TuneConfig::series`] order, each family's in search order.
     pub trajectory: Vec<CandidateRecord>,
     /// True when the wall budget truncated the search (the trajectory is
     /// then wall-clock-dependent and not reproducible from the seed).
@@ -498,7 +500,7 @@ struct Evaluation {
 /// already here is not linked, validated or replayed again. The key is
 /// the whole order, compared element by element, never a hash alone;
 /// orders are numbered in the order they were first recorded.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct OrderMemo {
     numbers: HashMap<Vec<BlockId>, usize>,
     scored: Vec<Evaluation>,
@@ -525,19 +527,10 @@ impl OrderMemo {
             ..ev
         }
     }
-
-    /// A memo holding only the order numbered `number`.
-    fn only(&self, number: usize) -> OrderMemo {
-        let mut memo = OrderMemo::default();
-        if let Some((order, _)) = self.numbers.iter().find(|&(_, &n)| n == number) {
-            memo.record(order.clone(), self.scored[number].clone());
-        }
-        memo
-    }
 }
 
 /// The read-only fitness oracle every lane shares: the study, the
-/// recorded window and the evaluation grid.
+/// recorded window, the evaluation grid and the wall budget.
 struct Lab<'a> {
     study: &'a Study,
     spec: SweepSpec,
@@ -547,6 +540,9 @@ struct Lab<'a> {
     /// Take an order already scored from the memo. Off only in the tests
     /// that check the memo against fresh evaluations.
     memoize: bool,
+    start: Instant,
+    /// Wall budget in milliseconds; 0 = unlimited.
+    budget_ms: u64,
 }
 
 impl Lab<'_> {
@@ -560,42 +556,20 @@ impl Lab<'_> {
         (per_cell.iter().sum(), per_cell)
     }
 
-    /// Scores a batch of layout requests, in request order, on the lanes:
-    /// builds every layout, then links, validates and replays each block
-    /// order that neither `memo` nor an earlier request of the batch has,
-    /// and records it in `memo`. Validation is unconditional for every
-    /// order scored — a layout the validator rejects can never win,
-    /// whatever the cache says.
-    fn evaluate(&self, reqs: &[LayoutRequest], memo: &mut OrderMemo) -> Vec<Evaluation> {
-        let layouts = self.on_lanes(reqs, |&req| self.study.layout(req));
-        // Each layout's evaluation: from the memo, or the index of the
-        // fresh order it scores as.
-        let mut fresh: Vec<Layout> = Vec::new();
-        let slots: Vec<Result<Evaluation, usize>> = layouts
-            .into_iter()
-            .map(|layout| {
-                if self.memoize {
-                    if let Some(ev) = memo.get(&layout.order) {
-                        return Ok(ev.clone());
-                    }
-                    if let Some(i) = fresh.iter().position(|f| f.order == layout.order) {
-                        return Err(i);
-                    }
-                }
-                fresh.push(layout);
-                Err(fresh.len() - 1)
-            })
-            .collect();
-        let scored = self.on_lanes(&fresh, |layout| self.score(layout));
-        let scored: Vec<Evaluation> = fresh
-            .into_iter()
-            .zip(scored)
-            .map(|(layout, ev)| memo.record(layout.order, ev))
-            .collect();
-        slots
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|i| scored[i].clone()))
-            .collect()
+    /// Scores one layout request on the calling thread: builds the
+    /// layout, then links, validates and replays its block order unless
+    /// `memo` has it, and records it in `memo`. Validation is
+    /// unconditional for every order scored — a layout the validator
+    /// rejects can never win, whatever the cache says.
+    fn evaluate(&self, req: LayoutRequest, memo: &mut OrderMemo) -> Evaluation {
+        let layout = self.study.layout(req);
+        if self.memoize {
+            if let Some(ev) = memo.get(&layout.order) {
+                return ev.clone();
+            }
+        }
+        let ev = self.score(&layout);
+        memo.record(layout.order, ev)
     }
 
     /// Links, validates and replays one layout.
@@ -615,6 +589,11 @@ impl Lab<'_> {
         }
     }
 
+    /// True once the wall budget is spent.
+    fn wall_spent(&self) -> bool {
+        self.budget_ms > 0 && self.start.elapsed().as_millis() as u64 >= self.budget_ms
+    }
+
     /// `f` of every item, in item order, on the tuner's lanes (helper
     /// lanes under a `tune_lane` root span; see [`codelayout_memsim::on_lanes`]).
     fn on_lanes<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
@@ -622,35 +601,13 @@ impl Lab<'_> {
     }
 }
 
-/// The sequential search's mutable state: the shared oracle plus the
-/// wall budget and the global trajectory.
-struct Oracle<'a> {
-    lab: Lab<'a>,
-    start: std::time::Instant,
-    budget_ms: u64,
-    budget_hit: bool,
-    candidate_no: u64,
-    trajectory: Vec<CandidateRecord>,
-}
-
-impl Oracle<'_> {
-    /// True when the wall budget is exhausted (records `budget_hit`).
-    fn wall_exhausted(&mut self) -> bool {
-        if self.budget_ms > 0 && self.start.elapsed().as_millis() as u64 >= self.budget_ms {
-            self.budget_hit = true;
-        }
-        self.budget_hit
-    }
-}
-
+/// One family's search: everything it changes, owned by the lane that
+/// runs it.
 struct FamilySearch {
     series: LayoutSeries,
     space: ParamSpace,
     budget: u64,
     cache: BTreeMap<ParamPoint, u64>,
-    /// Speculative evaluations not yet charged: what the lanes computed
-    /// ahead of the sequential search.
-    ahead: BTreeMap<ParamPoint, Evaluation>,
     /// Every block order the family's search scored, seeded with the
     /// family's fixed yardstick.
     orders: OrderMemo,
@@ -662,50 +619,30 @@ struct FamilySearch {
     layout_hits: u64,
     best: Option<(ParamPoint, u64, Vec<u64>)>,
     default_score: u64,
+    /// True once the wall budget cut the search.
+    budget_hit: bool,
+    /// The family's fresh evaluations, in search order, numbered from 0.
+    trajectory: Vec<CandidateRecord>,
 }
 
 impl FamilySearch {
-    /// Before the search evaluates `next`, evaluates it on the lanes
-    /// together with the first points the search would evaluate after it
-    /// if `cur` does not move — descent probes from `cur` at pass
-    /// positions `from..`, then, when the pass has already moved (`wrap`:
-    /// another pass follows), the next pass's probes before `from` — that
-    /// are neither cached nor already ahead, into `ahead`. The batch never
-    /// holds more points than there are lanes or than the candidate
-    /// budget can still charge, and nothing runs once the wall budget is
-    /// spent.
-    fn prefetch(
-        &mut self,
-        oracle: &mut Oracle<'_>,
-        next: &ParamPoint,
-        cur: &ParamPoint,
-        from: usize,
-        wrap: bool,
-    ) {
-        if self.cache.contains_key(next)
-            || self.ahead.contains_key(next)
-            || self.evaluated >= self.budget
-            || oracle.wall_exhausted()
-        {
-            return;
+    fn new(series: LayoutSeries, budget: u64, orders: OrderMemo) -> Self {
+        FamilySearch {
+            series,
+            space: ParamSpace::for_series(series),
+            budget,
+            cache: BTreeMap::new(),
+            orders,
+            charged_orders: BTreeSet::new(),
+            evaluated: 0,
+            cache_hits: 0,
+            rejected: 0,
+            layout_hits: 0,
+            best: None,
+            default_score: u64::MAX,
+            budget_hit: false,
+            trajectory: Vec::new(),
         }
-        let room = (self.budget - self.evaluated).min(oracle.lab.lanes as u64) as usize;
-        let wrapped = if wrap { 0..from } else { 0..0 };
-        let ahead = (from..2 * self.space.len())
-            .chain(wrapped)
-            .filter_map(|pos| self.probe(cur, pos));
-        let mut batch = vec![next.clone()];
-        for p in ahead {
-            if batch.len() >= room {
-                break;
-            }
-            if !self.cache.contains_key(&p) && !self.ahead.contains_key(&p) && !batch.contains(&p) {
-                batch.push(p);
-            }
-        }
-        let reqs: Vec<LayoutRequest> = batch.iter().map(|p| self.request(p)).collect();
-        let evals = oracle.lab.evaluate(&reqs, &mut self.orders);
-        self.ahead.extend(batch.into_iter().zip(evals));
     }
 
     /// The layout request of one point of the family's space.
@@ -719,24 +656,23 @@ impl FamilySearch {
         cur.step(&self.space, pos / 2, [-1, 1][pos % 2])
     }
 
+    /// True when the wall budget is exhausted (records `budget_hit`).
+    fn wall_exhausted(&mut self, lab: &Lab<'_>) -> bool {
+        self.budget_hit = self.budget_hit || lab.wall_spent();
+        self.budget_hit
+    }
+
     /// Evaluates one point: cache hit is free, a fresh evaluation spends
-    /// budget, builds the layout and scores it (or takes the lanes'
-    /// result computed ahead, which is the same pure function of the
-    /// point), and appends to the trajectory. A fresh point whose block
-    /// order an earlier fresh point already had is still charged, and
-    /// counts as a layout hit. Returns `None` when out of budget
-    /// (candidate or wall).
-    fn eval(
-        &mut self,
-        oracle: &mut Oracle<'_>,
-        point: &ParamPoint,
-        origin: CandidateOrigin,
-    ) -> Option<u64> {
+    /// budget, builds the layout and scores it, and appends to the
+    /// family's trajectory. A fresh point whose block order an earlier
+    /// fresh point already had is still charged, and counts as a layout
+    /// hit. Returns `None` when out of budget (candidate or wall).
+    fn eval(&mut self, lab: &Lab<'_>, point: &ParamPoint, origin: CandidateOrigin) -> Option<u64> {
         if let Some(&score) = self.cache.get(point) {
             self.cache_hits += 1;
             return Some(score);
         }
-        if self.evaluated >= self.budget || oracle.wall_exhausted() {
+        if self.evaluated >= self.budget || self.wall_exhausted(lab) {
             return None;
         }
         let Evaluation {
@@ -744,56 +680,27 @@ impl FamilySearch {
             cells,
             validated,
             order,
-        } = match self.ahead.remove(point) {
-            Some(ev) => ev,
-            None => oracle
-                .lab
-                .evaluate(&[self.request(point)], &mut self.orders)
-                .pop()
-                .expect("one evaluation per request"),
-        };
+        } = lab.evaluate(self.request(point), &mut self.orders);
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
         }
-        let layout_hit = !self.charged_orders.insert(order);
-        if layout_hit {
+        if !self.charged_orders.insert(order) {
             self.layout_hits += 1;
         }
         let accepted = validated && self.best.as_ref().is_none_or(|(_, s, _)| score < *s);
         if accepted {
             self.best = Some((point.clone(), score, cells));
         }
-        let rec = CandidateRecord {
-            candidate: oracle.candidate_no,
+        self.trajectory.push(CandidateRecord {
+            candidate: self.trajectory.len() as u64,
             series: self.series,
             point: point.clone(),
             score,
             accepted,
             validated,
             origin,
-        };
-        codelayout_obs::tracer().event(
-            "tune/candidate",
-            json!({
-                "candidate": rec.candidate,
-                "series": rec.series.label(),
-                "point": rec.point.indices(),
-                "params": params_json(&self.space, &self.space.params(point)),
-                "score": if validated { json!(score) } else { json!(null) },
-                "accepted": rec.accepted,
-                "validated": rec.validated,
-                "origin": rec.origin.label(),
-            }),
-        );
-        let m = codelayout_obs::metrics();
-        m.add("tune.candidates", 1);
-        m.add("tune.layout_hits", u64::from(layout_hit));
-        if !validated {
-            m.add("tune.rejected", 1);
-        }
-        oracle.candidate_no += 1;
-        oracle.trajectory.push(rec);
+        });
         self.cache.insert(point.clone(), score);
         Some(score)
     }
@@ -801,9 +708,8 @@ impl FamilySearch {
     /// Greedy coordinate descent from `start`: probe each knob's ±1
     /// neighbors in order, move on strict improvement, repeat until a
     /// full pass makes no move (or the budget runs out).
-    fn descend(&mut self, oracle: &mut Oracle<'_>, start: ParamPoint) {
-        self.prefetch(oracle, &start, &start, 0, false);
-        let Some(mut cur_score) = self.eval(oracle, &start, CandidateOrigin::Restart) else {
+    fn descend(&mut self, lab: &Lab<'_>, start: ParamPoint) {
+        let Some(mut cur_score) = self.eval(lab, &start, CandidateOrigin::Restart) else {
             return;
         };
         let mut cur = start;
@@ -813,8 +719,7 @@ impl FamilySearch {
                 let Some(next) = self.probe(&cur, pos) else {
                     continue;
                 };
-                self.prefetch(oracle, &next, &cur, pos + 1, improved);
-                let Some(s) = self.eval(oracle, &next, CandidateOrigin::Descent) else {
+                let Some(s) = self.eval(lab, &next, CandidateOrigin::Descent) else {
                     return;
                 };
                 if s < cur_score {
@@ -830,21 +735,17 @@ impl FamilySearch {
     }
 
     /// The full family search: default point, descent, random restarts.
-    fn run(&mut self, oracle: &mut Oracle<'_>, seed: u64) {
+    fn run(&mut self, lab: &Lab<'_>, seed: u64) {
         let default = self.space.default_point();
-        self.prefetch(oracle, &default, &default, 0, false);
-        if self
-            .eval(oracle, &default, CandidateOrigin::Default)
-            .is_none()
-        {
+        if self.eval(lab, &default, CandidateOrigin::Default).is_none() {
             return;
         }
         self.default_score = self.cache[&default];
-        self.descend(oracle, default);
+        self.descend(lab, default);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stale = 0u32;
         while self.evaluated < self.budget
-            && !oracle.wall_exhausted()
+            && !self.wall_exhausted(lab)
             && stale < STALE_RESTART_LIMIT
         {
             let idx: Vec<u32> = self
@@ -854,7 +755,7 @@ impl FamilySearch {
                 .map(|k| rng.gen_range(0..k.values().len()) as u32)
                 .collect();
             let before = self.evaluated;
-            self.descend(oracle, ParamPoint::new(&self.space, idx));
+            self.descend(lab, ParamPoint::new(&self.space, idx));
             if self.evaluated == before {
                 stale += 1;
             } else {
@@ -862,13 +763,62 @@ impl FamilySearch {
             }
         }
     }
+
+    /// Appends the family's candidates to `trajectory`, numbered after
+    /// the ones already there, emits their `tune/candidate` events and
+    /// the family's `tune.*` counters, and returns its result: `None`
+    /// when no candidate validated (the wall budget cut the search before
+    /// its default, or the validator rejected every candidate, which the
+    /// trajectory, events and `tune.rejected` still show).
+    fn publish(self, trajectory: &mut Vec<CandidateRecord>) -> Option<FamilyResult> {
+        let first = trajectory.len() as u64;
+        for mut rec in self.trajectory {
+            rec.candidate += first;
+            codelayout_obs::tracer().event(
+                "tune/candidate",
+                json!({
+                    "candidate": rec.candidate,
+                    "series": rec.series.label(),
+                    "point": rec.point.indices(),
+                    "params": params_json(&self.space, &self.space.params(&rec.point)),
+                    "score": if rec.validated { json!(rec.score) } else { json!(null) },
+                    "accepted": rec.accepted,
+                    "validated": rec.validated,
+                    "origin": rec.origin.label(),
+                }),
+            );
+            trajectory.push(rec);
+        }
+        let m = codelayout_obs::metrics();
+        if self.evaluated > 0 {
+            m.add("tune.candidates", self.evaluated);
+            m.add("tune.layout_hits", self.layout_hits);
+        }
+        if self.rejected > 0 {
+            m.add("tune.rejected", self.rejected);
+        }
+        let (best_point, best_score, best_cells) = self.best?;
+        m.add("tune.families", 1);
+        Some(FamilyResult {
+            series: self.series,
+            best_params: self.space.params(&best_point),
+            best_point,
+            best_score,
+            best_cells,
+            default_score: self.default_score,
+            evaluated: self.evaluated,
+            cache_hits: self.cache_hits,
+            rejected: self.rejected,
+            layout_hits: self.layout_hits,
+        })
+    }
 }
 
 /// Runs the autotuner over a built study.
 ///
 /// Records the replay window from a measured run on the baseline image,
 /// then searches each family in [`TuneConfig::series`] (families with no
-/// knobs, like `base`, are skipped).
+/// knobs, like `base`, are skipped), side by side on the lanes.
 ///
 /// # Panics
 /// Panics if the recording run produced no user-mode fetches.
@@ -880,7 +830,7 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
 /// only when `memoize` is set.
 fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let _span = codelayout_obs::span("tune");
-    let start = std::time::Instant::now();
+    let start = Instant::now();
 
     let record_span = codelayout_obs::span("tune_record");
     let mut sink = WindowSink {
@@ -896,93 +846,70 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
         "recording run produced no user-mode fetches"
     );
 
-    let mut oracle = Oracle {
-        lab: Lab {
-            study,
-            spec: SweepSpec::grid()
-                .sizes_kb(&TUNE_SIZES_KB)
-                .line_b(EVAL_LINE_B)
-                .ways(EVAL_WAYS)
-                .cpus(study.scenario.num_cpus)
-                .filter(StreamFilter::UserOnly),
-            window: sink.runs,
-            nblocks: study.app.program.blocks.len(),
-            lanes: cfg.sweep_threads.max(1),
-            memoize,
-        },
+    let lab = Lab {
+        study,
+        spec: SweepSpec::grid()
+            .sizes_kb(&TUNE_SIZES_KB)
+            .line_b(EVAL_LINE_B)
+            .ways(EVAL_WAYS)
+            .cpus(study.scenario.num_cpus)
+            .filter(StreamFilter::UserOnly),
+        window: sink.runs,
+        nblocks: study.app.program.blocks.len(),
+        lanes: cfg.sweep_threads.max(1),
+        memoize,
         start,
         budget_ms: cfg.budget_ms,
-        budget_hit: false,
-        candidate_no: 0,
-        trajectory: Vec::new(),
     };
     let window_events = sink.events;
-    let (base_score, base_cells) = oracle.lab.replay(&study.base_image);
+    let (base_score, base_cells) = lab.replay(&study.base_image);
 
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
     // grid, so the comparison is apples-to-apples and deterministic. A
-    // searched family's memo starts with its yardstick's order: the
-    // family's default point is the same series at the same parameters.
+    // searched family's memo starts as its yardstick's: the family's
+    // default point is the same series at the same parameters.
     let fixed_span = codelayout_obs::span("tune_fixed");
     let comparison = LayoutSeries::comparison();
-    let mut fixed_memo = OrderMemo::default();
-    let reqs = comparison.map(LayoutRequest::from);
-    let fixed_evals = oracle.lab.evaluate(&reqs, &mut fixed_memo);
+    let fixed_evals = lab.on_lanes(&comparison, |&series| {
+        let mut memo = OrderMemo::default();
+        let ev = lab.evaluate(series.into(), &mut memo);
+        (memo, ev)
+    });
     fixed_span.finish();
 
     let search_span = codelayout_obs::span("tune_search");
-    let mut families = Vec::new();
-    for &series in &cfg.series {
-        let space = ParamSpace::for_series(series);
-        if space.is_empty() {
-            continue;
-        }
+    let searched: Vec<LayoutSeries> = cfg
+        .series
+        .iter()
+        .copied()
+        .filter(|&s| !ParamSpace::for_series(s).is_empty())
+        .collect();
+    let searches = lab.on_lanes(&searched, |&series| {
+        let _span = codelayout_obs::span("tune_family");
         let orders = comparison
             .iter()
             .position(|&s| s == series)
-            .map(|i| fixed_memo.only(fixed_evals[i].order))
+            .map(|i| fixed_evals[i].0.clone())
             .unwrap_or_default();
-        let mut fam = FamilySearch {
-            series,
-            space,
-            budget: cfg.candidates,
-            cache: BTreeMap::new(),
-            ahead: BTreeMap::new(),
-            orders,
-            charged_orders: BTreeSet::new(),
-            evaluated: 0,
-            cache_hits: 0,
-            rejected: 0,
-            layout_hits: 0,
-            best: None,
-            default_score: u64::MAX,
-        };
-        fam.run(&mut oracle, cfg.seed ^ fnv1a(series.label()));
-        let Some((best_point, best_score, best_cells)) = fam.best.clone() else {
-            // Budget ran out before even the default evaluated.
-            break;
-        };
-        codelayout_obs::metrics().add("tune.families", 1);
-        families.push(FamilyResult {
-            series,
-            best_params: fam.space.params(&best_point),
-            best_point,
-            best_score,
-            best_cells,
-            default_score: fam.default_score,
-            evaluated: fam.evaluated,
-            cache_hits: fam.cache_hits,
-            rejected: fam.rejected,
-            layout_hits: fam.layout_hits,
-        });
-    }
+        let mut fam = FamilySearch::new(series, cfg.candidates, orders);
+        fam.run(&lab, cfg.seed ^ fnv1a(series.label()));
+        // The memo is dropped when the family ends, not at the join.
+        fam.orders = OrderMemo::default();
+        fam
+    });
+    let mut trajectory = Vec::new();
+    let budget_hit = searches.iter().any(|f| f.budget_hit);
+    let families: Vec<FamilyResult> = searches
+        .into_iter()
+        .filter_map(|fam| fam.publish(&mut trajectory))
+        .collect();
     search_span.finish();
 
     let fixed = comparison
         .into_iter()
         .zip(fixed_evals)
-        .map(|(series, ev)| FixedResult {
+        .map(|(series, (_, ev))| FixedResult {
             series,
             score: ev.score,
             cells: ev.cells,
@@ -996,8 +923,8 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
         base_cells,
         fixed,
         families,
-        trajectory: oracle.trajectory,
-        budget_hit: oracle.budget_hit,
+        trajectory,
+        budget_hit,
         wall_ms: start.elapsed().as_millis() as u64,
     }
 }
@@ -1155,9 +1082,9 @@ mod tests {
     /// The search scored through the order memo reports byte for byte
     /// what it reports when every candidate is linked, validated and
     /// replayed afresh, at 1 and 3 lanes and at `CODELAYOUT_THREADS`
-    /// lanes, where lanes race on the memo. Each family's layout hits are
-    /// its charged points whose block order an earlier charged point of
-    /// the family had, counted here by rebuilding every layout.
+    /// lanes, where families search side by side. Each family's layout
+    /// hits are its charged points whose block order an earlier charged
+    /// point of the family had, counted here by rebuilding every layout.
     #[test]
     fn memoized_scoring_equals_fresh_evaluation() {
         let study = build_study(&Scenario::quick());
@@ -1202,6 +1129,8 @@ mod tests {
                 nblocks: 0,
                 lanes,
                 memoize: true,
+                start: Instant::now(),
+                budget_ms: 0,
             };
             assert_eq!(
                 lab.on_lanes(&items, |&i| i * i),
