@@ -4,7 +4,7 @@
 //! reserved fraction of the cache, so CFA yields no gain over `all`.
 
 use codelayout_core::{cfa_layout, OptimizationSet};
-use codelayout_memsim::{CacheConfig, StreamFilter, SweepSink, SweepSpec};
+use codelayout_memsim::{CacheConfig, GridSink, StreamFilter, SweepSpec};
 use codelayout_oltp::build_study;
 use std::sync::Arc;
 
@@ -20,10 +20,10 @@ fn main() {
         .filter(StreamFilter::UserOnly);
 
     let run = |image: &Arc<codelayout_ir::Image>| -> u64 {
-        let mut sweep = SweepSink::from_spec(&spec);
+        let mut sweep = GridSink::new(&spec);
         let out = study.run_measured(image, &study.base_kernel_image, &mut sweep);
         out.assert_correct();
-        sweep.results()[0].stats.misses
+        sweep.finish()[0].stats.misses
     };
 
     println!("cache: {cache}");

@@ -4,7 +4,7 @@
 //! quality that costs at various sampling periods.
 
 use codelayout_core::{LayoutPipeline, OptimizationSet};
-use codelayout_memsim::{CacheConfig, StreamFilter, SweepSink, SweepSpec};
+use codelayout_memsim::{CacheConfig, GridSink, StreamFilter, SweepSpec};
 use codelayout_oltp::build_study;
 use codelayout_profile::{profile_from_block_samples, SampledCollector};
 use codelayout_vm::NullSink;
@@ -22,10 +22,10 @@ fn main() {
         .filter(StreamFilter::UserOnly);
 
     let run = |image: &Arc<codelayout_ir::Image>| -> u64 {
-        let mut sweep = SweepSink::from_spec(&spec);
+        let mut sweep = GridSink::new(&spec);
         let out = study.run_measured(image, &study.base_kernel_image, &mut sweep);
         out.assert_correct();
-        sweep.results()[0].stats.misses
+        sweep.finish()[0].stats.misses
     };
 
     println!("cache: {cache}");

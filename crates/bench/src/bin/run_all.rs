@@ -8,7 +8,7 @@
 //! phase-tree breakdown after the run; `CODELAYOUT_TRACE_OUT=<file>`
 //! additionally streams every span boundary as JSON lines.
 
-use codelayout_bench::{figures, print_table, Harness};
+use codelayout_bench::{figures, Harness};
 
 fn main() {
     let root = codelayout_obs::span("run_all");
@@ -68,14 +68,15 @@ fn main() {
     // `h`).
     let tune_span = codelayout_obs::span("fig_tune");
     let tune_cfg = codelayout_tune::TuneConfig::from_env(&h.study.scenario);
-    let v = figures::fig_tune(&mut h, &tune_cfg);
+    let v = figures::fig_tune(&mut h, &tune_cfg).unwrap_or_else(|e| {
+        eprintln!("[run_all] fig_tune: {e}");
+        std::process::exit(1);
+    });
     h.save_json("fig_tune", &v);
     eprintln!("[run_all] fig_tune in {:?}", tune_span.finish());
 
     let total = root.finish();
     eprintln!("[run_all] total {total:?}");
-
-    print_throughput_table();
 
     // One manifest for the whole evaluation, covering all three
     // harnesses' outputs (fig15 ran on its own single-processor study,
@@ -102,28 +103,5 @@ fn main() {
     }
     if codelayout_bench::report_requested() {
         print!("{}", codelayout_obs::tracer().render_report());
-    }
-}
-
-/// Execution throughput of the measured runs (the
-/// `vm.run.<layout>.insts_per_sec` gauges, on the configured engine).
-fn print_throughput_table() {
-    let snapshot = codelayout_obs::metrics().snapshot();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        let Some(rest) = name.strip_prefix("vm.run.") else {
-            continue;
-        };
-        let Some(layout) = rest.strip_suffix(".insts_per_sec") else {
-            continue;
-        };
-        rows.push(vec![layout.to_string(), format!("{:.1}", value / 1e6)]);
-    }
-    if !rows.is_empty() {
-        print_table(
-            "vm execution throughput (M insts/sec)",
-            &["layout", "Minsts/s"],
-            &rows,
-        );
     }
 }

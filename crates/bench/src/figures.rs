@@ -1011,16 +1011,50 @@ pub fn fig_serve(h: &mut Harness, cfg: &ServeConfig) -> Value {
 ///   128 B / 4-way tuning grid ([`codelayout_tune::TUNE_SIZES_KB`]),
 ///   with every series scored by the same deterministic window replay —
 ///   otherwise the autotuner earned nothing and the figure must fail
-///   loudly.
+///   loudly. A wall budget ([`TuneConfig::budget_ms`]) that cut the
+///   search before any such win is not that failure: it returns
+///   [`BudgetCut`], skipping the full-workload measurements.
 ///
 /// The manifest gains a `tune` section: the deterministic report plus
 /// one wall-clock leaf (`wall_ms`, masked by `mask_volatile` in golden
 /// comparisons). The returned figure JSON is fully deterministic.
-pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
+pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Result<Value, BudgetCut> {
     let report = run_tune(&h.study, cfg);
     assert!(
         report.trajectory.iter().all(|c| c.validated || !c.accepted),
         "an accepted tune candidate failed translation validation"
+    );
+    // The headline claim: some tuned layout strictly beats every fixed
+    // series at some cache size, on the tuning grid where both sides are
+    // scored by the same deterministic window replay. (The full-workload
+    // table below reports the paper's 32–512 KB sizes, where a quick-
+    // scenario footprint sees only compulsory misses; the tuning grid
+    // extends down to where layout actually moves the miss count.)
+    // A yardstick the validator rejected has no cells and beats nothing.
+    let validated_fixed: Vec<_> = report.fixed.iter().filter(|fx| fx.validated).collect();
+    let mut wins = Vec::new();
+    for f in &report.families {
+        for (i, &size_kb) in codelayout_tune::TUNE_SIZES_KB.iter().enumerate() {
+            let m = f.best_cells[i];
+            if validated_fixed.iter().all(|fx| m < fx.cells[i]) {
+                wins.push(json!({
+                    "series": f.series.label(),
+                    "size_kb": size_kb,
+                    "misses": m,
+                    "best_fixed": validated_fixed.iter().map(|fx| fx.cells[i]).min(),
+                }));
+            }
+        }
+    }
+    if wins.is_empty() && report.budget_hit {
+        return Err(BudgetCut {
+            budget_ms: cfg.budget_ms,
+        });
+    }
+    assert!(
+        !wins.is_empty(),
+        "no tuned layout beat every fixed series at any tuning-grid cache size: \
+         the search found nothing beyond the defaults"
     );
 
     // Full-workload measurements: the fixed comparison series, then each
@@ -1093,46 +1127,54 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
         }
     );
 
-    // The headline claim: some tuned layout strictly beats every fixed
-    // series at some cache size, on the tuning grid where both sides are
-    // scored by the same deterministic window replay. (The full-workload
-    // table above reports the paper's 32–512 KB sizes, where a quick-
-    // scenario footprint sees only compulsory misses; the tuning grid
-    // extends down to where layout actually moves the miss count.)
-    // A yardstick the validator rejected has no cells and beats nothing.
-    let validated_fixed: Vec<_> = report.fixed.iter().filter(|fx| fx.validated).collect();
-    let mut wins = Vec::new();
-    for f in &report.families {
-        for (i, &size_kb) in codelayout_tune::TUNE_SIZES_KB.iter().enumerate() {
-            let m = f.best_cells[i];
-            if validated_fixed.iter().all(|fx| m < fx.cells[i]) {
-                wins.push(json!({
-                    "series": f.series.label(),
-                    "size_kb": size_kb,
-                    "misses": m,
-                    "best_fixed": validated_fixed.iter().map(|fx| fx.cells[i]).min(),
-                }));
-            }
-        }
-    }
-    assert!(
-        !wins.is_empty(),
-        "no tuned layout beat every fixed series at any tuning-grid cache size: \
-         the search found nothing beyond the defaults"
-    );
-
     let mut section = report.deterministic_json();
     if let Value::Object(map) = &mut section {
         map.insert("wall_ms".to_string(), json!(report.wall_ms));
     }
     h.section("tune", section);
 
-    json!({
+    Ok(json!({
         "figure": "fig_tune",
         "paper": "search-based autotuning over the parameterized layout passes; \
                   some tuned series must strictly beat every fixed series at a cache size",
         "tune": report.deterministic_json(),
         "measured": entries,
         "wins": wins,
-    })
+    }))
+}
+
+/// [`fig_tune`]'s wall budget ([`TuneConfig::budget_ms`]) ran out before
+/// any tuned layout beat every fixed series, so the figure has no
+/// headline to report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetCut {
+    /// The budget that cut the search, in milliseconds.
+    pub budget_ms: u64,
+}
+
+impl std::fmt::Display for BudgetCut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the {} ms tune budget ran out before any tuned layout beat every fixed series; \
+             raise or unset CODELAYOUT_TUNE_BUDGET",
+            self.budget_ms
+        )
+    }
+}
+
+impl std::error::Error for BudgetCut {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use codelayout_oltp::Scenario;
+
+    #[test]
+    fn fig_tune_under_a_spent_budget_is_an_error_not_a_panic() {
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
+        let mut cfg = TuneConfig::for_scenario(&Scenario::quick());
+        cfg.budget_ms = 1;
+        assert_eq!(fig_tune(&mut h, &cfg), Err(BudgetCut { budget_ms: 1 }));
+    }
 }

@@ -1,11 +1,13 @@
 //! Experiment harness reproducing the paper's evaluation.
 //!
 //! Every figure of the paper has a binary in `src/bin/` (`fig03` …
-//! `fig15`, plus `claims` for the in-text numeric claims and several
-//! `ablation_*` binaries for design-choice studies). `run_all` executes
-//! the whole evaluation in one process, sharing workload runs between
-//! figures, and writes `results/figNN.json` files plus human-readable
-//! tables.
+//! `fig15`, plus `claims` for the in-text numeric claims). `run_all`
+//! executes the whole evaluation in one process, sharing workload runs
+//! between figures, and writes `results/figNN.json` files plus
+//! human-readable tables. Three `ablation_*` binaries cover the
+//! design-choice studies no figure does (the CFA layout, sampled
+//! profiles, 1 vs 4 CPUs); hot/cold vs fine-grain splitting is `fig07`
+//! next to `compare`. Timings belong to the benchmark crate, not here.
 //!
 //! The harness measures a code layout in one way: one live pass of the
 //! VM straight into the simulators a figure reads, recording nothing.
@@ -30,9 +32,9 @@
 //! Every grid is named by a [`codelayout_memsim::SweepSpec`] and fed
 //! through a [`GridSink`], the single-pass stack-distance profiler (one
 //! Mattson stack per line size answers every size × associativity at
-//! once). The tests hold every measurement to a serial replay into the
-//! direct per-configuration [`codelayout_memsim::SweepSink`]. The lane
-//! count honors `CODELAYOUT_THREADS`; results do not depend on it.
+//! once). The tests hold every measurement to a serial replay into
+//! memsim's direct per-configuration oracle. The lane count honors
+//! `CODELAYOUT_THREADS`; results do not depend on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

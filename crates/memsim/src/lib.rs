@@ -10,8 +10,9 @@
 //!   (paper Figures 4–7, 12, 13);
 //! * [`SweepSpec`] — the one way to name a sweep grid (sizes × line sizes ×
 //!   ways × CPUs × stream filter), consumed by every sweep engine;
-//! * [`SweepSink`] — fans one trace out to a grid of cache configurations ×
-//!   CPUs in a single pass (Figures 4, 5, 6);
+//! * [`SweepSink`] — the direct grid oracle: one [`ICacheSim`] per
+//!   (configuration, CPU), fed from a single trace; only the tests and
+//!   the benchmark's probes run it;
 //! * [`StackDistanceSim`] — single-pass Mattson stack-distance profiler:
 //!   exact per-configuration statistics for every size × associativity at
 //!   one line size, bit-identical to [`ICacheSim`];

@@ -4,10 +4,10 @@
 //! associativity; re-executing the workload per configuration would be
 //! wasteful, so a [`SweepSink`] instantiates one [`ICacheSim`] per
 //! (configuration, CPU) and feeds them all from a single trace. It is
-//! the *live* collector (attached to a running machine) and the direct
-//! per-configuration oracle that the single-pass stack-distance engine
-//! ([`crate::StackDistanceSim`]) is proven against; grids come from a
-//! [`SweepSpec`].
+//! the direct per-configuration oracle that the single-pass
+//! stack-distance engine ([`crate::StackDistanceSim`], run by
+//! [`crate::GridSink`]) is proven against; runs simulate their grids on
+//! the latter. Grids come from a [`SweepSpec`].
 
 use crate::config::{CacheConfig, StreamFilter};
 use crate::icache::{AccessClass, CacheStats, ICacheSim};

@@ -26,8 +26,8 @@
 //!    (an invalid candidate scores `u64::MAX` and can never win) — and
 //!    replayed: every recorded run, translated into the candidate
 //!    image's addresses, streams straight into a serial cache grid
-//!    ([`codelayout_memsim::GridSink`], bit-identical to the serial
-//!    `SweepSink`); no trace is materialized. The fitness is the summed miss
+//!    ([`codelayout_memsim::GridSink`], bit-identical to memsim's direct
+//!    per-configuration oracle); no trace is materialized. The fitness is the summed miss
 //!    count over the evaluation grid. A memo hit is still charged as a
 //!    fresh candidate (and counted in `tune.layout_hits`), so the
 //!    trajectory and the budget do not depend on the memo. The fixed

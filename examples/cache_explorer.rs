@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example cache_explorer [base|all]`
 
-use codelayout::memsim::{StreamFilter, SweepSink, SweepSpec};
+use codelayout::memsim::{GridSink, StreamFilter, SweepSpec};
 use codelayout::oltp::{build_study, Scenario};
 use codelayout::opt::OptimizationSet;
 
@@ -29,7 +29,7 @@ fn main() {
         .ways_each(&[1, 2, 4])
         .cpus(scenario.num_cpus)
         .filter(StreamFilter::UserOnly);
-    let mut sweep = SweepSink::from_spec(&spec);
+    let mut sweep = GridSink::new(&spec);
     let out = study.run_measured(&image, &study.base_kernel_image, &mut sweep);
     out.assert_correct();
 
@@ -38,7 +38,7 @@ fn main() {
         "{:>6} {:>6} {:>6} {:>10} {:>9}",
         "size", "line", "ways", "misses", "missrate"
     );
-    for cell in sweep.results() {
+    for cell in sweep.finish() {
         println!(
             "{:>5}K {:>5}B {:>6} {:>10} {:>8.2}%",
             cell.config.size_bytes / 1024,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example oltp_report [quick|sim|hw]`
 
-use codelayout::memsim::{SequenceProfiler, StreamFilter, SweepSink, SweepSpec};
+use codelayout::memsim::{GridSink, SequenceProfiler, StreamFilter, SweepSpec};
 use codelayout::oltp::{build_study, Scenario};
 use codelayout::opt::OptimizationSet;
 use codelayout::vm::TeeSink;
@@ -38,12 +38,12 @@ fn main() {
     );
     for (name, set) in OptimizationSet::paper_series() {
         let image = study.image(set);
-        let mut sweep = SweepSink::from_spec(&spec);
+        let mut sweep = GridSink::new(&spec);
         let mut seq = SequenceProfiler::new(StreamFilter::UserOnly);
         let mut sink = TeeSink(&mut sweep, &mut seq);
         let out = study.run_measured(&image, &study.base_kernel_image, &mut sink);
         out.assert_correct();
-        let misses: Vec<u64> = sweep.results().iter().map(|c| c.stats.misses).collect();
+        let misses: Vec<u64> = sweep.finish().iter().map(|c| c.stats.misses).collect();
         let seq = seq.finish();
         println!(
             "{:>14} {:>10} {:>10} {:>10} {:>8.2} {:>9}",

@@ -10,7 +10,7 @@ R = lambda n: json.load(open(f"results/{n}.json"))
 f3 = R("fig03"); f5 = R("fig05"); f7 = R("fig07"); f8 = R("fig08")
 f9 = R("fig09"); f11 = R("fig11"); f12 = R("fig12"); f13 = R("fig13")
 f14 = R("fig14"); f15 = R("fig15"); cl = R("claims"); fst = R("fig_static")
-ftu = R("fig_tune")
+ftu = R("fig_tune"); cmp = R("compare")
 m = cl["measured"]
 
 
@@ -26,6 +26,14 @@ def fig7_table():
         cells = f7["measured"][name]
         out.append("| " + name + " | " + " | ".join(str(c["misses"]) for c in cells) + " |")
     return "\n".join(out)
+
+
+def hotcold_vs_all():
+    hc = next(e for e in cmp["measured"] if e["series"] == "hotcold")["misses"]
+    fg = f7["measured"]["all"]
+    return "; ".join(
+        f"{h['misses']} vs {a['misses']} at {h['size_kb']} KB" for h, a in zip(hc[:3], fg[:3])
+    )
 
 
 def fig5_minmax():
@@ -310,22 +318,26 @@ winning parameters land in the manifest `tune` section and
 ## Ablations beyond the paper's tables
 
 * `ablation_cfa` — the conflict-free-area layout yields no improvement
-  over `all` (±a few % at 64 KB); the traces covering 90 % of execution
-  need ~80 KB, exceeding any reasonable reserved fraction of a 64 KB cache
-  (the paper's §2 negative result).
-* `ablation_hotcold` — the Spike-distribution hot/cold split performs
-  comparably to fine-grain splitting on this workload (even slightly
-  better at 32–64 KB). The paper's advantage for fine-grain segments came
+  over `all` (within 2.3 % either way at 64 KB / 128 B / 2-way, reserving
+  8–48 KB); the traces covering 90 % of execution need 78 KB, exceeding
+  any reasonable reserved fraction of a 64 KB cache (the paper's §2
+  negative result).
+* Hot/cold vs fine-grain splitting — `compare`'s `hotcold` row against
+  `fig07`'s `all` row, on the same 128 B / 4-way user grid. The
+  Spike-distribution hot/cold split performs comparably to fine-grain
+  splitting on this workload, even slightly better (misses, hot/cold vs
+  `all`: {hotcold_vs_all()}). The paper's advantage for fine-grain segments came
   from Oracle's large procedures containing several disjoint hot regions;
   our generated procedures are mostly single-hot-region after chaining, so
   two-way splitting already exposes nearly all of the useful placement
   freedom. An honest divergence, explained by workload shape.
 * `ablation_sampled` — DCPI-style sampled profiles (with Spike's
-  edge-estimation) recover most of the exact profile's gain: 54 % vs 57 %
-  miss reduction at a 1/64 sampling period, degrading to ~45 % at 1/1024.
+  edge-estimation) recover most of the exact profile's gain: 51 % vs 55 %
+  miss reduction at a 1/64 sampling period (64 KB / 128 B / 2-way),
+  degrading to 46 % at 1/256, 40 % at 1/1024 and 37 % at 1/4096.
   Consistent with the paper's use of either Pixie or DCPI.
 * `ablation_multicpu` — speedups are approximately equal on 1 and 4 CPUs
-  (1.22× vs 1.23×) rather than the paper's 1.33× vs 1.25×. The paper's
+  (1.21× vs 1.22×) rather than the paper's 1.33× vs 1.25×. The paper's
   4-CPU dilution comes from inter-node data *communication* misses, which
   our shared-memory model (no coherence protocol) does not charge for — a
   documented substrate limitation.
