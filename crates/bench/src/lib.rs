@@ -1,13 +1,16 @@
 //! Experiment harness reproducing the paper's evaluation.
 //!
-//! Every figure of the paper has a binary in `src/bin/` (`fig03` …
-//! `fig15`, plus `claims` for the in-text numeric claims). `run_all`
-//! executes the whole evaluation in one process, sharing workload runs
-//! between figures, and writes `results/figNN.json` files plus
-//! human-readable tables. Three `ablation_*` binaries cover the
-//! design-choice studies no figure does (the CFA layout, sampled
-//! profiles, 1 vs 4 CPUs); hot/cold vs fine-grain splitting is `fig07`
-//! next to `compare`. Timings belong to the benchmark crate, not here.
+//! [`driver::FIGURES`] lists every figure of the paper (Figs. 3–15, plus
+//! `claims` for the in-text numeric claims, the `compare` and
+//! `fig_static` tables, the serving loop and the autotuner), each with
+//! the harness it runs on. The one figure binary, `run_all [FIGURE…]`,
+//! runs all of them, or the named ones, in one process, sharing workload
+//! runs between figures, and writes `results/<figure>.json` files,
+//! human-readable tables and one run manifest. Three `ablation_*`
+//! binaries cover the design-choice studies no figure does (the CFA
+//! layout, sampled profiles, 1 vs 4 CPUs); hot/cold vs fine-grain
+//! splitting is `fig07` next to `compare`. Timings belong to the
+//! benchmark crate, not here.
 //!
 //! The harness measures a code layout in one way: one live pass of the
 //! VM straight into the simulators a figure reads, recording nothing.
@@ -39,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod figures;
 pub mod lint;
 
@@ -364,12 +368,12 @@ impl Harness {
     /// Builds the study for a scenario. The results directory defaults to
     /// `results/` under the current directory (created on demand). The
     /// measurement lane count honors `CODELAYOUT_THREADS`, defaulting to
-    /// the host's available parallelism. The scenario label (used for the
-    /// run manifest's `results/<scenario>/` directory) defaults to the
+    /// the host's available parallelism. The scenario label (the run
+    /// manifest's `config.scenario`) defaults to the
     /// `CODELAYOUT_SCENARIO` selection; use [`Harness::with_label`] when
     /// the scenario was chosen some other way.
     pub fn new(scenario: &Scenario) -> Self {
-        Self::with_label(scenario, scenario_label_from_env())
+        Self::with_label(scenario, run_env().scenario.label())
     }
 
     /// Like [`Harness::new`] with an explicit scenario label.
@@ -385,13 +389,9 @@ impl Harness {
         }
     }
 
-    /// The scenario label used for the manifest directory.
-    pub fn scenario_label(&self) -> &str {
-        &self.scenario_label
-    }
-
     /// Registers an extra top-level manifest section (e.g. the serving
-    /// loop's `serve` section) to include in [`Harness::write_manifest`].
+    /// loop's `serve` section) to include in the run manifest
+    /// ([`driver::Harnesses::write_manifest`]).
     pub fn section(&mut self, key: &str, value: serde_json::Value) {
         self.extra_sections.push((key.to_string(), value));
     }
@@ -400,12 +400,6 @@ impl Harness {
     /// registration order.
     pub fn extra_sections(&self) -> &[(String, serde_json::Value)] {
         &self.extra_sections
-    }
-
-    /// FNV-1a digests of every JSON result this harness has written, in
-    /// write order, as `(file name, digest)` pairs.
-    pub fn output_digests(&self) -> &[(String, String)] {
-        &self.output_digests
     }
 
     /// Builds the scenario selected by `CODELAYOUT_SCENARIO`
@@ -505,12 +499,6 @@ impl Harness {
         }
     }
 
-    /// The manifest directory for this harness:
-    /// `results/<scenario label>/`.
-    pub fn manifest_dir(&self) -> PathBuf {
-        self.out_dir.join(&self.scenario_label)
-    }
-
     /// The scenario parameters recorded in the run manifest.
     pub fn config_json(&self) -> serde_json::Value {
         let sc = &self.study.scenario;
@@ -526,63 +514,6 @@ impl Harness {
             "vm_engine": self.study.machine_config().engine.label(),
         })
     }
-
-    /// Writes `results/<scenario>/manifest.json` for a finished run whose
-    /// root span was named `tool`: config, phase tree (the `tool` span
-    /// must already be closed), metrics snapshot, and the digests of
-    /// every JSON result this harness wrote. Returns the manifest path.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_manifest(&self, tool: &str) -> std::io::Result<PathBuf> {
-        let mut b = codelayout_obs::manifest::ManifestBuilder::new(tool, &self.scenario_label);
-        b.config(self.config_json());
-        b.phases(codelayout_obs::tracer(), tool);
-        b.metrics(codelayout_obs::metrics());
-        for (key, value) in &self.extra_sections {
-            b.section(key, value.clone());
-        }
-        for (name, digest) in &self.output_digests {
-            b.output(name, digest.clone());
-        }
-        b.write(&self.manifest_dir())
-    }
-}
-
-/// True when `--report` was passed on the command line; figure binaries
-/// print the tracer's phase-tree report when set.
-pub fn report_requested() -> bool {
-    std::env::args().any(|a| a == "--report")
-}
-
-/// Shared entry point for the single-figure binaries: runs `f` on the
-/// env-selected scenario under a root span named `tool`, saves the
-/// figure JSON, writes the run manifest, and honors `--report`.
-pub fn figure_main(tool: &str, f: fn(&mut Harness) -> serde_json::Value) {
-    let root = codelayout_obs::span(tool);
-    let mut h = Harness::from_env();
-    let v = f(&mut h);
-    h.save_json(tool, &v);
-    root.finish();
-    finish_run(tool, &h);
-}
-
-/// Writes the manifest for a finished run (root span `tool` already
-/// closed) and prints the phase report when `--report` was passed.
-pub fn finish_run(tool: &str, h: &Harness) {
-    match h.write_manifest(tool) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write manifest: {e}"),
-    }
-    if report_requested() {
-        print!("{}", codelayout_obs::tracer().render_report());
-    }
-}
-
-/// The scenario label selected by `CODELAYOUT_SCENARIO`
-/// (`quick` / `sim` / `hw`, default `sim`; see [`RunEnv`]).
-pub fn scenario_label_from_env() -> &'static str {
-    run_env().scenario.label()
 }
 
 /// The [`Scenario`] selected by `CODELAYOUT_SCENARIO`

@@ -19,12 +19,11 @@
 //! then review the diff of `tests/golden/fig04_quick.json` in the same
 //! commit and explain the shift in the commit message.
 
+mod snapshot;
+
 use codelayout_bench::Harness;
 use codelayout_oltp::Scenario;
 use serde_json::{json, Value};
-
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig04_quick.json");
-const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 
 /// Runs the quick scenario and extracts the Fig. 4 grid (user-stream,
 /// direct-mapped size × line sweep) for both fully-instrumented layouts.
@@ -58,26 +57,13 @@ fn measure_fig04_quick() -> Value {
 fn fig04_quick_matches_golden_snapshot() {
     let got = measure_fig04_quick();
 
-    if codelayout_bench::run_env().update_golden {
-        let mut text = serde_json::to_string_pretty(&got).expect("serialize snapshot");
-        text.push('\n');
-        std::fs::write(GOLDEN_PATH, text).expect("write golden snapshot");
-        eprintln!("updated {GOLDEN_PATH}");
-        return;
-    }
-
-    let raw = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {GOLDEN_PATH}: {e}\n\
-             regenerate with {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_fig04"
-        )
-    });
-    let want: Value = serde_json::from_str(&raw).expect("parse golden snapshot");
-    assert_eq!(
-        got, want,
+    snapshot::check(
+        &got,
+        "fig04_quick.json",
+        "golden_fig04",
         "Fig. 4 quick-scenario grid diverged from tests/golden/fig04_quick.json.\n\
          If this change is intentional, regenerate the snapshot with\n\
-         {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_fig04\n\
-         and review the JSON diff in the same commit."
+         {cmd}\n\
+         and review the JSON diff in the same commit.",
     );
 }

@@ -16,38 +16,23 @@
 //! then review the diff of `tests/golden/lint_quick.json` in the same
 //! commit and explain the shift in the commit message.
 
+mod snapshot;
+
 use codelayout_bench::lint::{cells_to_json, lint_study};
 use codelayout_oltp::{build_study, Scenario};
-use serde_json::Value;
-
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_quick.json");
-const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 
 #[test]
 fn lint_quick_matches_golden_snapshot() {
     let study = build_study(&Scenario::quick());
     let got = cells_to_json("quick", &lint_study(&study));
 
-    if codelayout_bench::run_env().update_golden {
-        let mut text = serde_json::to_string_pretty(&got).expect("serialize snapshot");
-        text.push('\n');
-        std::fs::write(GOLDEN_PATH, text).expect("write golden snapshot");
-        eprintln!("updated {GOLDEN_PATH}");
-        return;
-    }
-
-    let raw = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {GOLDEN_PATH}: {e}\n\
-             regenerate with {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_lint"
-        )
-    });
-    let want: Value = serde_json::from_str(&raw).expect("parse golden snapshot");
-    assert_eq!(
-        got, want,
+    snapshot::check(
+        &got,
+        "lint_quick.json",
+        "golden_lint",
         "quick-scenario lint report diverged from tests/golden/lint_quick.json.\n\
          If this change is intentional, regenerate the snapshot with\n\
-         {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_lint\n\
-         and review the diff."
+         {cmd}\n\
+         and review the diff.",
     );
 }

@@ -25,17 +25,14 @@
 //! and metrics registry, so it must not share a process with tests that
 //! record their own spans.
 
+mod snapshot;
+
+use codelayout_bench::driver::Harnesses;
 use codelayout_bench::{figures, Harness};
 use codelayout_obs::manifest::{mask_volatile, validate_manifest};
 use codelayout_oltp::{MixPhase, Scenario};
 use codelayout_serve::ServeConfig;
 use serde_json::Value;
-
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/manifest_quick.json"
-);
-const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 
 #[test]
 fn manifest_quick_schema_matches_golden_snapshot() {
@@ -77,7 +74,13 @@ fn manifest_quick_schema_matches_golden_snapshot() {
     tune_span.finish();
     root.finish();
 
-    let path = h.write_manifest("golden_run").expect("write manifest");
+    let run = Harnesses {
+        main: Some(h),
+        ..Harnesses::default()
+    };
+    let path = run
+        .write_manifest("golden_run", "quick")
+        .expect("write manifest");
     let raw = std::fs::read_to_string(&path).expect("read manifest back");
     let manifest: Value = serde_json::from_str(&raw).expect("manifest parses");
     validate_manifest(&manifest).expect("manifest validates against the schema");
@@ -94,26 +97,13 @@ fn manifest_quick_schema_matches_golden_snapshot() {
 
     let got = mask_volatile(&manifest);
 
-    if codelayout_bench::run_env().update_golden {
-        let mut text = serde_json::to_string_pretty(&got).expect("serialize snapshot");
-        text.push('\n');
-        std::fs::write(GOLDEN_PATH, text).expect("write golden snapshot");
-        eprintln!("updated {GOLDEN_PATH}");
-        return;
-    }
-
-    let raw = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {GOLDEN_PATH}: {e}\n\
-             regenerate with {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_manifest"
-        )
-    });
-    let want: Value = serde_json::from_str(&raw).expect("parse golden snapshot");
-    assert_eq!(
-        got, want,
+    snapshot::check(
+        &got,
+        "manifest_quick.json",
+        "golden_manifest",
         "masked run manifest diverged from tests/golden/manifest_quick.json.\n\
          If this schema change is intentional, regenerate the snapshot with\n\
-         {UPDATE_ENV}=1 cargo test -p codelayout-bench --test golden_manifest\n\
-         and review the JSON diff in the same commit."
+         {cmd}\n\
+         and review the JSON diff in the same commit.",
     );
 }

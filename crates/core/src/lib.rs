@@ -23,7 +23,7 @@
 //!
 //! Two post-paper successors round out the comparison surface:
 //! [`exttsp_layout`] (Newell–Pupyrev's ext-TSP objective with chain merging
-//! and score-driven merge-point selection) and [`stitcher_layout`]
+//! and score-driven merge-point selection) and [`stitcher_layout_params`]
 //! (Codestitcher's hierarchical inter-procedural collocation by distance
 //! class). [`LayoutSeries`] names every series — the paper's six plus the
 //! four alternatives — behind one label,
@@ -68,4 +68,4 @@ pub use pipeline::{LayoutPipeline, OptimizationSet, CFA_RESERVED_BYTES};
 pub use request::{LayoutRequest, ParseRequestError};
 pub use series::LayoutSeries;
 pub use split::{split_all, split_all_with, split_order, split_order_with, Segment};
-pub use stitcher::{stitcher_layout, stitcher_layout_params, stitcher_layout_with, StitchLevels};
+pub use stitcher::{stitcher_layout_params, StitchLevels};

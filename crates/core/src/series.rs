@@ -22,7 +22,7 @@ pub enum LayoutSeries {
     Cfa,
     /// ext-TSP chain merging ([`crate::exttsp_layout`]).
     ExtTsp,
-    /// Codestitcher hierarchical collocation ([`crate::stitcher_layout`]).
+    /// Codestitcher hierarchical collocation ([`crate::stitcher_layout_params`]).
     Stitcher,
 }
 

@@ -49,21 +49,6 @@ impl Default for StitchLevels {
     }
 }
 
-/// Builds the Codestitcher layout with the default level budgets.
-pub fn stitcher_layout(program: &Program, profile: &Profile) -> Layout {
-    stitcher_layout_params(program, profile, &LayoutParams::default())
-}
-
-/// Builds the Codestitcher layout with explicit level budgets (chaining
-/// and splitting stay at their defaults).
-pub fn stitcher_layout_with(program: &Program, profile: &Profile, levels: StitchLevels) -> Layout {
-    let params = LayoutParams {
-        stitch: levels,
-        ..LayoutParams::default()
-    };
-    stitcher_layout_params(program, profile, &params)
-}
-
 /// Builds the Codestitcher layout under a full parameter set: `chain` and
 /// `split` shape the segments, `stitch` sets the level budgets.
 ///
@@ -289,7 +274,7 @@ mod tests {
     fn layout_is_valid_and_keeps_segments_intact() {
         let p = program();
         let prof = profile(&p);
-        let l = stitcher_layout(&p, &prof);
+        let l = stitcher_layout_params(&p, &prof, &LayoutParams::default());
         verify_layout(&p, &l).unwrap();
         // Segments stay intact, so the split-layout placement conventions
         // hold exactly as for the paper's `all` series.
@@ -300,7 +285,7 @@ mod tests {
     fn caller_lands_next_to_hot_callee() {
         let p = program();
         let prof = profile(&p);
-        let l = stitcher_layout(&p, &prof);
+        let l = stitcher_layout_params(&p, &prof, &LayoutParams::default());
         let pos: Vec<usize> = {
             let mut v = vec![0; p.blocks.len()];
             for (i, b) in l.order.iter().enumerate() {
@@ -320,13 +305,16 @@ mod tests {
         // only merge at the page level; with page also tiny, never.
         let p = program();
         let prof = profile(&p);
-        let starved = stitcher_layout_with(
+        let starved = stitcher_layout_params(
             &p,
             &prof,
-            StitchLevels {
-                line: 1,
-                page: 1,
-                huge: 1,
+            &LayoutParams {
+                stitch: StitchLevels {
+                    line: 1,
+                    page: 1,
+                    huge: 1,
+                },
+                ..LayoutParams::default()
             },
         );
         verify_layout(&p, &starved).unwrap();
@@ -342,6 +330,10 @@ mod tests {
     fn deterministic() {
         let p = program();
         let prof = profile(&p);
-        assert_eq!(stitcher_layout(&p, &prof), stitcher_layout(&p, &prof));
+        let params = LayoutParams::default();
+        assert_eq!(
+            stitcher_layout_params(&p, &prof, &params),
+            stitcher_layout_params(&p, &prof, &params)
+        );
     }
 }

@@ -294,11 +294,6 @@ impl ProgramBuilder {
         ProcId((self.procs.len() - 1) as u32)
     }
 
-    /// Number of procedures declared so far.
-    pub fn proc_count(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Number of blocks installed so far.
     pub fn block_count(&self) -> usize {
         self.blocks.len()

@@ -19,13 +19,8 @@
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |
 //! | `CODELAYOUT_UPDATE_GOLDEN` | [`RunEnv::update_golden`] | `1` = rewrite golden snapshots instead of asserting |
 //! | `CODELAYOUT_SEED` | [`RunEnv::seed`] | scenario master-seed override (decimal or `0x` hex) |
-//! | `CODELAYOUT_SERVE_EPOCH_TXNS` | [`RunEnv::serve_epoch_txns`] | serving-loop epoch length in transactions |
-//! | `CODELAYOUT_SERVE_SAMPLE_PERIOD` | [`RunEnv::serve_sample_period`] | serving-loop control-transfer sampling period |
-//! | `CODELAYOUT_SERVE_DRIFT_THRESHOLD` | [`RunEnv::serve_drift_threshold`] | re-layout drift threshold, milli-L1 units (0–2000) |
-//! | `CODELAYOUT_SERVE_SAMPLE_DUTY` | [`RunEnv::serve_sample_duty`] | serving-loop temporal duty cycle (sampler attached 1-in-N chunks) |
 //! | `CODELAYOUT_TUNE_BUDGET` | [`RunEnv::tune_budget_ms`] | autotuner wall-clock budget in ms (0 = unlimited; a triggered cut is non-deterministic) |
 //! | `CODELAYOUT_TUNE_CANDIDATES` | [`RunEnv::tune_candidates`] | autotuner candidate-evaluation budget per series family |
-//! | `CODELAYOUT_TUNE_WINDOW` | [`RunEnv::tune_window`] | autotuner trace-window length in fetch events |
 //!
 //! The README's "Environment knobs" table is generated from this list;
 //! keep the two in sync.
@@ -51,19 +46,6 @@ pub const UPDATE_GOLDEN_ENV: &str = "CODELAYOUT_UPDATE_GOLDEN";
 /// per-process RNG streams, and therefore every serving-loop epoch
 /// record.
 pub const SEED_ENV: &str = "CODELAYOUT_SEED";
-/// Environment variable overriding the serving-loop epoch length
-/// (transactions per epoch).
-pub const SERVE_EPOCH_TXNS_ENV: &str = "CODELAYOUT_SERVE_EPOCH_TXNS";
-/// Environment variable overriding the serving-loop sampling period
-/// (one sample every N control transfers).
-pub const SERVE_SAMPLE_PERIOD_ENV: &str = "CODELAYOUT_SERVE_SAMPLE_PERIOD";
-/// Environment variable overriding the serving-loop re-layout drift
-/// threshold, in milli-L1 units (0 = always re-layout, 2000 = never).
-pub const SERVE_DRIFT_THRESHOLD_ENV: &str = "CODELAYOUT_SERVE_DRIFT_THRESHOLD";
-/// Environment variable overriding the serving-loop temporal duty
-/// cycle (the sampler is attached for one of every N scheduling
-/// chunks).
-pub const SERVE_SAMPLE_DUTY_ENV: &str = "CODELAYOUT_SERVE_SAMPLE_DUTY";
 /// Environment variable overriding the layout autotuner's wall-clock
 /// budget in milliseconds (0 = unlimited — the deterministic default;
 /// a budget that actually fires truncates the search at a
@@ -73,9 +55,6 @@ pub const TUNE_BUDGET_ENV: &str = "CODELAYOUT_TUNE_BUDGET";
 /// Environment variable overriding the layout autotuner's
 /// candidate-evaluation budget per series family.
 pub const TUNE_CANDIDATES_ENV: &str = "CODELAYOUT_TUNE_CANDIDATES";
-/// Environment variable overriding the layout autotuner's trace-window
-/// length (fetch events replayed per candidate).
-pub const TUNE_WINDOW_ENV: &str = "CODELAYOUT_TUNE_WINDOW";
 
 /// Workload scale selected by `CODELAYOUT_SCENARIO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,27 +151,12 @@ pub struct RunEnv {
     pub update_golden: bool,
     /// Scenario master-seed override (`CODELAYOUT_SEED`), if any.
     pub seed: Option<u64>,
-    /// Serving-loop epoch length override in transactions
-    /// (`CODELAYOUT_SERVE_EPOCH_TXNS`), if any.
-    pub serve_epoch_txns: Option<u64>,
-    /// Serving-loop sampling-period override
-    /// (`CODELAYOUT_SERVE_SAMPLE_PERIOD`), if any.
-    pub serve_sample_period: Option<u64>,
-    /// Serving-loop drift-threshold override in milli-L1 units
-    /// (`CODELAYOUT_SERVE_DRIFT_THRESHOLD`), if any.
-    pub serve_drift_threshold: Option<u64>,
-    /// Serving-loop temporal duty-cycle override
-    /// (`CODELAYOUT_SERVE_SAMPLE_DUTY`), if any.
-    pub serve_sample_duty: Option<u64>,
     /// Autotuner wall-clock budget override in milliseconds
     /// (`CODELAYOUT_TUNE_BUDGET`), if any. `Some(0)` means unlimited.
     pub tune_budget_ms: Option<u64>,
     /// Autotuner candidate-evaluation budget override
     /// (`CODELAYOUT_TUNE_CANDIDATES`), if any.
     pub tune_candidates: Option<u64>,
-    /// Autotuner trace-window length override in fetch events
-    /// (`CODELAYOUT_TUNE_WINDOW`), if any.
-    pub tune_window: Option<u64>,
 }
 
 impl RunEnv {
@@ -234,20 +198,8 @@ impl RunEnv {
         let trace_out = std::env::var(TRACE_OUT_ENV).ok().filter(|p| !p.is_empty());
         let update_golden = std::env::var(UPDATE_GOLDEN_ENV).as_deref() == Ok("1");
         let seed = parse_u64_knob(SEED_ENV);
-        let serve_epoch_txns = parse_u64_knob(SERVE_EPOCH_TXNS_ENV).filter(|&n| n > 0);
-        let serve_sample_period = parse_u64_knob(SERVE_SAMPLE_PERIOD_ENV).filter(|&n| n > 0);
-        let serve_drift_threshold = parse_u64_knob(SERVE_DRIFT_THRESHOLD_ENV).map(|t| {
-            if t > 2000 {
-                eprintln!(
-                    "warning: {SERVE_DRIFT_THRESHOLD_ENV}={t} exceeds the L1 range; clamping to 2000"
-                );
-            }
-            t.min(2000)
-        });
-        let serve_sample_duty = parse_u64_knob(SERVE_SAMPLE_DUTY_ENV).filter(|&n| n > 0);
         let tune_budget_ms = parse_u64_knob(TUNE_BUDGET_ENV);
         let tune_candidates = parse_u64_knob(TUNE_CANDIDATES_ENV).filter(|&n| n > 0);
-        let tune_window = parse_u64_knob(TUNE_WINDOW_ENV).filter(|&n| n > 0);
         RunEnv {
             scenario,
             threads,
@@ -256,13 +208,8 @@ impl RunEnv {
             trace_out,
             update_golden,
             seed,
-            serve_epoch_txns,
-            serve_sample_period,
-            serve_drift_threshold,
-            serve_sample_duty,
             tune_budget_ms,
             tune_candidates,
-            tune_window,
         }
     }
 

@@ -24,8 +24,8 @@
 //!   (images linked, layouts built, epochs served); no simulator or
 //!   replay loop records one per event. Snapshots render to JSON for the
 //!   run manifest.
-//! * **Run manifests** ([`manifest::ManifestBuilder`]). `run_all` and
-//!   the figure binaries write `results/<scenario>/manifest.json`:
+//! * **Run manifests** ([`manifest::ManifestBuilder`]). `run_all`, whole
+//!   or by figure name, writes `results/<scenario>/manifest.json`:
 //!   config, `git describe`, per-phase wall times with coverage,
 //!   a metrics snapshot, and FNV-1a digests of every figure output.
 //!   Volatile fields can be masked ([`manifest::mask_volatile`]) so

@@ -1,11 +1,11 @@
 //! Machine-readable run manifests.
 //!
-//! Every harness binary finishes by writing
-//! `results/<scenario>/manifest.json`: which tool ran, against which
-//! config and git revision, where the wall time went (the tracer's
-//! phase tree, with a coverage figure proving the phases account for
-//! the run), a full metrics snapshot, and an FNV-1a digest of every
-//! output file it produced. A later run — or CI — can diff two
+//! The evaluation driver `run_all` finishes by writing
+//! `results/<scenario>/manifest.json` (`layout_lint` merges its section
+//! into it): which tool ran, against which config and git revision,
+//! where the wall time went (the tracer's phase tree, with a coverage
+//! figure proving the phases account for the run), a full metrics
+//! snapshot, and an FNV-1a digest of every output file it produced. A later run — or CI — can diff two
 //! manifests and see at a glance whether a figure drifted, a phase got
 //! slower, or a lint count regressed.
 //!

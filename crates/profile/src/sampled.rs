@@ -260,11 +260,6 @@ impl DecayedEdgeCounts {
             *self.calls.entry(k).or_insert(0) += v;
         }
     }
-
-    /// Total retained edge weight.
-    pub fn total_edge_weight(&self) -> u64 {
-        self.edges.values().sum()
-    }
 }
 
 /// L1 distance between two edge-count *distributions*, in milli-units

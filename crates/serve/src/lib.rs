@@ -119,14 +119,13 @@ impl ServeConfig {
     /// decay, and the paper's full optimization set. The demo samples
     /// densely (period 2, duty 1) so that even the tiny `quick`
     /// scenario yields a few thousand samples per epoch; a production
-    /// loop at paper scale would raise the period (e.g.
-    /// `CODELAYOUT_SERVE_SAMPLE_PERIOD=64`, the preset the
-    /// sampling-overhead guard times at <5% cost), where epochs are
-    /// long enough to keep the profile dense. Duty cycling
-    /// (`CODELAYOUT_SERVE_SAMPLE_DUTY`) stays at 1: on this VM the
-    /// sampler's cost is dominated by the per-sample map insert, not
-    /// the countdown, so raising the period beats skipping chunks —
-    /// and duty 1 keeps the stream deterministic across engines.
+    /// loop at paper scale would raise [`ServeConfig::sample_period`]
+    /// (e.g. to 64, the period the sampling-overhead guard times at <5%
+    /// cost), where epochs are long enough to keep the profile dense.
+    /// [`ServeConfig::sample_duty`] stays at 1: on this VM the sampler's
+    /// cost is dominated by the per-sample map insert, not the
+    /// countdown, so raising the period beats skipping chunks — and
+    /// duty 1 keeps the stream deterministic across engines.
     pub fn drift_demo(scenario: &Scenario) -> Self {
         ServeConfig {
             epoch_txns: scenario.measure_txns.max(1),
@@ -142,24 +141,11 @@ impl ServeConfig {
         }
     }
 
-    /// [`ServeConfig::drift_demo`] with the `CODELAYOUT_SERVE_*`,
-    /// `CODELAYOUT_VM_ENGINE` and `CODELAYOUT_THREADS` environment knobs
-    /// applied.
+    /// [`ServeConfig::drift_demo`] with the `CODELAYOUT_VM_ENGINE` and
+    /// `CODELAYOUT_THREADS` environment knobs applied.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::drift_demo(scenario);
-        if let Some(n) = env.serve_epoch_txns {
-            cfg.epoch_txns = n;
-        }
-        if let Some(p) = env.serve_sample_period {
-            cfg.sample_period = p;
-        }
-        if let Some(d) = env.serve_sample_duty {
-            cfg.sample_duty = d.max(1);
-        }
-        if let Some(t) = env.serve_drift_threshold {
-            cfg.drift_threshold_milli = t;
-        }
         cfg.vm_engine = env.vm_engine;
         cfg.sweep_threads = env.sweep_threads();
         cfg

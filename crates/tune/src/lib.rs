@@ -159,7 +159,7 @@ impl TuneConfig {
     }
 
     /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED`,
-    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES,WINDOW}` and
+    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES}` and
     /// `CODELAYOUT_THREADS` environment knobs applied.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
@@ -172,9 +172,6 @@ impl TuneConfig {
         }
         if let Some(c) = env.tune_candidates {
             cfg.candidates = c;
-        }
-        if let Some(w) = env.tune_window {
-            cfg.window = w;
         }
         cfg.sweep_threads = env.sweep_threads();
         cfg

@@ -331,23 +331,6 @@ impl Machine {
         self.cfg.engine
     }
 
-    /// Code-cache footprint for this machine's compiled images, as
-    /// `(runs, bytes)` summed over app and kernel. `None` under the
-    /// interpreter engine (nothing is compiled).
-    pub fn code_cache_stats(&self) -> Option<(usize, usize)> {
-        let mut any = false;
-        let (mut runs, mut bytes) = (0, 0);
-        for c in [self.capp.as_deref(), self.ckernel.as_deref()]
-            .into_iter()
-            .flatten()
-        {
-            any = true;
-            runs += c.num_runs();
-            bytes += c.size_bytes();
-        }
-        any.then_some((runs, bytes))
-    }
-
     /// Global instruction clock.
     pub fn now(&self) -> u64 {
         self.now

@@ -105,8 +105,9 @@ rel5 = fig5_minmax()
 doc = f"""# EXPERIMENTS — paper vs. measured
 
 Every figure of *Code Layout Optimizations for Transaction Processing
-Workloads* (Ramirez et al., ISCA 2001) is regenerated by a binary in
-`crates/bench/src/bin/` and recorded below. Regenerate everything with:
+Workloads* (Ramirez et al., ISCA 2001) is regenerated by `run_all`, one
+entry of its figure table each, and recorded below. Regenerate
+everything with:
 
 ```bash
 cargo run --release -p codelayout-bench --bin run_all
