@@ -5,19 +5,22 @@
 //! `CODELAYOUT_SCENARIO` study (default `sim`, the paper's 4-CPU
 //! simulated system), sharing workload runs between them; Figure 15 on
 //! the single-processor study; the serving loop on its phase-shift
-//! stream; and the autotuner on the main study. With names, runs just
-//! those figures and builds only the studies they need. Writes
-//! `results/<figure>.json` and the run manifest
-//! `results/<scenario>/manifest.json`, whose `serve` and `tune` sections
-//! carry the serving loop's epoch ledger and the search trajectory.
+//! stream; and the autotuner, the ablations (CFA, sampled profiles, the
+//! multiprocessor speedup) and the `layout_lint` gate on the main study.
+//! With names, runs just those figures and builds only the studies they
+//! need. Writes `results/<figure>.json` and the run manifest
+//! `results/<scenario>/manifest.json`, whose `serve`, `tune` and `lint`
+//! sections carry the serving loop's epoch ledger, the search trajectory
+//! and the lint finding counts.
 //!
 //! `--report` prints the tracer's phase-tree breakdown after the run;
 //! `CODELAYOUT_TRACE_OUT=<file>` additionally streams every span boundary
 //! as JSON lines, with each serving epoch and each evaluated tune
 //! candidate as a `serve/epoch` or `tune/candidate` event. An unknown
-//! figure name exits 2, listing the accepted names; a tune budget
+//! figure name exits 2, listing the accepted names. A failed figure
+//! exits 1 with no JSON for it and no manifest: a tune budget
 //! (`CODELAYOUT_TUNE_BUDGET`) that cuts the search before any tuned
-//! layout wins exits 1 with no `fig_tune.json` and no manifest.
+//! layout wins, or a deny-level lint finding.
 //!
 //! [`FIGURES`]: codelayout_bench::driver::FIGURES
 
@@ -32,7 +35,7 @@ fn main() {
     });
     if let Err(e) = driver::run(&figures) {
         eprintln!("[run_all] {e}");
-        std::process::exit(1);
+        std::process::exit(e.exit_code());
     }
     if !report.is_empty() {
         print!("{}", codelayout_obs::tracer().render_report());

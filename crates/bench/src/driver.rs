@@ -3,13 +3,14 @@
 //! ([`run`]) that builds only the harnesses its figures need, saves each
 //! figure's JSON and writes one run manifest.
 //!
-//! Three harnesses serve the eighteen figures (see [`Stage`]): the main
+//! Three harnesses serve the twenty figures (see [`Stage`]): the main
 //! study of the `CODELAYOUT_SCENARIO` selection, which the offline
-//! figures and the autotuner share through its measurement cache; the
-//! single-processor study of Figure 15; and the serving loop's
-//! phase-shift study.
+//! figures, the autotuner, the ablations and the lint gate share
+//! through its measurement cache; the single-processor study of
+//! Figure 15; and the serving loop's phase-shift study.
 
 use crate::figures::{self, BudgetCut};
+use crate::lint::{self, DenyFindings};
 use crate::{run_env, scenario_from_env, Harness, ScenarioSel};
 use codelayout_obs::manifest::ManifestBuilder;
 use codelayout_oltp::Scenario;
@@ -42,14 +43,14 @@ pub struct Figure {
     /// The harness it runs on.
     pub stage: Stage,
     /// Runs the figure, printing its table and returning its JSON.
-    pub run: fn(&mut Harness) -> Result<Value, BudgetCut>,
+    pub run: fn(&mut Harness) -> Result<Value, FailCause>,
 }
 
 /// Every figure, in run order: the offline figures on the main study
 /// (the order the benchmark's `paper-sim` workload copies), Figure 15,
-/// the serving loop, then the autotuner, which reuses the main study's
-/// cached measurements.
-pub const FIGURES: [Figure; 18] = [
+/// the serving loop, then the autotuner, the ablations and the lint
+/// gate, which reuse the main study's cached measurements.
+pub const FIGURES: [Figure; 20] = [
     figure("fig03", Stage::Main, |h| Ok(figures::fig03(h))),
     figure("fig04", Stage::Main, |h| Ok(figures::fig04(h))),
     figure("fig05", Stage::Main, |h| Ok(figures::fig05(h))),
@@ -71,14 +72,18 @@ pub const FIGURES: [Figure; 18] = [
     }),
     figure("fig_tune", Stage::Main, |h| {
         let cfg = TuneConfig::from_env(&h.study.scenario);
-        figures::fig_tune(h, &cfg)
+        figures::fig_tune(h, &cfg).map_err(FailCause::BudgetCut)
+    }),
+    figure("ablations", Stage::Main, |h| Ok(figures::ablations(h))),
+    figure("layout_lint", Stage::Main, |h| {
+        lint::layout_lint(h).map_err(FailCause::LintDeny)
     }),
 ];
 
 const fn figure(
     name: &'static str,
     stage: Stage,
-    run: fn(&mut Harness) -> Result<Value, BudgetCut>,
+    run: fn(&mut Harness) -> Result<Value, FailCause>,
 ) -> Figure {
     Figure { name, stage, run }
 }
@@ -135,13 +140,40 @@ pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<&'static Figure>, Unknow
         .collect())
 }
 
+/// Why a figure could not produce its result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailCause {
+    /// The tune budget ran out before a tuned layout won (`fig_tune`).
+    BudgetCut(BudgetCut),
+    /// The lint matrix carried deny-level findings (`layout_lint`).
+    LintDeny(DenyFindings),
+}
+
+impl std::fmt::Display for FailCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FailCause::BudgetCut(cut) => cut.fmt(f),
+            FailCause::LintDeny(deny) => deny.fmt(f),
+        }
+    }
+}
+
 /// A figure that could not produce its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FigureFailed {
     /// The figure's name.
     pub figure: &'static str,
-    /// Why: the tune budget ran out before a tuned layout won.
-    pub cause: BudgetCut,
+    /// Why.
+    pub cause: FailCause,
+}
+
+impl FigureFailed {
+    /// The process exit status `run_all` reports the failure with.
+    pub fn exit_code(&self) -> i32 {
+        match self.cause {
+            FailCause::BudgetCut(_) | FailCause::LintDeny(_) => 1,
+        }
+    }
 }
 
 impl std::fmt::Display for FigureFailed {
@@ -256,12 +288,56 @@ mod tests {
     #[test]
     fn every_figure_is_in_the_table_once() {
         let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 20);
         for name in &names {
             assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name}");
         }
-        let offline = FIGURES.iter().filter(|f| f.stage == Stage::Main).count();
-        assert_eq!(offline, 16, "15 offline figures and the autotuner");
+        let main = FIGURES.iter().filter(|f| f.stage == Stage::Main).count();
+        assert_eq!(
+            main, 18,
+            "15 offline figures, the autotuner, the ablations and the lint gate"
+        );
+    }
+
+    #[test]
+    fn the_offline_figures_lead_the_table_in_the_benchmarks_order() {
+        // The benchmark's `paper-sim` workload runs these 15 in this
+        // order from its own list; a figure added to the table goes
+        // after them, so the benchmark's work does not change.
+        let offline = [
+            "fig03",
+            "fig04",
+            "fig05",
+            "fig06",
+            "fig07",
+            "fig08",
+            "fig09",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "fig14",
+            "claims",
+            "compare",
+            "fig_static",
+        ];
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names[..offline.len()], offline);
+    }
+
+    #[test]
+    fn a_lint_deny_fails_its_figure_with_exit_status_1() {
+        let failed = FigureFailed {
+            figure: "layout_lint",
+            cause: FailCause::LintDeny(DenyFindings { count: 3 }),
+        };
+        assert_eq!(failed.to_string(), "layout_lint: 3 deny-level findings");
+        assert_eq!(failed.exit_code(), 1);
+        let cut = FigureFailed {
+            figure: "fig_tune",
+            cause: FailCause::BudgetCut(BudgetCut { budget_ms: 1 }),
+        };
+        assert_eq!(cut.exit_code(), 1);
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! as a table and returns a JSON record (saved by the caller).
 
 use crate::{full_requests, pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
-use codelayout_core::{exttsp_score, LayoutRequest, LayoutSeries, OptimizationSet};
+use codelayout_core::{
+    cfa_layout_with, exttsp_score, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet,
+};
 use codelayout_memsim::SweepCell;
 use codelayout_obs::ProfileSource;
 use codelayout_serve::{run_serve, ServeConfig};
 use codelayout_timing::TimingModel;
 use codelayout_tune::{run_tune, TuneConfig};
 use serde_json::{json, Value};
+use std::num::NonZeroU64;
 
 fn misses_by_size(cells: &[SweepCell]) -> Vec<(u64, u64)> {
     SIZES_KB
@@ -38,7 +41,7 @@ fn misses_json(misses: &[(u64, u64)]) -> Value {
 fn request_score(h: &Harness, req: LayoutRequest) -> u64 {
     exttsp_score(
         &h.study.app.program,
-        h.study.profile_for(&req),
+        &h.study.profile_for(&req),
         &h.study.layout(req),
     )
 }
@@ -814,6 +817,10 @@ pub(crate) fn static_requests() -> Vec<(LayoutSeries, LayoutRequest, LayoutReque
             let (m_req, s_req) = match env_src {
                 ProfileSource::Measured => (bare, bare.with_source(ProfileSource::Static)),
                 ProfileSource::Static => (bare.with_source(ProfileSource::Measured), bare),
+                ProfileSource::Sampled(_) => (
+                    bare.with_source(ProfileSource::Measured),
+                    bare.with_source(ProfileSource::Static),
+                ),
             };
             if series == LayoutSeries::Paper(OptimizationSet::BASE) {
                 (series, m_req, m_req)
@@ -1164,6 +1171,115 @@ impl std::fmt::Display for BudgetCut {
 }
 
 impl std::error::Error for BudgetCut {}
+
+/// The paper's rejected and alternative design choices on the harness's
+/// 128 B / 4-way user grid, and the multiprocessor speedup:
+///
+/// * the conflict-free-area layout (§2) reserving 8, 16, 32 and 48 KB,
+///   with how much of the execution the reserved traces cover and how
+///   many bytes of trace cover 90% of it;
+/// * `all` built from a DCPI-style sampled profile (§3.2), one sample
+///   every 64, 256, 1024 and 4096 instructions (`sampled:N:all`),
+///   against the exact (Pixie) profile's `all`;
+/// * the 21264-like model's speedup of `all` over `base` on this study's
+///   CPUs (Figure 15 reports the single-processor one).
+pub fn ablations(h: &mut Harness) -> Value {
+    let cfa = [8u64, 16, 32, 48].map(|kb| {
+        let mut params = LayoutParams::default();
+        params.cfa.reserved_bytes = kb * 1024;
+        (
+            kb,
+            LayoutRequest::from(LayoutSeries::Cfa).with_params(params),
+        )
+    });
+    let sampled = [64u64, 256, 1024, 4096].map(|n| {
+        let source = ProfileSource::Sampled(NonZeroU64::new(n).expect("a positive period"));
+        (
+            n,
+            LayoutRequest::from(OptimizationSet::ALL).with_source(source),
+        )
+    });
+    let [base, all] = full_requests();
+    let others = cfa.iter().chain(&sampled).map(|&(_, req)| req);
+    h.prefetch([base, all].into_iter().chain(others));
+
+    let mut rows = Vec::new();
+    let mut misses = |h: &mut Harness, label: String, req, note: String| {
+        let by_size = misses_by_size(&h.run_request(req).sizes_4w_user);
+        let cells = by_size.iter().map(|(_, m)| m.to_string());
+        rows.push([label].into_iter().chain(cells).chain([note]).collect());
+        misses_json(&by_size)
+    };
+    let base_misses = misses(h, "base".into(), base, String::new());
+    let all_misses = misses(h, "all".into(), all, String::new());
+    let cfa: Vec<Value> = cfa
+        .into_iter()
+        .map(|(kb, req)| {
+            let params = req.params.expect("a CFA request carries its reserve");
+            let profile = h.study.profile_for(&req);
+            let (_, r) = cfa_layout_with(&h.study.app.program, &profile, &params);
+            let (permille, kb_90) = (r.coverage_permille, r.bytes_for_90pct / 1024);
+            let note = format!(
+                "covers {}.{}%, 90% needs {kb_90} KB",
+                permille / 10,
+                permille % 10
+            );
+            json!({
+                "reserved_kb": kb,
+                "placed_bytes": r.placed_bytes,
+                "coverage_permille": permille,
+                "bytes_for_90pct": r.bytes_for_90pct,
+                "misses": misses(h, format!("cfa {kb}KB"), req, note),
+            })
+        })
+        .collect();
+    let sampled: Vec<Value> = sampled
+        .into_iter()
+        .map(|(n, req)| json!({"period": n, "misses": misses(h, req.to_string(), req, String::new())}))
+        .collect();
+    print_table(
+        "Ablations: CFA and sampled profiles (app-only misses, 128B/4-way)",
+        &[
+            "layout",
+            "32KB",
+            "64KB",
+            "128KB",
+            "256KB",
+            "512KB",
+            "CFA reserve",
+        ],
+        &rows,
+    );
+
+    // The hierarchy sees every fetch, so its fetch count is the
+    // instruction count the model charges.
+    let model = TimingModel::alpha_21264();
+    let mut cycles = |req| {
+        let hier = h.timing(req).hier_21264;
+        model.evaluate(hier.fetches, &hier).total()
+    };
+    let speedup = cycles(base) as f64 / cycles(all) as f64;
+    let num_cpus = h.study.scenario.num_cpus;
+    println!("speedup of 'all' on {num_cpus} CPUs: {speedup:.2}x (21264-like; paper: 1.33x on 1p, 1.25x on 4p)");
+    json!({
+        "figure": "ablations",
+        "paper": {
+            "cfa": "the footprint for such traces was too large to fit within a reasonably \
+                    sized fraction of the cache, and the optimization yielded no gains",
+            "sampled": "the optimizer takes either Pixie (exact) or DCPI (sampled) profiles",
+            "speedup_1cpu": 1.33,
+            "speedup_4cpu": 1.25,
+        },
+        "measured": {
+            "base": base_misses,
+            "all": all_misses,
+            "cfa": cfa,
+            "sampled": sampled,
+            "num_cpus": num_cpus,
+            "speedup_21264": speedup,
+        },
+    })
+}
 
 #[cfg(test)]
 mod tests {

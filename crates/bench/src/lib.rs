@@ -1,16 +1,15 @@
 //! Experiment harness reproducing the paper's evaluation.
 //!
-//! [`driver::FIGURES`] lists every figure of the paper (Figs. 3–15, plus
-//! `claims` for the in-text numeric claims, the `compare` and
-//! `fig_static` tables, the serving loop and the autotuner), each with
-//! the harness it runs on. The one figure binary, `run_all [FIGURE…]`,
-//! runs all of them, or the named ones, in one process, sharing workload
-//! runs between figures, and writes `results/<figure>.json` files,
-//! human-readable tables and one run manifest. Three `ablation_*`
-//! binaries cover the design-choice studies no figure does (the CFA
-//! layout, sampled profiles, 1 vs 4 CPUs); hot/cold vs fine-grain
-//! splitting is `fig07` next to `compare`. Timings belong to the
-//! benchmark crate, not here.
+//! [`driver::FIGURES`] lists every measurement of the evaluation, each
+//! with the harness it runs on: the paper's Figs. 3–15, `claims` for the
+//! in-text numeric claims, the `compare` and `fig_static` tables, the
+//! serving loop, the autotuner, the `ablations` (the CFA layout, sampled
+//! profiles and the multiprocessor speedup) and the `layout_lint` gate.
+//! Hot/cold vs fine-grain splitting is `fig07` next to `compare`. The
+//! one binary, `run_all [FIGURE…]`, runs all of them, or the named ones,
+//! in one process, sharing workload runs between figures, and writes
+//! `results/<figure>.json` files, human-readable tables and one run
+//! manifest. Timings belong to the benchmark crate, not here.
 //!
 //! The harness measures a code layout in one way: one live pass of the
 //! VM straight into the simulators a figure reads, recording nothing.
@@ -365,18 +364,11 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds the study for a scenario. The results directory defaults to
+    /// Builds the study for a scenario, labelled `label` in the run
+    /// manifest's `config.scenario`. The results directory defaults to
     /// `results/` under the current directory (created on demand). The
     /// measurement lane count honors `CODELAYOUT_THREADS`, defaulting to
-    /// the host's available parallelism. The scenario label (the run
-    /// manifest's `config.scenario`) defaults to the
-    /// `CODELAYOUT_SCENARIO` selection; use [`Harness::with_label`] when
-    /// the scenario was chosen some other way.
-    pub fn new(scenario: &Scenario) -> Self {
-        Self::with_label(scenario, run_env().scenario.label())
-    }
-
-    /// Like [`Harness::new`] with an explicit scenario label.
+    /// the host's available parallelism.
     pub fn with_label(scenario: &Scenario, label: &str) -> Self {
         Harness {
             study: build_study(scenario),
@@ -405,8 +397,7 @@ impl Harness {
     /// Builds the scenario selected by `CODELAYOUT_SCENARIO`
     /// (`quick`/`sim`/`hw`; default `sim`).
     pub fn from_env() -> Self {
-        let sc = scenario_from_env();
-        Self::new(&sc)
+        Self::with_label(&scenario_from_env(), run_env().scenario.label())
     }
 
     /// Runs (or returns the cached) measurement for a layout named by

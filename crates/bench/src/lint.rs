@@ -1,11 +1,14 @@
-//! Shared driver for the `layout_lint` binary and the golden lint test.
+//! The static layout-quality gate: the `layout_lint` figure and the
+//! golden lint test.
 //!
-//! Both consumers need the identical matrix — every
+//! Both need the identical matrix — every
 //! [`LayoutSeries::lint_matrix`] layout (the paper's six sets plus the
-//! ext-TSP and Codestitcher passes) of the scenario's application *and*
-//! kernel program, validated and linted — so the matrix runner and its
-//! JSON rendering live here rather than in the binary.
+//! ext-TSP and Codestitcher passes) of the study's application *and*
+//! kernel program, validated and linted — so the matrix runner, its
+//! JSON and text renderings and the figure live here. A deny-level
+//! finding fails the figure, so `run_all` exits nonzero on it.
 
+use crate::Harness;
 use codelayout_analysis::{
     analyze_layout, validate_translation, LintConfig, LintReport, Severity, TranslationReport,
 };
@@ -95,10 +98,40 @@ pub fn count(cells: &[LintCell], sev: Severity) -> usize {
     cells.iter().map(|c| c.report.count(sev)).sum()
 }
 
-/// Whether any cell carries a deny-level finding.
-pub fn has_deny(cells: &[LintCell]) -> bool {
-    cells.iter().any(|c| c.report.has_deny())
+/// The `layout_lint` figure: runs the [`lint_study`] matrix on the
+/// harness's study, prints the text report, registers the per-code
+/// summary ([`summary_json`]) as the run manifest's `lint` section and
+/// returns the JSON document ([`cells_to_json`]).
+///
+/// # Errors
+/// [`DenyFindings`] when any cell carries a deny-level finding (a
+/// translation-validation failure surfaces as an `L000` deny).
+pub fn layout_lint(h: &mut Harness) -> Result<Value, DenyFindings> {
+    let cells = lint_study(&h.study);
+    print!("{}", render_cells_text(&h.scenario_label, &cells));
+    let deny = count(&cells, Severity::Deny);
+    if deny > 0 {
+        return Err(DenyFindings { count: deny });
+    }
+    h.section("lint", summary_json(&cells));
+    Ok(cells_to_json(&h.scenario_label, &cells))
 }
+
+/// The lint matrix carried deny-level findings, so the `layout_lint`
+/// figure has no passing result to save.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenyFindings {
+    /// How many deny-level findings the matrix carried.
+    pub count: usize,
+}
+
+impl std::fmt::Display for DenyFindings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} deny-level findings", self.count)
+    }
+}
+
+impl std::error::Error for DenyFindings {}
 
 /// The matrix summary that flows into the run manifest: severity totals
 /// plus per-code (`L000`…) finding counts. Truncated findings (dropped
@@ -126,8 +159,8 @@ pub fn summary_json(cells: &[LintCell]) -> Value {
     })
 }
 
-/// Renders the matrix as the stable JSON document consumed by CI and the
-/// golden test.
+/// Renders the matrix as the stable JSON document the `layout_lint`
+/// figure saves and the golden test snapshots.
 pub fn cells_to_json(scenario: &str, cells: &[LintCell]) -> Value {
     let rendered: Vec<Value> = cells
         .iter()

@@ -28,7 +28,7 @@ use serde_json::{json, Value};
 /// Runs the quick scenario and extracts the Fig. 4 grid (user-stream,
 /// direct-mapped size × line sweep) for both fully-instrumented layouts.
 fn measure_fig04_quick() -> Value {
-    let mut h = Harness::new(&Scenario::quick());
+    let mut h = Harness::with_label(&Scenario::quick(), "quick");
     let mut layouts = serde_json::Map::new();
     for name in ["base", "all"] {
         let cells: Vec<Value> = h

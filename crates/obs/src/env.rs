@@ -25,6 +25,7 @@
 //! The README's "Environment knobs" table is generated from this list;
 //! keep the two in sync.
 
+use std::num::NonZeroU64;
 use std::sync::OnceLock;
 
 /// Environment variable selecting the workload scenario.
@@ -104,12 +105,16 @@ impl VmEngine {
     }
 }
 
-/// Profile source selected by `CODELAYOUT_PROFILE_SOURCE`.
+/// The profile feeding the layout passes.
 ///
-/// `Measured` feeds the layout passes the execution profile collected by
-/// the instrumented profiling run (the paper's Pixie/DCPI path);
-/// `Static` feeds them the purely static Ball–Larus-style estimate, so
-/// every layout series runs without any profiling run at all.
+/// `Measured` feeds them the execution profile collected by the
+/// instrumented profiling run (the paper's Pixie path); `Static` feeds
+/// them the purely static Ball–Larus-style estimate, so every layout
+/// series runs without any profiling run at all; `Sampled` feeds them a
+/// DCPI-style profile: one sample every `period` instructions of the
+/// profiling run, with edge weights estimated from the block counts.
+/// `CODELAYOUT_PROFILE_SOURCE` selects `Measured` or `Static`; a sampled
+/// source is named per request (`sampled:N:<series>`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ProfileSource {
     /// Instrumented execution counts (default).
@@ -117,15 +122,19 @@ pub enum ProfileSource {
     Measured,
     /// Static branch-heuristic frequency estimates.
     Static,
+    /// Block samples taken every `period` retired instructions.
+    Sampled(NonZeroU64),
 }
 
 impl ProfileSource {
-    /// Stable lowercase name (`"measured"` / `"static"`), as accepted by
-    /// `CODELAYOUT_PROFILE_SOURCE` and recorded in run manifests.
+    /// Stable lowercase name of the source's kind (`"measured"` /
+    /// `"static"` / `"sampled"`); the first two are the values
+    /// `CODELAYOUT_PROFILE_SOURCE` accepts.
     pub fn label(self) -> &'static str {
         match self {
             ProfileSource::Measured => "measured",
             ProfileSource::Static => "static",
+            ProfileSource::Sampled(_) => "sampled",
         }
     }
 }
@@ -185,16 +194,7 @@ impl RunEnv {
                 VmEngine::Block
             }
         };
-        let profile_source = match std::env::var(PROFILE_SOURCE_ENV).as_deref() {
-            Ok("static") => ProfileSource::Static,
-            Ok("measured") | Err(_) => ProfileSource::Measured,
-            Ok(other) => {
-                eprintln!(
-                    "warning: {PROFILE_SOURCE_ENV}={other} is not measured/static; using measured"
-                );
-                ProfileSource::Measured
-            }
-        };
+        let profile_source = parse_profile_source(std::env::var(PROFILE_SOURCE_ENV).ok());
         let trace_out = std::env::var(TRACE_OUT_ENV).ok().filter(|p| !p.is_empty());
         let update_golden = std::env::var(UPDATE_GOLDEN_ENV).as_deref() == Ok("1");
         let seed = parse_u64_knob(SEED_ENV);
@@ -241,6 +241,23 @@ fn parse_u64_knob(var: &str) -> Option<u64> {
     }
 }
 
+/// Parses a `CODELAYOUT_PROFILE_SOURCE` value: `measured` (or unset)
+/// and `static`. Anything else, a `sampled:N` name included, warns on
+/// stderr and falls back to measured: a sampled source is named per
+/// request, not process-wide.
+fn parse_profile_source(raw: Option<String>) -> ProfileSource {
+    match raw.as_deref() {
+        Some("static") => ProfileSource::Static,
+        Some("measured") | None => ProfileSource::Measured,
+        Some(other) => {
+            eprintln!(
+                "warning: {PROFILE_SOURCE_ENV}={other} is not measured/static; using measured"
+            );
+            ProfileSource::Measured
+        }
+    }
+}
+
 static RUN_ENV: OnceLock<RunEnv> = OnceLock::new();
 
 /// The process-global [`RunEnv`], parsed from the environment on first
@@ -279,6 +296,8 @@ mod tests {
         assert_eq!(VmEngine::default(), VmEngine::Block);
         assert_eq!(ProfileSource::Measured.label(), "measured");
         assert_eq!(ProfileSource::Static.label(), "static");
+        let period = NonZeroU64::new(64).unwrap();
+        assert_eq!(ProfileSource::Sampled(period).label(), "sampled");
         assert_eq!(ProfileSource::default(), ProfileSource::Measured);
     }
 
@@ -295,6 +314,17 @@ mod tests {
         std::env::set_var(var, "not-a-number");
         assert_eq!(parse_u64_knob(var), None);
         std::env::remove_var(var);
+    }
+
+    #[test]
+    fn profile_source_accepts_measured_and_static_only() {
+        let parse = |v: &str| parse_profile_source(Some(v.to_string()));
+        assert_eq!(parse_profile_source(None), ProfileSource::Measured);
+        assert_eq!(parse("measured"), ProfileSource::Measured);
+        assert_eq!(parse("static"), ProfileSource::Static);
+        for other in ["sampled:64", "sampled", "Static", ""] {
+            assert_eq!(parse(other), ProfileSource::Measured, "{other}");
+        }
     }
 
     #[test]

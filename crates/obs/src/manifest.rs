@@ -1,13 +1,13 @@
 //! Machine-readable run manifests.
 //!
 //! The evaluation driver `run_all` finishes by writing
-//! `results/<scenario>/manifest.json` (`layout_lint` merges its section
-//! into it): which tool ran, against which config and git revision,
-//! where the wall time went (the tracer's phase tree, with a coverage
-//! figure proving the phases account for the run), a full metrics
-//! snapshot, and an FNV-1a digest of every output file it produced. A later run — or CI — can diff two
-//! manifests and see at a glance whether a figure drifted, a phase got
-//! slower, or a lint count regressed.
+//! `results/<scenario>/manifest.json`: which tool ran, against which
+//! config and git revision, where the wall time went (the tracer's phase
+//! tree, with a coverage figure proving the phases account for the run),
+//! a full metrics snapshot, and an FNV-1a digest of every output file it
+//! produced. A later run — or CI — can diff two manifests and see at a
+//! glance whether a figure drifted, a phase got slower, or a lint count
+//! regressed.
 //!
 //! The schema is deliberately stable and self-describing:
 //!
@@ -25,7 +25,8 @@
 //!   "phases": [ {"name","wall_ns","pct","count","children"} ... ],
 //!   "metrics": { "counters": {...}, "gauges": {...}, "histograms": {...} },
 //!   "outputs": { "fig04.json": "fnv1a64:..." },
-//!   "lint": { ... },              // optional, merged by layout_lint
+//!   "lint": { ... },              // optional, the layout_lint figure's
+//!                                 // finding counts
 //!   "serve": { ... }              // optional, the serving loop's epoch
 //!                                 // records (see `codelayout-serve`)
 //! }
@@ -205,40 +206,6 @@ pub fn write_manifest(dir: &Path, manifest: &Value) -> std::io::Result<PathBuf> 
     text.push('\n');
     std::fs::write(&path, text)?;
     Ok(path)
-}
-
-/// Loads `<dir>/manifest.json` if present and parseable.
-pub fn load_manifest(dir: &Path) -> Option<Value> {
-    let text = std::fs::read_to_string(dir.join("manifest.json")).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// Merges `value` under `key` into `<dir>/manifest.json`, creating a
-/// minimal manifest (tool = `tool`) when none exists. This is how
-/// `layout_lint` folds its summary into a manifest `run_all` wrote
-/// earlier — or stands one up when it runs alone.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn merge_section(
-    dir: &Path,
-    tool: &str,
-    scenario: &str,
-    key: &str,
-    value: Value,
-) -> std::io::Result<PathBuf> {
-    let manifest = match load_manifest(dir) {
-        Some(Value::Object(mut map)) => {
-            map.insert(key.into(), value);
-            Value::Object(map)
-        }
-        _ => {
-            let mut b = ManifestBuilder::new(tool, scenario);
-            b.section(key, value);
-            b.build()
-        }
-    };
-    write_manifest(dir, &manifest)
 }
 
 /// Checks that a manifest value has the documented schema: required
@@ -492,24 +459,16 @@ mod tests {
     }
 
     #[test]
-    fn write_load_and_merge_round_trip() {
+    fn written_manifest_reads_back_and_validates() {
         let dir = std::env::temp_dir().join(format!("codelayout-manifest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = write_manifest(&dir, &sample_manifest()).unwrap();
+        let manifest = sample_manifest();
+        let path = write_manifest(&dir, &manifest).unwrap();
         assert!(path.ends_with("manifest.json"));
-        let loaded = load_manifest(&dir).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let loaded: Value = serde_json::from_str(&text).unwrap();
         validate_manifest(&loaded).unwrap();
-        // Merge into the existing manifest: section added, rest kept.
-        merge_section(&dir, "layout_lint", "quick", "lint", json!({"deny": 3u64})).unwrap();
-        let merged = load_manifest(&dir).unwrap();
-        assert_eq!(merged.get("lint").get("deny").as_u64(), Some(3));
-        assert_eq!(merged.get("tool").as_str(), Some("tool"));
-        // Merge with no manifest present: a minimal one is created.
-        let _ = std::fs::remove_dir_all(&dir);
-        merge_section(&dir, "layout_lint", "quick", "lint", json!({"deny": 1u64})).unwrap();
-        let fresh = load_manifest(&dir).unwrap();
-        assert_eq!(fresh.get("tool").as_str(), Some("layout_lint"));
-        assert_eq!(fresh.get("lint").get("deny").as_u64(), Some(1));
+        assert_eq!(loaded, manifest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

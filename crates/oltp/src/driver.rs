@@ -16,12 +16,14 @@ use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
 use codelayout_ir::link::link;
 use codelayout_ir::{Image, IrError, Layout, Program, Reg};
 use codelayout_obs::ProfileSource;
-use codelayout_profile::{PixieCollector, Profile};
+use codelayout_profile::{profile_from_block_samples, PixieCollector, Profile, SampledCollector};
 use codelayout_vm::{
-    Machine, MachineConfig, NullSink, PairHook, RunReport, SyscallDef, TraceSink, VmEngine,
-    APP_TEXT_BASE, KERNEL_TEXT_BASE,
+    ExecHook, Machine, MachineConfig, NullSink, PairHook, RunReport, SyscallDef, TraceSink,
+    VmEngine, APP_TEXT_BASE, KERNEL_TEXT_BASE,
 };
+use std::borrow::Cow;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Instruction budget per scheduling chunk while polling for phase
@@ -143,42 +145,17 @@ pub fn build_study(scenario: &Scenario) -> Study {
     gen_span.finish();
 
     // Profiling run: pixified server binaries, `profile_txns` transactions.
-    let profile_span = codelayout_obs::span("profile_run");
-    let (mut machine, sga_loaded) = study.new_machine(
-        &study.base_image,
-        &study.base_kernel_image,
-        scenario.profile_txns,
-    );
-    study.sga = sga_loaded;
     let mut hook = PairHook(
         PixieCollector::user(study.app.program.blocks.len()),
         PixieCollector::kernel(study.kernel.program.blocks.len()),
     );
-    let mut report = RunReport::default();
-    loop {
-        let r = machine.run_hooked(&mut NullSink, &mut hook, CHUNK);
-        report.absorb(&r);
-        if machine.live_processes() == 0 {
-            break;
-        }
-        assert!(
-            report.instructions < MAX_RUN_INSTRS,
-            "profiling run exceeded instruction ceiling"
-        );
-    }
-    assert!(
-        report.faults.is_empty(),
-        "profiling faults: {:?}",
-        report.faults
-    );
-    let inv = study.sga.read_invariants(&machine);
-    assert!(inv.consistent(), "profiling run inconsistent: {inv:?}");
+    let (sga_loaded, report) = study.profiling_run(&mut hook);
+    study.sga = sga_loaded;
     study.profile = hook.0.into_profile();
     study.kernel_profile = hook.1.into_profile();
     let m = codelayout_obs::metrics();
     m.add("study.builds", 1);
     m.add("study.profile_instructions", report.instructions);
-    profile_span.finish();
     study
 }
 
@@ -272,12 +249,68 @@ impl Study {
         (m, sga)
     }
 
+    /// Runs the profiling phase, `profile_txns` transactions on the
+    /// baseline images, with `hook` observing every block, edge, call and
+    /// instruction. Returns the SGA layout the run loaded (B-tree root
+    /// filled) and the run's report. [`build_study`] feeds it Pixie
+    /// collectors; a sampled profile source feeds it DCPI-style samplers.
+    ///
+    /// # Panics
+    /// Panics if the run faults, breaks the TPC-B invariants or exceeds
+    /// the per-run instruction ceiling.
+    fn profiling_run<H: ExecHook>(&self, hook: &mut H) -> (SgaLayout, RunReport) {
+        let _span = codelayout_obs::span("profile_run");
+        let (mut machine, sga) = self.new_machine(
+            &self.base_image,
+            &self.base_kernel_image,
+            self.scenario.profile_txns,
+        );
+        let mut report = RunReport::default();
+        loop {
+            let r = machine.run_hooked(&mut NullSink, hook, CHUNK);
+            report.absorb(&r);
+            if machine.live_processes() == 0 {
+                break;
+            }
+            assert!(
+                report.instructions < MAX_RUN_INSTRS,
+                "profiling run exceeded instruction ceiling"
+            );
+        }
+        assert!(
+            report.faults.is_empty(),
+            "profiling faults: {:?}",
+            report.faults
+        );
+        let inv = sga.read_invariants(&machine);
+        assert!(inv.consistent(), "profiling run inconsistent: {inv:?}");
+        (sga, report)
+    }
+
+    /// The application and kernel profiles DCPI-style sampling collects
+    /// over one profiling run: one block sample every `period` retired
+    /// instructions of each stream, edge weights estimated from the
+    /// block counts (Spike's path for sampled input).
+    fn sampled_profiles(&self, period: NonZeroU64) -> (Profile, Profile) {
+        let mut hook = PairHook(
+            SampledCollector::user(self.app.program.blocks.len(), period.get()),
+            SampledCollector::kernel(self.kernel.program.blocks.len(), period.get()),
+        );
+        self.profiling_run(&mut hook);
+        (
+            profile_from_block_samples(&self.app.program, &hook.0),
+            profile_from_block_samples(&self.kernel.program, &hook.1),
+        )
+    }
+
     /// The application profile a request builds from: the measured Pixie
-    /// profile or the static Ball–Larus-style estimate.
-    pub fn profile_for(&self, req: &LayoutRequest) -> &Profile {
+    /// profile, the static Ball–Larus-style estimate, or a sampled
+    /// profile collected now by another profiling run.
+    pub fn profile_for(&self, req: &LayoutRequest) -> Cow<'_, Profile> {
         match req.resolved_source() {
-            ProfileSource::Measured => &self.profile,
-            ProfileSource::Static => &self.static_profile,
+            ProfileSource::Measured => Cow::Borrowed(&self.profile),
+            ProfileSource::Static => Cow::Borrowed(&self.static_profile),
+            ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).0),
         }
     }
 
@@ -291,7 +324,7 @@ impl Study {
         let req = req.into();
         LayoutPipeline::with_params(
             &self.app.program,
-            self.profile_for(&req),
+            &self.profile_for(&req),
             req.params.unwrap_or_default(),
         )
         .build_series(req.series)
@@ -323,12 +356,13 @@ impl Study {
     pub fn kernel_image(&self, req: impl Into<LayoutRequest>) -> Arc<Image> {
         let req = req.into();
         let profile = match req.resolved_source() {
-            ProfileSource::Measured => &self.kernel_profile,
-            ProfileSource::Static => &self.static_kernel_profile,
+            ProfileSource::Measured => Cow::Borrowed(&self.kernel_profile),
+            ProfileSource::Static => Cow::Borrowed(&self.static_kernel_profile),
+            ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).1),
         };
         let layout = LayoutPipeline::with_params(
             &self.kernel.program,
-            profile,
+            &profile,
             req.params.unwrap_or_default(),
         )
         .build_series(req.series);
@@ -507,6 +541,35 @@ mod tests {
                 "layout {set} changed architectural results"
             );
         }
+    }
+
+    #[test]
+    fn profiling_run_reproduces_the_studys_profiles() {
+        let study = build_study(&Scenario::quick());
+        let mut hook = PairHook(
+            PixieCollector::user(study.app.program.blocks.len()),
+            PixieCollector::kernel(study.kernel.program.blocks.len()),
+        );
+        let (sga, _) = study.profiling_run(&mut hook);
+        assert_eq!(sga, study.sga);
+        assert_eq!(hook.0.into_profile(), study.profile);
+        assert_eq!(hook.1.into_profile(), study.kernel_profile);
+    }
+
+    #[test]
+    fn sampled_profiles_are_deterministic() {
+        let study = build_study(&Scenario::quick());
+        let req: LayoutRequest = "sampled:64:all".parse().unwrap();
+        let (app, kernel) = study.sampled_profiles(NonZeroU64::new(64).unwrap());
+        assert_eq!(study.profile_for(&req).into_owned(), app);
+        assert_eq!(
+            study.sampled_profiles(NonZeroU64::new(64).unwrap()).1,
+            kernel
+        );
+        // Sampling loses information: the estimate is not the exact profile.
+        assert_ne!(app, study.profile);
+        assert!(app.total_block_entries() > 0 && kernel.total_block_entries() > 0);
+        assert_eq!(study.layout(req), study.layout(req));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   the decayed edge counts, scaling by the sampling period and deriving
 //!   block counts from edge flow.
 //!
-//! It also hosts the block-sample estimation path the
-//! `ablation_sampled` binary uses ([`block_sizes`] +
-//! [`profile_from_block_samples`]), so the ablation and the serving loop
-//! share one tested implementation.
+//! It also hosts the block-sample estimation path a study's sampled
+//! profile source uses ([`block_sizes`] + [`profile_from_block_samples`],
+//! the `sampled:N:<series>` layout requests), so those requests and the
+//! serving loop share one tested implementation.
 
 use crate::collect::{SampledCollector, Stream};
 use crate::data::Profile;

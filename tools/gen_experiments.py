@@ -10,8 +10,9 @@ R = lambda n: json.load(open(f"results/{n}.json"))
 f3 = R("fig03"); f5 = R("fig05"); f7 = R("fig07"); f8 = R("fig08")
 f9 = R("fig09"); f11 = R("fig11"); f12 = R("fig12"); f13 = R("fig13")
 f14 = R("fig14"); f15 = R("fig15"); cl = R("claims"); fst = R("fig_static")
-ftu = R("fig_tune"); cmp = R("compare")
+ftu = R("fig_tune"); cmp = R("compare"); abl = R("ablations")
 m = cl["measured"]
+am = abl["measured"]
 
 
 def curve3():
@@ -91,6 +92,45 @@ def tune_wins():
     return "; ".join(
         f"{w['misses']} vs {w['best_fixed']} at {w['size_kb']} KB ({w['series']})"
         for w in ftu["wins"]
+    )
+
+
+def at_kb(misses, kb):
+    return next(c["misses"] for c in misses if c["size_kb"] == kb)
+
+
+def cfa_spread_pct(kb=64):
+    """Largest CFA-vs-`all` miss difference at `kb`, in % of `all`."""
+    a = at_kb(am["all"], kb)
+    return max(abs(at_kb(c["misses"], kb) - a) for c in am["cfa"]) / a * 100
+
+
+def cfa_reserves():
+    kbs = [c["reserved_kb"] for c in am["cfa"]]
+    return f"{kbs[0]}–{kbs[-1]} KB"
+
+
+def cfa_coverage():
+    return ", ".join(
+        f"{c['coverage_permille'] / 10:.1f} % at {c['reserved_kb']} KB" for c in am["cfa"]
+    )
+
+
+def cfa_90pct_kb():
+    return max(c["bytes_for_90pct"] for c in am["cfa"]) // 1024
+
+
+def reduction_pct(misses, kb=64):
+    return 100 * (1 - at_kb(misses, kb) / at_kb(am["base"], kb))
+
+
+def sampled_text():
+    first, *rest = am["sampled"]
+    tail = ", ".join(f"{reduction_pct(s['misses']):.0f} % at 1/{s['period']}" for s in rest)
+    return (
+        f"{reduction_pct(first['misses']):.0f} % vs {reduction_pct(am['all']):.0f} % "
+        f"miss reduction at a 1/{first['period']} sampling period (64 KB / 128 B / 4-way), "
+        f"degrading to {tail}"
     )
 
 
@@ -280,7 +320,7 @@ smaller fraction of time to begin with).
 | app miss reduction (64/128 KB) | 55–65 % | {m['app_reduction_64_pct']:.0f} % / {m['app_reduction_128_pct']:.0f} % |
 | combined miss reduction | 45–60 % | {m['combined_reduction_64_pct']:.0f} % / {m['combined_reduction_128_pct']:.0f} % |
 | kernel-layout-only gain | ~3.5 % | {m['kernel_opt_gain_pct']:.1f} % |
-| CFA (software trace cache) | no gain — traces too large | reproduced (`ablation_cfa`) |
+| CFA (software trace cache) | no gain — traces too large | reproduced (`ablations`: within {cfa_spread_pct():.1f} % of `all` at 64 KB; 90 % of execution needs {cfa_90pct_kb()} KB of traces) |
 
 ## Static profiles (beyond the paper): layout without a profiling run
 
@@ -318,11 +358,15 @@ winning parameters land in the manifest `tune` section and
 
 ## Ablations beyond the paper's tables
 
-* `ablation_cfa` — the conflict-free-area layout yields no improvement
-  over `all` (within 2.3 % either way at 64 KB / 128 B / 2-way, reserving
-  8–48 KB); the traces covering 90 % of execution need 78 KB, exceeding
-  any reasonable reserved fraction of a 64 KB cache (the paper's §2
-  negative result).
+The `ablations` figure (`results/ablations.json`) measures every row
+below on the harness's 128 B / 4-way user grid.
+
+* CFA — the conflict-free-area layout yields no improvement over `all`
+  (within {cfa_spread_pct():.1f} % either way at 64 KB / 128 B / 4-way,
+  reserving {cfa_reserves()}; of execution, the reserve covers
+  {cfa_coverage()}); the traces covering 90 % of execution need {cfa_90pct_kb()} KB,
+  exceeding any reasonable reserved fraction of a 64 KB cache (the
+  paper's §2 negative result).
 * Hot/cold vs fine-grain splitting — `compare`'s `hotcold` row against
   `fig07`'s `all` row, on the same 128 B / 4-way user grid. The
   Spike-distribution hot/cold split performs comparably to fine-grain
@@ -332,13 +376,14 @@ winning parameters land in the manifest `tune` section and
   our generated procedures are mostly single-hot-region after chaining, so
   two-way splitting already exposes nearly all of the useful placement
   freedom. An honest divergence, explained by workload shape.
-* `ablation_sampled` — DCPI-style sampled profiles (with Spike's
-  edge-estimation) recover most of the exact profile's gain: 51 % vs 55 %
-  miss reduction at a 1/64 sampling period (64 KB / 128 B / 2-way),
-  degrading to 46 % at 1/256, 40 % at 1/1024 and 37 % at 1/4096.
+* Sampled profiles — `all` built from DCPI-style sampled profiles
+  (`sampled:N:all`, with Spike's edge estimation) recovers most of the
+  exact profile's gain:
+  {sampled_text()}.
   Consistent with the paper's use of either Pixie or DCPI.
-* `ablation_multicpu` — speedups are approximately equal on 1 and 4 CPUs
-  (1.21× vs 1.22×) rather than the paper's 1.33× vs 1.25×. The paper's
+* 1 vs {am['num_cpus']} CPUs — speedups are approximately equal on 1 and {am['num_cpus']} CPUs
+  ({f15['measured']['speedup_21264']:.2f}× in `fig15` vs {am['speedup_21264']:.2f}× in `ablations`, 21264-like)
+  rather than the paper's {abl['paper']['speedup_1cpu']}× vs {abl['paper']['speedup_4cpu']}×. The paper's
   4-CPU dilution comes from inter-node data *communication* misses, which
   our shared-memory model (no coherence protocol) does not charge for — a
   documented substrate limitation.
