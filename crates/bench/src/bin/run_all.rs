@@ -17,10 +17,9 @@
 //! `CODELAYOUT_TRACE_OUT=<file>` additionally streams every span boundary
 //! as JSON lines, with each serving epoch and each evaluated tune
 //! candidate as a `serve/epoch` or `tune/candidate` event. An unknown
-//! figure name exits 2, listing the accepted names. A failed figure
-//! exits 1 with no JSON for it and no manifest: a tune budget
-//! (`CODELAYOUT_TUNE_BUDGET`) that cuts the search before any tuned
-//! layout wins, or a deny-level lint finding.
+//! figure name exits 2, listing the accepted names. A deny-level lint
+//! finding fails the `layout_lint` figure: `run_all` exits 1 with no
+//! JSON for it and no manifest.
 //!
 //! [`FIGURES`]: codelayout_bench::driver::FIGURES
 

@@ -9,7 +9,7 @@
 //! through its measurement cache; the single-processor study of
 //! Figure 15; and the serving loop's phase-shift study.
 
-use crate::figures::{self, BudgetCut};
+use crate::figures;
 use crate::lint::{self, DenyFindings};
 use crate::{run_env, scenario_from_env, Harness, ScenarioSel};
 use codelayout_obs::manifest::ManifestBuilder;
@@ -42,8 +42,9 @@ pub struct Figure {
     pub name: &'static str,
     /// The harness it runs on.
     pub stage: Stage,
-    /// Runs the figure, printing its table and returning its JSON.
-    pub run: fn(&mut Harness) -> Result<Value, FailCause>,
+    /// Runs the figure, printing its table and returning its JSON; only
+    /// the lint gate can fail.
+    pub run: fn(&mut Harness) -> Result<Value, DenyFindings>,
 }
 
 /// Every figure, in run order: the offline figures on the main study
@@ -72,18 +73,16 @@ pub const FIGURES: [Figure; 20] = [
     }),
     figure("fig_tune", Stage::Main, |h| {
         let cfg = TuneConfig::from_env(&h.study.scenario);
-        figures::fig_tune(h, &cfg).map_err(FailCause::BudgetCut)
+        Ok(figures::fig_tune(h, &cfg))
     }),
     figure("ablations", Stage::Main, |h| Ok(figures::ablations(h))),
-    figure("layout_lint", Stage::Main, |h| {
-        lint::layout_lint(h).map_err(FailCause::LintDeny)
-    }),
+    figure("layout_lint", Stage::Main, lint::layout_lint),
 ];
 
 const fn figure(
     name: &'static str,
     stage: Stage,
-    run: fn(&mut Harness) -> Result<Value, FailCause>,
+    run: fn(&mut Harness) -> Result<Value, DenyFindings>,
 ) -> Figure {
     Figure { name, stage, run }
 }
@@ -140,39 +139,19 @@ pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<&'static Figure>, Unknow
         .collect())
 }
 
-/// Why a figure could not produce its result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailCause {
-    /// The tune budget ran out before a tuned layout won (`fig_tune`).
-    BudgetCut(BudgetCut),
-    /// The lint matrix carried deny-level findings (`layout_lint`).
-    LintDeny(DenyFindings),
-}
-
-impl std::fmt::Display for FailCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailCause::BudgetCut(cut) => cut.fmt(f),
-            FailCause::LintDeny(deny) => deny.fmt(f),
-        }
-    }
-}
-
 /// A figure that could not produce its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FigureFailed {
     /// The figure's name.
     pub figure: &'static str,
-    /// Why.
-    pub cause: FailCause,
+    /// Why: the lint matrix carried deny-level findings.
+    pub cause: DenyFindings,
 }
 
 impl FigureFailed {
     /// The process exit status `run_all` reports the failure with.
     pub fn exit_code(&self) -> i32 {
-        match self.cause {
-            FailCause::BudgetCut(_) | FailCause::LintDeny(_) => 1,
-        }
+        1
     }
 }
 
@@ -329,15 +308,10 @@ mod tests {
     fn a_lint_deny_fails_its_figure_with_exit_status_1() {
         let failed = FigureFailed {
             figure: "layout_lint",
-            cause: FailCause::LintDeny(DenyFindings { count: 3 }),
+            cause: DenyFindings { count: 3 },
         };
         assert_eq!(failed.to_string(), "layout_lint: 3 deny-level findings");
         assert_eq!(failed.exit_code(), 1);
-        let cut = FigureFailed {
-            figure: "fig_tune",
-            cause: FailCause::BudgetCut(BudgetCut { budget_ms: 1 }),
-        };
-        assert_eq!(cut.exit_code(), 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Per-figure experiment logic. Each function prints the figure's series
 //! as a table and returns a JSON record (saved by the caller).
 
-use crate::{full_requests, pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
+use crate::{full_requests, pct, print_table, Harness, LINES_B, SIZES_KB};
 use codelayout_core::{
     cfa_layout_with, exttsp_score, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet,
+    ProfileSource,
 };
 use codelayout_memsim::SweepCell;
-use codelayout_obs::ProfileSource;
 use codelayout_serve::{run_serve, ServeConfig};
 use codelayout_timing::TimingModel;
 use codelayout_tune::{run_tune, TuneConfig};
@@ -706,17 +706,16 @@ pub fn compare(h: &mut Harness) -> Value {
 /// 128 KB miss count on the scenario.
 pub fn fig_static(h: &mut Harness) -> Value {
     let reqs = static_requests();
-    h.prefetch(reqs.iter().flat_map(|&(_, m_req, s_req)| [m_req, s_req]));
+    h.prefetch(reqs.iter().flat_map(|&(m_req, s_req)| [m_req, s_req]));
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut base_m128 = 0u64;
     let mut static_all_m128 = u64::MAX;
-    for (series, m_req, s_req) in reqs {
-        let label = series.label();
-        let bare = LayoutRequest::from(series);
-        let is_base = series == LayoutSeries::Paper(OptimizationSet::BASE);
+    for (bare, s_req) in reqs {
+        let label = bare.series.label();
+        let is_base = bare.series == LayoutSeries::Paper(OptimizationSet::BASE);
         let (m_misses, user_fetches) = {
-            let d = h.run_request(m_req);
+            let d = h.run_request(bare);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
         let s_misses = misses_by_size(&h.run_request(s_req).sizes_4w_user);
@@ -803,29 +802,17 @@ pub fn fig_static(h: &mut Harness) -> Value {
 }
 
 /// The requests [`fig_static`] measures: per lint-matrix series, the
-/// measured-profile and the static-profile request. Bare requests honor
-/// the environment knob, so whichever source the env selects shares its
-/// measurement cache with the other figures; the opposite source is
-/// pinned explicitly. `base` ignores the profile, so both of its
-/// requests are the measured one.
-pub(crate) fn static_requests() -> Vec<(LayoutSeries, LayoutRequest, LayoutRequest)> {
-    let env_src = run_env().profile_source;
+/// bare (measured-profile) and the static-profile request. `base`
+/// ignores the profile, so both of its requests are the bare one.
+pub(crate) fn static_requests() -> Vec<(LayoutRequest, LayoutRequest)> {
     LayoutSeries::lint_matrix()
         .into_iter()
         .map(|series| {
             let bare = LayoutRequest::from(series);
-            let (m_req, s_req) = match env_src {
-                ProfileSource::Measured => (bare, bare.with_source(ProfileSource::Static)),
-                ProfileSource::Static => (bare.with_source(ProfileSource::Measured), bare),
-                ProfileSource::Sampled(_) => (
-                    bare.with_source(ProfileSource::Measured),
-                    bare.with_source(ProfileSource::Static),
-                ),
-            };
             if series == LayoutSeries::Paper(OptimizationSet::BASE) {
-                (series, m_req, m_req)
+                (bare, bare)
             } else {
-                (series, m_req, s_req)
+                (bare, bare.with_source(ProfileSource::Static))
             }
         })
         .collect()
@@ -1006,8 +993,8 @@ pub fn fig_serve(h: &mut Harness, cfg: &ServeConfig) -> Value {
 
 /// Search-based layout autotuning: run the budgeted parameter search
 /// ([`run_tune`]), then re-measure each family's best point on the full
-/// workload (`tuned:<series>` harness runs) next to the fixed comparison
-/// series, and print the base vs fixed vs tuned table.
+/// workload (harness runs named `<series>{knob=value,…}`) next to the
+/// fixed comparison series, and print the base vs fixed vs tuned table.
 ///
 /// Two hard guarantees, asserted rather than reported:
 ///
@@ -1018,14 +1005,12 @@ pub fn fig_serve(h: &mut Harness, cfg: &ServeConfig) -> Value {
 ///   128 B / 4-way tuning grid ([`codelayout_tune::TUNE_SIZES_KB`]),
 ///   with every series scored by the same deterministic window replay —
 ///   otherwise the autotuner earned nothing and the figure must fail
-///   loudly. A wall budget ([`TuneConfig::budget_ms`]) that cut the
-///   search before any such win is not that failure: it returns
-///   [`BudgetCut`], skipping the full-workload measurements.
+///   loudly.
 ///
 /// The manifest gains a `tune` section: the deterministic report plus
 /// one wall-clock leaf (`wall_ms`, masked by `mask_volatile` in golden
 /// comparisons). The returned figure JSON is fully deterministic.
-pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Result<Value, BudgetCut> {
+pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
     let report = run_tune(&h.study, cfg);
     assert!(
         report.trajectory.iter().all(|c| c.validated || !c.accepted),
@@ -1052,11 +1037,6 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Result<Value, BudgetCut> {
                 }));
             }
         }
-    }
-    if wins.is_empty() && report.budget_hit {
-        return Err(BudgetCut {
-            budget_ms: cfg.budget_ms,
-        });
     }
     assert!(
         !wins.is_empty(),
@@ -1122,16 +1102,11 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Result<Value, BudgetCut> {
         &rows,
     );
     println!(
-        "tune: {} candidates over {} families in {} ms (window {} events{})",
+        "tune: {} candidates over {} families in {} ms (window {} events)",
         report.trajectory.len(),
         report.families.len(),
         report.wall_ms,
         report.window_events,
-        if report.budget_hit {
-            ", wall budget hit"
-        } else {
-            ""
-        }
     );
 
     let mut section = report.deterministic_json();
@@ -1140,37 +1115,15 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Result<Value, BudgetCut> {
     }
     h.section("tune", section);
 
-    Ok(json!({
+    json!({
         "figure": "fig_tune",
         "paper": "search-based autotuning over the parameterized layout passes; \
                   some tuned series must strictly beat every fixed series at a cache size",
         "tune": report.deterministic_json(),
         "measured": entries,
         "wins": wins,
-    }))
+    })
 }
-
-/// [`fig_tune`]'s wall budget ([`TuneConfig::budget_ms`]) ran out before
-/// any tuned layout beat every fixed series, so the figure has no
-/// headline to report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetCut {
-    /// The budget that cut the search, in milliseconds.
-    pub budget_ms: u64,
-}
-
-impl std::fmt::Display for BudgetCut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "the {} ms tune budget ran out before any tuned layout beat every fixed series; \
-             raise or unset CODELAYOUT_TUNE_BUDGET",
-            self.budget_ms
-        )
-    }
-}
-
-impl std::error::Error for BudgetCut {}
 
 /// The paper's rejected and alternative design choices on the harness's
 /// 128 B / 4-way user grid, and the multiprocessor speedup:
@@ -1215,9 +1168,8 @@ pub fn ablations(h: &mut Harness) -> Value {
     let cfa: Vec<Value> = cfa
         .into_iter()
         .map(|(kb, req)| {
-            let params = req.params.expect("a CFA request carries its reserve");
             let profile = h.study.profile_for(&req);
-            let (_, r) = cfa_layout_with(&h.study.app.program, &profile, &params);
+            let (_, r) = cfa_layout_with(&h.study.app.program, &profile, &req.params);
             let (permille, kb_90) = (r.coverage_permille, r.bytes_for_90pct / 1024);
             let note = format!(
                 "covers {}.{}%, 90% needs {kb_90} KB",
@@ -1279,18 +1231,4 @@ pub fn ablations(h: &mut Harness) -> Value {
             "speedup_21264": speedup,
         },
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use codelayout_oltp::Scenario;
-
-    #[test]
-    fn fig_tune_under_a_spent_budget_is_an_error_not_a_panic() {
-        let mut h = Harness::with_label(&Scenario::quick(), "quick");
-        let mut cfg = TuneConfig::for_scenario(&Scenario::quick());
-        cfg.budget_ms = 1;
-        assert_eq!(fig_tune(&mut h, &cfg), Err(BudgetCut { budget_ms: 1 }));
-    }
 }

@@ -402,7 +402,7 @@ impl Harness {
 
     /// Runs (or returns the cached) measurement for a layout named by
     /// its run name: a series label (`all`, `exttsp`, …), optionally
-    /// prefixed `measured:` or `static:` to pin the profile source.
+    /// prefixed `static:` or `sampled:N:` for another profile source.
     ///
     /// # Panics
     /// Panics on a name [`LayoutRequest`] does not parse.
@@ -671,7 +671,7 @@ mod tests {
             .chain(
                 figures::static_requests()
                     .into_iter()
-                    .flat_map(|(_, m_req, s_req)| [m_req, s_req]),
+                    .flat_map(|(m_req, s_req)| [m_req, s_req]),
             )
             .collect();
         let scenario = Scenario::quick();
@@ -745,11 +745,16 @@ mod tests {
             series.with_params(LayoutParams::default()),
             series.with_params(unchained),
         );
+        assert_eq!(a, series, "default parameters are the bare request");
         assert_ne!(h.study.layout(a), h.study.layout(b));
         let run_a = h.run_request(a);
+        assert_eq!(run_a.label, "chain");
         let first = (run_a.text_bytes, run_a.user_fetches);
         let run_b = h.run_request(b);
-        assert_eq!(run_b.label, "tuned:chain");
+        assert_eq!(
+            run_b.label,
+            format!("chain{{chain.min_edge_weight={}}}", u64::MAX)
+        );
         assert_ne!(
             (run_b.text_bytes, run_b.user_fetches),
             first,

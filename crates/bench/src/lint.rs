@@ -14,7 +14,6 @@ use codelayout_analysis::{
 };
 use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
 use codelayout_ir::link::link;
-use codelayout_obs::ProfileSource;
 use codelayout_oltp::Study;
 use codelayout_vm::{APP_TEXT_BASE, KERNEL_TEXT_BASE};
 use serde_json::{json, Value};
@@ -40,8 +39,7 @@ pub struct LintCell {
 pub fn lint_study(study: &Study) -> Vec<LintCell> {
     let mut cells = Vec::new();
     for series in LayoutSeries::lint_matrix() {
-        let req = LayoutRequest::from(series).with_source(ProfileSource::Measured);
-        cells.extend(lint_series_cells(study, req));
+        cells.extend(lint_series_cells(study, series.into()));
     }
     cells
 }
@@ -249,8 +247,7 @@ mod tests {
         assert_eq!(cells[0].translation, Some(translation));
 
         // The measured layout differs, so the check above discriminates.
-        let measured =
-            lint_series_cells(&study, req.with_source(ProfileSource::Measured)).remove(0);
+        let measured = lint_series_cells(&study, req.series.into()).remove(0);
         assert_ne!(measured.translation, cells[0].translation);
     }
 }

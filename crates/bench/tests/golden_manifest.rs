@@ -70,7 +70,7 @@ fn manifest_quick_schema_matches_golden_snapshot() {
     let tune_span = codelayout_obs::span("fig_tune");
     let mut tune_cfg = codelayout_tune::TuneConfig::for_scenario(&Scenario::quick());
     tune_cfg.candidates = 12;
-    figures::fig_tune(&mut h, &tune_cfg).expect("an unbudgeted tune has a win");
+    figures::fig_tune(&mut h, &tune_cfg);
     tune_span.finish();
     root.finish();
 

@@ -65,7 +65,7 @@ pub use params::{
     ParamSpace, SplitParams,
 };
 pub use pipeline::{LayoutPipeline, OptimizationSet, CFA_RESERVED_BYTES};
-pub use request::{LayoutRequest, ParseRequestError};
+pub use request::{LayoutRequest, ParseRequestError, ProfileSource};
 pub use series::LayoutSeries;
 pub use split::{split_all, split_all_with, split_order, split_order_with, Segment};
 pub use stitcher::{stitcher_layout_params, StitchLevels};

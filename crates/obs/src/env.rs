@@ -15,17 +15,16 @@
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
 //! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | lane count: the harness's measurement lanes, the autotuner's family lanes and the serving loop's recovery lanes (default: available parallelism) |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
-//! | `CODELAYOUT_PROFILE_SOURCE` | [`RunEnv::profile_source`] | `measured` (default) or `static` profile feeding the layout passes |
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |
 //! | `CODELAYOUT_UPDATE_GOLDEN` | [`RunEnv::update_golden`] | `1` = rewrite golden snapshots instead of asserting |
 //! | `CODELAYOUT_SEED` | [`RunEnv::seed`] | scenario master-seed override (decimal or `0x` hex) |
-//! | `CODELAYOUT_TUNE_BUDGET` | [`RunEnv::tune_budget_ms`] | autotuner wall-clock budget in ms (0 = unlimited; a triggered cut is non-deterministic) |
 //! | `CODELAYOUT_TUNE_CANDIDATES` | [`RunEnv::tune_candidates`] | autotuner candidate-evaluation budget per series family |
 //!
 //! The README's "Environment knobs" table is generated from this list;
-//! keep the two in sync.
+//! keep the two in sync. Any other `CODELAYOUT_*` variable, a removed
+//! knob included, draws one warning on stderr naming these seven; it
+//! never fails the run.
 
-use std::num::NonZeroU64;
 use std::sync::OnceLock;
 
 /// Environment variable selecting the workload scenario.
@@ -34,10 +33,6 @@ pub const SCENARIO_ENV: &str = "CODELAYOUT_SCENARIO";
 pub const THREADS_ENV: &str = "CODELAYOUT_THREADS";
 /// Environment variable selecting the VM execution tier.
 pub const VM_ENGINE_ENV: &str = "CODELAYOUT_VM_ENGINE";
-/// Environment variable selecting the profile source feeding the layout
-/// passes: `measured` execution counts or the `static` Ball–Larus-style
-/// estimate (`codelayout-analysis` owns the estimator).
-pub const PROFILE_SOURCE_ENV: &str = "CODELAYOUT_PROFILE_SOURCE";
 /// Environment variable naming the JSON-lines span event log file.
 pub const TRACE_OUT_ENV: &str = "CODELAYOUT_TRACE_OUT";
 /// Environment variable switching golden tests into rewrite mode.
@@ -47,15 +42,20 @@ pub const UPDATE_GOLDEN_ENV: &str = "CODELAYOUT_UPDATE_GOLDEN";
 /// per-process RNG streams, and therefore every serving-loop epoch
 /// record.
 pub const SEED_ENV: &str = "CODELAYOUT_SEED";
-/// Environment variable overriding the layout autotuner's wall-clock
-/// budget in milliseconds (0 = unlimited — the deterministic default;
-/// a budget that actually fires truncates the search at a
-/// wall-clock-dependent point, so the trajectory is no longer
-/// reproducible).
-pub const TUNE_BUDGET_ENV: &str = "CODELAYOUT_TUNE_BUDGET";
 /// Environment variable overriding the layout autotuner's
 /// candidate-evaluation budget per series family.
 pub const TUNE_CANDIDATES_ENV: &str = "CODELAYOUT_TUNE_CANDIDATES";
+
+/// Every knob [`RunEnv`] reads, in the order of the module's table.
+const KNOWN_KNOBS: [&str; 7] = [
+    SCENARIO_ENV,
+    THREADS_ENV,
+    VM_ENGINE_ENV,
+    TRACE_OUT_ENV,
+    UPDATE_GOLDEN_ENV,
+    SEED_ENV,
+    TUNE_CANDIDATES_ENV,
+];
 
 /// Workload scale selected by `CODELAYOUT_SCENARIO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,40 +105,6 @@ impl VmEngine {
     }
 }
 
-/// The profile feeding the layout passes.
-///
-/// `Measured` feeds them the execution profile collected by the
-/// instrumented profiling run (the paper's Pixie path); `Static` feeds
-/// them the purely static Ball–Larus-style estimate, so every layout
-/// series runs without any profiling run at all; `Sampled` feeds them a
-/// DCPI-style profile: one sample every `period` instructions of the
-/// profiling run, with edge weights estimated from the block counts.
-/// `CODELAYOUT_PROFILE_SOURCE` selects `Measured` or `Static`; a sampled
-/// source is named per request (`sampled:N:<series>`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ProfileSource {
-    /// Instrumented execution counts (default).
-    #[default]
-    Measured,
-    /// Static branch-heuristic frequency estimates.
-    Static,
-    /// Block samples taken every `period` retired instructions.
-    Sampled(NonZeroU64),
-}
-
-impl ProfileSource {
-    /// Stable lowercase name of the source's kind (`"measured"` /
-    /// `"static"` / `"sampled"`); the first two are the values
-    /// `CODELAYOUT_PROFILE_SOURCE` accepts.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProfileSource::Measured => "measured",
-            ProfileSource::Static => "static",
-            ProfileSource::Sampled(_) => "sampled",
-        }
-    }
-}
-
 /// Every `CODELAYOUT_*` knob, parsed once per process.
 #[derive(Debug, Clone)]
 pub struct RunEnv {
@@ -150,9 +116,6 @@ pub struct RunEnv {
     /// VM execution tier (`CODELAYOUT_VM_ENGINE`), default
     /// [`VmEngine::Block`].
     pub vm_engine: VmEngine,
-    /// Profile source feeding the layout passes
-    /// (`CODELAYOUT_PROFILE_SOURCE`), default [`ProfileSource::Measured`].
-    pub profile_source: ProfileSource,
     /// Span event-log file (`CODELAYOUT_TRACE_OUT`), if any.
     pub trace_out: Option<String>,
     /// True when golden tests should rewrite their snapshots
@@ -160,9 +123,6 @@ pub struct RunEnv {
     pub update_golden: bool,
     /// Scenario master-seed override (`CODELAYOUT_SEED`), if any.
     pub seed: Option<u64>,
-    /// Autotuner wall-clock budget override in milliseconds
-    /// (`CODELAYOUT_TUNE_BUDGET`), if any. `Some(0)` means unlimited.
-    pub tune_budget_ms: Option<u64>,
     /// Autotuner candidate-evaluation budget override
     /// (`CODELAYOUT_TUNE_CANDIDATES`), if any.
     pub tune_candidates: Option<u64>,
@@ -170,9 +130,23 @@ pub struct RunEnv {
 
 impl RunEnv {
     /// Parses the current process environment. Unknown values fall back
-    /// to defaults with a warning on stderr (a misspelled knob should
-    /// be visible, not silently ignored).
+    /// to defaults with a warning on stderr, and so does an unknown
+    /// `CODELAYOUT_*` name (a misspelled or removed knob should be
+    /// visible, not silently ignored).
     pub fn from_process_env() -> Self {
+        let unknown = unknown_knobs(std::env::vars_os().map(|(name, value)| {
+            (
+                name.to_string_lossy().into_owned(),
+                value.to_string_lossy().into_owned(),
+            )
+        }));
+        if !unknown.is_empty() {
+            eprintln!(
+                "warning: ignoring unknown {}; the known knobs are {}",
+                unknown.join(", "),
+                KNOWN_KNOBS.join(", ")
+            );
+        }
         let scenario = match std::env::var(SCENARIO_ENV).as_deref() {
             Ok("quick") => ScenarioSel::Quick,
             Ok("hw") => ScenarioSel::Hw,
@@ -194,21 +168,17 @@ impl RunEnv {
                 VmEngine::Block
             }
         };
-        let profile_source = parse_profile_source(std::env::var(PROFILE_SOURCE_ENV).ok());
         let trace_out = std::env::var(TRACE_OUT_ENV).ok().filter(|p| !p.is_empty());
         let update_golden = std::env::var(UPDATE_GOLDEN_ENV).as_deref() == Ok("1");
         let seed = parse_u64_knob(SEED_ENV);
-        let tune_budget_ms = parse_u64_knob(TUNE_BUDGET_ENV);
         let tune_candidates = parse_u64_knob(TUNE_CANDIDATES_ENV).filter(|&n| n > 0);
         RunEnv {
             scenario,
             threads,
             vm_engine,
-            profile_source,
             trace_out,
             update_golden,
             seed,
-            tune_budget_ms,
             tune_candidates,
         }
     }
@@ -241,21 +211,15 @@ fn parse_u64_knob(var: &str) -> Option<u64> {
     }
 }
 
-/// Parses a `CODELAYOUT_PROFILE_SOURCE` value: `measured` (or unset)
-/// and `static`. Anything else, a `sampled:N` name included, warns on
-/// stderr and falls back to measured: a sampled source is named per
-/// request, not process-wide.
-fn parse_profile_source(raw: Option<String>) -> ProfileSource {
-    match raw.as_deref() {
-        Some("static") => ProfileSource::Static,
-        Some("measured") | None => ProfileSource::Measured,
-        Some(other) => {
-            eprintln!(
-                "warning: {PROFILE_SOURCE_ENV}={other} is not measured/static; using measured"
-            );
-            ProfileSource::Measured
-        }
-    }
+/// The `NAME=value` entries of `vars` whose name starts with
+/// `CODELAYOUT_` but is none of [`KNOWN_KNOBS`], in input order.
+fn unknown_knobs(vars: impl IntoIterator<Item = (String, String)>) -> Vec<String> {
+    vars.into_iter()
+        .filter(|(name, _)| {
+            name.starts_with("CODELAYOUT_") && !KNOWN_KNOBS.contains(&name.as_str())
+        })
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect()
 }
 
 static RUN_ENV: OnceLock<RunEnv> = OnceLock::new();
@@ -294,11 +258,6 @@ mod tests {
         assert_eq!(VmEngine::Interp.label(), "interp");
         assert_eq!(VmEngine::Block.label(), "block");
         assert_eq!(VmEngine::default(), VmEngine::Block);
-        assert_eq!(ProfileSource::Measured.label(), "measured");
-        assert_eq!(ProfileSource::Static.label(), "static");
-        let period = NonZeroU64::new(64).unwrap();
-        assert_eq!(ProfileSource::Sampled(period).label(), "sampled");
-        assert_eq!(ProfileSource::default(), ProfileSource::Measured);
     }
 
     #[test]
@@ -317,13 +276,22 @@ mod tests {
     }
 
     #[test]
-    fn profile_source_accepts_measured_and_static_only() {
-        let parse = |v: &str| parse_profile_source(Some(v.to_string()));
-        assert_eq!(parse_profile_source(None), ProfileSource::Measured);
-        assert_eq!(parse("measured"), ProfileSource::Measured);
-        assert_eq!(parse("static"), ProfileSource::Static);
-        for other in ["sampled:64", "sampled", "Static", ""] {
-            assert_eq!(parse(other), ProfileSource::Measured, "{other}");
+    fn unknown_knobs_are_named_and_known_ones_are_not() {
+        let pair = |name: &str, value: &str| (name.to_string(), value.to_string());
+        let mut vars: Vec<(String, String)> =
+            KNOWN_KNOBS.iter().map(|name| pair(name, "1")).collect();
+        vars.push(pair("PATH", "/bin"));
+        vars.push(pair("CODELAYOUT_PROFILE_SOURCE", "static"));
+        vars.push(pair("CODELAYOUT_TUNE_BUDGET", "100"));
+        assert_eq!(
+            unknown_knobs(vars),
+            [
+                "CODELAYOUT_PROFILE_SOURCE=static",
+                "CODELAYOUT_TUNE_BUDGET=100"
+            ]
+        );
+        for name in KNOWN_KNOBS {
+            assert!(unknown_knobs([pair(name, "x")]).is_empty(), "{name}");
         }
     }
 

@@ -49,7 +49,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod span;
 
-pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, VmEngine};
+pub use env::{run_env, RunEnv, ScenarioSel, VmEngine};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::{PhaseNode, PhaseStat, Span, Tracer};
 

@@ -12,10 +12,9 @@ use crate::kernel::{gen_kernel, KernelSpec, SYS_LOG_WRITE, SYS_RECEIVE, SYS_REPL
 use crate::scenario::Scenario;
 use crate::sga::{priv_words, words, Invariants, SgaLayout};
 use codelayout_analysis::{validate_translation, ValidationError};
-use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
+use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries, ProfileSource};
 use codelayout_ir::link::link;
 use codelayout_ir::{Image, IrError, Layout, Program, Reg};
-use codelayout_obs::ProfileSource;
 use codelayout_profile::{profile_from_block_samples, PixieCollector, Profile, SampledCollector};
 use codelayout_vm::{
     ExecHook, Machine, MachineConfig, NullSink, PairHook, RunReport, SyscallDef, TraceSink,
@@ -307,7 +306,7 @@ impl Study {
     /// profile, the static Ball–Larus-style estimate, or a sampled
     /// profile collected now by another profiling run.
     pub fn profile_for(&self, req: &LayoutRequest) -> Cow<'_, Profile> {
-        match req.resolved_source() {
+        match req.source {
             ProfileSource::Measured => Cow::Borrowed(&self.profile),
             ProfileSource::Static => Cow::Borrowed(&self.static_profile),
             ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).0),
@@ -317,17 +316,13 @@ impl Study {
     /// Builds the application layout for a request — a paper
     /// [`OptimizationSet`](codelayout_core::OptimizationSet), any
     /// [`LayoutSeries`], or a full
-    /// [`LayoutRequest`] with a pinned profile source or tuned
-    /// parameters. By default the passes read the measured profile
-    /// ("running Spike" on the baseline binary).
+    /// [`LayoutRequest`] with another profile source or tuned
+    /// parameters. A bare series reads the measured profile ("running
+    /// Spike" on the baseline binary).
     pub fn layout(&self, req: impl Into<LayoutRequest>) -> Layout {
         let req = req.into();
-        LayoutPipeline::with_params(
-            &self.app.program,
-            &self.profile_for(&req),
-            req.params.unwrap_or_default(),
-        )
-        .build_series(req.series)
+        LayoutPipeline::with_params(&self.app.program, &self.profile_for(&req), req.params)
+            .build_series(req.series)
     }
 
     /// Links and validates the application image for a request.
@@ -355,17 +350,13 @@ impl Study {
     /// As [`Study::image`].
     pub fn kernel_image(&self, req: impl Into<LayoutRequest>) -> Arc<Image> {
         let req = req.into();
-        let profile = match req.resolved_source() {
+        let profile = match req.source {
             ProfileSource::Measured => Cow::Borrowed(&self.kernel_profile),
             ProfileSource::Static => Cow::Borrowed(&self.static_kernel_profile),
             ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).1),
         };
-        let layout = LayoutPipeline::with_params(
-            &self.kernel.program,
-            &profile,
-            req.params.unwrap_or_default(),
-        )
-        .build_series(req.series);
+        let layout = LayoutPipeline::with_params(&self.kernel.program, &profile, req.params)
+            .build_series(req.series);
         link_checked(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
             .unwrap_or_else(|e| panic!("`{req}` kernel image: {e}"))
     }

@@ -69,9 +69,8 @@ use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Scheduling chunk while draining an epoch. Smaller than the study
-/// driver's chunk so temporal duty cycling (see [`drain_chunks`]) gets
-/// several on/off alternations even within a short epoch.
+/// Scheduling chunk while draining an epoch: the unit in which
+/// [`drain_chunks`] attaches or detaches its hook.
 pub const SAMPLE_CHUNK: u64 = 50_000;
 /// Hard per-window instruction ceiling (safety stop against regressions).
 const MAX_WINDOW_INSTRS: u64 = 4_000_000_000;
@@ -82,16 +81,8 @@ pub struct ServeConfig {
     /// Transactions served per epoch (re-layout decisions happen at epoch
     /// boundaries, which are transaction boundaries).
     pub epoch_txns: u64,
-    /// Sample one of every `sample_period` control transfers while the
-    /// sampler is attached.
+    /// Sample one of every `sample_period` control transfers.
     pub sample_period: u64,
-    /// Temporal duty cycle: the sampler is attached for one of every
-    /// `sample_duty` [`SAMPLE_CHUNK`]-instruction scheduling chunks and
-    /// fully detached (the VM's zero-overhead null-hook path) for the
-    /// rest, the way DCPI-style profilers sample in interrupt-driven
-    /// windows rather than watching every event. The effective sampling
-    /// period is `sample_period * sample_duty`.
-    pub sample_duty: u64,
     /// Re-layout when the live-vs-layout edge-distribution L1 distance
     /// (in milli, 0..=2000) reaches this threshold.
     pub drift_threshold_milli: u64,
@@ -117,20 +108,15 @@ impl ServeConfig {
     /// per `measure_txns` transactions, the [`drift_schedule`] mix
     /// (stable prefix, then the Zipf head rotated halfway), halving
     /// decay, and the paper's full optimization set. The demo samples
-    /// densely (period 2, duty 1) so that even the tiny `quick`
-    /// scenario yields a few thousand samples per epoch; a production
-    /// loop at paper scale would raise [`ServeConfig::sample_period`]
-    /// (e.g. to 64, the period the sampling-overhead guard times at <5%
-    /// cost), where epochs are long enough to keep the profile dense.
-    /// [`ServeConfig::sample_duty`] stays at 1: on this VM the sampler's
-    /// cost is dominated by the per-sample map insert, not the
-    /// countdown, so raising the period beats skipping chunks — and
-    /// duty 1 keeps the stream deterministic across engines.
+    /// densely (period 2) so that even the tiny `quick` scenario yields
+    /// a few thousand samples per epoch; a production loop at paper
+    /// scale would raise [`ServeConfig::sample_period`] (e.g. to 64, the
+    /// period the sampling-overhead guard times at <5% cost), where
+    /// epochs are long enough to keep the profile dense.
     pub fn drift_demo(scenario: &Scenario) -> Self {
         ServeConfig {
             epoch_txns: scenario.measure_txns.max(1),
             sample_period: 2,
-            sample_duty: 1,
             drift_threshold_milli: 400,
             decay_num: 1,
             decay_den: 2,
@@ -189,7 +175,6 @@ impl ServeConfig {
         json!({
             "epoch_txns": self.epoch_txns,
             "sample_period": self.sample_period,
-            "sample_duty": self.sample_duty,
             "drift_threshold_milli": self.drift_threshold_milli,
             "decay_num": self.decay_num,
             "decay_den": self.decay_den,
@@ -390,14 +375,11 @@ fn window_spec(study: &Study) -> SweepSpec {
 /// attaching `hook` on one of every `duty` chunks and the null hook
 /// (whose monomorphized run loop carries zero observation cost) on the
 /// rest. `duty == 1` keeps the hook attached throughout. This is the
-/// serving loop's production drain; the sampling-overhead guard times
-/// this exact function.
-///
-/// For a fixed VM engine the chunk boundaries are deterministic, so the
-/// sampled subsequence — and everything derived from it — is too. With
-/// `duty > 1` the boundaries (and hence the samples) may differ between
-/// VM engines; the bundled demo and figures keep `duty == 1`, where the
-/// sampler sees every transfer regardless of chunking.
+/// serving loop's production drain, always at `duty == 1`, where the
+/// sampler sees every transfer regardless of chunking; the
+/// sampling-overhead guard times this exact function. With `duty > 1`
+/// the chunk boundaries (and hence the samples) may differ between VM
+/// engines.
 ///
 /// # Panics
 /// Panics if the drain exceeds the per-window instruction ceiling.
@@ -441,7 +423,6 @@ struct WindowRun<T> {
 /// restores the SGA snapshot (when given), pins the variant rotation,
 /// drains every server process straight into the evaluation cache, and
 /// checks the TPC-B invariants.
-#[allow(clippy::too_many_arguments)]
 fn run_window<H: ExecHook, T: TraceSink + Default>(
     study: &Study,
     cfg: &ServeConfig,
@@ -450,7 +431,6 @@ fn run_window<H: ExecHook, T: TraceSink + Default>(
     end_txn: u64,
     rotation: usize,
     hook: &mut H,
-    duty: u64,
 ) -> WindowRun<T> {
     let _span = codelayout_obs::span("window");
     let (mut m, sga) =
@@ -470,7 +450,7 @@ fn run_window<H: ExecHook, T: TraceSink + Default>(
     SgaLayout::fill_variant_table_rotated(&mut m, study.scenario.scale.stmt_variants, rotation);
 
     let mut sink = TeeSink(GridSink::new(&window_spec(study)), T::default());
-    let report = drain_chunks(&mut m, &mut sink, hook, duty);
+    let report = drain_chunks(&mut m, &mut sink, hook, 1);
     assert!(
         report.faults.is_empty(),
         "faulted processes in serving window: {:?}",
@@ -594,7 +574,6 @@ fn serve<T: TraceSink + Default + Send>(study: &Study, cfg: &ServeConfig) -> (Se
             end_txn,
             rotation,
             &mut sampler,
-            cfg.sample_duty,
         );
         snapshot = Some(window.shared);
         taps.push(window.tap);
@@ -685,9 +664,7 @@ fn serve<T: TraceSink + Default + Send>(study: &Study, cfg: &ServeConfig) -> (Se
         |&(image, profile)| {
             let mut pixie = profile.then(|| PixieCollector::user(num_blocks));
             let run = match &mut pixie {
-                Some(hook) => {
-                    run_window(study, cfg, image, snapshot, window_end, rotation, hook, 1)
-                }
+                Some(hook) => run_window(study, cfg, image, snapshot, window_end, rotation, hook),
                 None => run_window(
                     study,
                     cfg,
@@ -696,7 +673,6 @@ fn serve<T: TraceSink + Default + Send>(study: &Study, cfg: &ServeConfig) -> (Se
                     window_end,
                     rotation,
                     &mut NullHook,
-                    1,
                 ),
             };
             (run, pixie)
@@ -716,7 +692,6 @@ fn serve<T: TraceSink + Default + Send>(study: &Study, cfg: &ServeConfig) -> (Se
         window_end,
         rotation,
         &mut NullHook,
-        1,
     );
     eval_span.finish();
 

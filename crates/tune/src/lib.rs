@@ -71,15 +71,11 @@
 //! across candidates.
 //!
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
-//! across lane counts, and contains no
-//! wall-clock. A wall budget ([`TuneConfig::budget_ms`]) that actually
-//! fires cuts every family's search at the same clock time, a
-//! time-dependent point — the default (0, unlimited) keeps the whole
-//! trajectory reproducible from the seed, and a triggered cut is
-//! recorded as `budget_hit`. A family with no validated candidate (the
-//! cut came before its default, or the validator rejected all it scored)
-//! is left out of [`TuneReport::families`], its candidates still in the
-//! trajectory; later families are kept.
+//! across lane counts, and contains no wall-clock: the search stops on
+//! candidate counts only, so the whole trajectory is reproducible from
+//! the seed. A family with no validated candidate (the validator
+//! rejected all it scored) is left out of [`TuneReport::families`], its
+//! candidates still in the trajectory; later families are kept.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -125,9 +121,6 @@ pub struct TuneConfig {
     pub candidates: u64,
     /// Maximum user-mode fetch events kept from the recording run.
     pub window: u64,
-    /// Wall-clock budget in milliseconds; 0 = unlimited (the
-    /// deterministic default — see the module docs on `budget_hit`).
-    pub budget_ms: u64,
     /// The series families to tune, searched in order.
     pub series: Vec<LayoutSeries>,
     /// Lanes (clamped to ≥ 1): the fixed yardsticks, then the searched
@@ -139,7 +132,7 @@ pub struct TuneConfig {
 
 impl TuneConfig {
     /// Defaults for a scenario: the scenario's seed, 48 candidates per
-    /// family, a one-million-event window, no wall budget, and the four
+    /// family, a one-million-event window, and the four
     /// tunable comparison families (`all`, `hotcold`, `exttsp`,
     /// `stitcher` — `base` has no knobs).
     pub fn for_scenario(scenario: &Scenario) -> Self {
@@ -147,7 +140,6 @@ impl TuneConfig {
             seed: scenario.seed,
             candidates: 48,
             window: 1_000_000,
-            budget_ms: 0,
             series: vec![
                 LayoutSeries::Paper(OptimizationSet::ALL),
                 LayoutSeries::HotCold,
@@ -159,16 +151,13 @@ impl TuneConfig {
     }
 
     /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED`,
-    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES}` and
+    /// `CODELAYOUT_TUNE_CANDIDATES` and
     /// `CODELAYOUT_THREADS` environment knobs applied.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::for_scenario(scenario);
         if let Some(s) = env.seed {
             cfg.seed = s;
-        }
-        if let Some(b) = env.tune_budget_ms {
-            cfg.budget_ms = b;
         }
         if let Some(c) = env.tune_candidates {
             cfg.candidates = c;
@@ -185,7 +174,6 @@ impl TuneConfig {
             "seed": self.seed,
             "candidates": self.candidates,
             "window": self.window,
-            "budget_ms": self.budget_ms,
             "series": self.series.iter().map(|s| s.label()).collect::<Vec<_>>(),
         })
     }
@@ -297,9 +285,6 @@ pub struct TuneReport {
     /// Every fresh evaluation, family by family in
     /// [`TuneConfig::series`] order, each family's in search order.
     pub trajectory: Vec<CandidateRecord>,
-    /// True when the wall budget truncated the search (the trajectory is
-    /// then wall-clock-dependent and not reproducible from the seed).
-    pub budget_hit: bool,
     /// Wall time of the whole tune. **Not** part of
     /// [`TuneReport::deterministic_json`].
     pub wall_ms: u64,
@@ -359,7 +344,6 @@ impl TuneReport {
                 "validated": c.validated,
                 "origin": c.origin.label(),
             })).collect::<Vec<_>>(),
-            "budget_hit": self.budget_hit,
         })
     }
 }
@@ -527,7 +511,7 @@ impl OrderMemo {
 }
 
 /// The read-only fitness oracle every lane shares: the study, the
-/// recorded window, the evaluation grid and the wall budget.
+/// recorded window and the evaluation grid.
 struct Lab<'a> {
     study: &'a Study,
     spec: SweepSpec,
@@ -537,9 +521,6 @@ struct Lab<'a> {
     /// Take an order already scored from the memo. Off only in the tests
     /// that check the memo against fresh evaluations.
     memoize: bool,
-    start: Instant,
-    /// Wall budget in milliseconds; 0 = unlimited.
-    budget_ms: u64,
 }
 
 impl Lab<'_> {
@@ -586,11 +567,6 @@ impl Lab<'_> {
         }
     }
 
-    /// True once the wall budget is spent.
-    fn wall_spent(&self) -> bool {
-        self.budget_ms > 0 && self.start.elapsed().as_millis() as u64 >= self.budget_ms
-    }
-
     /// `f` of every item, in item order, on the tuner's lanes (helper
     /// lanes under a `tune_lane` root span; see [`codelayout_memsim::on_lanes`]).
     fn on_lanes<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
@@ -616,8 +592,6 @@ struct FamilySearch {
     layout_hits: u64,
     best: Option<(ParamPoint, u64, Vec<u64>)>,
     default_score: u64,
-    /// True once the wall budget cut the search.
-    budget_hit: bool,
     /// The family's fresh evaluations, in search order, numbered from 0.
     trajectory: Vec<CandidateRecord>,
 }
@@ -637,7 +611,6 @@ impl FamilySearch {
             layout_hits: 0,
             best: None,
             default_score: u64::MAX,
-            budget_hit: false,
             trajectory: Vec::new(),
         }
     }
@@ -653,23 +626,17 @@ impl FamilySearch {
         cur.step(&self.space, pos / 2, [-1, 1][pos % 2])
     }
 
-    /// True when the wall budget is exhausted (records `budget_hit`).
-    fn wall_exhausted(&mut self, lab: &Lab<'_>) -> bool {
-        self.budget_hit = self.budget_hit || lab.wall_spent();
-        self.budget_hit
-    }
-
     /// Evaluates one point: cache hit is free, a fresh evaluation spends
     /// budget, builds the layout and scores it, and appends to the
     /// family's trajectory. A fresh point whose block order an earlier
     /// fresh point already had is still charged, and counts as a layout
-    /// hit. Returns `None` when out of budget (candidate or wall).
+    /// hit. Returns `None` when out of candidate budget.
     fn eval(&mut self, lab: &Lab<'_>, point: &ParamPoint, origin: CandidateOrigin) -> Option<u64> {
         if let Some(&score) = self.cache.get(point) {
             self.cache_hits += 1;
             return Some(score);
         }
-        if self.evaluated >= self.budget || self.wall_exhausted(lab) {
+        if self.evaluated >= self.budget {
             return None;
         }
         let Evaluation {
@@ -741,10 +708,7 @@ impl FamilySearch {
         self.descend(lab, default);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stale = 0u32;
-        while self.evaluated < self.budget
-            && !self.wall_exhausted(lab)
-            && stale < STALE_RESTART_LIMIT
-        {
+        while self.evaluated < self.budget && stale < STALE_RESTART_LIMIT {
             let idx: Vec<u32> = self
                 .space
                 .knobs()
@@ -764,9 +728,9 @@ impl FamilySearch {
     /// Appends the family's candidates to `trajectory`, numbered after
     /// the ones already there, emits their `tune/candidate` events and
     /// the family's `tune.*` counters, and returns its result: `None`
-    /// when no candidate validated (the wall budget cut the search before
-    /// its default, or the validator rejected every candidate, which the
-    /// trajectory, events and `tune.rejected` still show).
+    /// when no candidate validated (the validator rejected every
+    /// candidate, which the trajectory, events and `tune.rejected` still
+    /// show).
     fn publish(self, trajectory: &mut Vec<CandidateRecord>) -> Option<FamilyResult> {
         let first = trajectory.len() as u64;
         for mut rec in self.trajectory {
@@ -855,8 +819,6 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
         nblocks: study.app.program.blocks.len(),
         lanes: cfg.sweep_threads.max(1),
         memoize,
-        start,
-        budget_ms: cfg.budget_ms,
     };
     let window_events = sink.events;
     let (base_score, base_cells) = lab.replay(&study.base_image);
@@ -896,7 +858,6 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
         fam
     });
     let mut trajectory = Vec::new();
-    let budget_hit = searches.iter().any(|f| f.budget_hit);
     let families: Vec<FamilyResult> = searches
         .into_iter()
         .filter_map(|fam| fam.publish(&mut trajectory))
@@ -921,7 +882,6 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
         fixed,
         families,
         trajectory,
-        budget_hit,
         wall_ms: start.elapsed().as_millis() as u64,
     }
 }
@@ -1126,8 +1086,6 @@ mod tests {
                 nblocks: 0,
                 lanes,
                 memoize: true,
-                start: Instant::now(),
-                budget_ms: 0,
             };
             assert_eq!(
                 lab.on_lanes(&items, |&i| i * i),

@@ -1,8 +1,7 @@
 //! End-to-end determinism of the autotuner: the search trajectory and
 //! report must be bit-identical across lane counts (the families search
-//! side by side, and which lane ran which family must not show), every
-//! accepted candidate must have passed translation validation, and a
-//! wall budget must cut the search into a well-formed report.
+//! side by side, and which lane ran which family must not show), and
+//! every accepted candidate must have passed translation validation.
 
 use codelayout_oltp::{build_study, Scenario};
 use codelayout_tune::{run_tune, TuneConfig, TuneReport, TUNE_SIZES_KB};
@@ -65,60 +64,4 @@ fn tune_is_deterministic_across_engines_and_threads() {
     }
     assert_eq!(a.fixed.len(), 5, "one yardstick per comparison series");
     assert!(a.winner().is_some());
-    assert!(!a.budget_hit, "no wall budget was set");
-}
-
-/// A wall budget that fires cuts every family at the same clock time,
-/// anywhere in its search. Whatever the cut, the report stays well
-/// formed, and a budget that never fires changes nothing. The budgets are
-/// 1 ms, which fires before the search, and fractions of an unbudgeted
-/// run's wall time, at least one of which must cut a search midway.
-#[test]
-fn wall_budget_cuts_into_a_well_formed_report() {
-    let study = build_study(&Scenario::quick());
-    let mut cfg = TuneConfig::for_scenario(&study.scenario);
-    cfg.candidates = CANDIDATES;
-    let json = |r: &TuneReport| serde_json::to_string(&r.deterministic_json()).unwrap();
-    let mut cut_midway = false;
-    for lanes in [1, 2] {
-        cfg.sweep_threads = lanes;
-        cfg.budget_ms = 0;
-        let free = run_tune(&study, &cfg);
-        let budgets = [1, free.wall_ms / 4, free.wall_ms / 2, free.wall_ms * 3 / 4];
-        for budget_ms in budgets.map(|ms| ms.max(1)) {
-            cfg.budget_ms = budget_ms;
-            let r = run_tune(&study, &cfg);
-            let what = format!("{budget_ms} ms at {lanes} lanes");
-            for (i, c) in r.trajectory.iter().enumerate() {
-                assert_eq!(c.candidate, i as u64, "candidate numbering gap, {what}");
-            }
-            let evaluated: u64 = r.families.iter().map(|f| f.evaluated).sum();
-            assert_eq!(evaluated, r.trajectory.len() as u64, "{what}");
-            // Each family's records are one contiguous block, the blocks
-            // in series order, one per reported family.
-            let mut rest = r.trajectory.as_slice();
-            let mut series = cfg.series.iter();
-            for f in &r.families {
-                assert!(
-                    series.any(|&s| s == f.series),
-                    "{} out of series order, {what}",
-                    f.series
-                );
-                let (own, tail) = rest.split_at(f.evaluated as usize);
-                assert!(own.iter().all(|c| c.series == f.series), "{what}");
-                let best = own.iter().filter(|c| c.validated).map(|c| c.score).min();
-                assert_eq!(best, Some(f.best_score), "{} best, {what}", f.series);
-                rest = tail;
-            }
-            if r.budget_hit {
-                cut_midway |= !r.families.is_empty() && r.trajectory.len() < free.trajectory.len();
-            } else {
-                // Only the configuration echo may name the budget.
-                let mut r = r;
-                r.config.budget_ms = 0;
-                assert_eq!(json(&r), json(&free), "{what}: the budget never fired");
-            }
-        }
-    }
-    assert!(cut_midway, "no budget cut a family's search midway");
 }

@@ -327,8 +327,8 @@ smaller fraction of time to begin with).
 The paper's pipeline needs a profiled training run before any layout.
 `fig_static` rebuilds every layout series from a purely static
 Ball–Larus-style frequency estimate (dominators → natural loops →
-branch heuristics → Wu–Larus propagation; `CODELAYOUT_PROFILE_SOURCE`,
-DESIGN.md §4.7) and measures both on the identical workload. Misses at
+branch heuristics → Wu–Larus propagation; the `static:<series>`
+requests, DESIGN.md §4.7) and measures both on the identical workload. Misses at
 128 KB / 128 B / 4-way; "retained" is the fraction of the measured
 layout's miss reduction over base the static layout keeps:
 
