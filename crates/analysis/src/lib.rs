@@ -33,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use codelayout_analysis::{analyze_layout, validate_translation, LintConfig};
+//! use codelayout_analysis::{analyze_layout, LintConfig};
 //! use codelayout_core::{LayoutPipeline, OptimizationSet};
 //! use codelayout_ir::{link::link, ProcBuilder, ProgramBuilder};
 //! use codelayout_profile::Profile;
@@ -48,12 +48,12 @@
 //! let profile = Profile::new(program.blocks.len());
 //!
 //! let set = OptimizationSet::ALL;
-//! let layout = LayoutPipeline::new(&program, &profile).build(set);
+//! let layout = LayoutPipeline::new(&program, &profile).build_series(set.into());
 //! let image = link(&program, &layout, 0x1_0000).unwrap();
 //!
-//! let report = validate_translation(&program, &layout, &image).unwrap();
-//! assert_eq!(report.blocks, program.blocks.len());
-//! let lints = analyze_layout(&program, &profile, &layout, &image, &LintConfig::new(set));
+//! let (translation, lints) =
+//!     analyze_layout(&program, &profile, &layout, &image, &LintConfig::new(set));
+//! assert_eq!(translation.unwrap().blocks, program.blocks.len());
 //! assert!(!lints.has_deny());
 //! ```
 

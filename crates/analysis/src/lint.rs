@@ -27,7 +27,7 @@
 
 use crate::cfg::SourceCfg;
 use crate::staticprof::{estimate_static_profile_with, StaticAnalysis, STATIC_ENTRY_COUNT};
-use crate::validate::validate_translation;
+use crate::validate::{validate_translation, TranslationReport};
 use codelayout_core::{LayoutPipeline, OptimizationSet};
 use codelayout_ir::{BlockId, Image, Layout, ProcId, Program, INSTR_BYTES};
 use codelayout_profile::Profile;
@@ -247,15 +247,17 @@ impl CodeBucket {
 /// Validates and lints a layout in one call: translation validation first
 /// (a failure becomes a single deny-level `L000` finding and suppresses
 /// the quality lints, whose premises no longer hold), then the full lint
-/// battery.
+/// battery. Returns the validation statistics (`None` when validation
+/// failed) with the report.
 pub fn analyze_layout(
     program: &Program,
     profile: &Profile,
     layout: &Layout,
     image: &Image,
     config: &LintConfig,
-) -> LintReport {
-    if let Err(e) = validate_translation(program, layout, image) {
+) -> (Option<TranslationReport>, LintReport) {
+    let translation = validate_translation(program, layout, image);
+    if let Err(e) = &translation {
         let mut report = LintReport::default();
         report.diagnostics.push(Diagnostic {
             code: "L000",
@@ -264,9 +266,12 @@ pub fn analyze_layout(
             proc: None,
             message: format!("translation validation failed under `{}`: {e}", config.set),
         });
-        return report;
+        return (None, report);
     }
-    lint_layout(program, profile, layout, image, config)
+    (
+        translation.ok(),
+        lint_layout(program, profile, layout, image, config),
+    )
 }
 
 /// Runs the quality lints (no translation validation) over a layout that
@@ -766,9 +771,9 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let set = OptimizationSet::CHAIN;
-        let layout = LayoutPipeline::new(&p, &prof).build(set);
+        let layout = LayoutPipeline::new(&p, &prof).build_series(set.into());
         let image = link(&p, &layout, 0x1000).unwrap();
-        let report = analyze_layout(&p, &prof, &layout, &image, &LintConfig::new(set));
+        let (_, report) = analyze_layout(&p, &prof, &layout, &image, &LintConfig::new(set));
         assert!(!report.has_deny());
         assert!(
             !codes(&report).contains(&"L001"),
@@ -781,14 +786,16 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let set = OptimizationSet::CHAIN;
-        let layout = LayoutPipeline::new(&p, &prof).build(set);
+        let layout = LayoutPipeline::new(&p, &prof).build_series(set.into());
         let mut image = link(&p, &layout, 0x1000).unwrap();
         let at = image.block_start[1] as usize;
         match &mut image.code[at] {
             LInstr::BrCond { target, .. } => *target = image.block_start[2],
             other => panic!("expected BrCond, got {other:?}"),
         }
-        let report = analyze_layout(&p, &prof, &layout, &image, &LintConfig::new(set));
+        let (translation, report) =
+            analyze_layout(&p, &prof, &layout, &image, &LintConfig::new(set));
+        assert_eq!(translation, None);
         assert!(report.has_deny());
         assert_eq!(codes(&report), vec!["L000"]);
         assert_eq!(report.count(Severity::Deny), 1);
@@ -864,7 +871,7 @@ mod tests {
         prof.block_counts = vec![100, 0, 0];
 
         let set = OptimizationSet::CHAIN_SPLIT;
-        let layout = LayoutPipeline::new(&p, &prof).build(set);
+        let layout = LayoutPipeline::new(&p, &prof).build_series(set.into());
         let image = link(&p, &layout, 0).unwrap();
         let report = lint_layout(&p, &prof, &layout, &image, &LintConfig::new(set));
         let l002: Vec<_> = report
@@ -910,7 +917,7 @@ mod tests {
         assert_eq!(l003[0].proc, Some(ProcId(1)));
 
         // The pipeline's own `all` layout sinks cold segments; no L003.
-        let good = LayoutPipeline::new(&p, &prof).build(set);
+        let good = LayoutPipeline::new(&p, &prof).build_series(set.into());
         let good_image = link(&p, &good, 0).unwrap();
         let good_report = lint_layout(&p, &prof, &good, &good_image, &LintConfig::new(set));
         assert!(!codes(&good_report).contains(&"L003"), "{good_report:?}");

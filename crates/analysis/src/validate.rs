@@ -863,7 +863,7 @@ mod tests {
     fn chained() -> (Program, Layout, Image) {
         let p = program();
         let prof = profile(&p);
-        let layout = LayoutPipeline::new(&p, &prof).build(OptimizationSet::CHAIN);
+        let layout = LayoutPipeline::new(&p, &prof).build_series(OptimizationSet::CHAIN.into());
         let image = link(&p, &layout, 0x1000).unwrap();
         (p, layout, image)
     }
@@ -874,7 +874,7 @@ mod tests {
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
         for (name, set) in OptimizationSet::paper_series() {
-            let layout = pipe.build(set);
+            let layout = pipe.build_series(set.into());
             let image = link(&p, &layout, 0x1000).unwrap();
             let report =
                 validate_translation(&p, &layout, &image).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -1055,7 +1055,7 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
-        let chained_layout = pipe.build(OptimizationSet::CHAIN);
+        let chained_layout = pipe.build_series(OptimizationSet::CHAIN.into());
         let image = link(&p, &Layout::natural(&p), 0x1000).unwrap();
         assert!(validate_translation(&p, &chained_layout, &image).is_err());
     }

@@ -3,8 +3,7 @@
 
 use crate::{full_requests, pct, print_table, Harness, LINES_B, SIZES_KB};
 use codelayout_core::{
-    cfa_layout_with, exttsp_score, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet,
-    ProfileSource,
+    cfa_layout, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ProfileSource,
 };
 use codelayout_memsim::SweepCell;
 use codelayout_serve::{run_serve, ServeConfig};
@@ -33,16 +32,6 @@ fn misses_json(misses: &[(u64, u64)]) -> Value {
             .iter()
             .map(|(k, m)| json!({"size_kb": k, "misses": m}))
             .collect(),
-    )
-}
-
-/// The ext-TSP objective score of a request's layout under the profile
-/// that built it.
-fn request_score(h: &Harness, req: LayoutRequest) -> u64 {
-    exttsp_score(
-        &h.study.app.program,
-        &h.study.profile_for(&req),
-        &h.study.layout(req),
     )
 }
 
@@ -621,15 +610,15 @@ pub fn compare(h: &mut Harness) -> Value {
     for series in series_list {
         let label = series.label();
         let req = LayoutRequest::from(series);
-        let (misses, user_fetches, text_bytes) = {
+        let (misses, user_fetches, text_bytes, score) = {
             let d = h.run_request(req);
             (
                 misses_by_size(&d.sizes_4w_user),
                 d.user_fetches,
                 d.text_bytes,
+                d.exttsp_score,
             )
         };
-        let score = request_score(h, req);
         scores.push((series, score));
         let lints = crate::lint::lint_series_cells(&h.study, req);
         let (deny, warn, info) = (
@@ -713,25 +702,21 @@ pub fn fig_static(h: &mut Harness) -> Value {
     let mut static_all_m128 = u64::MAX;
     for (bare, s_req) in reqs {
         let label = bare.series.label();
-        let is_base = bare.series == LayoutSeries::Paper(OptimizationSet::BASE);
-        let (m_misses, user_fetches) = {
+        let (m_misses, user_fetches, m_score) = {
             let d = h.run_request(bare);
-            (misses_by_size(&d.sizes_4w_user), d.user_fetches)
+            (
+                misses_by_size(&d.sizes_4w_user),
+                d.user_fetches,
+                d.exttsp_score,
+            )
         };
-        let s_misses = misses_by_size(&h.run_request(s_req).sizes_4w_user);
-        let score_of = |source| {
-            let layout = h.study.layout(bare.with_source(source));
-            exttsp_score(&h.study.app.program, &h.study.profile, &layout)
-        };
-        let m_score = score_of(ProfileSource::Measured);
-        let s_score = if is_base {
-            m_score
-        } else {
-            score_of(ProfileSource::Static)
+        let (s_misses, s_score) = {
+            let d = h.run_request(s_req);
+            (misses_by_size(&d.sizes_4w_user), d.exttsp_score)
         };
         let (m64, m128) = (m_misses[1].1, m_misses[2].1);
         let (s64, s128) = (s_misses[1].1, s_misses[2].1);
-        if is_base {
+        if bare.series == LayoutSeries::Paper(OptimizationSet::BASE) {
             base_m128 = m128;
         }
         if label == "all" {
@@ -855,8 +840,7 @@ pub fn claims(h: &mut Harness) -> Value {
     let mut sink = codelayout_memsim::MemoryHierarchy::new(TimingModel::hierarchy_21264(
         h.study.scenario.num_cpus,
     ));
-    let base_img = h.study.image(OptimizationSet::BASE);
-    let out = h.study.run_measured(&base_img, &kopt, &mut sink);
+    let out = h.study.run_measured(&h.study.base_image, &kopt, &mut sink);
     out.assert_correct();
     let model = TimingModel::alpha_21264();
     let kopt_cycles = model
@@ -1058,11 +1042,14 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     for (req, family) in measured {
-        let (misses, user_fetches) = {
+        let (misses, user_fetches, score) = {
             let d = h.run_request(req);
-            (misses_by_size(&d.sizes_4w_user), d.user_fetches)
+            (
+                misses_by_size(&d.sizes_4w_user),
+                d.user_fetches,
+                d.exttsp_score,
+            )
         };
-        let score = request_score(h, req);
         let kind = if family.is_some() { "tuned" } else { "fixed" };
         rows.push(vec![
             req.to_string(),
@@ -1169,7 +1156,7 @@ pub fn ablations(h: &mut Harness) -> Value {
         .into_iter()
         .map(|(kb, req)| {
             let profile = h.study.profile_for(&req);
-            let (_, r) = cfa_layout_with(&h.study.app.program, &profile, &req.params);
+            let (_, r) = cfa_layout(&h.study.app.program, &profile, &req.params);
             let (permille, kb_90) = (r.coverage_permille, r.bytes_for_90pct / 1024);
             let note = format!(
                 "covers {}.{}%, 90% needs {kb_90} KB",

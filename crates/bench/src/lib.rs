@@ -45,7 +45,7 @@ pub mod driver;
 pub mod figures;
 pub mod lint;
 
-use codelayout_core::{LayoutRequest, OptimizationSet};
+use codelayout_core::{exttsp_score, LayoutRequest, OptimizationSet};
 use codelayout_memsim::{
     CacheConfig, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats, LocalityCache,
     LocalityStats, MemoryHierarchy, SequenceProfiler, SequenceStats, StreamFilter, SweepCell,
@@ -73,6 +73,10 @@ pub struct LayoutData {
     pub label: String,
     /// Text size of the linked image in bytes.
     pub text_bytes: u64,
+    /// ext-TSP objective score of the application layout under the
+    /// measured profile, whichever profile built it: the one yardstick
+    /// every series is judged by.
+    pub exttsp_score: u64,
     /// Direct-mapped size × line grid, application stream only (full runs
     /// only).
     pub dm_grid_user: Vec<SweepCell>,
@@ -305,13 +309,17 @@ impl TraceSink for LiveSink {
     }
 }
 
-/// Measures `req` at `depth`: one live pass of its measured phase into a
-/// [`LiveSink`], asserted correct, recording the run's
-/// `vm.run.<name>.insts_per_sec` gauge.
+/// Measures `req` at `depth`: builds and scores its layout once, then
+/// runs one live pass of its measured phase into a [`LiveSink`],
+/// asserted correct, recording the run's `vm.run.<name>.insts_per_sec`
+/// gauge.
 fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
     let _measure_span = codelayout_obs::span("measure");
     let name = req.to_string();
-    let image = study.image(req);
+    let layout = study.layout(req);
+    let image = study
+        .link_validated(&layout)
+        .unwrap_or_else(|e| panic!("`{name}` app image: {e}"));
     let mut sink = LiveSink::new(study.scenario.num_cpus, depth);
     let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
     outcome.assert_correct();
@@ -328,6 +336,7 @@ fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
     let mut data = LayoutData {
         label: name,
         text_bytes: image.text_bytes(),
+        exttsp_score: exttsp_score(&study.app.program, &study.profile, &layout),
         dm_grid_user: Vec::new(),
         sizes_4w_user: sizes_4w_user.finish(),
         sizes_4w_all: Vec::new(),
@@ -572,12 +581,14 @@ mod tests {
         sink
     }
 
-    /// The oracle: `req`'s fetch-and-data trace, recorded once and
-    /// replayed serially into every grid, collector and timing hierarchy
-    /// a measurement of any depth feeds.
+    /// The oracle: `req`'s layout scored under the measured profile, and
+    /// its fetch-and-data trace, recorded once and replayed serially into
+    /// every grid, collector and timing hierarchy a measurement of any
+    /// depth feeds.
     fn replayed(study: &Study, req: LayoutRequest) -> LayoutData {
         let num_cpus = study.scenario.num_cpus;
         let image = study.image(req);
+        let score = exttsp_score(&study.app.program, &study.profile, &study.layout(req));
         let mut sink = TeeSink(TraceBuffer::new(), CountingSink::default());
         let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
         outcome.assert_correct();
@@ -590,6 +601,7 @@ mod tests {
         LayoutData {
             label: req.to_string(),
             text_bytes: image.text_bytes(),
+            exttsp_score: score,
             dm_grid_user: grid(SweepSpec::paper_grid(1).cpus(num_cpus).filter(user)),
             sizes_4w_user: grid(sizes_4w_spec(num_cpus, user)),
             sizes_4w_all: grid(sizes_4w_spec(num_cpus, StreamFilter::All)),
@@ -635,6 +647,7 @@ mod tests {
         let label = &format!("{} {what}", want.label);
         assert_eq!(got.label, want.label, "{what}");
         assert_eq!(got.text_bytes, want.text_bytes, "{label}");
+        assert_eq!(got.exttsp_score, want.exttsp_score, "{label}");
         assert_eq!(got.dm_grid_user, want.dm_grid_user, "{label}");
         assert_eq!(got.sizes_4w_user, want.sizes_4w_user, "{label}");
         assert_eq!(got.sizes_4w_all, want.sizes_4w_all, "{label}");
@@ -665,7 +678,8 @@ mod tests {
     fn measurements_equal_a_serial_replay_of_the_recorded_trace() {
         // The request lists of fig07, compare and fig_static, with their
         // overlaps and fig_static's repeated `base`: `base` and `all` are
-        // full, the rest light.
+        // full, the rest light. fig_static's `static:` layouts are scored
+        // under the measured profile, not the one that built them.
         let reqs: Vec<LayoutRequest> = figures::paper_requests()
             .chain(LayoutSeries::comparison().map(LayoutRequest::from))
             .chain(

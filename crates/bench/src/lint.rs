@@ -9,9 +9,7 @@
 //! finding fails the figure, so `run_all` exits nonzero on it.
 
 use crate::Harness;
-use codelayout_analysis::{
-    analyze_layout, validate_translation, LintConfig, LintReport, Severity, TranslationReport,
-};
+use codelayout_analysis::{analyze_layout, LintConfig, LintReport, Severity, TranslationReport};
 use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
 use codelayout_ir::link::link;
 use codelayout_oltp::Study;
@@ -73,8 +71,7 @@ pub fn lint_series_cells(study: &Study, req: LayoutRequest) -> Vec<LintCell> {
     let mut cells = Vec::new();
     for (target, program, profile, layout, base) in targets {
         let image = link(program, &layout, base).expect("pipeline layouts link");
-        let translation = validate_translation(program, &layout, &image).ok();
-        let report = analyze_layout(
+        let (translation, report) = analyze_layout(
             program,
             profile,
             &layout,
@@ -224,6 +221,7 @@ pub fn render_cells_text(scenario: &str, cells: &[LintCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codelayout_analysis::validate_translation;
     use codelayout_core::OptimizationSet;
     use codelayout_oltp::{build_study, Scenario};
 
@@ -233,7 +231,7 @@ mod tests {
         let req: LayoutRequest = "static:all".parse().unwrap();
         let layout = study.layout(req);
         let image = link(&study.app.program, &layout, APP_TEXT_BASE).unwrap();
-        let expected = analyze_layout(
+        let (_, expected) = analyze_layout(
             &study.app.program,
             &study.profile,
             &layout,

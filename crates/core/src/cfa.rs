@@ -32,23 +32,9 @@ pub struct CfaReport {
 }
 
 /// Builds a CFA layout: hottest segments (by execution weight) are packed
-/// into a reserved area of `reserved_bytes`; the remainder is Pettis–Hansen
-/// ordered after it. Chaining and splitting run with default parameters.
+/// into a reserved area of `cfa.reserved_bytes`; the remainder is
+/// Pettis–Hansen ordered after it. `chain`/`split` shape the segments.
 pub fn cfa_layout(
-    program: &Program,
-    profile: &Profile,
-    reserved_bytes: u64,
-) -> (Layout, CfaReport) {
-    let params = LayoutParams {
-        cfa: crate::CfaParams { reserved_bytes },
-        ..LayoutParams::default()
-    };
-    cfa_layout_with(program, profile, &params)
-}
-
-/// Builds a CFA layout under a full parameter set: `chain`/`split` shape
-/// the segments, `cfa.reserved_bytes` sizes the conflict-free area.
-pub fn cfa_layout_with(
     program: &Program,
     profile: &Profile,
     params: &LayoutParams,
@@ -139,6 +125,13 @@ mod tests {
     use super::*;
     use codelayout_ir::{verify_layout, ProcBuilder, ProgramBuilder, Reg};
 
+    fn reserving(reserved_bytes: u64) -> LayoutParams {
+        LayoutParams {
+            cfa: crate::CfaParams { reserved_bytes },
+            ..LayoutParams::default()
+        }
+    }
+
     fn two_proc_program() -> Program {
         let mut pb = ProgramBuilder::new("cfa");
         let main = pb.declare_proc("main");
@@ -160,7 +153,7 @@ mod tests {
         let mut prof = Profile::new(2);
         prof.block_counts = vec![5, 100];
         prof.call_counts.insert((0, 1), 5);
-        let (l, rep) = cfa_layout(&p, &prof, 1024);
+        let (l, rep) = cfa_layout(&p, &prof, &reserving(1024));
         verify_layout(&p, &l).unwrap();
         // leaf (block 1, weight 100) placed first.
         assert_eq!(l.order[0], BlockId(1));
@@ -173,7 +166,7 @@ mod tests {
         let p = two_proc_program();
         let mut prof = Profile::new(2);
         prof.block_counts = vec![5, 100];
-        let (l, rep) = cfa_layout(&p, &prof, 4);
+        let (l, rep) = cfa_layout(&p, &prof, &reserving(4));
         verify_layout(&p, &l).unwrap();
         assert_eq!(rep.placed_bytes, 0);
         assert_eq!(rep.coverage_permille, 0);
@@ -183,7 +176,7 @@ mod tests {
     fn cold_program_reports_zero_coverage() {
         let p = two_proc_program();
         let prof = Profile::new(2);
-        let (l, rep) = cfa_layout(&p, &prof, 1 << 20);
+        let (l, rep) = cfa_layout(&p, &prof, &reserving(1 << 20));
         verify_layout(&p, &l).unwrap();
         assert_eq!(rep.coverage_permille, 0);
         assert_eq!(rep.bytes_for_90pct, 0);

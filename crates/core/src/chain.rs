@@ -13,19 +13,10 @@ use codelayout_ir::{BlockId, ProcId, Program};
 use codelayout_profile::Profile;
 use std::collections::HashMap;
 
-/// Returns the chained block order for one procedure under the default
-/// [`ChainParams`].
+/// Returns the chained block order for one procedure.
 ///
 /// The result is a permutation of `program.proc(proc).blocks`.
-pub fn chain_proc(program: &Program, profile: &Profile, proc: ProcId) -> Vec<BlockId> {
-    chain_proc_with(program, profile, proc, &ChainParams::default())
-}
-
-/// Returns the chained block order for one procedure under explicit
-/// parameters.
-///
-/// The result is a permutation of `program.proc(proc).blocks`.
-pub fn chain_proc_with(
+pub fn chain_proc(
     program: &Program,
     profile: &Profile,
     proc: ProcId,
@@ -132,18 +123,9 @@ pub fn chain_proc_with(
 
 /// Chains every procedure; returns per-procedure block orders indexed by
 /// `ProcId`.
-pub fn chain_all(program: &Program, profile: &Profile) -> Vec<Vec<BlockId>> {
-    chain_all_with(program, profile, &ChainParams::default())
-}
-
-/// Chains every procedure under explicit parameters.
-pub fn chain_all_with(
-    program: &Program,
-    profile: &Profile,
-    params: &ChainParams,
-) -> Vec<Vec<BlockId>> {
+pub fn chain_all(program: &Program, profile: &Profile, params: &ChainParams) -> Vec<Vec<BlockId>> {
     (0..program.procs.len())
-        .map(|p| chain_proc_with(program, profile, ProcId(p as u32), params))
+        .map(|p| chain_proc(program, profile, ProcId(p as u32), params))
         .collect()
 }
 
@@ -198,7 +180,7 @@ mod tests {
     fn hot_path_becomes_sequential() {
         let prog = fig1_program();
         let prof = fig1_profile();
-        let order = chain_proc(&prog, &prof, ProcId(0));
+        let order = chain_proc(&prog, &prof, ProcId(0), &ChainParams::default());
         // Heaviest edges: 0->1 (90) and 1->3 (90) chain first, so the hot
         // path 0,1,3 must be consecutive.
         let pos: HashMap<u32, usize> = order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
@@ -214,7 +196,7 @@ mod tests {
     fn entry_chain_placed_first() {
         let prog = fig1_program();
         let prof = fig1_profile();
-        let order = chain_proc(&prog, &prof, ProcId(0));
+        let order = chain_proc(&prog, &prof, ProcId(0), &ChainParams::default());
         assert_eq!(order[0], BlockId(0), "entry chain first");
     }
 
@@ -236,7 +218,7 @@ mod tests {
         let mut prof = Profile::new(2);
         prof.edge_counts.insert((0, 1), 100);
         prof.edge_counts.insert((1, 0), 99);
-        let order = chain_proc(&prog, &prof, ProcId(0));
+        let order = chain_proc(&prog, &prof, ProcId(0), &ChainParams::default());
         assert_eq!(order, vec![BlockId(0), BlockId(1)]);
     }
 
@@ -244,7 +226,7 @@ mod tests {
     fn zero_profile_is_still_a_permutation() {
         let prog = fig1_program();
         let prof = Profile::new(5);
-        let order = chain_proc(&prog, &prof, ProcId(0));
+        let order = chain_proc(&prog, &prof, ProcId(0), &ChainParams::default());
         let mut sorted: Vec<u32> = order.iter().map(|b| b.0).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
@@ -257,7 +239,7 @@ mod tests {
         let prof = fig1_profile();
         // A threshold above every edge weight leaves only singleton
         // chains: entry first, the rest by decreasing block count.
-        let order = chain_proc_with(
+        let order = chain_proc(
             &prog,
             &prof,
             ProcId(0),
@@ -267,11 +249,6 @@ mod tests {
         );
         let ids: Vec<u32> = order.iter().map(|b| b.0).collect();
         assert_eq!(ids, vec![0, 3, 1, 4, 2]);
-        // The zero threshold is the historical behavior.
-        assert_eq!(
-            chain_proc_with(&prog, &prof, ProcId(0), &ChainParams::default()),
-            chain_proc(&prog, &prof, ProcId(0))
-        );
     }
 
     #[test]
@@ -283,7 +260,13 @@ mod tests {
         pb.define_proc(main, f).unwrap();
         let prog = pb.finish(main).unwrap();
         let prof = Profile::new(1);
-        assert_eq!(chain_proc(&prog, &prof, ProcId(0)), vec![BlockId(0)]);
-        assert_eq!(chain_all(&prog, &prof), vec![vec![BlockId(0)]]);
+        assert_eq!(
+            chain_proc(&prog, &prof, ProcId(0), &ChainParams::default()),
+            vec![BlockId(0)]
+        );
+        assert_eq!(
+            chain_all(&prog, &prof, &ChainParams::default()),
+            vec![vec![BlockId(0)]]
+        );
     }
 }

@@ -20,7 +20,7 @@
 //! it. All arithmetic is integer fixed-point (scale [`SCORE_SCALE`]) so
 //! scores are bit-identical across platforms and thread counts.
 
-use crate::chain::chain_proc_with;
+use crate::chain::chain_proc;
 use crate::graph::pettis_hansen_order;
 use crate::params::{ExtTspParams, LayoutParams};
 use codelayout_ir::{BlockId, Layout, ProcId, Program, Terminator, INSTR_BYTES};
@@ -135,42 +135,25 @@ fn score_at(program: &Program, profile: &Profile, ep: &ExtTspParams, addr: &[u64
 /// reported score always uses the defaults, even when the pass was tuned,
 /// so scores stay comparable across parameterizations.
 pub fn exttsp_score(program: &Program, profile: &Profile, layout: &Layout) -> u64 {
-    exttsp_score_with(program, profile, &ExtTspParams::default(), layout)
-}
-
-/// The ext-TSP objective of a whole layout under explicit weights.
-pub fn exttsp_score_with(
-    program: &Program,
-    profile: &Profile,
-    ep: &ExtTspParams,
-    layout: &Layout,
-) -> u64 {
     let mut addr = vec![u64::MAX; program.blocks.len()];
     let mut cur = 0u64;
     for &b in &layout.order {
         addr[b.index()] = cur;
         cur += block_bytes(program, b);
     }
-    score_at(program, profile, ep, &addr)
+    score_at(program, profile, &ExtTspParams::default(), &addr)
 }
 
 /// The ext-TSP objective of one contiguous span placed in isolation,
-/// under the default [`ExtTspParams`].
+/// under the weights `ep`.
 ///
 /// Every control-flow edge is intra-procedural, so the whole-layout score
 /// of any procedure-contiguous layout is the sum of its per-procedure
 /// span scores — which is what lets the pass optimize procedures
-/// independently.
-pub fn span_score(program: &Program, profile: &Profile, order: &[BlockId]) -> u64 {
-    span_score_with(program, profile, &ExtTspParams::default(), order)
-}
-
-/// The ext-TSP objective of one contiguous span under explicit weights.
-///
-/// Costs O(s log s) for a span of s blocks, whatever the program's size:
+/// independently. Costs O(s log s) for a span of s blocks, whatever the program's size:
 /// addresses live in a map local to the span. A block repeated in `order`
 /// is scored at its last address, as the whole-layout scorer does.
-pub fn span_score_with(
+pub fn span_score(
     program: &Program,
     profile: &Profile,
     ep: &ExtTspParams,
@@ -244,15 +227,9 @@ type SpanScoreFn = fn(&Program, &Profile, &ExtTspParams, &[BlockId]) -> u64;
 /// hot predecessor. The merged order competes under [`span_score`] against
 /// the greedy chain order (rotated to entry-first when chaining fronted a
 /// predecessor), so the pass never scores below the paper's chaining on
-/// the same profile.
-pub fn exttsp_proc_order(program: &Program, profile: &Profile, proc: ProcId) -> Vec<BlockId> {
-    exttsp_proc_order_with(program, profile, proc, &LayoutParams::default())
-}
-
-/// Computes the ext-TSP block order for one procedure under explicit
-/// parameters: the objective's weights from `params.exttsp`, the
-/// competing chain candidate from `params.chain`.
-pub fn exttsp_proc_order_with(
+/// the same profile. The objective's weights come from `params.exttsp`,
+/// the competing chain candidate from `params.chain`.
+pub fn exttsp_proc_order(
     program: &Program,
     profile: &Profile,
     proc: ProcId,
@@ -264,12 +241,12 @@ pub fn exttsp_proc_order_with(
         proc,
         params,
         merge_chains,
-        span_score_with,
+        span_score,
         true,
     )
 }
 
-/// [`exttsp_proc_order_with`] over a given chain merger and span scorer.
+/// [`exttsp_proc_order`] over a given chain merger and span scorer.
 ///
 /// With `unlinked_shortcut`, a procedure with no weighted edge between
 /// two distinct blocks skips merging and candidate selection: every
@@ -334,7 +311,7 @@ fn proc_order_by(
     // Candidate selection under the shared scorer; the merged order wins
     // ties so the pass's own structure is preferred.
     let merged_blocks: Vec<BlockId> = merged.iter().map(|&i| blocks[i as usize]).collect();
-    let chain = chain_proc_with(program, profile, proc, &params.chain);
+    let chain = chain_proc(program, profile, proc, &params.chain);
     let chain_candidate = if chain[0] == entry {
         chain
     } else {
@@ -705,15 +682,10 @@ fn merge_chains(
 /// orders, procedures kept contiguous and arranged by Pettis–Hansen call
 /// ordering (the same procedure placement the paper's `chain+porder`
 /// series uses, so series differ only in the intra-procedure objective).
-pub fn exttsp_layout(program: &Program, profile: &Profile) -> Layout {
-    exttsp_layout_with(program, profile, &LayoutParams::default())
-}
-
-/// Builds the whole-program ext-TSP layout under explicit parameters.
-pub fn exttsp_layout_with(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
+pub fn exttsp_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
     let _span = codelayout_obs::span("exttsp");
     let orders: Vec<Vec<BlockId>> = (0..program.procs.len())
-        .map(|p| exttsp_proc_order_with(program, profile, ProcId(p as u32), params))
+        .map(|p| exttsp_proc_order(program, profile, ProcId(p as u32), params))
         .collect();
     let w = profile.proc_call_weights(program);
     let proc_order = pettis_hansen_order(
@@ -1008,7 +980,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::chain_proc;
+    use crate::ChainParams;
     use crate::{LayoutSeries, ParamKnob, ParamSpace};
     use codelayout_ir::testgen::{random_program, GenConfig};
     use codelayout_ir::{verify_layout, Cond, Operand, ProcBuilder, ProgramBuilder, Reg};
@@ -1080,20 +1052,13 @@ mod tests {
         // under the shrunk one.
         assert!(edge_score(&ExtTspParams::default(), 10, 100, 200) > 0);
         assert_eq!(edge_score(&ep, 10, 100, 200), 0);
-        // Defaults keep the legacy order bit-identical.
-        let prog = fig1_program();
-        let prof = fig1_profile();
-        assert_eq!(
-            exttsp_proc_order_with(&prog, &prof, ProcId(0), &LayoutParams::default()),
-            exttsp_proc_order(&prog, &prof, ProcId(0))
-        );
     }
 
     #[test]
     fn hot_path_is_sequential_and_entry_leads() {
         let prog = fig1_program();
         let prof = fig1_profile();
-        let order = exttsp_proc_order(&prog, &prof, ProcId(0));
+        let order = exttsp_proc_order(&prog, &prof, ProcId(0), &LayoutParams::default());
         let mut sorted: Vec<u32> = order.iter().map(|b| b.0).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
@@ -1113,10 +1078,11 @@ mod tests {
     fn scores_at_least_the_chain_order() {
         let prog = fig1_program();
         let prof = fig1_profile();
-        let ours = exttsp_proc_order(&prog, &prof, ProcId(0));
-        let chain = chain_proc(&prog, &prof, ProcId(0));
+        let ours = exttsp_proc_order(&prog, &prof, ProcId(0), &LayoutParams::default());
+        let chain = chain_proc(&prog, &prof, ProcId(0), &ChainParams::default());
         assert!(
-            span_score(&prog, &prof, &ours) >= span_score(&prog, &prof, &chain),
+            span_score(&prog, &prof, &ExtTspParams::default(), &ours)
+                >= span_score(&prog, &prof, &ExtTspParams::default(), &chain),
             "ext-TSP {ours:?} scored below chaining {chain:?}"
         );
     }
@@ -1125,11 +1091,11 @@ mod tests {
     fn layout_is_valid_and_score_sums_over_procs() {
         let prog = fig1_program();
         let prof = fig1_profile();
-        let layout = exttsp_layout(&prog, &prof);
+        let layout = exttsp_layout(&prog, &prof, &LayoutParams::default());
         verify_layout(&prog, &layout).unwrap();
         assert_eq!(
             exttsp_score(&prog, &prof, &layout),
-            span_score(&prog, &prof, &layout.order)
+            span_score(&prog, &prof, &ExtTspParams::default(), &layout.order)
         );
     }
 
@@ -1137,7 +1103,7 @@ mod tests {
     fn zero_profile_is_still_an_entry_first_permutation() {
         let prog = fig1_program();
         let prof = Profile::new(5);
-        let order = exttsp_proc_order(&prog, &prof, ProcId(0));
+        let order = exttsp_proc_order(&prog, &prof, ProcId(0), &LayoutParams::default());
         let mut sorted: Vec<u32> = order.iter().map(|b| b.0).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
@@ -1218,7 +1184,7 @@ mod tests {
                 "{} proc {p}: merged order under {ep:?}",
                 program.name
             );
-            let order = exttsp_proc_order_with(program, profile, proc, params);
+            let order = exttsp_proc_order(program, profile, proc, params);
             assert_eq!(
                 order,
                 proc_order_by(
@@ -1234,7 +1200,7 @@ mod tests {
                 program.name
             );
             assert_eq!(
-                span_score_with(program, profile, ep, &order),
+                span_score(program, profile, ep, &order),
                 reference::span_score_dense(program, profile, ep, &order)
             );
         }
@@ -1307,7 +1273,7 @@ mod tests {
                 }
                 for ep in [ExtTspParams::default(), wide] {
                     prop_assert_eq!(
-                        span_score_with(&program, &profile, &ep, &span),
+                        span_score(&program, &profile, &ep, &span),
                         reference::span_score_dense(&program, &profile, &ep, &span),
                         "span {:?}", span
                     );
@@ -1427,7 +1393,7 @@ mod tests {
             drawn.set(&mut params, drawn.values()[value_i % drawn.values().len()]);
             for (p, &h) in heat.iter().enumerate() {
                 let proc = ProcId(p as u32);
-                let order = exttsp_proc_order_with(&program, &profile, proc, &params);
+                let order = exttsp_proc_order(&program, &profile, proc, &params);
                 prop_assert_eq!(
                     &order,
                     &proc_order_by(

@@ -9,24 +9,19 @@
 //! blocks), hot parts are Pettis–Hansen ordered, cold parts sink to the end
 //! of the image.
 
-use crate::chain::chain_all_with;
+use crate::chain::chain_all;
 use crate::graph::pettis_hansen_order;
 use crate::params::LayoutParams;
 use codelayout_ir::{BlockId, Layout, Program};
 use codelayout_profile::Profile;
 
 /// Builds a layout using chaining + hot/cold splitting + procedure
-/// ordering, under the default [`LayoutParams`].
-pub fn hot_cold_layout(program: &Program, profile: &Profile) -> Layout {
-    hot_cold_layout_with(program, profile, &LayoutParams::default())
-}
-
-/// Builds the hot/cold layout under explicit parameters: `chain` shapes
-/// the per-procedure orders, `hotcold.hot_threshold` sets the execution
-/// count above which a block counts as hot.
-pub fn hot_cold_layout_with(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
+/// ordering: `chain` shapes the per-procedure orders,
+/// `hotcold.hot_threshold` sets the execution count above which a block
+/// counts as hot.
+pub fn hot_cold_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
     let _span = codelayout_obs::span("hotcold");
-    let orders = chain_all_with(program, profile, &params.chain);
+    let orders = chain_all(program, profile, &params.chain);
     let nprocs = program.procs.len();
     let threshold = params.hotcold.hot_threshold;
 
@@ -82,7 +77,7 @@ mod tests {
         let mut prof = Profile::new(3);
         prof.block_counts = vec![10, 10, 0];
         prof.edge_counts.insert((0, 1), 10);
-        let l = hot_cold_layout(&p, &prof);
+        let l = hot_cold_layout(&p, &prof, &LayoutParams::default());
         verify_layout(&p, &l).unwrap();
         assert_eq!(*l.order.last().unwrap(), BlockId(2));
         assert_eq!(l.order[0], BlockId(0));
@@ -92,7 +87,7 @@ mod tests {
     fn fully_cold_program_is_still_complete() {
         let p = program_with_cold_tail();
         let prof = Profile::new(3);
-        let l = hot_cold_layout(&p, &prof);
+        let l = hot_cold_layout(&p, &prof, &LayoutParams::default());
         verify_layout(&p, &l).unwrap();
     }
 
@@ -123,20 +118,16 @@ mod tests {
         prof.call_counts.insert((0, 1), 100);
 
         // Default threshold 0: the lukewarm b1 stays in main's hot part.
-        let base = hot_cold_layout(&p, &prof);
+        let base = hot_cold_layout(&p, &prof, &LayoutParams::default());
         verify_layout(&p, &base).unwrap();
         // Threshold 8: b1 is reclassified cold and sinks behind leaf.
         let params = LayoutParams {
             hotcold: crate::HotColdParams { hot_threshold: 8 },
             ..LayoutParams::default()
         };
-        let tuned = hot_cold_layout_with(&p, &prof, &params);
+        let tuned = hot_cold_layout(&p, &prof, &params);
         verify_layout(&p, &tuned).unwrap();
         assert_eq!(*tuned.order.last().unwrap(), BlockId(1));
         assert_ne!(base, tuned, "threshold 8 must move the lukewarm block");
-        assert_eq!(
-            hot_cold_layout_with(&p, &prof, &LayoutParams::default()),
-            base
-        );
     }
 }

@@ -23,13 +23,14 @@
 //!
 //! Two post-paper successors round out the comparison surface:
 //! [`exttsp_layout`] (Newell–Pupyrev's ext-TSP objective with chain merging
-//! and score-driven merge-point selection) and [`stitcher_layout_params`]
+//! and score-driven merge-point selection) and [`stitcher_layout`]
 //! (Codestitcher's hierarchical inter-procedural collocation by distance
 //! class). [`LayoutSeries`] names every series — the paper's six plus the
 //! four alternatives — behind one label,
 //! [`LayoutPipeline::build_series`] builds any of them, and
 //! [`LayoutRequest`] adds the profile source and pass parameters to name
-//! one build.
+//! one build. Each pass is one function that takes its parameters
+//! ([`LayoutParams`] or its sub-struct); the pipeline passes its own.
 //!
 //! All optimizations are *pure layout permutations*: they consume an
 //! immutable [`codelayout_ir::Program`] plus a
@@ -51,15 +52,14 @@ mod series;
 mod split;
 mod stitcher;
 
-pub use cfa::{cfa_layout, cfa_layout_with, CfaReport};
-pub use chain::{chain_all, chain_all_with, chain_proc, chain_proc_with};
+pub use cfa::{cfa_layout, CfaReport};
+pub use chain::{chain_all, chain_proc};
 pub use exttsp::{
-    block_bytes, exttsp_layout, exttsp_layout_with, exttsp_proc_order, exttsp_proc_order_with,
-    exttsp_score, exttsp_score_with, span_score, span_score_with, BACKWARD_WINDOW, FORWARD_WINDOW,
-    SCORE_SCALE,
+    block_bytes, exttsp_layout, exttsp_proc_order, exttsp_score, span_score, BACKWARD_WINDOW,
+    FORWARD_WINDOW, SCORE_SCALE,
 };
 pub use graph::pettis_hansen_order;
-pub use hotcold::{hot_cold_layout, hot_cold_layout_with};
+pub use hotcold::hot_cold_layout;
 pub use params::{
     CfaParams, ChainParams, ExtTspParams, HotColdParams, LayoutParams, ParamKnob, ParamPoint,
     ParamSpace, SplitParams,
@@ -67,5 +67,5 @@ pub use params::{
 pub use pipeline::{LayoutPipeline, OptimizationSet, CFA_RESERVED_BYTES};
 pub use request::{LayoutRequest, ParseRequestError, ProfileSource};
 pub use series::LayoutSeries;
-pub use split::{split_all, split_all_with, split_order, split_order_with, Segment};
-pub use stitcher::{stitcher_layout_params, StitchLevels};
+pub use split::{split_all, split_order, Segment};
+pub use stitcher::{stitcher_layout, StitchLevels};

@@ -1,9 +1,14 @@
 //! Composition of the layout optimizations into the paper's pipelines.
 
-use crate::chain::chain_all_with;
+use crate::cfa::cfa_layout;
+use crate::chain::chain_all;
+use crate::exttsp::exttsp_layout;
 use crate::graph::pettis_hansen_order;
+use crate::hotcold::hot_cold_layout;
 use crate::params::LayoutParams;
-use crate::split::{split_all_with, Segment};
+use crate::series::LayoutSeries;
+use crate::split::{split_all, Segment};
+use crate::stitcher::stitcher_layout;
 use codelayout_ir::{BlockId, Layout, ProcId, Program};
 use codelayout_profile::Profile;
 use std::fmt;
@@ -62,28 +67,36 @@ impl OptimizationSet {
     /// presentation order, with the paper's labels.
     pub fn paper_series() -> [(&'static str, Self); 6] {
         [
-            ("base", Self::BASE),
-            ("porder", Self::PORDER),
-            ("chain", Self::CHAIN),
-            ("chain+split", Self::CHAIN_SPLIT),
-            ("chain+porder", Self::CHAIN_PORDER),
-            ("all", Self::ALL),
+            Self::BASE,
+            Self::PORDER,
+            Self::CHAIN,
+            Self::CHAIN_SPLIT,
+            Self::CHAIN_PORDER,
+            Self::ALL,
         ]
+        .map(|set| (set.label(), set))
+    }
+
+    /// Stable lowercase name of every combination: the paper's labels
+    /// for its six, `split` and `split+porder` for the two it does not
+    /// evaluate.
+    pub fn label(self) -> &'static str {
+        match (self.chain, self.split, self.porder) {
+            (false, false, false) => "base",
+            (false, false, true) => "porder",
+            (true, false, false) => "chain",
+            (true, true, false) => "chain+split",
+            (true, false, true) => "chain+porder",
+            (true, true, true) => "all",
+            (false, true, false) => "split",
+            (false, true, true) => "split+porder",
+        }
     }
 }
 
 impl fmt::Display for OptimizationSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.chain, self.split, self.porder) {
-            (false, false, false) => write!(f, "base"),
-            (false, false, true) => write!(f, "porder"),
-            (true, false, false) => write!(f, "chain"),
-            (true, true, false) => write!(f, "chain+split"),
-            (true, false, true) => write!(f, "chain+porder"),
-            (true, true, true) => write!(f, "all"),
-            (false, true, false) => write!(f, "split"),
-            (false, true, true) => write!(f, "split+porder"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -103,7 +116,7 @@ impl fmt::Display for OptimizationSet {
 /// # let program = pb.finish(main).unwrap();
 /// # let profile = Profile::new(program.blocks.len());
 /// let pipeline = LayoutPipeline::new(&program, &profile);
-/// let layout = pipeline.build(OptimizationSet::ALL);
+/// let layout = pipeline.build_series(OptimizationSet::ALL.into());
 /// assert_eq!(layout.len(), program.blocks.len());
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +154,7 @@ impl<'a> LayoutPipeline<'a> {
     pub fn block_orders(&self, chain: bool) -> Vec<Vec<BlockId>> {
         if chain {
             let _span = codelayout_obs::span("chain");
-            let orders = chain_all_with(self.program, self.profile, &self.params.chain);
+            let orders = chain_all(self.program, self.profile, &self.params.chain);
             codelayout_obs::metrics().add(
                 "layout.blocks_chained",
                 orders.iter().map(Vec::len).sum::<usize>() as u64,
@@ -161,79 +174,50 @@ impl<'a> LayoutPipeline<'a> {
     pub fn segments(&self, chain: bool) -> Vec<Segment> {
         let orders = self.block_orders(chain);
         let _span = codelayout_obs::span("split");
-        let segs = split_all_with(self.program, self.profile, &orders, &self.params.split);
+        let segs = split_all(self.program, self.profile, &orders, &self.params.split);
         codelayout_obs::metrics().add("layout.segments", segs.len() as u64);
         segs
     }
 
-    /// Builds the final layout for an optimization set.
+    /// Builds the layout for any [`LayoutSeries`] — a paper
+    /// [`OptimizationSet`] converts with `set.into()` — under the
+    /// pipeline's [`LayoutParams`] (the CFA series' reserved area
+    /// defaults to [`CFA_RESERVED_BYTES`]).
     ///
     /// Every constructed layout is checked with
     /// [`codelayout_ir::verify_layout`]; under `debug_assertions` the
-    /// pipeline's positional conventions are additionally checked with
+    /// series' positional conventions (see
+    /// [`LayoutSeries::placement_split`]) are additionally checked with
     /// [`codelayout_ir::verify_layout_placement`].
     ///
     /// # Panics
     /// Panics if the constructed layout fails verification — that is always
     /// a bug in the optimization stages, never a property of the input.
-    pub fn build(&self, set: OptimizationSet) -> Layout {
+    pub fn build_series(&self, series: LayoutSeries) -> Layout {
         let _span = codelayout_obs::span("layout");
         codelayout_obs::metrics().add("layout.builds", 1);
-        let layout = self.build_unchecked(set);
-        let verify_span = codelayout_obs::span("verify");
-        codelayout_ir::verify_layout(self.program, &layout)
-            .unwrap_or_else(|e| panic!("pipeline produced an invalid `{set}` layout: {e}"));
-        #[cfg(debug_assertions)]
-        codelayout_ir::verify_layout_placement(self.program, &layout, set.split)
-            .unwrap_or_else(|e| panic!("pipeline violated `{set}` placement conventions: {e}"));
-        verify_span.finish();
-        layout
-    }
-
-    /// Builds the layout for any [`crate::LayoutSeries`], checking each
-    /// series' own placement conventions (see
-    /// [`crate::LayoutSeries::placement_split`]).
-    ///
-    /// The CFA series sizes its reserved area from the pipeline's
-    /// parameters (default [`CFA_RESERVED_BYTES`]); every other series
-    /// likewise consumes its sub-struct of the pipeline's
-    /// [`LayoutParams`].
-    ///
-    /// # Panics
-    /// Panics if the constructed layout fails verification, as in
-    /// [`LayoutPipeline::build`].
-    pub fn build_series(&self, series: crate::LayoutSeries) -> Layout {
-        use crate::LayoutSeries;
-        if let LayoutSeries::Paper(set) = series {
-            return self.build(set);
-        }
+        let (program, profile, params) = (self.program, self.profile, &self.params);
         let layout = match series {
-            LayoutSeries::Paper(_) => unreachable!("handled above"),
-            LayoutSeries::HotCold => {
-                crate::hot_cold_layout_with(self.program, self.profile, &self.params)
-            }
-            LayoutSeries::Cfa => crate::cfa_layout_with(self.program, self.profile, &self.params).0,
-            LayoutSeries::ExtTsp => {
-                crate::exttsp_layout_with(self.program, self.profile, &self.params)
-            }
-            LayoutSeries::Stitcher => {
-                crate::stitcher_layout_params(self.program, self.profile, &self.params)
-            }
+            LayoutSeries::Paper(set) => self.paper_layout(set),
+            LayoutSeries::HotCold => hot_cold_layout(program, profile, params),
+            LayoutSeries::Cfa => cfa_layout(program, profile, params).0,
+            LayoutSeries::ExtTsp => exttsp_layout(program, profile, params),
+            LayoutSeries::Stitcher => stitcher_layout(program, profile, params),
         };
         let verify_span = codelayout_obs::span("verify");
-        codelayout_ir::verify_layout(self.program, &layout)
+        codelayout_ir::verify_layout(program, &layout)
             .unwrap_or_else(|e| panic!("pipeline produced an invalid `{series}` layout: {e}"));
         #[cfg(debug_assertions)]
         if let Some(split) = series.placement_split() {
-            codelayout_ir::verify_layout_placement(self.program, &layout, split).unwrap_or_else(
-                |e| panic!("pipeline violated `{series}` placement conventions: {e}"),
-            );
+            codelayout_ir::verify_layout_placement(program, &layout, split).unwrap_or_else(|e| {
+                panic!("pipeline violated `{series}` placement conventions: {e}")
+            });
         }
         verify_span.finish();
         layout
     }
 
-    fn build_unchecked(&self, set: OptimizationSet) -> Layout {
+    fn paper_layout(&self, set: OptimizationSet) -> Layout {
         let order: Vec<BlockId> = if set.split {
             let segs = self.segments(set.chain);
             let seg_order: Vec<usize> = if set.porder {
@@ -372,7 +356,7 @@ mod tests {
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
         for (name, set) in OptimizationSet::paper_series() {
-            let layout = pipe.build(set);
+            let layout = pipe.build_series(set.into());
             verify_layout(&p, &layout).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(set.to_string(), name);
         }
@@ -383,7 +367,10 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
-        assert_eq!(pipe.build(OptimizationSet::BASE), Layout::natural(&p));
+        assert_eq!(
+            pipe.build_series(OptimizationSet::BASE.into()),
+            Layout::natural(&p)
+        );
     }
 
     #[test]
@@ -391,7 +378,7 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
-        let l = pipe.build(OptimizationSet::CHAIN);
+        let l = pipe.build_series(OptimizationSet::CHAIN.into());
         let pos: Vec<usize> = {
             let mut v = vec![0; p.blocks.len()];
             for (i, b) in l.order.iter().enumerate() {
@@ -412,8 +399,8 @@ mod tests {
         // Splitting alone only creates flexibility for the ordering pass;
         // the layout equals the chained layout (paper §4.1).
         assert_eq!(
-            pipe.build(OptimizationSet::CHAIN_SPLIT),
-            pipe.build(OptimizationSet::CHAIN)
+            pipe.build_series(OptimizationSet::CHAIN_SPLIT.into()),
+            pipe.build_series(OptimizationSet::CHAIN.into())
         );
     }
 
@@ -422,7 +409,7 @@ mod tests {
         let p = program();
         let prof = profile(&p);
         let pipe = LayoutPipeline::new(&p, &prof);
-        let l = pipe.build(OptimizationSet::ALL);
+        let l = pipe.build_series(OptimizationSet::ALL.into());
         let pos: Vec<usize> = {
             let mut v = vec![0; p.blocks.len()];
             for (i, b) in l.order.iter().enumerate() {
@@ -443,7 +430,7 @@ mod tests {
         let prof = profile(&p);
         let legacy = LayoutPipeline::new(&p, &prof);
         let parameterized = LayoutPipeline::with_params(&p, &prof, LayoutParams::default());
-        for series in crate::LayoutSeries::all() {
+        for series in LayoutSeries::all() {
             assert_eq!(
                 legacy.build_series(series),
                 parameterized.build_series(series),
@@ -467,10 +454,10 @@ mod tests {
         let tuned = LayoutPipeline::with_params(&p, &prof, params);
         let legacy = LayoutPipeline::new(&p, &prof);
         assert_ne!(
-            tuned.build(OptimizationSet::CHAIN),
-            legacy.build(OptimizationSet::CHAIN)
+            tuned.build_series(OptimizationSet::CHAIN.into()),
+            legacy.build_series(OptimizationSet::CHAIN.into())
         );
-        verify_layout(&p, &tuned.build_series(crate::LayoutSeries::Stitcher)).unwrap();
+        verify_layout(&p, &tuned.build_series(LayoutSeries::Stitcher)).unwrap();
     }
 
     #[test]

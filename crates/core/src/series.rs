@@ -4,7 +4,7 @@
 //! The paper's six chain/split/porder combinations, the two algorithms it
 //! compares against (hot/cold splitting, CFA), and the two modern
 //! successors (ext-TSP, Codestitcher) are all addressable by one stable
-//! label, so benchmarks, lints, env knobs and figure tables can name any
+//! label, so benchmarks, lints, run names and figure tables can name any
 //! series uniformly.
 
 use crate::pipeline::OptimizationSet;
@@ -22,8 +22,14 @@ pub enum LayoutSeries {
     Cfa,
     /// ext-TSP chain merging ([`crate::exttsp_layout`]).
     ExtTsp,
-    /// Codestitcher hierarchical collocation ([`crate::stitcher_layout_params`]).
+    /// Codestitcher hierarchical collocation ([`crate::stitcher_layout`]).
     Stitcher,
+}
+
+impl From<OptimizationSet> for LayoutSeries {
+    fn from(set: OptimizationSet) -> Self {
+        LayoutSeries::Paper(set)
+    }
 }
 
 impl LayoutSeries {
@@ -78,12 +84,7 @@ impl LayoutSeries {
     /// and used by the harness, figures and manifests.
     pub fn label(self) -> &'static str {
         match self {
-            LayoutSeries::Paper(OptimizationSet::BASE) => "base",
-            LayoutSeries::Paper(OptimizationSet::PORDER) => "porder",
-            LayoutSeries::Paper(OptimizationSet::CHAIN) => "chain",
-            LayoutSeries::Paper(OptimizationSet::CHAIN_SPLIT) => "chain+split",
-            LayoutSeries::Paper(OptimizationSet::CHAIN_PORDER) => "chain+porder",
-            LayoutSeries::Paper(_) => "all",
+            LayoutSeries::Paper(set) => set.label(),
             LayoutSeries::HotCold => "hotcold",
             LayoutSeries::Cfa => "cfa",
             LayoutSeries::ExtTsp => "exttsp",
@@ -91,11 +92,10 @@ impl LayoutSeries {
         }
     }
 
-    /// Parses a label produced by [`LayoutSeries::label`].
+    /// Parses the label of one of [`LayoutSeries::all`].
     ///
-    /// The error names every accepted label, so misspelled env knobs and
-    /// harness run names fail with an actionable message instead of a
-    /// bare `None`.
+    /// The error names every accepted label, so misspelled run names fail
+    /// with an actionable message instead of a bare `None`.
     pub fn parse(s: &str) -> Result<LayoutSeries, ParseRequestError> {
         LayoutSeries::all()
             .into_iter()
@@ -181,6 +181,30 @@ mod tests {
         for s in LayoutSeries::lint_matrix() {
             assert!(all.contains(&s.label()));
         }
+        // Every chain/split/porder combination has its own label, the
+        // paper's six included.
+        let sets: Vec<&str> = (0..8u8)
+            .map(|bits| OptimizationSet {
+                chain: bits & 1 != 0,
+                split: bits & 2 != 0,
+                porder: bits & 4 != 0,
+            })
+            .map(|set| {
+                assert_eq!(LayoutSeries::from(set).label(), set.label());
+                assert_eq!(set.to_string(), set.label());
+                set.label()
+            })
+            .collect();
+        let mut distinct = sets.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "{sets:?}");
+        let split_only = OptimizationSet {
+            chain: false,
+            split: true,
+            porder: false,
+        };
+        assert_eq!(crate::LayoutRequest::from(split_only).to_string(), "split");
     }
 
     #[test]

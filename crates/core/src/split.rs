@@ -41,27 +41,15 @@ impl Segment {
     }
 }
 
-/// Splits one procedure's (typically chained) block order into segments,
-/// under the default [`SplitParams`].
+/// Splits one procedure's (typically chained) block order into segments.
 ///
 /// A cut happens after a block whose terminator never falls through *and*
 /// whose (single) target is not the next block in the order: a `Jump` to
 /// the adjacent block is a fall-through the linker will erase, so cutting
 /// there would let the follow-on segment ordering separate two blocks that
-/// currently execute back-to-back.
+/// currently execute back-to-back. [`SplitParams::cut_fallthrough_jumps`]
+/// cuts after those jumps too.
 pub fn split_order(
-    program: &Program,
-    profile: &Profile,
-    proc: ProcId,
-    order: &[BlockId],
-) -> Vec<Segment> {
-    split_order_with(program, profile, proc, order, &SplitParams::default())
-}
-
-/// Splits one procedure's block order into segments under explicit
-/// parameters (see [`SplitParams::cut_fallthrough_jumps`] for the one
-/// deviation from [`split_order`]).
-pub fn split_order_with(
     program: &Program,
     profile: &Profile,
     proc: ProcId,
@@ -106,12 +94,7 @@ fn make_segment(profile: &Profile, proc: ProcId, entry: BlockId, blocks: Vec<Blo
 /// Splits every procedure of a program given per-procedure block orders
 /// (for example from [`crate::chain_all`]). Returns all segments, in
 /// procedure order then segment order.
-pub fn split_all(program: &Program, profile: &Profile, orders: &[Vec<BlockId>]) -> Vec<Segment> {
-    split_all_with(program, profile, orders, &SplitParams::default())
-}
-
-/// Splits every procedure under explicit parameters.
-pub fn split_all_with(
+pub fn split_all(
     program: &Program,
     profile: &Profile,
     orders: &[Vec<BlockId>],
@@ -119,7 +102,7 @@ pub fn split_all_with(
 ) -> Vec<Segment> {
     let mut out = Vec::new();
     for (pi, order) in orders.iter().enumerate() {
-        out.extend(split_order_with(
+        out.extend(split_order(
             program,
             profile,
             ProcId(pi as u32),
@@ -162,7 +145,7 @@ mod tests {
         let mut prof = Profile::new(4);
         prof.block_counts = vec![10, 9, 1, 10];
         let order = vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3)];
-        let segs = split_order(&prog, &prof, ProcId(0), &order);
+        let segs = split_order(&prog, &prof, ProcId(0), &order, &SplitParams::default());
         // b0 ends in a conditional: stays glued to b1. b1 jumps to b3 which
         // is NOT next -> cut. b2 jumps to b3 which IS next -> fall-through,
         // no cut. b3 halts -> cut.
@@ -181,7 +164,7 @@ mod tests {
         let prog = diamond();
         let prof = Profile::new(4);
         let order = vec![BlockId(3), BlockId(2), BlockId(0), BlockId(1)];
-        let segs = split_order(&prog, &prof, ProcId(0), &order);
+        let segs = split_order(&prog, &prof, ProcId(0), &order, &SplitParams::default());
         let flat: Vec<BlockId> = segs.iter().flat_map(|s| s.blocks.clone()).collect();
         assert_eq!(flat, order);
         assert!(segs.iter().all(Segment::is_cold));
@@ -193,7 +176,7 @@ mod tests {
         let prof = Profile::new(4);
         // Order ending with the conditional block b0.
         let order = vec![BlockId(1), BlockId(2), BlockId(3), BlockId(0)];
-        let segs = split_order(&prog, &prof, ProcId(0), &order);
+        let segs = split_order(&prog, &prof, ProcId(0), &order, &SplitParams::default());
         assert_eq!(segs.last().unwrap().blocks, vec![BlockId(0)]);
     }
 
@@ -203,9 +186,12 @@ mod tests {
         let prof = Profile::new(4);
         let order = vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3)];
         // Default: b2's jump to the adjacent b3 is a kept fall-through.
-        assert_eq!(split_order(&prog, &prof, ProcId(0), &order).len(), 2);
+        assert_eq!(
+            split_order(&prog, &prof, ProcId(0), &order, &SplitParams::default()).len(),
+            2
+        );
         // With the knob on, every unconditional jump cuts.
-        let segs = split_order_with(
+        let segs = split_order(
             &prog,
             &prof,
             ProcId(0),
@@ -223,7 +209,7 @@ mod tests {
         let prog = diamond();
         let prof = Profile::new(4);
         let orders = vec![prog.proc(ProcId(0)).blocks.clone()];
-        let segs = split_all(&prog, &prof, &orders);
+        let segs = split_all(&prog, &prof, &orders, &SplitParams::default());
         let total: usize = segs.iter().map(|s| s.blocks.len()).sum();
         assert_eq!(total, 4);
     }

@@ -21,7 +21,7 @@
 use crate::exttsp::block_bytes;
 use crate::params::LayoutParams;
 use crate::pipeline::segment_edges;
-use crate::split::split_all_with;
+use crate::split::split_all;
 use codelayout_ir::{Layout, Program};
 use codelayout_profile::Profile;
 use std::collections::{BinaryHeap, HashMap};
@@ -49,22 +49,18 @@ impl Default for StitchLevels {
     }
 }
 
-/// Builds the Codestitcher layout under a full parameter set: `chain` and
-/// `split` shape the segments, `stitch` sets the level budgets.
+/// Builds the Codestitcher layout: `chain` and `split` shape the
+/// segments, `stitch` sets the level budgets.
 ///
 /// The result is a permutation of the chained-and-split segments, so it
 /// honors the same placement conventions as the paper's `all` series
 /// (segments never straddle, conditional tails stay unique per
 /// procedure).
-pub fn stitcher_layout_params(
-    program: &Program,
-    profile: &Profile,
-    params: &LayoutParams,
-) -> Layout {
+pub fn stitcher_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
     let _span = codelayout_obs::span("stitcher");
     let levels = params.stitch;
-    let orders = crate::chain::chain_all_with(program, profile, &params.chain);
-    let segs = split_all_with(program, profile, &orders, &params.split);
+    let orders = crate::chain::chain_all(program, profile, &params.chain);
+    let segs = split_all(program, profile, &orders, &params.split);
     let edges = segment_edges(program, profile, &segs);
     let sizes: Vec<u64> = segs
         .iter()
@@ -217,7 +213,6 @@ fn merge_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::split_all;
     use codelayout_ir::{
         verify_layout, verify_layout_placement, Cond, Operand, ProcBuilder, ProgramBuilder, Reg,
     };
@@ -274,7 +269,7 @@ mod tests {
     fn layout_is_valid_and_keeps_segments_intact() {
         let p = program();
         let prof = profile(&p);
-        let l = stitcher_layout_params(&p, &prof, &LayoutParams::default());
+        let l = stitcher_layout(&p, &prof, &LayoutParams::default());
         verify_layout(&p, &l).unwrap();
         // Segments stay intact, so the split-layout placement conventions
         // hold exactly as for the paper's `all` series.
@@ -285,7 +280,7 @@ mod tests {
     fn caller_lands_next_to_hot_callee() {
         let p = program();
         let prof = profile(&p);
-        let l = stitcher_layout_params(&p, &prof, &LayoutParams::default());
+        let l = stitcher_layout(&p, &prof, &LayoutParams::default());
         let pos: Vec<usize> = {
             let mut v = vec![0; p.blocks.len()];
             for (i, b) in l.order.iter().enumerate() {
@@ -305,7 +300,7 @@ mod tests {
         // only merge at the page level; with page also tiny, never.
         let p = program();
         let prof = profile(&p);
-        let starved = stitcher_layout_params(
+        let starved = stitcher_layout(
             &p,
             &prof,
             &LayoutParams {
@@ -320,8 +315,9 @@ mod tests {
         verify_layout(&p, &starved).unwrap();
         // No merges happen, so emission is the chained segments in
         // construction order.
-        let orders = crate::chain_all(&p, &prof);
-        let segs = split_all(&p, &prof, &orders);
+        let defaults = LayoutParams::default();
+        let orders = crate::chain_all(&p, &prof, &defaults.chain);
+        let segs = split_all(&p, &prof, &orders, &defaults.split);
         let expected: Vec<_> = segs.iter().flat_map(|s| s.blocks.iter().copied()).collect();
         assert_eq!(starved.order, expected);
     }
@@ -332,8 +328,8 @@ mod tests {
         let prof = profile(&p);
         let params = LayoutParams::default();
         assert_eq!(
-            stitcher_layout_params(&p, &prof, &params),
-            stitcher_layout_params(&p, &prof, &params)
+            stitcher_layout(&p, &prof, &params),
+            stitcher_layout(&p, &prof, &params)
         );
     }
 }

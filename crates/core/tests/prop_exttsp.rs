@@ -6,7 +6,7 @@
 //! optimizes — not a reimplementation that could drift.
 
 use codelayout_core::{
-    exttsp_proc_order, exttsp_score, LayoutPipeline, LayoutSeries, OptimizationSet,
+    exttsp_proc_order, exttsp_score, LayoutParams, LayoutPipeline, LayoutSeries, OptimizationSet,
 };
 use codelayout_ir::link::link;
 use codelayout_ir::testgen::{random_program, GenConfig};
@@ -79,7 +79,7 @@ proptest! {
         let program = random_program(seed, &GenConfig::default());
         let profile = random_profile(&program, pseed);
         for (pi, proc_) in program.procs.iter().enumerate() {
-            let order = exttsp_proc_order(&program, &profile, ProcId(pi as u32));
+            let order = exttsp_proc_order(&program, &profile, ProcId(pi as u32), &LayoutParams::default());
             prop_assert_eq!(order[0], proc_.entry, "proc {} entry not first", pi);
             let mut a: Vec<u32> = order.iter().map(|b| b.0).collect();
             let mut b: Vec<u32> = proc_.blocks.iter().map(|b| b.0).collect();
@@ -99,7 +99,7 @@ proptest! {
         let profile = real_profile(&program);
         let pipe = LayoutPipeline::new(&program, &profile);
         let exttsp = pipe.build_series(LayoutSeries::ExtTsp);
-        let ph = pipe.build(OptimizationSet::CHAIN_PORDER);
+        let ph = pipe.build_series(OptimizationSet::CHAIN_PORDER.into());
         let s_exttsp = exttsp_score(&program, &profile, &exttsp);
         let s_ph = exttsp_score(&program, &profile, &ph);
         prop_assert!(

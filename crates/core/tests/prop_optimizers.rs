@@ -3,8 +3,8 @@
 //! preserve semantics under real execution.
 
 use codelayout_core::{
-    cfa_layout, chain_proc, hot_cold_layout, pettis_hansen_order, split_order, LayoutPipeline,
-    OptimizationSet,
+    cfa_layout, chain_proc, hot_cold_layout, pettis_hansen_order, split_order, LayoutParams,
+    LayoutPipeline, OptimizationSet,
 };
 use codelayout_ir::link::link;
 use codelayout_ir::testgen::{random_program, GenConfig};
@@ -17,6 +17,13 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const FUEL: u64 = 2_000_000;
+
+/// Default parameters with a 4 KB conflict-free area.
+fn small_cfa() -> LayoutParams {
+    let mut params = LayoutParams::default();
+    params.cfa.reserved_bytes = 4096;
+    params
+}
 
 /// Collects a real profile by executing the program.
 fn real_profile(program: &codelayout_ir::Program) -> Profile {
@@ -65,12 +72,12 @@ proptest! {
         let profile = random_profile(&program, pseed);
         let pipe = LayoutPipeline::new(&program, &profile);
         for (name, set) in OptimizationSet::paper_series() {
-            let layout = pipe.build(set);
+            let layout = pipe.build_series(set.into());
             verify_layout(&program, &layout)
                 .unwrap_or_else(|e| panic!("seed {seed}/{pseed} {name}: {e}"));
         }
-        verify_layout(&program, &hot_cold_layout(&program, &profile)).unwrap();
-        let (cfa, _) = cfa_layout(&program, &profile, 4096);
+        verify_layout(&program, &hot_cold_layout(&program, &profile, &LayoutParams::default())).unwrap();
+        let (cfa, _) = cfa_layout(&program, &profile, &small_cfa());
         verify_layout(&program, &cfa).unwrap();
     }
 
@@ -81,12 +88,12 @@ proptest! {
         let pipe = LayoutPipeline::new(&program, &profile);
         let baseline = observe(&program, &Layout::natural(&program));
         for (name, set) in OptimizationSet::paper_series() {
-            let out = observe(&program, &pipe.build(set));
+            let out = observe(&program, &pipe.build_series(set.into()));
             prop_assert_eq!(&baseline, &out, "layout {} diverged", name);
         }
-        let out = observe(&program, &hot_cold_layout(&program, &profile));
+        let out = observe(&program, &hot_cold_layout(&program, &profile, &LayoutParams::default()));
         prop_assert_eq!(&baseline, &out, "hot/cold diverged");
-        let (cfa, _) = cfa_layout(&program, &profile, 4096);
+        let (cfa, _) = cfa_layout(&program, &profile, &small_cfa());
         let out = observe(&program, &cfa);
         prop_assert_eq!(&baseline, &out, "cfa diverged");
     }
@@ -96,7 +103,7 @@ proptest! {
         let program = random_program(seed, &GenConfig::default());
         let profile = random_profile(&program, pseed);
         for (pi, proc_) in program.procs.iter().enumerate() {
-            let order = chain_proc(&program, &profile, ProcId(pi as u32));
+            let order = chain_proc(&program, &profile, ProcId(pi as u32), &LayoutParams::default().chain);
             let mut a: Vec<u32> = order.iter().map(|b| b.0).collect();
             let mut b: Vec<u32> = proc_.blocks.iter().map(|b| b.0).collect();
             a.sort_unstable();
@@ -111,8 +118,8 @@ proptest! {
         let profile = random_profile(&program, pseed);
         for (pi, _) in program.procs.iter().enumerate() {
             let pid = ProcId(pi as u32);
-            let order = chain_proc(&program, &profile, pid);
-            let segs = split_order(&program, &profile, pid, &order);
+            let order = chain_proc(&program, &profile, pid, &LayoutParams::default().chain);
+            let segs = split_order(&program, &profile, pid, &order, &LayoutParams::default().split);
             let flat: Vec<BlockId> = segs.iter().flat_map(|s| s.blocks.clone()).collect();
             prop_assert_eq!(flat, order);
             // Exactly one segment contains the entry.

@@ -1,26 +1,24 @@
 //! Cache design-space exploration on the OLTP trace: one workload pass
 //! feeding a grid of cache geometries, as the paper's Figure 4 sweep does.
 //!
-//! Run with: `cargo run --release --example cache_explorer [base|all]`
+//! Run with: `cargo run --release --example cache_explorer [LAYOUT]`,
+//! where LAYOUT is a run name such as `base` (the default), `all`,
+//! `exttsp` or `static:all`.
 
 use codelayout::memsim::{GridSink, StreamFilter, SweepSpec};
 use codelayout::oltp::{build_study, Scenario};
-use codelayout::opt::OptimizationSet;
+use codelayout::opt::LayoutRequest;
 
 fn main() {
-    let layout = std::env::args().nth(1).unwrap_or_else(|| "base".into());
-    let set = OptimizationSet::paper_series()
-        .into_iter()
-        .find(|(n, _)| *n == layout)
-        .map(|(_, s)| s)
-        .unwrap_or_else(|| {
-            eprintln!("unknown layout {layout}; use one of base/porder/chain/chain+split/chain+porder/all");
-            std::process::exit(2);
-        });
+    let name = std::env::args().nth(1).unwrap_or_else(|| "base".into());
+    let layout: LayoutRequest = name.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     let scenario = Scenario::quick();
     let study = build_study(&scenario);
-    let image = study.image(set);
+    let image = study.image(layout);
 
     // A 27-cell grid: sizes × line sizes × associativities, one pass.
     let spec = SweepSpec::grid()

@@ -1,15 +1,31 @@
 //! End-to-end OLTP study: generate the workload, profile, optimize, and
 //! print the headline comparison the paper reports.
 //!
-//! Run with: `cargo run --release --example oltp_report [quick|sim|hw]`
+//! Run with: `cargo run --release --example oltp_report [quick|sim|hw]
+//! [LAYOUT…]`, where each LAYOUT is a run name such as `all`, `exttsp` or
+//! `static:all`; the default is the paper's six series.
 
 use codelayout::memsim::{GridSink, SequenceProfiler, StreamFilter, SweepSpec};
 use codelayout::oltp::{build_study, Scenario};
-use codelayout::opt::OptimizationSet;
+use codelayout::opt::{LayoutRequest, OptimizationSet};
 use codelayout::vm::TeeSink;
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "quick".into());
+    let mut args = std::env::args().skip(1);
+    let which = args.next().unwrap_or_else(|| "quick".into());
+    let mut layouts: Vec<LayoutRequest> = args
+        .map(|name| {
+            name.parse().unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            })
+        })
+        .collect();
+    if layouts.is_empty() {
+        layouts = OptimizationSet::paper_series()
+            .map(|(_, set)| set.into())
+            .to_vec();
+    }
     let scenario = match which.as_str() {
         "sim" => Scenario::paper_sim(),
         "hw" => Scenario::paper_hw(),
@@ -36,8 +52,8 @@ fn main() {
         "\n{:>14} {:>10} {:>10} {:>10} {:>8} {:>9}",
         "layout", "32KB", "64KB", "128KB", "seq len", "txns"
     );
-    for (name, set) in OptimizationSet::paper_series() {
-        let image = study.image(set);
+    for layout in layouts {
+        let image = study.image(layout);
         let mut sweep = GridSink::new(&spec);
         let mut seq = SequenceProfiler::new(StreamFilter::UserOnly);
         let mut sink = TeeSink(&mut sweep, &mut seq);
@@ -47,7 +63,7 @@ fn main() {
         let seq = seq.finish();
         println!(
             "{:>14} {:>10} {:>10} {:>10} {:>8.2} {:>9}",
-            name,
+            layout.to_string(),
             misses[0],
             misses[1],
             misses[2],

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Optimize the layout (this is "running Spike").
     let pipeline = LayoutPipeline::new(&program, &profile);
-    let optimized = pipeline.build(OptimizationSet::ALL);
+    let optimized = pipeline.build_series(OptimizationSet::ALL.into());
     let opt_image = Arc::new(link(&program, &optimized, APP_TEXT_BASE)?);
 
     // 3. Compare.

@@ -59,7 +59,7 @@ fn sampled_profile_produces_a_working_layout() {
     // estimation path is what DCPI-mode uses).
     let est = estimate_edges_from_blocks(&study.app.program, &study.profile.block_counts);
     let pipe = LayoutPipeline::new(&study.app.program, &est);
-    let layout = pipe.build(OptimizationSet::ALL);
+    let layout = pipe.build_series(OptimizationSet::ALL.into());
     codelayout::ir::verify_layout(&study.app.program, &layout).unwrap();
 
     let image = std::sync::Arc::new(
