@@ -19,12 +19,38 @@
 //! it, and the property suite checks the pass against the paper trio with
 //! it. All arithmetic is integer fixed-point (scale [`SCORE_SCALE`]) so
 //! scores are bit-identical across platforms and thread counts.
+//!
+//! **Memo.** Most of a build depends on the profile alone or on a few
+//! knobs, so [`ExtTspMemo`] keeps it across the builds of one program
+//! and profile (the autotuner's ext-TSP family builds dozens), and every
+//! build is one memo's [`ExtTspMemo::layout`] ([`exttsp_layout`] uses a
+//! fresh one). Each entry is keyed by everything that computes it, so a
+//! reused entry is the one a fresh build computes:
+//!
+//! - **Per procedure, once:** its local edges, block sizes and entry
+//!   index, and the order of a procedure the merger has no work in (one
+//!   block, or no weighted edge between distinct blocks). They read the
+//!   program and profile only.
+//! - **The procedure placement**, Pettis–Hansen over the profile's call
+//!   weights: no knob reaches it.
+//! - **Merged orders**, keyed by procedure and `(jump_weight,
+//!   forward_window, backward_window, min(split_cap, n))` for a
+//!   procedure of `n` blocks. The merger reads the profile, the
+//!   procedure and `params.exttsp` only. `split_cap` only bars chains
+//!   longer than the cap from split-point merging, and no chain of the
+//!   procedure is longer than `n`, so every cap from `n` up merges alike.
+//! - **Chain candidates**, keyed by procedure and `params.chain`, the
+//!   only parameters [`crate::chain_proc`] reads.
+//!
+//! Candidate selection under [`span_score`] runs on every build: it
+//! reads the weights of the build's own point.
 
 use crate::chain::chain_proc;
 use crate::graph::pettis_hansen_order;
-use crate::params::{ExtTspParams, LayoutParams};
+use crate::params::{ChainParams, ExtTspParams, LayoutParams};
 use codelayout_ir::{BlockId, Layout, ProcId, Program, Terminator, INSTR_BYTES};
 use codelayout_profile::Profile;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// Fixed-point scale: a fall-through of weight `w` scores `w * SCORE_SCALE`.
@@ -235,26 +261,122 @@ pub fn exttsp_proc_order(
     proc: ProcId,
     params: &LayoutParams,
 ) -> Vec<BlockId> {
-    proc_order_by(
-        program,
-        profile,
-        proc,
-        params,
-        merge_chains,
-        span_score,
-        true,
-    )
+    ExtTspMemo::new(program, profile)
+        .proc_order(proc, params)
+        .to_vec()
 }
 
-/// [`exttsp_proc_order`] over a given chain merger and span scorer.
-///
-/// With `unlinked_shortcut`, a procedure with no weighted edge between
-/// two distinct blocks skips merging and candidate selection: every
-/// arrangement then scores the same (a self-loop's score depends only on
-/// its block's size), the merger merges nothing, and the merged order —
-/// which wins score ties — is its emit order: the entry first, then the
-/// other blocks by block count, descending, then local index. The test
-/// reference runs the full path instead.
+/// What the merger reads of one procedure: its weighted edges between
+/// distinct blocks, deduplicated, in local indices (a block's index in
+/// the procedure's block list), its blocks' byte sizes, and its entry's
+/// local index. Self edges contribute a layout-independent constant and
+/// are dropped.
+struct ProcFacts {
+    edges: Vec<Edge>,
+    sizes: Vec<u64>,
+    entry_local: u32,
+}
+
+impl ProcFacts {
+    fn new(program: &Program, profile: &Profile, proc: ProcId) -> Self {
+        let blocks = &program.proc(proc).blocks;
+        let mut local: HashMap<BlockId, u32> = HashMap::with_capacity(blocks.len());
+        for (i, &b) in blocks.iter().enumerate() {
+            local.insert(b, i as u32);
+        }
+        let mut edges: Vec<Edge> = Vec::new();
+        let mut seen: Vec<BlockId> = Vec::new();
+        for (i, &b) in blocks.iter().enumerate() {
+            seen.clear();
+            for t in program.block(b).term.successors() {
+                if t == b || seen.contains(&t) {
+                    continue;
+                }
+                seen.push(t);
+                if let Some(&j) = local.get(&t) {
+                    let w = profile.edge_count(b, t);
+                    if w > 0 {
+                        edges.push((i as u32, j, w));
+                    }
+                }
+            }
+        }
+        ProcFacts {
+            edges,
+            sizes: blocks.iter().map(|&b| block_bytes(program, b)).collect(),
+            entry_local: local[&program.proc(proc).entry],
+        }
+    }
+
+    /// The merger's output under `merge`, as blocks.
+    fn merged(
+        &self,
+        merge: MergeFn,
+        profile: &Profile,
+        blocks: &[BlockId],
+        ep: &ExtTspParams,
+    ) -> Vec<BlockId> {
+        let (n, sizes, edges) = (blocks.len(), &self.sizes, &self.edges);
+        merge(n, sizes, edges, self.entry_local, profile, blocks, ep)
+            .into_iter()
+            .map(|i| blocks[i as usize])
+            .collect()
+    }
+}
+
+/// The order of a procedure with no weighted edge between two distinct
+/// blocks: every arrangement then scores the same (a self-loop's score
+/// depends only on its block's size), the merger merges nothing, and the
+/// merged order — which wins score ties — is its emit order: the entry
+/// first, then the other blocks by block count, descending, then local
+/// index.
+fn unlinked_order(profile: &Profile, blocks: &[BlockId], entry_local: u32) -> Vec<BlockId> {
+    let mut rest: Vec<usize> = (0..blocks.len())
+        .filter(|&i| i != entry_local as usize)
+        .collect();
+    rest.sort_by_key(|&i| (std::cmp::Reverse(profile.block_count(blocks[i])), i));
+    std::iter::once(blocks[entry_local as usize])
+        .chain(rest.into_iter().map(|i| blocks[i]))
+        .collect()
+}
+
+/// The greedy chain order of `proc` under `chain`, rotated to entry-first
+/// when chaining fronted a hot predecessor of the entry: the candidate
+/// the merged order competes against.
+fn chain_candidate(
+    program: &Program,
+    profile: &Profile,
+    proc: ProcId,
+    chain: &ChainParams,
+) -> Vec<BlockId> {
+    let entry = program.proc(proc).entry;
+    let mut order = chain_proc(program, profile, proc, chain);
+    let at = order
+        .iter()
+        .position(|&b| b == entry)
+        .expect("entry present");
+    order.rotate_left(at);
+    order
+}
+
+/// Whether the chain candidate beats the merged order under `score`;
+/// the merged order wins ties, so the pass's own structure is preferred.
+fn chain_wins(
+    program: &Program,
+    profile: &Profile,
+    ep: &ExtTspParams,
+    chain: &[BlockId],
+    merged: &[BlockId],
+    score: SpanScoreFn,
+) -> bool {
+    score(program, profile, ep, chain) > score(program, profile, ep, merged)
+}
+
+/// [`exttsp_proc_order`] over a given chain merger and span scorer, on
+/// the full path: merging and candidate selection run even for a
+/// procedure with no weighted edge between distinct blocks, which the
+/// pass's shortcut ([`unlinked_order`]) must match.
+#[cfg(test)]
 fn proc_order_by(
     program: &Program,
     profile: &Profile,
@@ -262,75 +384,190 @@ fn proc_order_by(
     params: &LayoutParams,
     merge: MergeFn,
     span_score: SpanScoreFn,
-    unlinked_shortcut: bool,
 ) -> Vec<BlockId> {
-    let ep = &params.exttsp;
     let blocks = &program.proc(proc).blocks;
-    let entry = program.proc(proc).entry;
     if blocks.len() <= 1 {
         return blocks.clone();
     }
-
-    let n = blocks.len();
-    let mut local: HashMap<BlockId, u32> = HashMap::with_capacity(n);
-    for (i, &b) in blocks.iter().enumerate() {
-        local.insert(b, i as u32);
+    let ep = &params.exttsp;
+    let merged = ProcFacts::new(program, profile, proc).merged(merge, profile, blocks, ep);
+    let chain = chain_candidate(program, profile, proc, &params.chain);
+    if chain_wins(program, profile, ep, &chain, &merged, span_score) {
+        chain
+    } else {
+        merged
     }
-    let entry_local = local[&entry];
+}
 
-    // Weighted intra-procedure edges in local indices, deduplicated.
-    // Self edges contribute a layout-independent constant and are dropped.
-    let mut edges: Vec<Edge> = Vec::new();
-    for (i, &b) in blocks.iter().enumerate() {
-        let mut seen: Vec<BlockId> = Vec::new();
-        for t in program.block(b).term.successors() {
-            if t == b || seen.contains(&t) {
-                continue;
-            }
-            seen.push(t);
-            if let Some(&j) = local.get(&t) {
-                let w = profile.edge_count(b, t);
-                if w > 0 {
-                    edges.push((i as u32, j, w));
-                }
-            }
+/// A merged order's memo key: the ext-TSP weights, and the split cap
+/// clamped to the procedure's block count.
+type MergeKey = (u64, u64, u64, u64);
+
+/// What an [`ExtTspMemo`] keeps of one procedure.
+enum ProcMemo {
+    /// The order whatever the parameters: a procedure of one block, or
+    /// one with no weighted edge between distinct blocks
+    /// ([`unlinked_order`]).
+    Fixed(Vec<BlockId>),
+    /// A procedure the merger has work in.
+    Linked {
+        facts: ProcFacts,
+        /// Merged orders by [`MergeKey`].
+        merged: HashMap<MergeKey, Vec<BlockId>>,
+        /// Rotated chain candidates by chaining parameters.
+        chains: HashMap<ChainParams, Vec<BlockId>>,
+    },
+}
+
+impl ProcMemo {
+    fn new(program: &Program, profile: &Profile, proc: ProcId) -> Self {
+        let blocks = &program.proc(proc).blocks;
+        if blocks.len() <= 1 {
+            return ProcMemo::Fixed(blocks.clone());
+        }
+        let facts = ProcFacts::new(program, profile, proc);
+        if facts.edges.is_empty() {
+            return ProcMemo::Fixed(unlinked_order(profile, blocks, facts.entry_local));
+        }
+        ProcMemo::Linked {
+            facts,
+            merged: HashMap::new(),
+            chains: HashMap::new(),
+        }
+    }
+}
+
+/// The ext-TSP pass over one program and profile, keeping what one
+/// build computes that another build of the same profile can reuse (the
+/// module docs list what it keeps, and why each key is exact).
+///
+/// [`exttsp_layout`] is a fresh memo's one [`ExtTspMemo::layout`]. A
+/// search that builds ext-TSP layouts at many parameter points keeps one
+/// memo across them, and each layout equals a fresh build at its point.
+/// Each layout adds the merges it ran to the `exttsp.merges` counter and
+/// the merged orders it reused to `exttsp.merge_hits`.
+///
+/// ```
+/// # use codelayout_ir::{ProcBuilder, ProgramBuilder};
+/// # use codelayout_profile::Profile;
+/// use codelayout_core::{exttsp_layout, ExtTspMemo, LayoutParams};
+///
+/// # let mut pb = ProgramBuilder::new("p");
+/// # let main = pb.declare_proc("main");
+/// # let mut f = ProcBuilder::new();
+/// # f.halt();
+/// # pb.define_proc(main, f).unwrap();
+/// # let program = pb.finish(main).unwrap();
+/// # let profile = Profile::new(program.blocks.len());
+/// let mut memo = ExtTspMemo::new(&program, &profile);
+/// let mut params = LayoutParams::default();
+/// for cap in [8, 16, 32] {
+///     params.exttsp.split_cap = cap;
+///     assert_eq!(memo.layout(&params), exttsp_layout(&program, &profile, &params));
+/// }
+/// ```
+pub struct ExtTspMemo<'a> {
+    program: &'a Program,
+    profile: &'a Profile,
+    /// Per procedure, filled on first use.
+    procs: Vec<Option<ProcMemo>>,
+    /// Pettis–Hansen procedure order, filled on first use.
+    placement: Option<Vec<u32>>,
+    /// Merges run and merged orders reused since the last layout's
+    /// counters were published.
+    merges: u64,
+    merge_hits: u64,
+}
+
+impl<'a> ExtTspMemo<'a> {
+    /// An empty memo over `program` and `profile`. Costs nothing until
+    /// its first layout.
+    pub fn new(program: &'a Program, profile: &'a Profile) -> Self {
+        ExtTspMemo {
+            program,
+            profile,
+            procs: Vec::new(),
+            placement: None,
+            merges: 0,
+            merge_hits: 0,
         }
     }
 
-    if unlinked_shortcut && edges.is_empty() {
-        let mut rest: Vec<usize> = (0..n).filter(|&i| i != entry_local as usize).collect();
-        rest.sort_by_key(|&i| (std::cmp::Reverse(profile.block_count(blocks[i])), i));
-        return std::iter::once(entry)
-            .chain(rest.into_iter().map(|i| blocks[i]))
-            .collect();
+    /// True when the memo is over exactly this program and profile (the
+    /// same objects, not equal copies).
+    pub(crate) fn is_over(&self, program: &Program, profile: &Profile) -> bool {
+        std::ptr::eq(self.program, program) && std::ptr::eq(self.profile, profile)
     }
 
-    let sizes: Vec<u64> = blocks.iter().map(|&b| block_bytes(program, b)).collect();
-    let merged = merge(n, &sizes, &edges, entry_local, profile, blocks, ep);
+    /// Builds the whole-program ext-TSP layout at `params`: per-procedure
+    /// ext-TSP block orders, procedures kept contiguous and arranged by
+    /// Pettis–Hansen call ordering. Equal to [`exttsp_layout`] at the same
+    /// parameters, whatever this memo built before.
+    pub fn layout(&mut self, params: &LayoutParams) -> Layout {
+        let _span = codelayout_obs::span("exttsp");
+        let (program, profile) = (self.program, self.profile);
+        let placement = self
+            .placement
+            .get_or_insert_with(|| {
+                let w = profile.proc_call_weights(program);
+                pettis_hansen_order(
+                    program.procs.len(),
+                    w.into_iter().map(|((a, b), c)| (a, b, c)),
+                )
+            })
+            .clone();
+        let mut order = Vec::with_capacity(program.blocks.len());
+        for p in placement {
+            order.extend_from_slice(self.proc_order(ProcId(p), params));
+        }
+        let m = codelayout_obs::metrics();
+        m.add("exttsp.merges", std::mem::take(&mut self.merges));
+        m.add("exttsp.merge_hits", std::mem::take(&mut self.merge_hits));
+        Layout { order }
+    }
 
-    // Candidate selection under the shared scorer; the merged order wins
-    // ties so the pass's own structure is preferred.
-    let merged_blocks: Vec<BlockId> = merged.iter().map(|&i| blocks[i as usize]).collect();
-    let chain = chain_proc(program, profile, proc, &params.chain);
-    let chain_candidate = if chain[0] == entry {
-        chain
-    } else {
-        // Chaining fronted a hot predecessor of the entry; rotate the
-        // pre-entry prefix to the back so the entry leads.
-        let at = chain
-            .iter()
-            .position(|&b| b == entry)
-            .expect("entry present");
-        let mut rot = chain[at..].to_vec();
-        rot.extend_from_slice(&chain[..at]);
-        rot
-    };
-    if span_score(program, profile, ep, &chain_candidate)
-        > span_score(program, profile, ep, &merged_blocks)
-    {
-        chain_candidate
-    } else {
-        merged_blocks
+    /// The ext-TSP block order of one procedure at `params`.
+    fn proc_order(&mut self, proc: ProcId, params: &LayoutParams) -> &[BlockId] {
+        let (program, profile) = (self.program, self.profile);
+        if self.procs.is_empty() {
+            self.procs.resize_with(program.procs.len(), || None);
+        }
+        let memo =
+            self.procs[proc.index()].get_or_insert_with(|| ProcMemo::new(program, profile, proc));
+        let (facts, merged, chains) = match memo {
+            ProcMemo::Fixed(order) => return order,
+            ProcMemo::Linked {
+                facts,
+                merged,
+                chains,
+            } => (facts, merged, chains),
+        };
+        let blocks = &program.proc(proc).blocks;
+        let ep = &params.exttsp;
+        let key = (
+            ep.jump_weight,
+            ep.forward_window,
+            ep.backward_window,
+            ep.split_cap.min(blocks.len() as u64),
+        );
+        let merged = match merged.entry(key) {
+            Entry::Occupied(e) => {
+                self.merge_hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.merges += 1;
+                e.insert(facts.merged(merge_chains, profile, blocks, ep))
+            }
+        };
+        let chain = chains
+            .entry(params.chain)
+            .or_insert_with(|| chain_candidate(program, profile, proc, &params.chain));
+        if chain_wins(program, profile, ep, chain, merged, span_score) {
+            chain
+        } else {
+            merged
+        }
     }
 }
 
@@ -682,21 +919,9 @@ fn merge_chains(
 /// orders, procedures kept contiguous and arranged by Pettis–Hansen call
 /// ordering (the same procedure placement the paper's `chain+porder`
 /// series uses, so series differ only in the intra-procedure objective).
+/// This is one build of a fresh [`ExtTspMemo`].
 pub fn exttsp_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
-    let _span = codelayout_obs::span("exttsp");
-    let orders: Vec<Vec<BlockId>> = (0..program.procs.len())
-        .map(|p| exttsp_proc_order(program, profile, ProcId(p as u32), params))
-        .collect();
-    let w = profile.proc_call_weights(program);
-    let proc_order = pettis_hansen_order(
-        program.procs.len(),
-        w.into_iter().map(|((a, b), c)| (a, b, c)),
-    );
-    let order = proc_order
-        .into_iter()
-        .flat_map(|p| orders[p as usize].iter().copied())
-        .collect();
-    Layout { order }
+    ExtTspMemo::new(program, profile).layout(params)
 }
 
 /// The full-rescore chain merger and the dense span scorer the pass used
@@ -1163,23 +1388,14 @@ mod tests {
         for p in 0..program.procs.len() {
             let proc = ProcId(p as u32);
             assert_eq!(
-                proc_order_by(
-                    program,
-                    profile,
-                    proc,
-                    params,
-                    merge_chains,
-                    no_score,
-                    false
-                ),
+                proc_order_by(program, profile, proc, params, merge_chains, no_score),
                 proc_order_by(
                     program,
                     profile,
                     proc,
                     params,
                     reference::merge_chains,
-                    no_score,
-                    false
+                    no_score
                 ),
                 "{} proc {p}: merged order under {ep:?}",
                 program.name
@@ -1193,8 +1409,7 @@ mod tests {
                     proc,
                     params,
                     reference::merge_chains,
-                    reference::span_score_dense,
-                    false
+                    reference::span_score_dense
                 ),
                 "{} proc {p}: final order under {ep:?}",
                 program.name
@@ -1402,8 +1617,7 @@ mod tests {
                         proc,
                         &params,
                         reference::merge_chains,
-                        reference::span_score_dense,
-                        false,
+                        reference::span_score_dense
                     ),
                     "proc {} ({:?})", p, h
                 );

@@ -55,8 +55,8 @@ mod stitcher;
 pub use cfa::{cfa_layout, CfaReport};
 pub use chain::{chain_all, chain_proc};
 pub use exttsp::{
-    block_bytes, exttsp_layout, exttsp_proc_order, exttsp_score, span_score, BACKWARD_WINDOW,
-    FORWARD_WINDOW, SCORE_SCALE,
+    block_bytes, exttsp_layout, exttsp_proc_order, exttsp_score, span_score, ExtTspMemo,
+    BACKWARD_WINDOW, FORWARD_WINDOW, SCORE_SCALE,
 };
 pub use graph::pettis_hansen_order;
 pub use hotcold::hot_cold_layout;

@@ -2,7 +2,7 @@
 
 use crate::cfa::cfa_layout;
 use crate::chain::chain_all;
-use crate::exttsp::exttsp_layout;
+use crate::exttsp::ExtTspMemo;
 use crate::graph::pettis_hansen_order;
 use crate::hotcold::hot_cold_layout;
 use crate::params::LayoutParams;
@@ -194,6 +194,23 @@ impl<'a> LayoutPipeline<'a> {
     /// Panics if the constructed layout fails verification — that is always
     /// a bug in the optimization stages, never a property of the input.
     pub fn build_series(&self, series: LayoutSeries) -> Layout {
+        self.build_series_with(series, &mut ExtTspMemo::new(self.program, self.profile))
+    }
+
+    /// [`LayoutPipeline::build_series`], building an ext-TSP layout
+    /// through `memo`: a search that builds many ext-TSP layouts of one
+    /// profile passes the same memo to each, and gets the layouts fresh
+    /// builds give. Other series do not read it.
+    ///
+    /// # Panics
+    /// As [`LayoutPipeline::build_series`], and if `memo` is not over the
+    /// pipeline's program and profile (the same objects, not equal
+    /// copies).
+    pub fn build_series_with(&self, series: LayoutSeries, memo: &mut ExtTspMemo<'_>) -> Layout {
+        assert!(
+            memo.is_over(self.program, self.profile),
+            "ext-TSP memo is over another program or profile"
+        );
         let _span = codelayout_obs::span("layout");
         codelayout_obs::metrics().add("layout.builds", 1);
         let (program, profile, params) = (self.program, self.profile, &self.params);
@@ -201,7 +218,7 @@ impl<'a> LayoutPipeline<'a> {
             LayoutSeries::Paper(set) => self.paper_layout(set),
             LayoutSeries::HotCold => hot_cold_layout(program, profile, params),
             LayoutSeries::Cfa => cfa_layout(program, profile, params).0,
-            LayoutSeries::ExtTsp => exttsp_layout(program, profile, params),
+            LayoutSeries::ExtTsp => memo.layout(params),
             LayoutSeries::Stitcher => stitcher_layout(program, profile, params),
         };
         let verify_span = codelayout_obs::span("verify");

@@ -6,7 +6,8 @@
 //! optimizes — not a reimplementation that could drift.
 
 use codelayout_core::{
-    exttsp_proc_order, exttsp_score, LayoutParams, LayoutPipeline, LayoutSeries, OptimizationSet,
+    exttsp_layout, exttsp_proc_order, exttsp_score, ExtTspMemo, LayoutParams, LayoutPipeline,
+    LayoutSeries, OptimizationSet, ParamKnob, ParamSpace,
 };
 use codelayout_ir::link::link;
 use codelayout_ir::testgen::{random_program, GenConfig};
@@ -107,6 +108,72 @@ proptest! {
             "seed {}: exttsp score {} < chain+porder score {}",
             seed, s_exttsp, s_ph
         );
+    }
+
+    /// One ext-TSP memo reused across a random sequence of parameter
+    /// points builds, at each point, the layout a fresh build gives. Like
+    /// the tuner's descent, most points move one knob of the previous
+    /// point, so later points repeat merges and chain candidates; the
+    /// others redraw every knob. Each `exttsp.*` knob and
+    /// `chain.min_edge_weight` draws from its grid, and half the
+    /// `split_cap` draws are `n - 2 ..= n + 1` for the block count `n` of
+    /// the largest or of a random procedure, where the memo's clamp of the
+    /// cap to `n` decides. Every other point goes through the pipeline's
+    /// memo-taking form.
+    #[test]
+    fn exttsp_memo_builds_equal_fresh_builds(
+        seed in 0u64..10_000,
+        pseed in 0u64..1_000,
+        dseed in 0u64..1_000,
+    ) {
+        let cfg = GenConfig { max_blocks: 48, ..GenConfig::default() };
+        let program = random_program(seed, &cfg);
+        let profile = random_profile(&program, pseed);
+        let sizes: Vec<u64> = program.procs.iter().map(|p| p.blocks.len() as u64).collect();
+        let largest = sizes.iter().copied().max().unwrap_or(0);
+        let space = ParamSpace::for_series(LayoutSeries::ExtTsp);
+        let names: Vec<&str> = space.knobs().iter().map(|k| k.name()).collect();
+        prop_assert_eq!(
+            names,
+            [
+                "chain.min_edge_weight",
+                "exttsp.jump_weight",
+                "exttsp.forward_window",
+                "exttsp.backward_window",
+                "exttsp.split_cap",
+            ]
+        );
+        let mut rng = StdRng::seed_from_u64(dseed);
+        let draw = |knob: &ParamKnob, rng: &mut StdRng| {
+            if knob.name() == "exttsp.split_cap" && rng.gen_bool(0.5) {
+                let n = if rng.gen_bool(0.5) { largest } else { sizes[rng.gen_range(0..sizes.len())] };
+                (n + rng.gen_range(0..=3)).saturating_sub(2)
+            } else {
+                knob.values()[rng.gen_range(0..knob.values().len())]
+            }
+        };
+        let mut memo = ExtTspMemo::new(&program, &profile);
+        let mut params = LayoutParams::default();
+        for step in 0..rng.gen_range(1..=16) {
+            if step == 0 || rng.gen_bool(0.3) {
+                for knob in space.knobs() {
+                    let value = draw(knob, &mut rng);
+                    knob.set(&mut params, value);
+                }
+            } else {
+                let knob = &space.knobs()[rng.gen_range(0..space.len())];
+                let value = draw(knob, &mut rng);
+                knob.set(&mut params, value);
+            }
+            let fresh = exttsp_layout(&program, &profile, &params);
+            let reused = if step % 2 == 0 {
+                memo.layout(&params)
+            } else {
+                LayoutPipeline::with_params(&program, &profile, params)
+                    .build_series_with(LayoutSeries::ExtTsp, &mut memo)
+            };
+            prop_assert_eq!(reused, fresh, "step {} at {:?}", step, params);
+        }
     }
 
     /// The two new passes preserve semantics under real execution, like

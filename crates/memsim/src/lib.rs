@@ -21,8 +21,8 @@
 //!   [`SweepSink`] (the harness streams its live measurement passes into
 //!   it, the autotuner its remapped window, the serving loop its epoch
 //!   windows); it is the only grid simulator a run uses;
-//! * [`on_lanes`] — independent items spread over scoped threads, results
-//!   in item order; [`ParallelSweep`] replays a recorded
+//! * [`on_lanes`] — independent items claimed in item order by lanes of
+//!   scoped threads, results in item order; [`ParallelSweep`] replays a recorded
 //!   [`codelayout_vm::FrozenTrace`] through [`SweepSpec`] jobs that way,
 //!   one simulator per job on either [`SweepEngine`] (a [`GridSink`], or
 //!   the direct [`SweepSink`] oracle), for the tests and the benchmark's

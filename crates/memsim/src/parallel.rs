@@ -44,6 +44,7 @@ use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::{SweepCell, SweepSink};
 use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One (line size, CPU) profiler covering every configuration of that
 /// line size, plus the routing inputs [`GridSink::new`] bakes into the
@@ -316,14 +317,20 @@ impl TraceSink for GridSink {
 
 /// `f` of every item, in item order, computed on up to `lanes` lanes:
 /// lane 0 is the calling thread, each other lane a scoped thread under a
-/// root span named `span`. Lane `l` takes items `l`, `l + lanes`, …
-/// With helper lanes, lane 0's wait for them after its own items is a
-/// `lane_wait` span.
+/// root span named `span`. Each lane claims the next unclaimed item from
+/// a shared counter, in item order, until none is left, so a lane that
+/// finishes a cheap item takes the next one instead of idling while
+/// another lane works through its share. A caller that lists its
+/// costliest items first keeps a costly item from starting last. Which
+/// lane runs which item follows timing; nothing else does. With helper
+/// lanes, lane 0's wait for them after the last claim is a `lane_wait`
+/// span.
 ///
 /// ```
-/// let items: Vec<u64> = (0..11).collect();
-/// let squares = codelayout_memsim::on_lanes(3, "lane", &items, |&i| i * i);
-/// assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+/// // Item 0 costs the most; the other lanes claim the rest meanwhile.
+/// let costs: Vec<u64> = vec![400_000, 3, 1, 4, 1, 5, 9, 2, 6];
+/// let sums = codelayout_memsim::on_lanes(3, "lane", &costs, |&n| (0..n).sum::<u64>());
+/// assert_eq!(sums, costs.iter().map(|&n| (0..n).sum::<u64>()).collect::<Vec<_>>());
 /// ```
 pub fn on_lanes<T: Sync, R: Send>(
     lanes: usize,
@@ -332,20 +339,27 @@ pub fn on_lanes<T: Sync, R: Send>(
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let lanes = lanes.clamp(1, items.len().max(1));
-    let lane = |l: usize| -> Vec<(usize, R)> {
-        let picked = items.iter().enumerate().skip(l).step_by(lanes);
-        picked.map(|(i, item)| (i, f(item))).collect()
+    let next = AtomicUsize::new(0);
+    let lane = || -> Vec<(usize, R)> {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return out;
+            };
+            out.push((i, f(item)));
+        }
     };
     let mut out = std::thread::scope(|s| {
         let helpers: Vec<_> = (1..lanes)
-            .map(|l| {
-                s.spawn(move || {
+            .map(|_| {
+                s.spawn(|| {
                     let _span = codelayout_obs::span(span);
-                    lane(l)
+                    lane()
                 })
             })
             .collect();
-        let mut out = lane(0);
+        let mut out = lane();
         let _wait = (lanes > 1).then(|| codelayout_obs::span("lane_wait"));
         for h in helpers {
             out.extend(h.join().expect("lane panicked"));
@@ -593,5 +607,38 @@ mod tests {
             .map(|c| c.config)
             .collect();
         assert_eq!(cells_config_order, SweepSpec::paper_grid(1).configs());
+    }
+
+    /// Every item runs exactly once and results come back in item
+    /// order, whatever the lane count and however uneven the items'
+    /// costs: the first item is costlier than all others together, and
+    /// every seventh is costlier than its neighbours.
+    #[test]
+    fn lanes_claim_every_item_once_and_return_item_order() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let cost = |i: u64| match i {
+            0 => 2_000_000,
+            i if i % 7 == 3 => 200_000,
+            i => i,
+        };
+        for n in [0, 1, 2, 5, 20] {
+            let items: Vec<u64> = (0..n).collect();
+            for lanes in [1, 2, 3, 7, 32] {
+                let runs: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
+                let got = on_lanes(lanes, "test_lane", &items, |&i| {
+                    runs[i as usize].fetch_add(1, Ordering::Relaxed);
+                    let spin = (0..cost(i)).fold(i, |acc, x| acc.wrapping_mul(31) ^ x);
+                    (i, std::hint::black_box(spin))
+                });
+                assert_eq!(got.len(), items.len(), "{n} items on {lanes} lanes");
+                for (k, &(i, _)) in got.iter().enumerate() {
+                    assert_eq!(i, k as u64, "{n} items on {lanes} lanes: out of order");
+                }
+                for (i, r) in runs.iter().enumerate() {
+                    let r = r.load(Ordering::Relaxed);
+                    assert_eq!(r, 1, "item {i} of {n} ran {r} times on {lanes} lanes");
+                }
+            }
+        }
     }
 }

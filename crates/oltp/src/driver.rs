@@ -12,7 +12,7 @@ use crate::kernel::{gen_kernel, KernelSpec, SYS_LOG_WRITE, SYS_RECEIVE, SYS_REPL
 use crate::scenario::Scenario;
 use crate::sga::{priv_words, words, Invariants, SgaLayout};
 use codelayout_analysis::{validate_translation, ValidationError};
-use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries, ProfileSource};
+use codelayout_core::{ExtTspMemo, LayoutPipeline, LayoutRequest, LayoutSeries, ProfileSource};
 use codelayout_ir::link::link;
 use codelayout_ir::{Image, IrError, Layout, Program, Reg};
 use codelayout_profile::{profile_from_block_samples, PixieCollector, Profile, SampledCollector};
@@ -323,6 +323,26 @@ impl Study {
         let req = req.into();
         LayoutPipeline::with_params(&self.app.program, &self.profile_for(&req), req.params)
             .build_series(req.series)
+    }
+
+    /// An empty ext-TSP memo over the application and its measured
+    /// profile, for [`Study::layout_with`].
+    pub fn exttsp_memo(&self) -> ExtTspMemo<'_> {
+        ExtTspMemo::new(&self.app.program, &self.profile)
+    }
+
+    /// [`Study::layout`], building an ext-TSP layout through `memo` (see
+    /// [`LayoutPipeline::build_series_with`]): a search over many ext-TSP
+    /// parameter points keeps one memo from [`Study::exttsp_memo`] across
+    /// its builds.
+    ///
+    /// # Panics
+    /// Panics if the request reads another profile than the measured one,
+    /// which `memo` is over.
+    pub fn layout_with(&self, req: impl Into<LayoutRequest>, memo: &mut ExtTspMemo<'_>) -> Layout {
+        let req = req.into();
+        LayoutPipeline::with_params(&self.app.program, &self.profile_for(&req), req.params)
+            .build_series_with(req.series, memo)
     }
 
     /// Links and validates the application image for a request.

@@ -16,7 +16,11 @@
 //!    Sequential fetch makes runs long — on `sim`, a million fetches
 //!    are about 221 k runs.
 //! 2. **Score each distinct block order once.** For each candidate
-//!    parameter point, build the layout ([`codelayout_oltp::Study::layout`]).
+//!    parameter point, build the layout
+//!    ([`codelayout_oltp::Study::layout_with`]; the `exttsp` family
+//!    keeps one [`codelayout_core::ExtTspMemo`] across its builds, so a
+//!    procedure's merge at knobs an earlier candidate had is reused, and
+//!    drops it when the family ends).
 //!    The score is a pure function of the layout's block order, so a
 //!    per-family memo keyed by the whole order (compared element by
 //!    element, never by a hash alone) answers an order the family's
@@ -46,22 +50,26 @@
 //!    candidate order once every family's search has ended.
 //!
 //! **Lanes.** The families share nothing mutable: each searches its own
-//! space under its own seed, memo and candidate budget, against the same
+//! space under its own seed, memos and candidate budget, against the same
 //! read-only window, grid and yardstick orders. So each family's whole
 //! search (default, descent, restarts) is one item on
 //! [`TuneConfig::sweep_threads`] lanes, in a `tune_family` span. Lane 0
 //! is the calling thread, the others are scoped threads under a
-//! `tune_lane` root span. Within a family the search is sequential and
-//! scores one point at a time, so each distinct order is linked,
-//! validated and replayed once per family, whatever the lane count. When
-//! the lanes join, the calling thread numbers the candidates family by
-//! family in [`TuneConfig::series`] order and emits their events and
-//! `tune.*` counters. Candidate indices, events, counters, cache and
-//! layout hits, the budget and the trajectory therefore cannot depend on
-//! the lane count. There is one item per searched family (four by
-//! default), so lanes beyond that sit idle, and the slowest family bounds
-//! the search. Before the search, the fixed yardsticks are scored side
-//! by side on the lanes too, each into its own memo.
+//! `tune_lane` root span. The lanes claim the families costliest first:
+//! in descending order of their space's size, the product of its knobs'
+//! value counts (`exttsp`, `stitcher`, `hotcold`, `all` by default), so
+//! the longest search starts at once. Within a family the search is
+//! sequential and scores one point at a time, so each distinct order is
+//! linked, validated and replayed once per family, whatever the lane
+//! count. When the lanes join, the calling thread numbers the candidates
+//! family by family in [`TuneConfig::series`] order and emits their
+//! events and `tune.*` counters. Candidate indices, events, counters,
+//! cache and layout hits, the budget and the trajectory therefore cannot
+//! depend on the lane count or the claim order. There is one item per
+//! searched family (four by default), so lanes beyond that sit idle, and
+//! the slowest family bounds the search. Before the search, the fixed
+//! yardsticks are scored side by side on the lanes too, each into its
+//! own memo.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -81,7 +89,7 @@
 #![warn(missing_docs)]
 
 use codelayout_core::{
-    LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
+    ExtTspMemo, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
 };
 use codelayout_ir::{BlockId, Image, Layout};
 use codelayout_memsim::{GridSink, StreamFilter, SweepSpec};
@@ -518,8 +526,9 @@ struct Lab<'a> {
     window: Vec<WindowRun>,
     nblocks: usize,
     lanes: usize,
-    /// Take an order already scored from the memo. Off only in the tests
-    /// that check the memo against fresh evaluations.
+    /// Take an order already scored from the order memo, and build
+    /// ext-TSP layouts through the family's ext-TSP memo. Off only in the
+    /// tests that check both memos against fresh evaluations.
     memoize: bool,
 }
 
@@ -535,19 +544,28 @@ impl Lab<'_> {
     }
 
     /// Scores one layout request on the calling thread: builds the
-    /// layout, then links, validates and replays its block order unless
-    /// `memo` has it, and records it in `memo`. Validation is
-    /// unconditional for every order scored — a layout the validator
-    /// rejects can never win, whatever the cache says.
-    fn evaluate(&self, req: LayoutRequest, memo: &mut OrderMemo) -> Evaluation {
-        let layout = self.study.layout(req);
-        if self.memoize {
-            if let Some(ev) = memo.get(&layout.order) {
-                return ev.clone();
-            }
+    /// layout (an ext-TSP one through `exttsp`), then links, validates
+    /// and replays its block order unless `orders` has it, and records it
+    /// in `orders`. Validation is unconditional for every order scored —
+    /// a layout the validator rejects can never win, whatever the cache
+    /// says.
+    fn evaluate(
+        &self,
+        req: LayoutRequest,
+        orders: &mut OrderMemo,
+        exttsp: &mut ExtTspMemo<'_>,
+    ) -> Evaluation {
+        if !self.memoize {
+            let layout = self.study.layout(req);
+            let ev = self.score(&layout);
+            return orders.record(layout.order, ev);
+        }
+        let layout = self.study.layout_with(req, exttsp);
+        if let Some(ev) = orders.get(&layout.order) {
+            return ev.clone();
         }
         let ev = self.score(&layout);
-        memo.record(layout.order, ev)
+        orders.record(layout.order, ev)
     }
 
     /// Links, validates and replays one layout.
@@ -576,7 +594,7 @@ impl Lab<'_> {
 
 /// One family's search: everything it changes, owned by the lane that
 /// runs it.
-struct FamilySearch {
+struct FamilySearch<'a> {
     series: LayoutSeries,
     space: ParamSpace,
     budget: u64,
@@ -584,6 +602,9 @@ struct FamilySearch {
     /// Every block order the family's search scored, seeded with the
     /// family's fixed yardstick.
     orders: OrderMemo,
+    /// What the family's ext-TSP builds reuse from one another (only the
+    /// `exttsp` family fills it).
+    exttsp: ExtTspMemo<'a>,
     /// Numbers of the block orders charged so far.
     charged_orders: BTreeSet<usize>,
     evaluated: u64,
@@ -596,14 +617,15 @@ struct FamilySearch {
     trajectory: Vec<CandidateRecord>,
 }
 
-impl FamilySearch {
-    fn new(series: LayoutSeries, budget: u64, orders: OrderMemo) -> Self {
+impl<'a> FamilySearch<'a> {
+    fn new(series: LayoutSeries, budget: u64, orders: OrderMemo, exttsp: ExtTspMemo<'a>) -> Self {
         FamilySearch {
             series,
             space: ParamSpace::for_series(series),
             budget,
             cache: BTreeMap::new(),
             orders,
+            exttsp,
             charged_orders: BTreeSet::new(),
             evaluated: 0,
             cache_hits: 0,
@@ -644,7 +666,7 @@ impl FamilySearch {
             cells,
             validated,
             order,
-        } = lab.evaluate(self.request(point), &mut self.orders);
+        } = lab.evaluate(self.request(point), &mut self.orders, &mut self.exttsp);
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
@@ -788,7 +810,8 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
 }
 
 /// [`run_tune`], taking already-scored block orders from the order memo
-/// only when `memoize` is set.
+/// and building ext-TSP layouts through the family's ext-TSP memo only
+/// when `memoize` is set.
 fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let _span = codelayout_obs::span("tune");
     let start = Instant::now();
@@ -832,35 +855,52 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let comparison = LayoutSeries::comparison();
     let fixed_evals = lab.on_lanes(&comparison, |&series| {
         let mut memo = OrderMemo::default();
-        let ev = lab.evaluate(series.into(), &mut memo);
+        let ev = lab.evaluate(series.into(), &mut memo, &mut study.exttsp_memo());
         (memo, ev)
     });
     fixed_span.finish();
 
     let search_span = codelayout_obs::span("tune_search");
-    let searched: Vec<LayoutSeries> = cfg
+    // The searched families, numbered in series order, costliest first:
+    // the lanes claim them in this order, so the largest space starts
+    // at once instead of after a small one. A space's size is the
+    // product of its knobs' value counts.
+    let mut searched: Vec<(usize, LayoutSeries)> = cfg
         .series
         .iter()
         .copied()
         .filter(|&s| !ParamSpace::for_series(s).is_empty())
+        .enumerate()
         .collect();
-    let searches = lab.on_lanes(&searched, |&series| {
+    searched.sort_by_cached_key(|&(_, series)| {
+        let space = ParamSpace::for_series(series);
+        let points: u64 = space
+            .knobs()
+            .iter()
+            .map(|k| k.values().len() as u64)
+            .product();
+        std::cmp::Reverse(points)
+    });
+    let mut searches = lab.on_lanes(&searched, |&(nth, series)| {
         let _span = codelayout_obs::span("tune_family");
         let orders = comparison
             .iter()
             .position(|&s| s == series)
             .map(|i| fixed_evals[i].0.clone())
             .unwrap_or_default();
-        let mut fam = FamilySearch::new(series, cfg.candidates, orders);
+        let mut fam = FamilySearch::new(series, cfg.candidates, orders, study.exttsp_memo());
         fam.run(&lab, cfg.seed ^ fnv1a(series.label()));
-        // The memo is dropped when the family ends, not at the join.
+        // The memos are dropped when the family ends, not at the join.
         fam.orders = OrderMemo::default();
-        fam
+        fam.exttsp = study.exttsp_memo();
+        (nth, fam)
     });
+    // Published in series order, whatever order the lanes ran them in.
+    searches.sort_by_key(|&(nth, _)| nth);
     let mut trajectory = Vec::new();
     let families: Vec<FamilyResult> = searches
         .into_iter()
-        .filter_map(|fam| fam.publish(&mut trajectory))
+        .filter_map(|(_, fam)| fam.publish(&mut trajectory))
         .collect();
     search_span.finish();
 
@@ -1036,12 +1076,13 @@ mod tests {
         }
     }
 
-    /// The search scored through the order memo reports byte for byte
-    /// what it reports when every candidate is linked, validated and
-    /// replayed afresh, at 1 and 3 lanes and at `CODELAYOUT_THREADS`
-    /// lanes, where families search side by side. Each family's layout
-    /// hits are its charged points whose block order an earlier charged
-    /// point of the family had, counted here by rebuilding every layout.
+    /// The search through the order memo and the ext-TSP memo reports
+    /// byte for byte what it reports when every candidate's layout is
+    /// built with a fresh ext-TSP memo and linked, validated and replayed
+    /// afresh, at 1 and 3 lanes and at `CODELAYOUT_THREADS` lanes, where
+    /// families search side by side. Each family's layout hits are its
+    /// charged points whose block order an earlier charged point of the
+    /// family had, counted here by rebuilding every layout.
     #[test]
     fn memoized_scoring_equals_fresh_evaluation() {
         let study = build_study(&Scenario::quick());
