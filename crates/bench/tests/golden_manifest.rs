@@ -32,15 +32,17 @@ use codelayout_bench::{figures, Harness};
 use codelayout_obs::manifest::{mask_volatile, validate_manifest};
 use codelayout_oltp::{MixPhase, Scenario};
 use codelayout_serve::ServeConfig;
-use serde_json::{Map, Value};
+use serde_json::Value;
 
 #[test]
 fn manifest_quick_schema_matches_golden_snapshot() {
-    // The harness measures light layouts on `CODELAYOUT_THREADS` lanes,
-    // and which roots the spans land under follows the lane count. Pin
-    // two lanes (before anything reads the environment) so the snapshot,
-    // `measure_lane` root included, is the same on every host.
-    std::env::set_var(codelayout_obs::env::THREADS_ENV, "2");
+    // The harness, the tuner and the serving loop spread their work on
+    // `CODELAYOUT_THREADS` lanes, and with two or more, which lane runs
+    // which item (so which root its spans land under) follows timing.
+    // Pin one lane (before anything reads the environment) so every
+    // figure's phase tree is exact and the same on every host;
+    // `measure_lanes.rs` checks the helper lanes' spans.
+    std::env::set_var(codelayout_obs::env::THREADS_ENV, "1");
     // The harness writes results/ relative to the working directory;
     // keep test artifacts out of the source tree.
     let scratch = std::env::temp_dir().join(format!("codelayout-golden-{}", std::process::id()));
@@ -95,7 +97,7 @@ fn manifest_quick_schema_matches_golden_snapshot() {
         "phase coverage {coverage:.2}% < 95% — untracked wall time in the run"
     );
 
-    let got = merge_measured_passes(&mask_volatile(&manifest));
+    let got = mask_volatile(&manifest);
 
     snapshot::check(
         &got,
@@ -106,70 +108,4 @@ fn manifest_quick_schema_matches_golden_snapshot() {
          {cmd}\n\
          and review the JSON diff in the same commit.",
     );
-}
-
-/// `manifest` with every `measure/layout` node of its phase trees given
-/// the union of their children. Which pass spans (`chain`, `exttsp`, …)
-/// a lane's `measure/layout` records follows which requests the lane
-/// measured, and lanes claim requests as they free up, so that split
-/// follows the host's timing. The union pins the pass names without
-/// pinning the split.
-fn merge_measured_passes(manifest: &Value) -> Value {
-    fn is_measured_layout(name: &str, parent: &str) -> bool {
-        parent == "measure" && name == "layout"
-    }
-    fn collect(node: &Value, parent: &str, union: &mut Vec<Value>) {
-        let name = node.get("name").as_str().unwrap_or_default();
-        let children = node.get("children").as_array().into_iter().flatten();
-        for c in children {
-            if is_measured_layout(name, parent) {
-                if !union.iter().any(|u| u.get("name") == c.get("name")) {
-                    union.push(c.clone());
-                }
-            } else {
-                collect(c, name, union);
-            }
-        }
-    }
-    fn rebuild(node: &Value, parent: &str, union: &[Value]) -> Value {
-        let Value::Object(map) = node else {
-            return node.clone();
-        };
-        let name = node.get("name").as_str().unwrap_or_default();
-        let entries = map.iter().map(|(k, v)| {
-            let v = match v {
-                Value::Array(_) if k == "children" && is_measured_layout(name, parent) => {
-                    Value::from(union.to_vec())
-                }
-                Value::Array(cs) if k == "children" => {
-                    Value::Array(cs.iter().map(|c| rebuild(c, name, union)).collect())
-                }
-                _ => v.clone(),
-            };
-            (k.clone(), v)
-        });
-        Value::from(entries.collect::<Map>())
-    }
-    let roots = manifest
-        .get("phases")
-        .as_array()
-        .expect("phases is an array");
-    let mut union = Vec::new();
-    for root in roots {
-        collect(root, "", &mut union);
-    }
-    union.sort_by(|a, b| a.get("name").as_str().cmp(&b.get("name").as_str()));
-    let Value::Object(map) = manifest else {
-        panic!("the manifest is an object");
-    };
-    let entries = map.iter().map(|(k, v)| {
-        let v = match v {
-            Value::Array(rs) if k == "phases" => {
-                Value::Array(rs.iter().map(|r| rebuild(r, "", &union)).collect())
-            }
-            _ => v.clone(),
-        };
-        (k.clone(), v)
-    });
-    Value::from(entries.collect::<Map>())
 }

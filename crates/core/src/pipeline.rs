@@ -203,14 +203,10 @@ impl<'a> LayoutPipeline<'a> {
     /// builds give. Other series do not read it.
     ///
     /// # Panics
-    /// As [`LayoutPipeline::build_series`], and if `memo` is not over the
-    /// pipeline's program and profile (the same objects, not equal
-    /// copies).
+    /// As [`LayoutPipeline::build_series`], and on an ext-TSP build if
+    /// `memo` is not over the pipeline's program and profile (the same
+    /// objects, not equal copies).
     pub fn build_series_with(&self, series: LayoutSeries, memo: &mut ExtTspMemo<'_>) -> Layout {
-        assert!(
-            memo.is_over(self.program, self.profile),
-            "ext-TSP memo is over another program or profile"
-        );
         let _span = codelayout_obs::span("layout");
         codelayout_obs::metrics().add("layout.builds", 1);
         let (program, profile, params) = (self.program, self.profile, &self.params);
@@ -218,7 +214,13 @@ impl<'a> LayoutPipeline<'a> {
             LayoutSeries::Paper(set) => self.paper_layout(set),
             LayoutSeries::HotCold => hot_cold_layout(program, profile, params),
             LayoutSeries::Cfa => cfa_layout(program, profile, params).0,
-            LayoutSeries::ExtTsp => memo.layout(params),
+            LayoutSeries::ExtTsp => {
+                assert!(
+                    memo.is_over(program, profile),
+                    "ext-TSP memo is over another program or profile"
+                );
+                memo.layout(params)
+            }
             LayoutSeries::Stitcher => stitcher_layout(program, profile, params),
         };
         let verify_span = codelayout_obs::span("verify");

@@ -325,20 +325,14 @@ impl Study {
             .build_series(req.series)
     }
 
-    /// An empty ext-TSP memo over the application and its measured
-    /// profile, for [`Study::layout_with`].
-    pub fn exttsp_memo(&self) -> ExtTspMemo<'_> {
-        ExtTspMemo::new(&self.app.program, &self.profile)
-    }
-
     /// [`Study::layout`], building an ext-TSP layout through `memo` (see
     /// [`LayoutPipeline::build_series_with`]): a search over many ext-TSP
-    /// parameter points keeps one memo from [`Study::exttsp_memo`] across
-    /// its builds.
+    /// parameter points keeps one memo over the application and its
+    /// measured profile across its builds.
     ///
     /// # Panics
-    /// Panics if the request reads another profile than the measured one,
-    /// which `memo` is over.
+    /// Panics on an ext-TSP request that reads another profile than the
+    /// measured one, which `memo` is over.
     pub fn layout_with(&self, req: impl Into<LayoutRequest>, memo: &mut ExtTspMemo<'_>) -> Layout {
         let req = req.into();
         LayoutPipeline::with_params(&self.app.program, &self.profile_for(&req), req.params)

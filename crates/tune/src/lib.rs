@@ -18,9 +18,10 @@
 //! 2. **Score each distinct block order once.** For each candidate
 //!    parameter point, build the layout
 //!    ([`codelayout_oltp::Study::layout_with`]; the `exttsp` family
-//!    keeps one [`codelayout_core::ExtTspMemo`] across its builds, so a
-//!    procedure's merge at knobs an earlier candidate had is reused, and
-//!    drops it when the family ends).
+//!    keeps one [`codelayout_core::ExtTspMemo`] across its builds,
+//!    starting from the `exttsp` yardstick's, so a procedure's merge at
+//!    knobs an earlier build had is reused, and drops it when the family
+//!    ends).
 //!    The score is a pure function of the layout's block order, so a
 //!    per-family memo keyed by the whole order (compared element by
 //!    element, never by a hash alone) answers an order the family's
@@ -100,6 +101,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Cache sizes (KB) of the fitness-oracle grid. Deliberately extends
@@ -602,8 +604,8 @@ struct FamilySearch<'a> {
     /// Every block order the family's search scored, seeded with the
     /// family's fixed yardstick.
     orders: OrderMemo,
-    /// What the family's ext-TSP builds reuse from one another (only the
-    /// `exttsp` family fills it).
+    /// What the family's ext-TSP builds reuse from one another, seeded
+    /// with the yardstick's build (only the `exttsp` family fills it).
     exttsp: ExtTspMemo<'a>,
     /// Numbers of the block orders charged so far.
     charged_orders: BTreeSet<usize>,
@@ -849,14 +851,17 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
     // grid, so the comparison is apples-to-apples and deterministic. A
-    // searched family's memo starts as its yardstick's: the family's
-    // default point is the same series at the same parameters.
+    // searched family's memos start as its yardstick's: the family's
+    // default point is the same series at the same parameters. The
+    // family takes the yardstick's ext-TSP memo, so it is freed with the
+    // family's.
     let fixed_span = codelayout_obs::span("tune_fixed");
     let comparison = LayoutSeries::comparison();
+    let new_exttsp = || ExtTspMemo::new(&study.app.program, &study.profile);
     let fixed_evals = lab.on_lanes(&comparison, |&series| {
-        let mut memo = OrderMemo::default();
-        let ev = lab.evaluate(series.into(), &mut memo, &mut study.exttsp_memo());
-        (memo, ev)
+        let (mut orders, mut exttsp) = (OrderMemo::default(), new_exttsp());
+        let ev = lab.evaluate(series.into(), &mut orders, &mut exttsp);
+        (orders, Mutex::new(Some(exttsp)), ev)
     });
     fixed_span.finish();
 
@@ -883,16 +888,21 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     });
     let mut searches = lab.on_lanes(&searched, |&(nth, series)| {
         let _span = codelayout_obs::span("tune_family");
-        let orders = comparison
+        let yardstick = comparison
             .iter()
             .position(|&s| s == series)
-            .map(|i| fixed_evals[i].0.clone())
+            .map(|i| &fixed_evals[i]);
+        let orders = yardstick
+            .map(|(orders, ..)| orders.clone())
             .unwrap_or_default();
-        let mut fam = FamilySearch::new(series, cfg.candidates, orders, study.exttsp_memo());
+        let exttsp = yardstick
+            .and_then(|(_, exttsp, _)| exttsp.lock().expect("yardstick memo poisoned").take())
+            .unwrap_or_else(new_exttsp);
+        let mut fam = FamilySearch::new(series, cfg.candidates, orders, exttsp);
         fam.run(&lab, cfg.seed ^ fnv1a(series.label()));
         // The memos are dropped when the family ends, not at the join.
         fam.orders = OrderMemo::default();
-        fam.exttsp = study.exttsp_memo();
+        fam.exttsp = new_exttsp();
         (nth, fam)
     });
     // Published in series order, whatever order the lanes ran them in.
@@ -907,7 +917,7 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let fixed = comparison
         .into_iter()
         .zip(fixed_evals)
-        .map(|(series, (_, ev))| FixedResult {
+        .map(|(series, (_, _, ev))| FixedResult {
             series,
             score: ev.score,
             cells: ev.cells,
