@@ -610,17 +610,18 @@ pub fn compare(h: &mut Harness) -> Value {
     for series in series_list {
         let label = series.label();
         let req = LayoutRequest::from(series);
-        let (misses, user_fetches, text_bytes, score) = {
+        let (misses, user_fetches, text_bytes, score, layout) = {
             let d = h.run_request(req);
             (
                 misses_by_size(&d.sizes_4w_user),
                 d.user_fetches,
                 d.text_bytes,
                 d.exttsp_score,
+                d.layout.clone(),
             )
         };
         scores.push((series, score));
-        let lints = crate::lint::lint_series_cells(&h.study, req);
+        let lints = crate::lint::lint_series_cells(&h.study, series, &layout);
         let (deny, warn, info) = (
             crate::lint::count(&lints, codelayout_analysis::Severity::Deny),
             crate::lint::count(&lints, codelayout_analysis::Severity::Warn),

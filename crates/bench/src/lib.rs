@@ -33,8 +33,8 @@
 //!
 //! Every grid is named by a [`codelayout_memsim::SweepSpec`] and fed
 //! through a [`GridSink`], the single-pass stack-distance profiler (one
-//! Mattson stack per line size answers every size × associativity at
-//! once). The tests hold every measurement to a serial replay into
+//! profiler per line size answers every size × associativity in one
+//! pass). The tests hold every measurement to a serial replay into
 //! memsim's direct per-configuration oracle. The lane count honors
 //! `CODELAYOUT_THREADS`; results do not depend on it.
 
@@ -46,6 +46,7 @@ pub mod figures;
 pub mod lint;
 
 use codelayout_core::{exttsp_score, LayoutRequest, OptimizationSet};
+use codelayout_ir::Layout;
 use codelayout_memsim::{
     CacheConfig, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats, LocalityCache,
     LocalityStats, MemoryHierarchy, SequenceProfiler, SequenceStats, StreamFilter, SweepCell,
@@ -71,6 +72,9 @@ pub fn locality_config() -> CacheConfig {
 pub struct LayoutData {
     /// Layout label (paper's x-axis names).
     pub label: String,
+    /// The application layout the measured image was linked from, as
+    /// built once for this request (the `compare` figure lints it).
+    pub layout: Layout,
     /// Text size of the linked image in bytes.
     pub text_bytes: u64,
     /// ext-TSP objective score of the application layout under the
@@ -337,6 +341,7 @@ fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
         label: name,
         text_bytes: image.text_bytes(),
         exttsp_score: exttsp_score(&study.app.program, &study.profile, &layout),
+        layout,
         dm_grid_user: Vec::new(),
         sizes_4w_user: sizes_4w_user.finish(),
         sizes_4w_all: Vec::new(),
@@ -587,8 +592,11 @@ mod tests {
     /// depth feeds.
     fn replayed(study: &Study, req: LayoutRequest) -> LayoutData {
         let num_cpus = study.scenario.num_cpus;
-        let image = study.image(req);
-        let score = exttsp_score(&study.app.program, &study.profile, &study.layout(req));
+        let layout = study.layout(req);
+        let image = study
+            .link_validated(&layout)
+            .expect("pipeline layouts validate");
+        let score = exttsp_score(&study.app.program, &study.profile, &layout);
         let mut sink = TeeSink(TraceBuffer::new(), CountingSink::default());
         let outcome = study.run_measured(&image, &study.base_kernel_image, &mut sink);
         outcome.assert_correct();
@@ -600,6 +608,7 @@ mod tests {
         let user = StreamFilter::UserOnly;
         LayoutData {
             label: req.to_string(),
+            layout,
             text_bytes: image.text_bytes(),
             exttsp_score: score,
             dm_grid_user: grid(SweepSpec::paper_grid(1).cpus(num_cpus).filter(user)),
@@ -646,6 +655,7 @@ mod tests {
     fn assert_same_measurement(got: &LayoutData, want: &LayoutData, what: &str) {
         let label = &format!("{} {what}", want.label);
         assert_eq!(got.label, want.label, "{what}");
+        assert_eq!(got.layout, want.layout, "{label}");
         assert_eq!(got.text_bytes, want.text_bytes, "{label}");
         assert_eq!(got.exttsp_score, want.exttsp_score, "{label}");
         assert_eq!(got.dm_grid_user, want.dm_grid_user, "{label}");

@@ -10,8 +10,9 @@
 
 use crate::Harness;
 use codelayout_analysis::{analyze_layout, LintConfig, LintReport, Severity, TranslationReport};
-use codelayout_core::{LayoutPipeline, LayoutRequest, LayoutSeries};
+use codelayout_core::{LayoutPipeline, LayoutSeries};
 use codelayout_ir::link::link;
+use codelayout_ir::Layout;
 use codelayout_oltp::Study;
 use codelayout_vm::{APP_TEXT_BASE, KERNEL_TEXT_BASE};
 use serde_json::{json, Value};
@@ -37,44 +38,49 @@ pub struct LintCell {
 pub fn lint_study(study: &Study) -> Vec<LintCell> {
     let mut cells = Vec::new();
     for series in LayoutSeries::lint_matrix() {
-        cells.extend(lint_series_cells(study, series.into()));
+        cells.extend(lint_series_cells(study, series, &study.layout(series)));
     }
     cells
 }
 
-/// Runs validation + lints for one request's app and kernel layouts —
+/// Runs validation + lints for one series' app and kernel layouts —
 /// the two cells [`lint_study`] produces per series, reused by the
-/// comparison table for its rows. The app cell analyses exactly the
-/// layout the request measures ([`Study::layout`]); the kernel cell
-/// lays the kernel out with the measured kernel profile. Both are
-/// judged against the measured profiles, so lints flag what the
-/// workload actually executes.
-pub fn lint_series_cells(study: &Study, req: LayoutRequest) -> Vec<LintCell> {
-    let series = req.series;
+/// comparison table for its rows. The app cell analyses `app_layout`,
+/// the layout the caller measured (the comparison table passes the
+/// harness's [`LayoutData::layout`](crate::LayoutData::layout), so no
+/// layout is built twice); the kernel cell lays the kernel out with the
+/// measured kernel profile. Both are judged against the measured
+/// profiles, so lints flag what the workload actually executes.
+pub fn lint_series_cells(
+    study: &Study,
+    series: LayoutSeries,
+    app_layout: &Layout,
+) -> Vec<LintCell> {
     let kernel = &study.kernel.program;
+    let kernel_layout = LayoutPipeline::new(kernel, &study.kernel_profile).build_series(series);
     let targets = [
         (
             "app",
             &study.app.program,
             &study.profile,
-            study.layout(req),
+            app_layout,
             APP_TEXT_BASE,
         ),
         (
             "kernel",
             kernel,
             &study.kernel_profile,
-            LayoutPipeline::new(kernel, &study.kernel_profile).build_series(series),
+            &kernel_layout,
             KERNEL_TEXT_BASE,
         ),
     ];
     let mut cells = Vec::new();
     for (target, program, profile, layout, base) in targets {
-        let image = link(program, &layout, base).expect("pipeline layouts link");
+        let image = link(program, layout, base).expect("pipeline layouts link");
         let (translation, report) = analyze_layout(
             program,
             profile,
-            &layout,
+            layout,
             &image,
             &LintConfig::new(series.lint_set()),
         );
@@ -222,14 +228,16 @@ pub fn render_cells_text(scenario: &str, cells: &[LintCell]) -> String {
 mod tests {
     use super::*;
     use codelayout_analysis::validate_translation;
-    use codelayout_core::OptimizationSet;
-    use codelayout_oltp::{build_study, Scenario};
+    use codelayout_core::{LayoutRequest, OptimizationSet};
+    use codelayout_oltp::Scenario;
 
     #[test]
     fn app_cell_analyses_the_requested_layout() {
-        let study = build_study(&Scenario::quick());
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
         let req: LayoutRequest = "static:all".parse().unwrap();
-        let layout = study.layout(req);
+        let layout = h.run_request(req).layout.clone();
+        assert_eq!(layout, h.study.layout(req));
+        let study = &h.study;
         let image = link(&study.app.program, &layout, APP_TEXT_BASE).unwrap();
         let (_, expected) = analyze_layout(
             &study.app.program,
@@ -238,14 +246,14 @@ mod tests {
             &image,
             &LintConfig::new(OptimizationSet::ALL),
         );
-        let cells = lint_series_cells(&study, req);
+        let cells = lint_series_cells(study, req.series, &layout);
         assert_eq!(cells[0].target, "app");
         assert_eq!(cells[0].report.to_json(), expected.to_json());
         let translation = validate_translation(&study.app.program, &layout, &image).unwrap();
         assert_eq!(cells[0].translation, Some(translation));
 
         // The measured layout differs, so the check above discriminates.
-        let measured = lint_series_cells(&study, req.series.into()).remove(0);
-        assert_ne!(measured.translation, cells[0].translation);
+        let measured = lint_series_cells(study, req.series, &study.layout(req.series));
+        assert_ne!(measured[0].translation, cells[0].translation);
     }
 }

@@ -13,9 +13,12 @@
 //! * [`SweepSink`] — the direct grid oracle: one [`ICacheSim`] per
 //!   (configuration, CPU), fed from a single trace; only the tests and
 //!   the benchmark's probes run it;
-//! * [`StackDistanceSim`] — single-pass Mattson stack-distance profiler:
-//!   exact per-configuration statistics for every size × associativity at
-//!   one line size, bit-identical to [`ICacheSim`];
+//! * [`StackDistanceSim`] — single-pass stack-distance profiler: exact
+//!   per-configuration statistics for every size × associativity at one
+//!   line size, bit-identical to [`ICacheSim`]; one level per distinct
+//!   (set count, ways), one `u64` per way holding the line and the class
+//!   that filled it, and a level walk that stops at the first level
+//!   where the line is already at the front of its set;
 //! * [`GridSink`] — one [`SweepSpec`] on the stack-distance profilers,
 //!   fed record by record on the calling thread and bit-identical to
 //!   [`SweepSink`] (the harness streams its live measurement passes into

@@ -5,8 +5,10 @@
 //! remapped window and the serving loop's epoch windows all drain into
 //! one. It holds one [`StackDistanceSim`] per (line size, CPU). A single
 //! pass over the stream yields exact misses for every size ×
-//! associativity at that line size (Mattson inclusion), so per-record
-//! cost is O(line sizes), not O(configurations). Two replay-loop
+//! associativity at that line size: a record that repeats its line
+//! costs one compare per line size, and any other stops at the first
+//! cache that already holds its line at the front of its set (LRU
+//! inclusion across set counts), not O(configurations). Two replay-loop
 //! specializations stack on top: routing is a precomputed (kernel flag,
 //! CPU) → profiler-list table instead of a per-record walk over filters,
 //! and consecutive records that repeat the previous one — same line at

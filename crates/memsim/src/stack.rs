@@ -2,76 +2,87 @@
 //!
 //! The direct sweep engine pays one [`ICacheSim`] access per
 //! (configuration, CPU) per fetched instruction — O(configs × trace).
-//! LRU caches obey the *inclusion property*: at a fixed line size and
-//! set count, the lines resident in a `W`-way LRU set are exactly the
-//! `W` most-recently-used lines mapping to that set, for **every** `W`
-//! at once. One recency ordering per set therefore answers the
-//! hit/miss question for every associativity, and one profiler per
-//! *distinct set count* (a "level") covers every cache size in the
-//! grid — the sweep becomes O(levels × trace) per line size instead of
-//! O(configs × trace).
+//! [`StackDistanceSim`] serves every configuration of one line size
+//! from one pass instead, and shares the work the configurations have
+//! in common.
 //!
-//! [`StackDistanceSim`] keeps, per level, a per-set recency list
-//! truncated to the level's largest associativity `W_max` (positions
-//! `≥ W_max` are resident in no configuration, so the tail of the full
-//! Mattson stack is never materialized — this is what keeps the cost
-//! *bounded* per access instead of O(reuse distance)). An access that
-//! finds its line at position `p` hits every configuration with
-//! `W > p`; each configuration with `W ≤ p` misses, and the entry at
-//! position `W − 1` is **precisely the line LRU would evict**, which
-//! is how the profiler reproduces the paper's displaced-line
-//! interference matrix (Figure 13) bit-for-bit: per-threshold owner
-//! bytes travel with each slot and record which class last *filled*
-//! the line in that configuration, exactly as [`ICacheSim`] tags its
-//! ways (owner `0` = invalid way, so cold fills land in the matrix's
-//! "invalid victim" column with no special casing). Every statistic in
-//! [`CacheStats`] — accesses, misses, per-class misses, the displaced
-//! matrix — is produced exactly; nothing falls back to direct
-//! simulation (the differential proptests in
-//! `tests/prop_stack_equiv.rs` are the proof).
+//! Each distinct (set count, ways) geometry is a *level*: a per-set
+//! MRU-first recency list of `ways` entries, which is exactly the LRU
+//! state of that cache. Duplicate configurations share a level and its
+//! statistics. An access that finds its line at position `p` of its set
+//! is a hit; a miss evicts the entry at position `ways − 1`, **precisely
+//! the line LRU would evict**, which is how the profiler reproduces the
+//! paper's displaced-line interference matrix (Figure 13) bit-for-bit.
+//!
+//! Each way is one `u64`: the line in the low 56 bits and the class
+//! that filled it above them (0 = invalid way, 1 = user, 2 = kernel),
+//! exactly as [`ICacheSim`] tags its ways. A hit moves the word with
+//! its filler; a miss writes the new line with the missing class. An
+//! empty way holds owner 0, so a cold fill lands in the matrix's
+//! "invalid victim" column with no special casing. A line must fit the
+//! field, so addresses must stay below `2^(56 + log2 line size)` (2^60
+//! at 16 B lines, far above the 45 bits a trace address uses); a line
+//! that does not fit panics rather than alias another.
+//!
+//! Levels are walked in ascending set count. Sets are bit-selected, so
+//! a finer level's set holds a subset of the lines of the coarser set
+//! the line maps to, and the front of every level's set is the last
+//! line accessed among those mapping to it (LRU inclusion, Hill & Smith
+//! 1989). A line at the front of its set at one level is therefore at
+//! the front at every later level, where nothing would change: the walk
+//! stops there. Every statistic in [`CacheStats`] — accesses, misses,
+//! per-class misses, the displaced matrix — is produced exactly;
+//! nothing falls back to direct simulation (the differential proptests
+//! in `tests/prop_stack_equiv.rs` and `tests/prop_stack_levels.rs` are
+//! the proof).
 //!
 //! Cost per access: the MRU fast path (sequential straight-line fetch,
 //! the common case for instruction streams) is one compare for the
 //! whole grid — the shared work the direct engine repeats per
-//! configuration. Otherwise each level scans at most `W_max` slots of
-//! one set, the same bound as a single direct simulator of the level's
-//! largest configuration.
+//! configuration. Otherwise the walk scans at most `ways` words of one
+//! set per level, up to the first level where the line is at the front
+//! of its set: at most the sum of the distinct geometries' ways, the
+//! same as one direct simulator per distinct configuration, and for a
+//! grid of direct-mapped caches one compare per level until the
+//! smallest cache that already holds the line.
+//!
+//! [`ICacheSim`]: crate::ICacheSim
 
 use crate::config::CacheConfig;
 use crate::icache::{AccessClass, CacheStats};
 
-/// Empty-slot marker; line addresses are fetch addresses shifted right
-/// by the line size, so `u64::MAX` can never be a real line.
-const INVALID: u64 = u64::MAX;
+/// Bits of a way word that hold the line; the class that filled it sits
+/// above them.
+const LINE_BITS: u32 = 56;
+/// Selects a way word's line.
+const LINE_MASK: u64 = (1 << LINE_BITS) - 1;
+/// An empty way: owner 0 and the all-ones line, which no accepted line
+/// equals.
+const EMPTY: u64 = LINE_MASK;
 
-/// Per-configuration state: geometry, caller-side tag and running
-/// statistics (owners live in the level's slot array).
+/// One configuration served: geometry, caller-side tag and the level
+/// whose statistics it reads.
 #[derive(Debug, Clone)]
 struct CfgSlot {
     config: CacheConfig,
     /// Caller-side index of this configuration (position in the job's
     /// config list), so shard results merge into the right cell.
     tag: usize,
-    stats: CacheStats,
+    /// Index into [`StackDistanceSim::levels`].
+    level: usize,
 }
 
-/// All configurations sharing one set count, simulated as one per-set
-/// recency list of `wmax` slots: the `W`-way member's content is the
-/// list's first `W` entries (LRU inclusion within a set).
+/// One (set count, ways) geometry: a per-set recency list of `ways`
+/// way words, the exact LRU state of that cache.
 #[derive(Debug, Clone)]
-struct SetLevel {
+struct Level {
     set_mask: u64,
-    /// Largest associativity at this level; the per-set list length.
-    wmax: usize,
-    /// `(ways, cfg index)` sorted ascending by ways; duplicates allowed.
-    thresholds: Vec<(u32, u32)>,
-    /// `sets × wmax` lines, MRU-first within each set.
-    lines: Vec<u64>,
-    /// `sets × wmax × thresholds.len()` owner bytes, slot-major: the
-    /// class that last filled each slot's line *in each configuration*
-    /// (fill times differ per configuration, so one byte per way as in
-    /// [`ICacheSim`] is not enough). 0 invalid, 1 user, 2 kernel.
-    owners: Vec<u8>,
+    ways: usize,
+    /// `sets × ways` way words, MRU-first within each set: the line,
+    /// and above [`LINE_BITS`] the class that filled it (0 invalid,
+    /// 1 user, 2 kernel).
+    slots: Vec<u64>,
+    stats: CacheStats,
 }
 
 /// A stack-distance profiler for every configuration of one line size,
@@ -102,9 +113,13 @@ struct SetLevel {
 pub struct StackDistanceSim {
     line_shift: u32,
     cfgs: Vec<CfgSlot>,
-    levels: Vec<SetLevel>,
-    /// Last accessed line: a repeat sits at position 0 of its set in
-    /// every level, i.e. a pure hit for the whole grid.
+    /// One per distinct geometry, in ascending (set count, ways) order:
+    /// the order the early exit relies on.
+    levels: Vec<Level>,
+    /// Last accessed line: a repeat sits at the front of its set in
+    /// every level, i.e. a pure hit for the whole grid. `u64::MAX`
+    /// before the first access; with lines of at least 2 bytes no line
+    /// equals it.
     last_line: u64,
     accesses: u64,
 }
@@ -115,48 +130,42 @@ impl StackDistanceSim {
     /// caller can route shard results back to its own config list.
     ///
     /// # Panics
-    /// Panics if a config's line size differs from `line_bytes`, or its
-    /// associativity exceeds 255.
+    /// Panics if `line_bytes` is below 2, or a config's line size
+    /// differs from it.
     pub fn new(line_bytes: u32, grid: impl IntoIterator<Item = (usize, CacheConfig)>) -> Self {
-        let mut cfgs: Vec<CfgSlot> = Vec::new();
-        let mut levels: Vec<SetLevel> = Vec::new();
-        for (tag, config) in grid {
-            assert_eq!(
-                config.line_bytes, line_bytes,
-                "config {config} in a {line_bytes}-byte-line profiler"
-            );
-            assert!(config.ways <= 255, "associativity above 255 unsupported");
-            let sets = config.sets();
-            let cfg_idx = cfgs.len() as u32;
-            match levels.iter_mut().find(|l| l.set_mask == sets - 1) {
-                Some(level) => level.thresholds.push((config.ways, cfg_idx)),
-                None => levels.push(SetLevel {
-                    set_mask: sets - 1,
-                    wmax: 0,
-                    thresholds: vec![(config.ways, cfg_idx)],
-                    lines: Vec::new(),
-                    owners: Vec::new(),
-                }),
-            }
-            cfgs.push(CfgSlot {
-                config,
-                tag,
+        assert!(line_bytes >= 2, "lines below 2 bytes unsupported");
+        let grid: Vec<(usize, CacheConfig)> = grid.into_iter().collect();
+        let geometry = |c: &CacheConfig| (c.sets(), c.ways as usize);
+        let mut geometries: Vec<(u64, usize)> = grid.iter().map(|(_, c)| geometry(c)).collect();
+        geometries.sort_unstable();
+        geometries.dedup();
+        let cfgs = grid
+            .into_iter()
+            .map(|(tag, config)| {
+                assert_eq!(
+                    config.line_bytes, line_bytes,
+                    "config {config} in a {line_bytes}-byte-line profiler"
+                );
+                let level = geometries
+                    .binary_search(&geometry(&config))
+                    .expect("listed");
+                CfgSlot { config, tag, level }
+            })
+            .collect();
+        let levels = geometries
+            .into_iter()
+            .map(|(sets, ways)| Level {
+                set_mask: sets - 1,
+                ways,
+                slots: vec![EMPTY; sets as usize * ways],
                 stats: CacheStats::default(),
-            });
-        }
-        levels.sort_by_key(|l| l.set_mask);
-        for level in &mut levels {
-            level.thresholds.sort_by_key(|&(w, _)| w);
-            level.wmax = level.thresholds.last().map_or(0, |&(w, _)| w) as usize;
-            let sets = level.set_mask as usize + 1;
-            level.lines = vec![INVALID; sets * level.wmax];
-            level.owners = vec![0; sets * level.wmax * level.thresholds.len()];
-        }
+            })
+            .collect();
         StackDistanceSim {
             line_shift: line_bytes.trailing_zeros(),
             cfgs,
             levels,
-            last_line: INVALID,
+            last_line: u64::MAX,
             accesses: 0,
         }
     }
@@ -169,6 +178,10 @@ impl StackDistanceSim {
     /// configuration, taken for most of any sequential fetch stream —
     /// inlines into the replay loop while the level walk stays out of
     /// line.
+    ///
+    /// # Panics
+    /// Panics if the address's line does not fit a way word's 56-bit
+    /// line field.
     #[inline]
     pub fn access(&mut self, addr: u64, class: AccessClass) {
         self.accesses += 1;
@@ -178,57 +191,42 @@ impl StackDistanceSim {
         }
     }
 
-    /// The per-level walk for a line that is not the profiler-wide MRU.
+    /// The level walk for a line that is not the profiler-wide MRU.
     #[inline(never)]
     fn access_line(&mut self, line: u64, class: AccessClass) {
+        assert!(
+            line < EMPTY,
+            "line {line:#x} does not fit a way's {LINE_BITS}-bit line field"
+        );
         self.last_line = line;
         let class_idx = usize::from(class == AccessClass::Kernel);
-        let fill = 1 + class_idx as u8;
-        let cfgs = &mut self.cfgs;
+        let filled = line | (1 + class_idx as u64) << LINE_BITS;
         for level in &mut self.levels {
-            let nt = level.thresholds.len();
-            let set = (line & level.set_mask) as usize;
-            let base = set * level.wmax;
-            let slots = &mut level.lines[base..base + level.wmax];
-            let obase = base * nt;
-            let owners = &mut level.owners[obase..obase + level.wmax * nt];
-            match slots.iter().position(|&e| e == line) {
-                Some(0) => {} // front of its set: hits everywhere
-                Some(p) => {
-                    // Hits every configuration with more than `p` ways;
-                    // misses the rest, displacing each one's entry at
-                    // position `W − 1` (its LRU way).
-                    for (t, &(w, cfg)) in level.thresholds.iter().enumerate() {
-                        let w = w as usize;
-                        if w > p {
-                            break;
-                        }
-                        let c = &mut cfgs[cfg as usize];
-                        c.stats.misses += 1;
-                        c.stats.misses_by_class[class_idx] += 1;
-                        c.stats.displaced[class_idx][owners[(w - 1) * nt + t] as usize] += 1;
-                        owners[p * nt + t] = fill;
-                    }
-                    slots[..=p].rotate_right(1);
-                    owners[..(p + 1) * nt].rotate_right(nt);
-                }
-                None => {
-                    // Misses everywhere. Victim owners are read before
-                    // the shift; an empty way's owner byte is 0, so a
-                    // cold fill records an invalid victim by itself.
-                    for (t, &(w, cfg)) in level.thresholds.iter().enumerate() {
-                        let c = &mut cfgs[cfg as usize];
-                        c.stats.misses += 1;
-                        c.stats.misses_by_class[class_idx] += 1;
-                        c.stats.displaced[class_idx][owners[(w as usize - 1) * nt + t] as usize] +=
-                            1;
-                    }
-                    slots.copy_within(..level.wmax - 1, 1);
-                    slots[0] = line;
-                    owners.copy_within(..(level.wmax - 1) * nt, nt);
-                    owners[..nt].fill(fill);
-                }
+            let base = (line & level.set_mask) as usize * level.ways;
+            let set = &mut level.slots[base..base + level.ways];
+            // Front of its set here, hence at every finer level.
+            if set[0] & LINE_MASK == line {
+                break;
             }
+            let (p, word) = match set[1..].iter().position(|&w| w & LINE_MASK == line) {
+                // A hit: the word moves to the front with its filler.
+                Some(p) => (p + 1, set[p + 1]),
+                // A miss evicts the LRU way; the missing class fills.
+                None => {
+                    let stats = &mut level.stats;
+                    stats.misses += 1;
+                    stats.misses_by_class[class_idx] += 1;
+                    let victim = set[level.ways - 1] >> LINE_BITS;
+                    stats.displaced[class_idx][victim as usize] += 1;
+                    (level.ways - 1, filled)
+                }
+            };
+            // A plain loop rather than `copy_within`: at a direct-mapped
+            // level, the commonest, it shifts nothing and makes no call.
+            for i in (1..=p).rev() {
+                set[i] = set[i - 1];
+            }
+            set[0] = word;
         }
     }
 
@@ -240,7 +238,7 @@ impl StackDistanceSim {
     /// arguments. Caller contract: at least one `access` has been made.
     #[inline]
     pub fn repeat_last(&mut self, n: u64) {
-        debug_assert_ne!(self.last_line, INVALID, "repeat_last before any access");
+        debug_assert_ne!(self.last_line, u64::MAX, "repeat_last before any access");
         self.accesses += n;
     }
 
@@ -249,7 +247,7 @@ impl StackDistanceSim {
     /// (they share filter and CPU), so the shared count is stamped here.
     pub fn results(&self) -> impl Iterator<Item = (usize, CacheStats)> + '_ {
         self.cfgs.iter().map(|c| {
-            let mut stats = c.stats;
+            let mut stats = self.levels[c.level].stats;
             stats.accesses = self.accesses;
             (c.tag, stats)
         })
@@ -321,8 +319,8 @@ mod tests {
 
     #[test]
     fn matches_mixed_ways_sharing_one_set_count() {
-        // 1-, 2- and 4-way members of the same 8-set level: the truncated
-        // list serves all three off one recency order per set.
+        // 1-, 2- and 4-way caches of 8 sets each: three levels of one set
+        // count, where a front-of-set hit in the first ends the walk.
         let grid = vec![
             CacheConfig::new(512, 64, 1),
             CacheConfig::new(1024, 64, 2),
@@ -374,6 +372,25 @@ mod tests {
         let (_, stats) = stack.results().next().unwrap();
         assert_eq!(stats.accesses, 101);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn duplicate_configs_share_one_level() {
+        let grid = [CacheConfig::new(512, 64, 2), CacheConfig::new(512, 64, 2)];
+        let stack = StackDistanceSim::new(64, grid.iter().copied().enumerate());
+        assert_eq!(stack.levels.len(), 1);
+        assert_eq!(stack.configs().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a way's 56-bit line field")]
+    fn line_beyond_the_packed_field_rejected() {
+        // Stored, line 2^56's word would read back as line 0 filled by
+        // the kernel, and the next fetch of line 0 would hit it.
+        let grid = [CacheConfig::new(256, 64, 1)];
+        let mut stack = StackDistanceSim::new(64, grid.iter().copied().enumerate());
+        stack.access(0, U);
+        stack.access(1 << (LINE_BITS + 6), U);
     }
 
     #[test]
