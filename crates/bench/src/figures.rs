@@ -610,24 +610,23 @@ pub fn compare(h: &mut Harness) -> Value {
     for series in series_list {
         let label = series.label();
         let req = LayoutRequest::from(series);
-        let (misses, user_fetches, text_bytes, score, layout) = {
+        let (misses, user_fetches, text_bytes, score) = {
             let d = h.run_request(req);
             (
                 misses_by_size(&d.sizes_4w_user),
                 d.user_fetches,
                 d.text_bytes,
                 d.exttsp_score,
-                d.layout.clone(),
             )
         };
         scores.push((series, score));
-        let lints = crate::lint::lint_series_cells(&h.study, series, &layout);
+        let lints = crate::lint::lint_series_cells(h, series);
         let (deny, warn, info) = (
-            crate::lint::count(&lints, codelayout_analysis::Severity::Deny),
-            crate::lint::count(&lints, codelayout_analysis::Severity::Warn),
-            crate::lint::count(&lints, codelayout_analysis::Severity::Info),
+            crate::lint::count(lints, codelayout_analysis::Severity::Deny),
+            crate::lint::count(lints, codelayout_analysis::Severity::Warn),
+            crate::lint::count(lints, codelayout_analysis::Severity::Info),
         );
-        let lint_summary = crate::lint::summary_json(&lints);
+        let lint_summary = crate::lint::summary_json(lints);
         let m64 = misses[1].1;
         let m128 = misses[2].1;
         rows.push(vec![
@@ -837,7 +836,8 @@ pub fn claims(h: &mut Harness) -> Value {
     let comb_red_128 = reduction(comb_base[2].1, comb_opt[2].1);
 
     // Kernel layout optimization: optimized kernel under the base app.
-    let kopt = h.study.kernel_image(OptimizationSet::ALL);
+    let kernel_all = h.kernel_layout(OptimizationSet::ALL);
+    let kopt = h.study.kernel_image(&kernel_all);
     let mut sink = codelayout_memsim::MemoryHierarchy::new(TimingModel::hierarchy_21264(
         h.study.scenario.num_cpus,
     ));

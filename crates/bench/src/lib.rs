@@ -31,6 +31,13 @@
 //! measures a figure's requests on parallel lanes, one live pass per
 //! request.
 //!
+//! The harness owns the layouts: each application layout (per request)
+//! and kernel layout (per series) is built once, by the measurement on
+//! its lane or by [`Harness::app_layout`] / [`Harness::kernel_layout`],
+//! and each series' lint cells are linted once on them
+//! ([`lint::lint_series_cells`]). Images are linked where they are
+//! needed and not kept.
+//!
 //! Every grid is named by a [`codelayout_memsim::SweepSpec`] and fed
 //! through a [`GridSink`], the single-pass stack-distance profiler (one
 //! profiler per line size answers every size × associativity in one
@@ -45,7 +52,7 @@ pub mod driver;
 pub mod figures;
 pub mod lint;
 
-use codelayout_core::{exttsp_score, LayoutRequest, OptimizationSet};
+use codelayout_core::{exttsp_score, LayoutRequest, LayoutSeries, OptimizationSet};
 use codelayout_ir::Layout;
 use codelayout_memsim::{
     CacheConfig, FootprintCounter, GridSink, HierarchyConfig, HierarchyStats, LocalityCache,
@@ -55,11 +62,13 @@ use codelayout_memsim::{
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
 use codelayout_vm::{CountingSink, DataRecord, FetchRecord, TeeSink, TraceSink};
+use lint::LintCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-pub use codelayout_memsim::{run_env, RunEnv, LINES_B, SIZES_KB};
-pub use codelayout_obs::ScenarioSel;
+pub use codelayout_memsim::{LINES_B, SIZES_KB};
+pub use codelayout_obs::{run_env, RunEnv, ScenarioSel};
 
 /// The locality-metrics configuration used by Figures 9–11 (and 13):
 /// 128 KB, 128-byte lines, 4-way.
@@ -72,9 +81,6 @@ pub fn locality_config() -> CacheConfig {
 pub struct LayoutData {
     /// Layout label (paper's x-axis names).
     pub label: String,
-    /// The application layout the measured image was linked from, as
-    /// built once for this request (the `compare` figure lints it).
-    pub layout: Layout,
     /// Text size of the linked image in bytes.
     pub text_bytes: u64,
     /// ext-TSP objective score of the application layout under the
@@ -313,14 +319,20 @@ impl TraceSink for LiveSink {
     }
 }
 
-/// Measures `req` at `depth`: builds and scores its layout once, then
-/// runs one live pass of its measured phase into a [`LiveSink`],
-/// asserted correct, recording the run's `vm.run.<name>.insts_per_sec`
-/// gauge.
-fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
+/// Measures `req` at `depth`: scores its layout (`built`, or built now
+/// when the harness holds none yet), then runs one live pass of its
+/// measured phase into a [`LiveSink`], asserted correct, recording the
+/// run's `vm.run.<name>.insts_per_sec` gauge. Returns the layout with
+/// the measurement.
+fn measure(
+    study: &Study,
+    req: LayoutRequest,
+    depth: Depth,
+    built: Option<Arc<Layout>>,
+) -> (Arc<Layout>, LayoutData) {
     let _measure_span = codelayout_obs::span("measure");
     let name = req.to_string();
-    let layout = study.layout(req);
+    let layout = built.unwrap_or_else(|| Arc::new(study.layout(req)));
     let image = study
         .link_validated(&layout)
         .unwrap_or_else(|e| panic!("`{name}` app image: {e}"));
@@ -341,7 +353,6 @@ fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
         label: name,
         text_bytes: image.text_bytes(),
         exttsp_score: exttsp_score(&study.app.program, &study.profile, &layout),
-        layout,
         dm_grid_user: Vec::new(),
         sizes_4w_user: sizes_4w_user.finish(),
         sizes_4w_all: Vec::new(),
@@ -362,14 +373,21 @@ fn measure(study: &Study, req: LayoutRequest, depth: Depth) -> LayoutData {
     if let Some(full) = full {
         full.finish_into(&mut data);
     }
-    data
+    (layout, data)
 }
 
-/// Builds and caches per-layout measurements for one scenario.
+/// Builds and caches per-layout measurements for one scenario, and owns
+/// the layouts and lint cells built for its study (see the module docs).
 pub struct Harness {
     /// The prepared study (workload + profile).
     pub study: Study,
     runs: HashMap<LayoutRequest, LayoutData>,
+    app_layouts: HashMap<LayoutRequest, Arc<Layout>>,
+    kernel_layouts: HashMap<LayoutSeries, Arc<Layout>>,
+    lint_cells: HashMap<LayoutSeries, [LintCell; 2]>,
+    /// Layouts built so far, application and kernel: one per entry of
+    /// the two layout maps, since nothing builds a layout it holds.
+    layout_builds: usize,
     out_dir: PathBuf,
     scenario_label: String,
     lanes: usize,
@@ -387,6 +405,10 @@ impl Harness {
         Harness {
             study: build_study(scenario),
             runs: HashMap::new(),
+            app_layouts: HashMap::new(),
+            kernel_layouts: HashMap::new(),
+            lint_cells: HashMap::new(),
+            layout_builds: 0,
             out_dir: PathBuf::from("results"),
             scenario_label: label.to_string(),
             lanes: run_env().sweep_threads(),
@@ -451,6 +473,28 @@ impl Harness {
             .expect("a timed measurement carries timing data")
     }
 
+    /// The application layout for `req`: the one a measurement or an
+    /// earlier call built, or built now without measuring it.
+    pub fn app_layout(&mut self, req: impl Into<LayoutRequest>) -> Arc<Layout> {
+        let req = req.into();
+        let (study, builds) = (&self.study, &mut self.layout_builds);
+        Arc::clone(self.app_layouts.entry(req).or_insert_with(|| {
+            *builds += 1;
+            Arc::new(study.layout(req))
+        }))
+    }
+
+    /// The kernel layout for `series` from the measured kernel profile
+    /// ([`Study::kernel_layout`]), built on first use.
+    pub fn kernel_layout(&mut self, series: impl Into<LayoutSeries>) -> Arc<Layout> {
+        let series = series.into();
+        let (study, builds) = (&self.study, &mut self.layout_builds);
+        Arc::clone(self.kernel_layouts.entry(series).or_insert_with(|| {
+            *builds += 1;
+            Arc::new(study.kernel_layout(series))
+        }))
+    }
+
     /// Measures every request in `reqs` not cached at the depth it needs,
     /// so the [`Harness::run_request`] calls that follow are cache hits.
     /// Each request takes one live pass, spread over
@@ -469,22 +513,29 @@ impl Harness {
 
     /// Measures each request at `min` or the depth it needs, whichever is
     /// deeper, unless a cached measurement is that deep already; a
-    /// shallower cached one is measured again and replaced.
+    /// shallower cached one is measured again and replaced. A request
+    /// whose layout the harness holds is measured on that layout; the
+    /// others are built on the lanes and kept.
     fn prefetch_at(&mut self, reqs: impl IntoIterator<Item = LayoutRequest>, min: Depth) {
-        let mut todo: Vec<(LayoutRequest, Depth)> = Vec::new();
+        let mut todo: Vec<(LayoutRequest, Depth, Option<Arc<Layout>>)> = Vec::new();
         for req in reqs {
             let depth = Depth::of(&req).max(min);
             let cached = self.runs.get(&req).is_some_and(|d| d.depth() >= depth);
-            if !cached && !todo.iter().any(|&(r, _)| r == req) {
-                todo.push((req, depth));
+            if !cached && !todo.iter().any(|&(r, ..)| r == req) {
+                todo.push((req, depth, self.app_layouts.get(&req).cloned()));
             }
         }
-        let measured =
-            codelayout_memsim::on_lanes(self.lanes, "measure_lane", &todo, |&(req, depth)| {
-                measure(&self.study, req, depth)
-            });
-        self.runs
-            .extend(todo.into_iter().map(|(req, _)| req).zip(measured));
+        self.layout_builds += todo.iter().filter(|(.., built)| built.is_none()).count();
+        let measured = codelayout_memsim::on_lanes(
+            self.lanes,
+            "measure_lane",
+            &todo,
+            |(req, depth, built)| measure(&self.study, *req, *depth, built.clone()),
+        );
+        for ((req, ..), (layout, data)) in todo.into_iter().zip(measured) {
+            self.app_layouts.insert(req, layout);
+            self.runs.insert(req, data);
+        }
     }
 
     /// Writes a figure's JSON result under the results directory and
@@ -608,7 +659,6 @@ mod tests {
         let user = StreamFilter::UserOnly;
         LayoutData {
             label: req.to_string(),
-            layout,
             text_bytes: image.text_bytes(),
             exttsp_score: score,
             dm_grid_user: grid(SweepSpec::paper_grid(1).cpus(num_cpus).filter(user)),
@@ -655,7 +705,6 @@ mod tests {
     fn assert_same_measurement(got: &LayoutData, want: &LayoutData, what: &str) {
         let label = &format!("{} {what}", want.label);
         assert_eq!(got.label, want.label, "{what}");
-        assert_eq!(got.layout, want.layout, "{label}");
         assert_eq!(got.text_bytes, want.text_bytes, "{label}");
         assert_eq!(got.exttsp_score, want.exttsp_score, "{label}");
         assert_eq!(got.dm_grid_user, want.dm_grid_user, "{label}");
@@ -728,6 +777,8 @@ mod tests {
                 let want = at_depth(&replays[req], Depth::of(req).max(Depth::Timed));
                 assert_same_measurement(&h.runs[req], &want, &what);
             }
+            // The timed passes measured the layouts the light ones built.
+            assert_eq!(h.layout_builds, replays.len(), "{what}");
         }
     }
 
@@ -755,6 +806,8 @@ mod tests {
         h.timing(OptimizationSet::BASE);
         assert_eq!(h.runs[&OptimizationSet::BASE.into()].outcome.run_wall, base);
         assert_eq!(h.runs.len(), 2);
+        // The second pass over `chain` measured the layout the first built.
+        assert_eq!(h.layout_builds, 2);
     }
 
     #[test]

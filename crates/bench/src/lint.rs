@@ -7,18 +7,20 @@
 //! kernel program, validated and linted — so the matrix runner, its
 //! JSON and text renderings and the figure live here. A deny-level
 //! finding fails the figure, so `run_all` exits nonzero on it.
+//!
+//! The cells are the [`Harness`]'s: each series' pair is linted once,
+//! on the layouts the harness holds, and the `compare` table reads the
+//! same cells for its rows.
 
 use crate::Harness;
 use codelayout_analysis::{analyze_layout, LintConfig, LintReport, Severity, TranslationReport};
-use codelayout_core::{LayoutPipeline, LayoutSeries};
+use codelayout_core::LayoutSeries;
 use codelayout_ir::link::link;
-use codelayout_ir::Layout;
-use codelayout_oltp::Study;
 use codelayout_vm::{APP_TEXT_BASE, KERNEL_TEXT_BASE};
 use serde_json::{json, Value};
 
 /// Lint outcome for one (layout, program) cell of the matrix.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LintCell {
     /// Layout-series label (`base` … `all`, `exttsp`, `stitcher`).
     pub layout: &'static str,
@@ -31,67 +33,64 @@ pub struct LintCell {
     pub report: LintReport,
 }
 
-/// Runs the full [`LayoutSeries::lint_matrix`] × {app, kernel} lint
-/// matrix on a prepared study, every layout built from the measured
-/// profile. Each series is linted under its own optimization claims
+/// The full [`LayoutSeries::lint_matrix`] × {app, kernel} lint matrix of
+/// the harness's study, every layout built from the measured profiles.
+/// Each series is linted under its own optimization claims
 /// ([`LayoutSeries::lint_set`]).
-pub fn lint_study(study: &Study) -> Vec<LintCell> {
+pub fn lint_study(h: &mut Harness) -> Vec<LintCell> {
     let mut cells = Vec::new();
     for series in LayoutSeries::lint_matrix() {
-        cells.extend(lint_series_cells(study, series, &study.layout(series)));
+        cells.extend_from_slice(lint_series_cells(h, series));
     }
     cells
 }
 
-/// Runs validation + lints for one series' app and kernel layouts —
-/// the two cells [`lint_study`] produces per series, reused by the
-/// comparison table for its rows. The app cell analyses `app_layout`,
-/// the layout the caller measured (the comparison table passes the
-/// harness's [`LayoutData::layout`](crate::LayoutData::layout), so no
-/// layout is built twice); the kernel cell lays the kernel out with the
-/// measured kernel profile. Both are judged against the measured
-/// profiles, so lints flag what the workload actually executes.
-pub fn lint_series_cells(
-    study: &Study,
-    series: LayoutSeries,
-    app_layout: &Layout,
-) -> Vec<LintCell> {
-    let kernel = &study.kernel.program;
-    let kernel_layout = LayoutPipeline::new(kernel, &study.kernel_profile).build_series(series);
-    let targets = [
-        (
-            "app",
-            &study.app.program,
-            &study.profile,
-            app_layout,
-            APP_TEXT_BASE,
-        ),
-        (
-            "kernel",
-            kernel,
-            &study.kernel_profile,
-            &kernel_layout,
-            KERNEL_TEXT_BASE,
-        ),
-    ];
-    let mut cells = Vec::new();
-    for (target, program, profile, layout, base) in targets {
-        let image = link(program, layout, base).expect("pipeline layouts link");
-        let (translation, report) = analyze_layout(
-            program,
-            profile,
-            layout,
-            &image,
-            &LintConfig::new(series.lint_set()),
-        );
-        cells.push(LintCell {
-            layout: series.label(),
-            target,
-            translation,
-            report,
+/// One series' app and kernel cells: translation validation and lints
+/// of the harness's application layout for the bare series
+/// ([`Harness::app_layout`]) and its kernel layout
+/// ([`Harness::kernel_layout`]), each judged against its measured
+/// profile, so lints flag what the workload actually executes. Linted
+/// on first use and kept by the harness; [`lint_study`] and the
+/// comparison table read the same cells.
+pub fn lint_series_cells(h: &mut Harness, series: LayoutSeries) -> &[LintCell] {
+    if !h.lint_cells.contains_key(&series) {
+        let (app, kernel) = (h.app_layout(series), h.kernel_layout(series));
+        let study = &h.study;
+        let targets = [
+            (
+                "app",
+                &study.app.program,
+                &study.profile,
+                app,
+                APP_TEXT_BASE,
+            ),
+            (
+                "kernel",
+                &study.kernel.program,
+                &study.kernel_profile,
+                kernel,
+                KERNEL_TEXT_BASE,
+            ),
+        ];
+        let cells = targets.map(|(target, program, profile, layout, base)| {
+            let image = link(program, &layout, base).expect("pipeline layouts link");
+            let (translation, report) = analyze_layout(
+                program,
+                profile,
+                &layout,
+                &image,
+                &LintConfig::new(series.lint_set()),
+            );
+            LintCell {
+                layout: series.label(),
+                target,
+                translation,
+                report,
+            }
         });
+        h.lint_cells.insert(series, cells);
     }
-    cells
+    &h.lint_cells[&series]
 }
 
 /// Total findings at `sev` across the matrix.
@@ -108,7 +107,7 @@ pub fn count(cells: &[LintCell], sev: Severity) -> usize {
 /// [`DenyFindings`] when any cell carries a deny-level finding (a
 /// translation-validation failure surfaces as an `L000` deny).
 pub fn layout_lint(h: &mut Harness) -> Result<Value, DenyFindings> {
-    let cells = lint_study(&h.study);
+    let cells = lint_study(h);
     print!("{}", render_cells_text(&h.scenario_label, &cells));
     let deny = count(&cells, Severity::Deny);
     if deny > 0 {
@@ -230,30 +229,85 @@ mod tests {
     use codelayout_analysis::validate_translation;
     use codelayout_core::{LayoutRequest, OptimizationSet};
     use codelayout_oltp::Scenario;
+    use std::sync::Arc;
 
     #[test]
-    fn app_cell_analyses_the_requested_layout() {
+    fn app_cell_lints_the_cached_layout() {
         let mut h = Harness::with_label(&Scenario::quick(), "quick");
-        let req: LayoutRequest = "static:all".parse().unwrap();
-        let layout = h.run_request(req).layout.clone();
-        assert_eq!(layout, h.study.layout(req));
+        let series = LayoutSeries::from(OptimizationSet::ALL);
+        // Plant another layout under the bare request: the app cell must
+        // lint the layout the harness holds, not build the series again.
+        let planted = h
+            .study
+            .layout("static:all".parse::<LayoutRequest>().unwrap());
+        assert_ne!(
+            planted,
+            h.study.layout(series),
+            "the check must discriminate"
+        );
+        h.app_layouts
+            .insert(series.into(), Arc::new(planted.clone()));
         let study = &h.study;
-        let image = link(&study.app.program, &layout, APP_TEXT_BASE).unwrap();
+        let image = link(&study.app.program, &planted, APP_TEXT_BASE).unwrap();
+        let translation = validate_translation(&study.app.program, &planted, &image).unwrap();
         let (_, expected) = analyze_layout(
             &study.app.program,
             &study.profile,
-            &layout,
+            &planted,
             &image,
             &LintConfig::new(OptimizationSet::ALL),
         );
-        let cells = lint_series_cells(study, req.series, &layout);
+        let cells = lint_series_cells(&mut h, series);
         assert_eq!(cells[0].target, "app");
-        assert_eq!(cells[0].report.to_json(), expected.to_json());
-        let translation = validate_translation(&study.app.program, &layout, &image).unwrap();
         assert_eq!(cells[0].translation, Some(translation));
+        assert_eq!(cells[0].report.to_json(), expected.to_json());
+        // The kernel layout is the only one the cells built.
+        assert_eq!(h.layout_builds, 1);
+    }
 
-        // The measured layout differs, so the check above discriminates.
-        let measured = lint_series_cells(study, req.series, &study.layout(req.series));
-        assert_ne!(measured[0].translation, cells[0].translation);
+    #[test]
+    fn claims_compare_and_layout_lint_build_each_layout_once() {
+        let mut h = Harness::with_label(&Scenario::quick(), "quick");
+        crate::figures::claims(&mut h);
+        let compare = crate::figures::compare(&mut h);
+        let lint = layout_lint(&mut h).expect("the quick matrix has no deny findings");
+        let cells = lint_study(&mut h);
+
+        // Every build entered one of the two layout maps, so no
+        // (program, request) was built twice: nine requests each, the
+        // full requests and the comparison series (`hotcold` among them)
+        // measured, the rest of the lint matrix built for its cells.
+        assert_eq!(h.app_layouts.len(), 9);
+        assert_eq!(h.kernel_layouts.len(), 9);
+        assert_eq!(h.layout_builds, 18);
+
+        // `compare` reads the lint cells `layout_lint` reports.
+        let entries = compare.get("measured").as_array().expect("compare rows");
+        for series in [
+            LayoutSeries::from(OptimizationSet::BASE),
+            LayoutSeries::from(OptimizationSet::ALL),
+            LayoutSeries::ExtTsp,
+            LayoutSeries::Stitcher,
+        ] {
+            let label = series.label();
+            let row = entries
+                .iter()
+                .find(|e| e.get("series").as_str() == Some(label))
+                .unwrap_or_else(|| panic!("no `{label}` row"));
+            let own: Vec<LintCell> = cells
+                .iter()
+                .filter(|c| c.layout == label)
+                .cloned()
+                .collect();
+            assert_eq!(own.len(), 2, "{label}");
+            assert_eq!(row.get("lints"), &summary_json(&own), "{label}");
+        }
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_quick.json");
+        let golden = std::fs::read_to_string(path).expect("lint golden");
+        assert_eq!(
+            lint,
+            serde_json::from_str(&golden).expect("parse lint golden")
+        );
     }
 }

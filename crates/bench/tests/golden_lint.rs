@@ -19,12 +19,13 @@
 mod snapshot;
 
 use codelayout_bench::lint::{cells_to_json, lint_study};
-use codelayout_oltp::{build_study, Scenario};
+use codelayout_bench::Harness;
+use codelayout_oltp::Scenario;
 
 #[test]
 fn lint_quick_matches_golden_snapshot() {
-    let study = build_study(&Scenario::quick());
-    let got = cells_to_json("quick", &lint_study(&study));
+    let mut h = Harness::with_label(&Scenario::quick(), "quick");
+    let got = cells_to_json("quick", &lint_study(&mut h));
 
     snapshot::check(
         &got,

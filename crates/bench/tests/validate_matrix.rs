@@ -3,7 +3,8 @@
 //! acceptance gate for the whole layout pipeline.
 
 use codelayout_bench::lint::lint_study;
-use codelayout_oltp::{build_study, Scenario};
+use codelayout_bench::Harness;
+use codelayout_oltp::Scenario;
 
 #[test]
 fn every_paper_layout_on_every_bundled_scenario_validates() {
@@ -13,8 +14,8 @@ fn every_paper_layout_on_every_bundled_scenario_validates() {
         ("hw", Scenario::paper_hw()),
     ];
     for (name, sc) in scenarios {
-        let study = build_study(&sc);
-        for cell in lint_study(&study) {
+        let mut h = Harness::with_label(&sc, name);
+        for cell in lint_study(&mut h) {
             assert!(
                 cell.translation.is_some(),
                 "{name}: `{}` {} image failed translation validation",

@@ -58,7 +58,6 @@ mod spec;
 mod stack;
 mod sweep;
 
-pub use codelayout_obs::{run_env, RunEnv};
 pub use config::{CacheConfig, StreamFilter};
 pub use footprint::FootprintCounter;
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};

@@ -1,14 +1,9 @@
 //! `RunEnv`: every `CODELAYOUT_*` knob, parsed once.
 //!
-//! Before this module, environment handling was scattered: the sweep
-//! engine read `CODELAYOUT_THREADS`, the tracer read
-//! `CODELAYOUT_TRACE_OUT`, the bench harness matched on
-//! `CODELAYOUT_SCENARIO`, and every golden test re-implemented the
-//! `CODELAYOUT_UPDATE_GOLDEN` check. Each site parsed, defaulted and
-//! documented the knob its own way. [`RunEnv`] is the single source of
-//! truth: one struct, parsed once per process by [`run_env`], consumed
-//! everywhere (and re-exported by `codelayout-memsim` /
-//! `codelayout-bench` so downstream crates need no extra dependency).
+//! [`RunEnv`] is the single source of truth: one struct, parsed once per
+//! process by [`run_env`], consumed everywhere (and re-exported by
+//! `codelayout-bench` so its binaries and tests need no extra
+//! dependency).
 //!
 //! | Variable | Field | Meaning |
 //! |---|---|---|

@@ -1,5 +1,5 @@
 //! Observability layer for the codelayout pipeline: phase tracing,
-//! sharded metrics, and machine-readable run manifests.
+//! coarse-event metrics, and machine-readable run manifests.
 //!
 //! The experiment harness chains six phases — chain → split → order →
 //! link → trace → sweep — and every performance question about the

@@ -82,8 +82,6 @@ pub struct Study {
     /// Static (profile-free) application frequency estimate from the
     /// Ball–Larus-style analyzer in `codelayout-analysis`.
     pub static_profile: Profile,
-    /// Static kernel frequency estimate.
-    pub static_kernel_profile: Profile,
     /// Baseline (natural layout) application image.
     pub base_image: Arc<Image>,
     /// Baseline (natural layout) kernel image.
@@ -124,10 +122,9 @@ pub fn build_study(scenario: &Scenario) -> Study {
         .expect("baseline kernel links"),
     );
 
-    // Static frequency estimates need no execution at all; compute them
-    // while the generated programs are at hand.
+    // The static frequency estimate needs no execution at all; compute it
+    // while the generated program is at hand.
     let static_profile = codelayout_analysis::estimate_static_profile(&app.program);
-    let static_kernel_profile = codelayout_analysis::estimate_static_profile(&kernel.program);
 
     let mut study = Study {
         scenario: scenario.clone(),
@@ -137,7 +134,6 @@ pub fn build_study(scenario: &Scenario) -> Study {
         profile: Profile::new(0),
         kernel_profile: Profile::new(0),
         static_profile,
-        static_kernel_profile,
         base_image,
         base_kernel_image,
     };
@@ -252,7 +248,7 @@ impl Study {
     /// baseline images, with `hook` observing every block, edge, call and
     /// instruction. Returns the SGA layout the run loaded (B-tree root
     /// filled) and the run's report. [`build_study`] feeds it Pixie
-    /// collectors; a sampled profile source feeds it DCPI-style samplers.
+    /// collectors; a sampled profile source feeds it a DCPI-style sampler.
     ///
     /// # Panics
     /// Panics if the run faults, breaks the TPC-B invariants or exceeds
@@ -286,20 +282,14 @@ impl Study {
         (sga, report)
     }
 
-    /// The application and kernel profiles DCPI-style sampling collects
-    /// over one profiling run: one block sample every `period` retired
-    /// instructions of each stream, edge weights estimated from the
-    /// block counts (Spike's path for sampled input).
-    fn sampled_profiles(&self, period: NonZeroU64) -> (Profile, Profile) {
-        let mut hook = PairHook(
-            SampledCollector::user(self.app.program.blocks.len(), period.get()),
-            SampledCollector::kernel(self.kernel.program.blocks.len(), period.get()),
-        );
-        self.profiling_run(&mut hook);
-        (
-            profile_from_block_samples(&self.app.program, &hook.0),
-            profile_from_block_samples(&self.kernel.program, &hook.1),
-        )
+    /// The application profile DCPI-style sampling collects over one
+    /// profiling run: one block sample every `period` retired application
+    /// instructions, edge weights estimated from the block counts
+    /// (Spike's path for sampled input).
+    fn sampled_profile(&self, period: NonZeroU64) -> Profile {
+        let mut sampler = SampledCollector::user(self.app.program.blocks.len(), period.get());
+        self.profiling_run(&mut sampler);
+        profile_from_block_samples(&self.app.program, &sampler)
     }
 
     /// The application profile a request builds from: the measured Pixie
@@ -309,7 +299,7 @@ impl Study {
         match req.source {
             ProfileSource::Measured => Cow::Borrowed(&self.profile),
             ProfileSource::Static => Cow::Borrowed(&self.static_profile),
-            ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).0),
+            ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profile(period)),
         }
     }
 
@@ -356,23 +346,21 @@ impl Study {
         self.image(series)
     }
 
-    /// Links and validates a kernel image for a request, built from the
-    /// kernel profile of the request's source (the paper's "optimize the
-    /// operating system" experiment).
+    /// Builds the kernel layout for a series from the measured kernel
+    /// profile, at default parameters (the paper's "optimize the
+    /// operating system" experiment lays the kernel out with the same
+    /// passes as the application).
+    pub fn kernel_layout(&self, series: impl Into<LayoutSeries>) -> Layout {
+        LayoutPipeline::new(&self.kernel.program, &self.kernel_profile).build_series(series.into())
+    }
+
+    /// Links and validates a kernel image from a [`Study::kernel_layout`].
     ///
     /// # Panics
     /// As [`Study::image`].
-    pub fn kernel_image(&self, req: impl Into<LayoutRequest>) -> Arc<Image> {
-        let req = req.into();
-        let profile = match req.source {
-            ProfileSource::Measured => Cow::Borrowed(&self.kernel_profile),
-            ProfileSource::Static => Cow::Borrowed(&self.static_kernel_profile),
-            ProfileSource::Sampled(period) => Cow::Owned(self.sampled_profiles(period).1),
-        };
-        let layout = LayoutPipeline::with_params(&self.kernel.program, &profile, req.params)
-            .build_series(req.series);
-        link_checked(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
-            .unwrap_or_else(|e| panic!("`{req}` kernel image: {e}"))
+    pub fn kernel_image(&self, layout: &Layout) -> Arc<Image> {
+        link_checked(&self.kernel.program, layout, KERNEL_TEXT_BASE)
+            .unwrap_or_else(|e| panic!("kernel image: {e}"))
     }
 
     /// Links an application layout and proves, by translation validation,
@@ -565,15 +553,11 @@ mod tests {
     fn sampled_profiles_are_deterministic() {
         let study = build_study(&Scenario::quick());
         let req: LayoutRequest = "sampled:64:all".parse().unwrap();
-        let (app, kernel) = study.sampled_profiles(NonZeroU64::new(64).unwrap());
+        let app = study.sampled_profile(NonZeroU64::new(64).unwrap());
         assert_eq!(study.profile_for(&req).into_owned(), app);
-        assert_eq!(
-            study.sampled_profiles(NonZeroU64::new(64).unwrap()).1,
-            kernel
-        );
         // Sampling loses information: the estimate is not the exact profile.
         assert_ne!(app, study.profile);
-        assert!(app.total_block_entries() > 0 && kernel.total_block_entries() > 0);
+        assert!(app.total_block_entries() > 0);
         assert_eq!(study.layout(req), study.layout(req));
     }
 

@@ -1,58 +1,11 @@
 //! The [`Profile`] data structure.
 
 use codelayout_ir::{BlockId, ProcId, Program};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt;
-use std::io;
-
-/// Errors when loading or validating profiles.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ProfileError {
-    /// The profile does not match the program (block count mismatch).
-    Mismatch(String),
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// JSON (de)serialization failure.
-    Format(serde_json::Error),
-}
-
-impl fmt::Display for ProfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileError::Mismatch(m) => write!(f, "profile does not match program: {m}"),
-            ProfileError::Io(e) => write!(f, "profile i/o error: {e}"),
-            ProfileError::Format(e) => write!(f, "profile format error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProfileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProfileError::Io(e) => Some(e),
-            ProfileError::Format(e) => Some(e),
-            ProfileError::Mismatch(_) => None,
-        }
-    }
-}
-
-impl From<io::Error> for ProfileError {
-    fn from(e: io::Error) -> Self {
-        ProfileError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for ProfileError {
-    fn from(e: serde_json::Error) -> Self {
-        ProfileError::Format(e)
-    }
-}
 
 /// Execution counts for one program: per-block counts, flow-edge counts and
 /// call counts. All the layout optimizations consume this structure.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Execution count of each block, indexed by [`BlockId`].
     pub block_counts: Vec<u64>,
@@ -108,30 +61,6 @@ impl Profile {
             .sum()
     }
 
-    /// Merges another profile of the same shape into this one.
-    ///
-    /// # Errors
-    /// Returns [`ProfileError::Mismatch`] if block vectors differ in length.
-    pub fn merge(&mut self, other: &Profile) -> Result<(), ProfileError> {
-        if self.block_counts.len() != other.block_counts.len() {
-            return Err(ProfileError::Mismatch(format!(
-                "{} vs {} blocks",
-                self.block_counts.len(),
-                other.block_counts.len()
-            )));
-        }
-        for (a, b) in self.block_counts.iter_mut().zip(&other.block_counts) {
-            *a += b;
-        }
-        for (k, v) in &other.edge_counts {
-            *self.edge_counts.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.call_counts {
-            *self.call_counts.entry(*k).or_insert(0) += v;
-        }
-        Ok(())
-    }
-
     /// Checks flow conservation against a program: for every block, its
     /// entry count must equal incoming flow edges plus incoming calls (for
     /// procedure entry blocks), allowing `slack` for blocks that were
@@ -177,123 +106,6 @@ impl Profile {
         }
         w
     }
-
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    /// Returns an error if the writer fails.
-    pub fn save<W: io::Write>(&self, mut w: W) -> Result<(), ProfileError> {
-        // HashMap keys must be strings in JSON; use a stable on-disk form.
-        let disk = DiskProfile::from(self);
-        serde_json::to_writer(&mut w, &disk.to_value())?;
-        Ok(())
-    }
-
-    /// Deserializes from JSON produced by [`Profile::save`].
-    ///
-    /// # Errors
-    /// Returns an error if the reader fails or the JSON is malformed.
-    pub fn load<R: io::Read>(r: R) -> Result<Self, ProfileError> {
-        let value = serde_json::from_reader(r)?;
-        let disk = DiskProfile::from_value(&value)?;
-        Ok(disk.into())
-    }
-}
-
-/// On-disk representation with vector-encoded maps (JSON-friendly and
-/// deterministic when sorted). Converted to and from `serde_json`
-/// values explicitly so the wire format is spelled out in one place.
-struct DiskProfile {
-    block_counts: Vec<u64>,
-    edges: Vec<(u32, u32, u64)>,
-    calls: Vec<(u32, u32, u64)>,
-}
-
-impl DiskProfile {
-    fn to_value(&self) -> serde_json::Value {
-        let triples = |ts: &[(u32, u32, u64)]| {
-            serde_json::Value::Array(
-                ts.iter()
-                    .map(|&(a, b, c)| serde_json::json!([a, b, c]))
-                    .collect(),
-            )
-        };
-        serde_json::json!({
-            "block_counts": self.block_counts.clone(),
-            "edges": triples(&self.edges),
-            "calls": triples(&self.calls),
-        })
-    }
-
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        let bad = |what: &str| serde_json::Error::new(format!("profile JSON: {what}"));
-        let arr = |key: &str| {
-            v.get(key)
-                .as_array()
-                .ok_or_else(|| bad(&format!("`{key}` must be an array")))
-        };
-        let block_counts = arr("block_counts")?
-            .iter()
-            .map(|x| x.as_u64().ok_or_else(|| bad("block count must be a u64")))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let triples = |key: &str| {
-            arr(key)?
-                .iter()
-                .map(|e| {
-                    let t = e
-                        .as_array()
-                        .filter(|t| t.len() == 3)
-                        .ok_or_else(|| bad(&format!("`{key}` entries must be [u32, u32, u64]")))?;
-                    let small = |i: usize| {
-                        t[i].as_u64()
-                            .and_then(|x| u32::try_from(x).ok())
-                            .ok_or_else(|| bad(&format!("`{key}` id out of u32 range")))
-                    };
-                    let c = t[2]
-                        .as_u64()
-                        .ok_or_else(|| bad(&format!("`{key}` count must be a u64")))?;
-                    Ok((small(0)?, small(1)?, c))
-                })
-                .collect::<Result<Vec<(u32, u32, u64)>, serde_json::Error>>()
-        };
-        Ok(DiskProfile {
-            block_counts,
-            edges: triples("edges")?,
-            calls: triples("calls")?,
-        })
-    }
-}
-
-impl From<&Profile> for DiskProfile {
-    fn from(p: &Profile) -> Self {
-        let mut edges: Vec<_> = p
-            .edge_counts
-            .iter()
-            .map(|(&(a, b), &c)| (a, b, c))
-            .collect();
-        edges.sort_unstable();
-        let mut calls: Vec<_> = p
-            .call_counts
-            .iter()
-            .map(|(&(a, b), &c)| (a, b, c))
-            .collect();
-        calls.sort_unstable();
-        DiskProfile {
-            block_counts: p.block_counts.clone(),
-            edges,
-            calls,
-        }
-    }
-}
-
-impl From<DiskProfile> for Profile {
-    fn from(d: DiskProfile) -> Self {
-        Profile {
-            block_counts: d.block_counts,
-            edge_counts: d.edges.into_iter().map(|(a, b, c)| ((a, b), c)).collect(),
-            call_counts: d.calls.into_iter().map(|(a, b, c)| ((a, b), c)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,42 +120,6 @@ mod tests {
         assert_eq!(p.edge_count(BlockId(0), BlockId(1)), 0);
         assert_eq!(p.call_count(BlockId(0), ProcId(0)), 0);
         assert_eq!(p.total_block_entries(), 0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Profile::new(2);
-        a.block_counts[0] = 5;
-        a.edge_counts.insert((0, 1), 2);
-        let mut b = Profile::new(2);
-        b.block_counts[0] = 3;
-        b.block_counts[1] = 1;
-        b.edge_counts.insert((0, 1), 4);
-        b.call_counts.insert((1, 0), 9);
-        a.merge(&b).unwrap();
-        assert_eq!(a.block_counts, vec![8, 1]);
-        assert_eq!(a.edge_counts[&(0, 1)], 6);
-        assert_eq!(a.call_counts[&(1, 0)], 9);
-    }
-
-    #[test]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = Profile::new(2);
-        let b = Profile::new(3);
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let mut p = Profile::new(4);
-        p.block_counts = vec![1, 2, 3, 4];
-        p.edge_counts.insert((0, 1), 10);
-        p.edge_counts.insert((1, 2), 20);
-        p.call_counts.insert((2, 0), 30);
-        let mut buf = Vec::new();
-        p.save(&mut buf).unwrap();
-        let q = Profile::load(&buf[..]).unwrap();
-        assert_eq!(p, q);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod estimate;
 pub mod sampled;
 
 pub use collect::{PixieCollector, SampledCollector};
-pub use data::{Profile, ProfileError};
+pub use data::Profile;
 pub use estimate::estimate_edges_from_blocks;
 pub use sampled::{
     edge_l1_milli, profile_from_block_samples, profile_from_edge_samples, DecayedEdgeCounts,

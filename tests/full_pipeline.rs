@@ -64,7 +64,7 @@ fn combined_optimization_dominates_each_alone() {
 #[test]
 fn optimized_kernel_image_preserves_correctness() {
     let study = build_study(&Scenario::quick());
-    let kopt = study.kernel_image(OptimizationSet::ALL);
+    let kopt = study.kernel_image(&study.kernel_layout(OptimizationSet::ALL));
     let base_app = study.image(OptimizationSet::BASE);
     let reference = study.run_measured(&base_app, &study.base_kernel_image, &mut NullSink);
     reference.assert_correct();
