@@ -231,10 +231,19 @@ impl Harnesses {
 /// in its own `study_build` phase; the Figure 15 and serving studies
 /// each serve one figure and are built inside that figure's phase.
 ///
+/// The `CODELAYOUT_TRACE_OUT` event log is flushed at the end, once the
+/// `run_all` span has closed, whether the run succeeded or failed.
+///
 /// # Errors
 /// A figure that failed; nothing after it runs and no manifest is
 /// written.
 pub fn run(figures: &[&Figure]) -> Result<(), FigureFailed> {
+    let result = run_figures(figures);
+    codelayout_obs::tracer().flush();
+    result
+}
+
+fn run_figures(figures: &[&Figure]) -> Result<(), FigureFailed> {
     let root = codelayout_obs::span("run_all");
     let mut harnesses = Harnesses::default();
     if figures.iter().any(|f| f.stage == Stage::Main) {

@@ -12,6 +12,7 @@
 //! result (see the `cfa_ablation` experiment).
 
 use crate::graph::pettis_hansen_order;
+use crate::memo::LayoutMemo;
 use crate::params::LayoutParams;
 use crate::pipeline::{segment_edges, LayoutPipeline};
 use codelayout_ir::{BlockId, Layout, Program, INSTR_BYTES};
@@ -39,9 +40,15 @@ pub fn cfa_layout(
     profile: &Profile,
     params: &LayoutParams,
 ) -> (Layout, CfaReport) {
+    cfa_with(&mut LayoutMemo::new(program, profile), params)
+}
+
+/// [`cfa_layout`], reading the chain orders from `memo`.
+pub(crate) fn cfa_with(memo: &mut LayoutMemo<'_>, params: &LayoutParams) -> (Layout, CfaReport) {
+    let (program, profile) = (memo.program(), memo.profile());
     let reserved_bytes = params.cfa.reserved_bytes;
     let pipe = LayoutPipeline::with_params(program, profile, *params);
-    let segs = pipe.segments(true);
+    let segs = pipe.segments_with(true, memo);
 
     // Approximate segment sizes: body instructions + one terminator slot
     // per block.

@@ -20,36 +20,17 @@
 //! it. All arithmetic is integer fixed-point (scale [`SCORE_SCALE`]) so
 //! scores are bit-identical across platforms and thread counts.
 //!
-//! **Memo.** Most of a build depends on the profile alone or on a few
-//! knobs, so [`ExtTspMemo`] keeps it across the builds of one program
-//! and profile (the autotuner's ext-TSP family builds dozens), and every
-//! build is one memo's [`ExtTspMemo::layout`] ([`exttsp_layout`] uses a
-//! fresh one). Each entry is keyed by everything that computes it, so a
-//! reused entry is the one a fresh build computes:
-//!
-//! - **Per procedure, once:** its local edges, block sizes and entry
-//!   index, and the order of a procedure the merger has no work in (one
-//!   block, or no weighted edge between distinct blocks). They read the
-//!   program and profile only.
-//! - **The procedure placement**, Pettis–Hansen over the profile's call
-//!   weights: no knob reaches it.
-//! - **Merged orders**, keyed by procedure and `(jump_weight,
-//!   forward_window, backward_window, min(split_cap, n))` for a
-//!   procedure of `n` blocks. The merger reads the profile, the
-//!   procedure and `params.exttsp` only. `split_cap` only bars chains
-//!   longer than the cap from split-point merging, and no chain of the
-//!   procedure is longer than `n`, so every cap from `n` up merges alike.
-//! - **Chain candidates**, keyed by procedure and `params.chain`, the
-//!   only parameters [`crate::chain_proc`] reads.
-//!
-//! Candidate selection under [`span_score`] runs on every build: it
-//! reads the weights of the build's own point.
+//! A search that builds many ext-TSP layouts of one profile keeps what
+//! they share in a [`crate::LayoutMemo`]; [`exttsp_layout`] builds through
+//! a fresh one.
 
+#[cfg(test)]
 use crate::chain::chain_proc;
-use crate::graph::pettis_hansen_order;
-use crate::params::{ChainParams, ExtTspParams, LayoutParams};
+use crate::memo::{ChainOrders, LayoutMemo};
+use crate::params::{ExtTspParams, LayoutParams};
 use codelayout_ir::{BlockId, Layout, ProcId, Program, Terminator, INSTR_BYTES};
 use codelayout_profile::Profile;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -261,9 +242,10 @@ pub fn exttsp_proc_order(
     proc: ProcId,
     params: &LayoutParams,
 ) -> Vec<BlockId> {
-    ExtTspMemo::new(program, profile)
-        .proc_order(proc, params)
-        .to_vec()
+    let mut chains = ChainOrders::new(program, params.chain);
+    let mut order = Vec::new();
+    ExtTspMerges::default().proc_order(program, profile, proc, &mut chains, params, &mut order);
+    order
 }
 
 /// What the merger reads of one procedure: its weighted edges between
@@ -340,23 +322,19 @@ fn unlinked_order(profile: &Profile, blocks: &[BlockId], entry_local: u32) -> Ve
         .collect()
 }
 
-/// The greedy chain order of `proc` under `chain`, rotated to entry-first
-/// when chaining fronted a hot predecessor of the entry: the candidate
-/// the merged order competes against.
-fn chain_candidate(
-    program: &Program,
-    profile: &Profile,
-    proc: ProcId,
-    chain: &ChainParams,
-) -> Vec<BlockId> {
+/// A procedure's chain order rotated to entry first, when chaining
+/// fronted a hot predecessor of the entry: the candidate the merged order
+/// competes against.
+fn entry_first<'c>(program: &Program, proc: ProcId, chain: &'c [BlockId]) -> Cow<'c, [BlockId]> {
     let entry = program.proc(proc).entry;
-    let mut order = chain_proc(program, profile, proc, chain);
-    let at = order
+    match chain
         .iter()
         .position(|&b| b == entry)
-        .expect("entry present");
-    order.rotate_left(at);
-    order
+        .expect("entry present")
+    {
+        0 => Cow::Borrowed(chain),
+        at => Cow::Owned([&chain[at..], &chain[..at]].concat()),
+    }
 }
 
 /// Whether the chain candidate beats the merged order under `score`;
@@ -391,9 +369,10 @@ fn proc_order_by(
     }
     let ep = &params.exttsp;
     let merged = ProcFacts::new(program, profile, proc).merged(merge, profile, blocks, ep);
-    let chain = chain_candidate(program, profile, proc, &params.chain);
+    let chain = chain_proc(program, profile, proc, &params.chain);
+    let chain = entry_first(program, proc, &chain);
     if chain_wins(program, profile, ep, &chain, &merged, span_score) {
-        chain
+        chain.into_owned()
     } else {
         merged
     }
@@ -403,7 +382,7 @@ fn proc_order_by(
 /// clamped to the procedure's block count.
 type MergeKey = (u64, u64, u64, u64);
 
-/// What an [`ExtTspMemo`] keeps of one procedure.
+/// What the ext-TSP pass keeps of one procedure.
 enum ProcMemo {
     /// The order whatever the parameters: a procedure of one block, or
     /// one with no weighted edge between distinct blocks
@@ -414,8 +393,6 @@ enum ProcMemo {
         facts: ProcFacts,
         /// Merged orders by [`MergeKey`].
         merged: HashMap<MergeKey, Vec<BlockId>>,
-        /// Rotated chain candidates by chaining parameters.
-        chains: HashMap<ChainParams, Vec<BlockId>>,
     },
 }
 
@@ -432,115 +409,42 @@ impl ProcMemo {
         ProcMemo::Linked {
             facts,
             merged: HashMap::new(),
-            chains: HashMap::new(),
         }
     }
 }
 
-/// The ext-TSP pass over one program and profile, keeping what one
-/// build computes that another build of the same profile can reuse (the
-/// module docs list what it keeps, and why each key is exact).
-///
-/// [`exttsp_layout`] is a fresh memo's one [`ExtTspMemo::layout`]. A
-/// search that builds ext-TSP layouts at many parameter points keeps one
-/// memo across them, and each layout equals a fresh build at its point.
-/// Each layout adds the merges it ran to the `exttsp.merges` counter and
-/// the merged orders it reused to `exttsp.merge_hits`.
-///
-/// ```
-/// # use codelayout_ir::{ProcBuilder, ProgramBuilder};
-/// # use codelayout_profile::Profile;
-/// use codelayout_core::{exttsp_layout, ExtTspMemo, LayoutParams};
-///
-/// # let mut pb = ProgramBuilder::new("p");
-/// # let main = pb.declare_proc("main");
-/// # let mut f = ProcBuilder::new();
-/// # f.halt();
-/// # pb.define_proc(main, f).unwrap();
-/// # let program = pb.finish(main).unwrap();
-/// # let profile = Profile::new(program.blocks.len());
-/// let mut memo = ExtTspMemo::new(&program, &profile);
-/// let mut params = LayoutParams::default();
-/// for cap in [8, 16, 32] {
-///     params.exttsp.split_cap = cap;
-///     assert_eq!(memo.layout(&params), exttsp_layout(&program, &profile, &params));
-/// }
-/// ```
-pub struct ExtTspMemo<'a> {
-    program: &'a Program,
-    profile: &'a Profile,
+/// The ext-TSP part of a [`LayoutMemo`]: each procedure's facts and
+/// merged orders (the memo's docs say why each key is exact).
+#[derive(Default)]
+pub(crate) struct ExtTspMerges {
     /// Per procedure, filled on first use.
     procs: Vec<Option<ProcMemo>>,
-    /// Pettis–Hansen procedure order, filled on first use.
-    placement: Option<Vec<u32>>,
     /// Merges run and merged orders reused since the last layout's
     /// counters were published.
     merges: u64,
     merge_hits: u64,
 }
 
-impl<'a> ExtTspMemo<'a> {
-    /// An empty memo over `program` and `profile`. Costs nothing until
-    /// its first layout.
-    pub fn new(program: &'a Program, profile: &'a Profile) -> Self {
-        ExtTspMemo {
-            program,
-            profile,
-            procs: Vec::new(),
-            placement: None,
-            merges: 0,
-            merge_hits: 0,
-        }
-    }
-
-    /// True when the memo is over exactly this program and profile (the
-    /// same objects, not equal copies).
-    pub(crate) fn is_over(&self, program: &Program, profile: &Profile) -> bool {
-        std::ptr::eq(self.program, program) && std::ptr::eq(self.profile, profile)
-    }
-
-    /// Builds the whole-program ext-TSP layout at `params`: per-procedure
-    /// ext-TSP block orders, procedures kept contiguous and arranged by
-    /// Pettis–Hansen call ordering. Equal to [`exttsp_layout`] at the same
-    /// parameters, whatever this memo built before.
-    pub fn layout(&mut self, params: &LayoutParams) -> Layout {
-        let _span = codelayout_obs::span("exttsp");
-        let (program, profile) = (self.program, self.profile);
-        let placement = self
-            .placement
-            .get_or_insert_with(|| {
-                let w = profile.proc_call_weights(program);
-                pettis_hansen_order(
-                    program.procs.len(),
-                    w.into_iter().map(|((a, b), c)| (a, b, c)),
-                )
-            })
-            .clone();
-        let mut order = Vec::with_capacity(program.blocks.len());
-        for p in placement {
-            order.extend_from_slice(self.proc_order(ProcId(p), params));
-        }
-        let m = codelayout_obs::metrics();
-        m.add("exttsp.merges", std::mem::take(&mut self.merges));
-        m.add("exttsp.merge_hits", std::mem::take(&mut self.merge_hits));
-        Layout { order }
-    }
-
-    /// The ext-TSP block order of one procedure at `params`.
-    fn proc_order(&mut self, proc: ProcId, params: &LayoutParams) -> &[BlockId] {
-        let (program, profile) = (self.program, self.profile);
+impl ExtTspMerges {
+    /// Appends the ext-TSP block order of one procedure at `params` to
+    /// `out`, given the chain orders at `params.chain`.
+    fn proc_order(
+        &mut self,
+        program: &Program,
+        profile: &Profile,
+        proc: ProcId,
+        chains: &mut ChainOrders,
+        params: &LayoutParams,
+        out: &mut Vec<BlockId>,
+    ) {
         if self.procs.is_empty() {
             self.procs.resize_with(program.procs.len(), || None);
         }
         let memo =
             self.procs[proc.index()].get_or_insert_with(|| ProcMemo::new(program, profile, proc));
-        let (facts, merged, chains) = match memo {
-            ProcMemo::Fixed(order) => return order,
-            ProcMemo::Linked {
-                facts,
-                merged,
-                chains,
-            } => (facts, merged, chains),
+        let (facts, merged) = match memo {
+            ProcMemo::Fixed(order) => return out.extend_from_slice(order),
+            ProcMemo::Linked { facts, merged } => (facts, merged),
         };
         let blocks = &program.proc(proc).blocks;
         let ep = &params.exttsp;
@@ -560,15 +464,31 @@ impl<'a> ExtTspMemo<'a> {
                 e.insert(facts.merged(merge_chains, profile, blocks, ep))
             }
         };
-        let chain = chains
-            .entry(params.chain)
-            .or_insert_with(|| chain_candidate(program, profile, proc, &params.chain));
-        if chain_wins(program, profile, ep, chain, merged, span_score) {
-            chain
+        let chain = entry_first(program, proc, chains.proc_order(program, profile, proc));
+        if chain_wins(program, profile, ep, &chain, merged, span_score) {
+            out.extend_from_slice(&chain);
         } else {
-            merged
+            out.extend_from_slice(merged);
         }
     }
+}
+
+/// Builds the whole-program ext-TSP layout at `params` through `memo`:
+/// per-procedure ext-TSP block orders, procedures kept contiguous and
+/// arranged by the memo's Pettis–Hansen placement.
+pub(crate) fn exttsp_with(memo: &mut LayoutMemo<'_>, params: &LayoutParams) -> Layout {
+    let _span = codelayout_obs::span("exttsp");
+    let (program, profile) = (memo.program(), memo.profile());
+    let (placement, chains, merges) = memo.exttsp_parts(&params.chain);
+    let mut order = Vec::with_capacity(program.blocks.len());
+    for &p in placement {
+        let p = ProcId(p);
+        merges.proc_order(program, profile, p, chains, params, &mut order);
+    }
+    let m = codelayout_obs::metrics();
+    m.add("exttsp.merges", std::mem::take(&mut merges.merges));
+    m.add("exttsp.merge_hits", std::mem::take(&mut merges.merge_hits));
+    Layout { order }
 }
 
 /// The live chains of one procedure and where each block sits in them.
@@ -919,9 +839,9 @@ fn merge_chains(
 /// orders, procedures kept contiguous and arranged by Pettis–Hansen call
 /// ordering (the same procedure placement the paper's `chain+porder`
 /// series uses, so series differ only in the intra-procedure objective).
-/// This is one build of a fresh [`ExtTspMemo`].
+/// This is one build through a fresh [`LayoutMemo`].
 pub fn exttsp_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
-    ExtTspMemo::new(program, profile).layout(params)
+    exttsp_with(&mut LayoutMemo::new(program, profile), params)
 }
 
 /// The full-rescore chain merger and the dense span scorer the pass used

@@ -9,8 +9,7 @@
 //! blocks), hot parts are Pettis–Hansen ordered, cold parts sink to the end
 //! of the image.
 
-use crate::chain::chain_all;
-use crate::graph::pettis_hansen_order;
+use crate::memo::LayoutMemo;
 use crate::params::LayoutParams;
 use codelayout_ir::{BlockId, Layout, Program};
 use codelayout_profile::Profile;
@@ -20,14 +19,20 @@ use codelayout_profile::Profile;
 /// `hotcold.hot_threshold` sets the execution count above which a block
 /// counts as hot.
 pub fn hot_cold_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
+    hot_cold_with(&mut LayoutMemo::new(program, profile), params)
+}
+
+/// [`hot_cold_layout`], reading the chain orders and the procedure
+/// placement from `memo`.
+pub(crate) fn hot_cold_with(memo: &mut LayoutMemo<'_>, params: &LayoutParams) -> Layout {
     let _span = codelayout_obs::span("hotcold");
-    let orders = chain_all(program, profile, &params.chain);
+    let (program, profile) = (memo.program(), memo.profile());
     let nprocs = program.procs.len();
     let threshold = params.hotcold.hot_threshold;
 
     let mut hot: Vec<Vec<BlockId>> = Vec::with_capacity(nprocs);
     let mut cold: Vec<Vec<BlockId>> = Vec::with_capacity(nprocs);
-    for order in &orders {
+    for order in memo.chain_orders(&params.chain) {
         let (h, c): (Vec<BlockId>, Vec<BlockId>) = order
             .iter()
             .partition(|&&b| profile.block_count(b) > threshold);
@@ -35,14 +40,12 @@ pub fn hot_cold_layout(program: &Program, profile: &Profile, params: &LayoutPara
         cold.push(c);
     }
 
-    let w = profile.proc_call_weights(program);
-    let proc_order = pettis_hansen_order(nprocs, w.into_iter().map(|((a, b), c)| (a, b, c)));
-
+    let proc_order = memo.placement();
     let mut out: Vec<BlockId> = Vec::with_capacity(program.blocks.len());
-    for &p in &proc_order {
+    for &p in proc_order {
         out.extend(hot[p as usize].iter().copied());
     }
-    for &p in &proc_order {
+    for &p in proc_order {
         out.extend(cold[p as usize].iter().copied());
     }
     Layout { order: out }

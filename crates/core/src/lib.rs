@@ -31,6 +31,9 @@
 //! [`LayoutRequest`] adds the profile source and pass parameters to name
 //! one build. Each pass is one function that takes its parameters
 //! ([`LayoutParams`] or its sub-struct); the pipeline passes its own.
+//! A search that builds many layouts of one profile keeps what they
+//! share — the chain orders, the procedure placement, ext-TSP's merges —
+//! in one [`LayoutMemo`].
 //!
 //! All optimizations are *pure layout permutations*: they consume an
 //! immutable [`codelayout_ir::Program`] plus a
@@ -45,6 +48,7 @@ mod chain;
 mod exttsp;
 mod graph;
 mod hotcold;
+mod memo;
 mod params;
 mod pipeline;
 mod request;
@@ -55,11 +59,12 @@ mod stitcher;
 pub use cfa::{cfa_layout, CfaReport};
 pub use chain::{chain_all, chain_proc};
 pub use exttsp::{
-    block_bytes, exttsp_layout, exttsp_proc_order, exttsp_score, span_score, ExtTspMemo,
-    BACKWARD_WINDOW, FORWARD_WINDOW, SCORE_SCALE,
+    block_bytes, exttsp_layout, exttsp_proc_order, exttsp_score, span_score, BACKWARD_WINDOW,
+    FORWARD_WINDOW, SCORE_SCALE,
 };
 pub use graph::pettis_hansen_order;
 pub use hotcold::hot_cold_layout;
+pub use memo::LayoutMemo;
 pub use params::{
     CfaParams, ChainParams, ExtTspParams, HotColdParams, LayoutParams, ParamKnob, ParamPoint,
     ParamSpace, SplitParams,

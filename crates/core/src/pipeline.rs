@@ -1,16 +1,17 @@
 //! Composition of the layout optimizations into the paper's pipelines.
 
-use crate::cfa::cfa_layout;
-use crate::chain::chain_all;
-use crate::exttsp::ExtTspMemo;
+use crate::cfa::cfa_with;
+use crate::exttsp::exttsp_with;
 use crate::graph::pettis_hansen_order;
-use crate::hotcold::hot_cold_layout;
+use crate::hotcold::hot_cold_with;
+use crate::memo::LayoutMemo;
 use crate::params::LayoutParams;
 use crate::series::LayoutSeries;
 use crate::split::{split_all, Segment};
-use crate::stitcher::stitcher_layout;
+use crate::stitcher::stitcher_with;
 use codelayout_ir::{BlockId, Layout, ProcId, Program};
 use codelayout_profile::Profile;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which optimizations to apply, mirroring the x-axis of the paper's
@@ -150,39 +151,51 @@ impl<'a> LayoutPipeline<'a> {
         &self.params
     }
 
-    /// Per-procedure block orders after the (optional) chaining stage.
-    pub fn block_orders(&self, chain: bool) -> Vec<Vec<BlockId>> {
-        if chain {
-            let _span = codelayout_obs::span("chain");
-            let orders = chain_all(self.program, self.profile, &self.params.chain);
-            codelayout_obs::metrics().add(
-                "layout.blocks_chained",
-                orders.iter().map(Vec::len).sum::<usize>() as u64,
-            );
-            orders
-        } else {
-            self.program
-                .procs
-                .iter()
-                .map(|p| p.blocks.clone())
-                .collect()
-        }
-    }
-
     /// The segments produced by chaining (optional) followed by fine-grain
     /// splitting.
     pub fn segments(&self, chain: bool) -> Vec<Segment> {
-        let orders = self.block_orders(chain);
+        self.segments_with(chain, &mut LayoutMemo::new(self.program, self.profile))
+    }
+
+    /// [`LayoutPipeline::segments`], reading the chain orders from `memo`.
+    pub(crate) fn segments_with(&self, chain: bool, memo: &mut LayoutMemo<'_>) -> Vec<Segment> {
+        let orders = self.block_orders(chain, memo);
         let _span = codelayout_obs::span("split");
         let segs = split_all(self.program, self.profile, &orders, &self.params.split);
         codelayout_obs::metrics().add("layout.segments", segs.len() as u64);
         segs
     }
 
+    /// Per-procedure block orders after the (optional) chaining stage.
+    fn block_orders<'m>(
+        &self,
+        chain: bool,
+        memo: &'m mut LayoutMemo<'_>,
+    ) -> Cow<'m, [Vec<BlockId>]> {
+        if chain {
+            let _span = codelayout_obs::span("chain");
+            let orders = memo.chain_orders(&self.params.chain);
+            codelayout_obs::metrics().add(
+                "layout.blocks_chained",
+                orders.iter().map(Vec::len).sum::<usize>() as u64,
+            );
+            Cow::Borrowed(orders)
+        } else {
+            Cow::Owned(
+                self.program
+                    .procs
+                    .iter()
+                    .map(|p| p.blocks.clone())
+                    .collect(),
+            )
+        }
+    }
+
     /// Builds the layout for any [`LayoutSeries`] — a paper
     /// [`OptimizationSet`] converts with `set.into()` — under the
     /// pipeline's [`LayoutParams`] (the CFA series' reserved area
-    /// defaults to [`CFA_RESERVED_BYTES`]).
+    /// defaults to [`CFA_RESERVED_BYTES`]), through a fresh
+    /// [`LayoutMemo`].
     ///
     /// Every constructed layout is checked with
     /// [`codelayout_ir::verify_layout`]; under `debug_assertions` the
@@ -194,34 +207,32 @@ impl<'a> LayoutPipeline<'a> {
     /// Panics if the constructed layout fails verification — that is always
     /// a bug in the optimization stages, never a property of the input.
     pub fn build_series(&self, series: LayoutSeries) -> Layout {
-        self.build_series_with(series, &mut ExtTspMemo::new(self.program, self.profile))
+        self.build_series_with(series, &mut LayoutMemo::new(self.program, self.profile))
     }
 
-    /// [`LayoutPipeline::build_series`], building an ext-TSP layout
-    /// through `memo`: a search that builds many ext-TSP layouts of one
-    /// profile passes the same memo to each, and gets the layouts fresh
-    /// builds give. Other series do not read it.
+    /// [`LayoutPipeline::build_series`] through `memo`: a search that
+    /// builds many layouts of one profile passes the same memo to each,
+    /// and gets the layouts fresh builds give (see [`LayoutMemo`] for
+    /// what it reuses).
     ///
     /// # Panics
-    /// As [`LayoutPipeline::build_series`], and on an ext-TSP build if
-    /// `memo` is not over the pipeline's program and profile (the same
-    /// objects, not equal copies).
-    pub fn build_series_with(&self, series: LayoutSeries, memo: &mut ExtTspMemo<'_>) -> Layout {
+    /// As [`LayoutPipeline::build_series`], and if `memo` is not over the
+    /// pipeline's program and profile (the same objects, not equal
+    /// copies).
+    pub fn build_series_with(&self, series: LayoutSeries, memo: &mut LayoutMemo<'_>) -> Layout {
+        assert!(
+            memo.is_over(self.program, self.profile),
+            "layout memo is over another program or profile"
+        );
         let _span = codelayout_obs::span("layout");
         codelayout_obs::metrics().add("layout.builds", 1);
-        let (program, profile, params) = (self.program, self.profile, &self.params);
+        let (program, params) = (self.program, &self.params);
         let layout = match series {
-            LayoutSeries::Paper(set) => self.paper_layout(set),
-            LayoutSeries::HotCold => hot_cold_layout(program, profile, params),
-            LayoutSeries::Cfa => cfa_layout(program, profile, params).0,
-            LayoutSeries::ExtTsp => {
-                assert!(
-                    memo.is_over(program, profile),
-                    "ext-TSP memo is over another program or profile"
-                );
-                memo.layout(params)
-            }
-            LayoutSeries::Stitcher => stitcher_layout(program, profile, params),
+            LayoutSeries::Paper(set) => self.paper_layout(set, memo),
+            LayoutSeries::HotCold => hot_cold_with(memo, params),
+            LayoutSeries::Cfa => cfa_with(memo, params).0,
+            LayoutSeries::ExtTsp => exttsp_with(memo, params),
+            LayoutSeries::Stitcher => stitcher_with(memo, params),
         };
         let verify_span = codelayout_obs::span("verify");
         codelayout_ir::verify_layout(program, &layout)
@@ -236,9 +247,9 @@ impl<'a> LayoutPipeline<'a> {
         layout
     }
 
-    fn paper_layout(&self, set: OptimizationSet) -> Layout {
+    fn paper_layout(&self, set: OptimizationSet, memo: &mut LayoutMemo<'_>) -> Layout {
         let order: Vec<BlockId> = if set.split {
-            let segs = self.segments(set.chain);
+            let segs = self.segments_with(set.chain, memo);
             let seg_order: Vec<usize> = if set.porder {
                 let _span = codelayout_obs::span("porder");
                 let edges = segment_edges(self.program, self.profile, &segs);
@@ -258,17 +269,13 @@ impl<'a> LayoutPipeline<'a> {
                 .flat_map(|i| segs[i].blocks.iter().copied())
                 .collect()
         } else {
-            let orders = self.block_orders(set.chain);
             let proc_order: Vec<u32> = if set.porder {
                 let _span = codelayout_obs::span("porder");
-                let w = self.profile.proc_call_weights(self.program);
-                pettis_hansen_order(
-                    self.program.procs.len(),
-                    w.into_iter().map(|((a, b), c)| (a, b, c)),
-                )
+                memo.placement().to_vec()
             } else {
                 (0..self.program.procs.len() as u32).collect()
             };
+            let orders = self.block_orders(set.chain, memo);
             proc_order
                 .into_iter()
                 .flat_map(|p| orders[p as usize].iter().copied())

@@ -19,6 +19,7 @@
 //! profiles already carry everything the hierarchy needs.
 
 use crate::exttsp::block_bytes;
+use crate::memo::LayoutMemo;
 use crate::params::LayoutParams;
 use crate::pipeline::segment_edges;
 use crate::split::split_all;
@@ -57,10 +58,20 @@ impl Default for StitchLevels {
 /// (segments never straddle, conditional tails stay unique per
 /// procedure).
 pub fn stitcher_layout(program: &Program, profile: &Profile, params: &LayoutParams) -> Layout {
+    stitcher_with(&mut LayoutMemo::new(program, profile), params)
+}
+
+/// [`stitcher_layout`], reading the chain orders from `memo`.
+pub(crate) fn stitcher_with(memo: &mut LayoutMemo<'_>, params: &LayoutParams) -> Layout {
     let _span = codelayout_obs::span("stitcher");
+    let (program, profile) = (memo.program(), memo.profile());
     let levels = params.stitch;
-    let orders = crate::chain::chain_all(program, profile, &params.chain);
-    let segs = split_all(program, profile, &orders, &params.split);
+    let segs = split_all(
+        program,
+        profile,
+        memo.chain_orders(&params.chain),
+        &params.split,
+    );
     let edges = segment_edges(program, profile, &segs);
     let sizes: Vec<u64> = segs
         .iter()

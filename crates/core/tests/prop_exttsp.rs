@@ -1,4 +1,5 @@
-//! Property tests for the ext-TSP and Codestitcher passes.
+//! Property tests for the ext-TSP and Codestitcher passes, and for the
+//! layout memo every series builds through.
 //!
 //! The scorer is encoded once ([`codelayout_core::exttsp_score`]) and
 //! shared between the ext-TSP pass and this suite, so the score
@@ -6,8 +7,8 @@
 //! optimizes — not a reimplementation that could drift.
 
 use codelayout_core::{
-    exttsp_layout, exttsp_proc_order, exttsp_score, ExtTspMemo, LayoutParams, LayoutPipeline,
-    LayoutSeries, OptimizationSet, ParamKnob, ParamSpace,
+    exttsp_proc_order, exttsp_score, LayoutMemo, LayoutParams, LayoutPipeline, LayoutSeries,
+    OptimizationSet, ParamKnob, ParamSpace,
 };
 use codelayout_ir::link::link;
 use codelayout_ir::testgen::{random_program, GenConfig};
@@ -110,18 +111,18 @@ proptest! {
         );
     }
 
-    /// One ext-TSP memo reused across a random sequence of parameter
-    /// points builds, at each point, the layout a fresh build gives. Like
-    /// the tuner's descent, most points move one knob of the previous
-    /// point, so later points repeat merges and chain candidates; the
-    /// others redraw every knob. Each `exttsp.*` knob and
-    /// `chain.min_edge_weight` draws from its grid, and half the
-    /// `split_cap` draws are `n - 2 ..= n + 1` for the block count `n` of
-    /// the largest or of a random procedure, where the memo's clamp of the
-    /// cap to `n` decides. Every other point goes through the pipeline's
-    /// memo-taking form.
+    /// One layout memo reused across a random sequence of parameter
+    /// points of the full space builds, for every series at each point,
+    /// the layout a fresh build gives. Like the tuner's descent, most
+    /// points move one knob of the previous point, so later builds repeat
+    /// chain orders and merges; the others redraw every knob. The series
+    /// take turns through the one memo in a fresh random order at each
+    /// point. Half the `exttsp.split_cap` draws are `n - 2 ..= n + 1` for
+    /// the block count `n` of the largest or of a random procedure, where
+    /// the memo's clamp of the cap to `n` decides; every other knob draws
+    /// from its grid.
     #[test]
-    fn exttsp_memo_builds_equal_fresh_builds(
+    fn layout_memo_builds_equal_fresh_builds(
         seed in 0u64..10_000,
         pseed in 0u64..1_000,
         dseed in 0u64..1_000,
@@ -131,18 +132,7 @@ proptest! {
         let profile = random_profile(&program, pseed);
         let sizes: Vec<u64> = program.procs.iter().map(|p| p.blocks.len() as u64).collect();
         let largest = sizes.iter().copied().max().unwrap_or(0);
-        let space = ParamSpace::for_series(LayoutSeries::ExtTsp);
-        let names: Vec<&str> = space.knobs().iter().map(|k| k.name()).collect();
-        prop_assert_eq!(
-            names,
-            [
-                "chain.min_edge_weight",
-                "exttsp.jump_weight",
-                "exttsp.forward_window",
-                "exttsp.backward_window",
-                "exttsp.split_cap",
-            ]
-        );
+        let space = ParamSpace::full();
         let mut rng = StdRng::seed_from_u64(dseed);
         let draw = |knob: &ParamKnob, rng: &mut StdRng| {
             if knob.name() == "exttsp.split_cap" && rng.gen_bool(0.5) {
@@ -152,9 +142,10 @@ proptest! {
                 knob.values()[rng.gen_range(0..knob.values().len())]
             }
         };
-        let mut memo = ExtTspMemo::new(&program, &profile);
+        let mut memo = LayoutMemo::new(&program, &profile);
         let mut params = LayoutParams::default();
-        for step in 0..rng.gen_range(1..=16) {
+        let mut series = LayoutSeries::all();
+        for step in 0..rng.gen_range(1..=12) {
             if step == 0 || rng.gen_bool(0.3) {
                 for knob in space.knobs() {
                     let value = draw(knob, &mut rng);
@@ -165,14 +156,18 @@ proptest! {
                 let value = draw(knob, &mut rng);
                 knob.set(&mut params, value);
             }
-            let fresh = exttsp_layout(&program, &profile, &params);
-            let reused = if step % 2 == 0 {
-                memo.layout(&params)
-            } else {
-                LayoutPipeline::with_params(&program, &profile, params)
-                    .build_series_with(LayoutSeries::ExtTsp, &mut memo)
-            };
-            prop_assert_eq!(reused, fresh, "step {} at {:?}", step, params);
+            for i in (1..series.len()).rev() {
+                series.swap(i, rng.gen_range(0..=i));
+            }
+            let pipeline = LayoutPipeline::with_params(&program, &profile, params);
+            for &s in &series {
+                let fresh = pipeline.build_series(s);
+                prop_assert_eq!(
+                    pipeline.build_series_with(s, &mut memo),
+                    fresh,
+                    "step {} `{}` at {:?}", step, s, params
+                );
+            }
         }
     }
 

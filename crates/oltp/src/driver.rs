@@ -12,7 +12,7 @@ use crate::kernel::{gen_kernel, KernelSpec, SYS_LOG_WRITE, SYS_RECEIVE, SYS_REPL
 use crate::scenario::Scenario;
 use crate::sga::{priv_words, words, Invariants, SgaLayout};
 use codelayout_analysis::{validate_translation, ValidationError};
-use codelayout_core::{ExtTspMemo, LayoutPipeline, LayoutRequest, LayoutSeries, ProfileSource};
+use codelayout_core::{LayoutMemo, LayoutPipeline, LayoutRequest, LayoutSeries, ProfileSource};
 use codelayout_ir::link::link;
 use codelayout_ir::{Image, IrError, Layout, Program, Reg};
 use codelayout_profile::{profile_from_block_samples, PixieCollector, Profile, SampledCollector};
@@ -315,15 +315,15 @@ impl Study {
             .build_series(req.series)
     }
 
-    /// [`Study::layout`], building an ext-TSP layout through `memo` (see
-    /// [`LayoutPipeline::build_series_with`]): a search over many ext-TSP
+    /// [`Study::layout`] through `memo` (see
+    /// [`LayoutPipeline::build_series_with`]): a search over many
     /// parameter points keeps one memo over the application and its
     /// measured profile across its builds.
     ///
     /// # Panics
-    /// Panics on an ext-TSP request that reads another profile than the
-    /// measured one, which `memo` is over.
-    pub fn layout_with(&self, req: impl Into<LayoutRequest>, memo: &mut ExtTspMemo<'_>) -> Layout {
+    /// Panics on a request that reads another profile than the measured
+    /// one, which `memo` is over.
+    pub fn layout_with(&self, req: impl Into<LayoutRequest>, memo: &mut LayoutMemo<'_>) -> Layout {
         let req = req.into();
         LayoutPipeline::with_params(&self.app.program, &self.profile_for(&req), req.params)
             .build_series_with(req.series, memo)

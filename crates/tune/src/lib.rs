@@ -15,13 +15,14 @@
 //!    instructions of one block from `offset`, on one CPU and process.
 //!    Sequential fetch makes runs long — on `sim`, a million fetches
 //!    are about 221 k runs.
-//! 2. **Score each distinct block order once.** For each candidate
-//!    parameter point, build the layout
-//!    ([`codelayout_oltp::Study::layout_with`]; the `exttsp` family
-//!    keeps one [`codelayout_core::ExtTspMemo`] across its builds,
-//!    starting from the `exttsp` yardstick's, so a procedure's merge at
-//!    knobs an earlier build had is reused, and drops it when the family
-//!    ends).
+//! 2. **Build through one layout memo, and score each distinct block
+//!    order once.** For each candidate parameter point, build the layout
+//!    through the family's [`codelayout_core::LayoutMemo`]
+//!    ([`codelayout_oltp::Study::layout_with`]): the family chains the
+//!    program once per `chain.min_edge_weight`, places its procedures
+//!    once, and merges an ext-TSP procedure once per set of ext-TSP
+//!    knobs, so a candidate redoes only the stages its own knobs reach,
+//!    and its layout is the one a fresh build gives.
 //!    The score is a pure function of the layout's block order, so a
 //!    per-family memo keyed by the whole order (compared element by
 //!    element, never by a hash alone) answers an order the family's
@@ -36,11 +37,12 @@
 //!    count over the evaluation grid. A memo hit is still charged as a
 //!    fresh candidate (and counted in `tune.layout_hits`), so the
 //!    trajectory and the budget do not depend on the memo. The fixed
-//!    yardsticks are scored by the same path, and each searched family's
-//!    memo starts with its yardstick's order (the family's default point
-//!    is the same series at the same parameters); the memo is dropped
-//!    when the family ends. On `sim`, 71 of the 145 candidates repeat an
-//!    earlier order of their family.
+//!    yardsticks are scored by the same path, each through memos of its
+//!    own, and each searched family takes over its yardstick's layout
+//!    and order memos (the family's default point is the same series at
+//!    the same parameters); the family drops them when it ends. On
+//!    `sim`, 71 of the 145 candidates repeat an earlier order of their
+//!    family.
 //! 3. **Search.** Per series family: evaluate the defaults first (the
 //!    fixed series everyone ships), greedy coordinate descent from
 //!    there, then seeded random restarts, under a per-family candidate
@@ -69,8 +71,8 @@
 //! depend on the lane count or the claim order. There is one item per
 //! searched family (four by default), so lanes beyond that sit idle, and
 //! the slowest family bounds the search. Before the search, the fixed
-//! yardsticks are scored side by side on the lanes too, each into its
-//! own memo.
+//! yardsticks are scored side by side on the lanes too, each through its
+//! own memos, which the lane that runs its family then takes over.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -90,7 +92,7 @@
 #![warn(missing_docs)]
 
 use codelayout_core::{
-    ExtTspMemo, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
+    LayoutMemo, LayoutParams, LayoutRequest, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace,
 };
 use codelayout_ir::{BlockId, Image, Layout};
 use codelayout_memsim::{GridSink, StreamFilter, SweepSpec};
@@ -491,7 +493,7 @@ struct Evaluation {
 /// already here is not linked, validated or replayed again. The key is
 /// the whole order, compared element by element, never a hash alone;
 /// orders are numbered in the order they were first recorded.
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct OrderMemo {
     numbers: HashMap<Vec<BlockId>, usize>,
     scored: Vec<Evaluation>,
@@ -520,6 +522,13 @@ impl OrderMemo {
     }
 }
 
+/// What one search reuses across its candidates: the layout stages its
+/// builds share, and the block orders it scored.
+struct Memos<'a> {
+    layouts: LayoutMemo<'a>,
+    orders: OrderMemo,
+}
+
 /// The read-only fitness oracle every lane shares: the study, the
 /// recorded window and the evaluation grid.
 struct Lab<'a> {
@@ -528,13 +537,21 @@ struct Lab<'a> {
     window: Vec<WindowRun>,
     nblocks: usize,
     lanes: usize,
-    /// Take an order already scored from the order memo, and build
-    /// ext-TSP layouts through the family's ext-TSP memo. Off only in the
-    /// tests that check both memos against fresh evaluations.
+    /// Build layouts through the search's layout memo, and take an order
+    /// already scored from its order memo. Off only in the tests that
+    /// check both memos against fresh evaluations.
     memoize: bool,
 }
 
-impl Lab<'_> {
+impl<'a> Lab<'a> {
+    /// Empty memos over the study's application and measured profile.
+    fn memos(&self) -> Memos<'a> {
+        Memos {
+            layouts: LayoutMemo::new(&self.study.app.program, &self.study.profile),
+            orders: OrderMemo::default(),
+        }
+    }
+
     /// Replays the window remapped onto `image` on the calling thread;
     /// returns (total misses, per-cell misses).
     fn replay(&self, image: &Image) -> (u64, Vec<u64>) {
@@ -546,28 +563,22 @@ impl Lab<'_> {
     }
 
     /// Scores one layout request on the calling thread: builds the
-    /// layout (an ext-TSP one through `exttsp`), then links, validates
-    /// and replays its block order unless `orders` has it, and records it
-    /// in `orders`. Validation is unconditional for every order scored —
-    /// a layout the validator rejects can never win, whatever the cache
-    /// says.
-    fn evaluate(
-        &self,
-        req: LayoutRequest,
-        orders: &mut OrderMemo,
-        exttsp: &mut ExtTspMemo<'_>,
-    ) -> Evaluation {
+    /// layout through `memos`, then links, validates and replays its
+    /// block order unless the order memo has it, and records it there.
+    /// Validation is unconditional for every order scored — a layout the
+    /// validator rejects can never win, whatever the cache says.
+    fn evaluate(&self, req: LayoutRequest, memos: &mut Memos<'_>) -> Evaluation {
         if !self.memoize {
             let layout = self.study.layout(req);
             let ev = self.score(&layout);
-            return orders.record(layout.order, ev);
+            return memos.orders.record(layout.order, ev);
         }
-        let layout = self.study.layout_with(req, exttsp);
-        if let Some(ev) = orders.get(&layout.order) {
+        let layout = self.study.layout_with(req, &mut memos.layouts);
+        if let Some(ev) = memos.orders.get(&layout.order) {
             return ev.clone();
         }
         let ev = self.score(&layout);
-        orders.record(layout.order, ev)
+        memos.orders.record(layout.order, ev)
     }
 
     /// Links, validates and replays one layout.
@@ -601,12 +612,9 @@ struct FamilySearch<'a> {
     space: ParamSpace,
     budget: u64,
     cache: BTreeMap<ParamPoint, u64>,
-    /// Every block order the family's search scored, seeded with the
+    /// What the family's builds and scores reuse, taken over from the
     /// family's fixed yardstick.
-    orders: OrderMemo,
-    /// What the family's ext-TSP builds reuse from one another, seeded
-    /// with the yardstick's build (only the `exttsp` family fills it).
-    exttsp: ExtTspMemo<'a>,
+    memos: Memos<'a>,
     /// Numbers of the block orders charged so far.
     charged_orders: BTreeSet<usize>,
     evaluated: u64,
@@ -620,14 +628,13 @@ struct FamilySearch<'a> {
 }
 
 impl<'a> FamilySearch<'a> {
-    fn new(series: LayoutSeries, budget: u64, orders: OrderMemo, exttsp: ExtTspMemo<'a>) -> Self {
+    fn new(series: LayoutSeries, budget: u64, memos: Memos<'a>) -> Self {
         FamilySearch {
             series,
             space: ParamSpace::for_series(series),
             budget,
             cache: BTreeMap::new(),
-            orders,
-            exttsp,
+            memos,
             charged_orders: BTreeSet::new(),
             evaluated: 0,
             cache_hits: 0,
@@ -668,7 +675,7 @@ impl<'a> FamilySearch<'a> {
             cells,
             validated,
             order,
-        } = lab.evaluate(self.request(point), &mut self.orders, &mut self.exttsp);
+        } = lab.evaluate(self.request(point), &mut self.memos);
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
@@ -811,9 +818,9 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
     tune(study, cfg, true)
 }
 
-/// [`run_tune`], taking already-scored block orders from the order memo
-/// and building ext-TSP layouts through the family's ext-TSP memo only
-/// when `memoize` is set.
+/// [`run_tune`], building layouts through each search's layout memo and
+/// taking already-scored block orders from its order memo only when
+/// `memoize` is set.
 fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let _span = codelayout_obs::span("tune");
     let start = Instant::now();
@@ -851,17 +858,15 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
     // grid, so the comparison is apples-to-apples and deterministic. A
-    // searched family's memos start as its yardstick's: the family's
-    // default point is the same series at the same parameters. The
-    // family takes the yardstick's ext-TSP memo, so it is freed with the
-    // family's.
+    // searched family takes over its yardstick's memos: the family's
+    // default point is the same series at the same parameters, so they
+    // are freed with the family's.
     let fixed_span = codelayout_obs::span("tune_fixed");
     let comparison = LayoutSeries::comparison();
-    let new_exttsp = || ExtTspMemo::new(&study.app.program, &study.profile);
     let fixed_evals = lab.on_lanes(&comparison, |&series| {
-        let (mut orders, mut exttsp) = (OrderMemo::default(), new_exttsp());
-        let ev = lab.evaluate(series.into(), &mut orders, &mut exttsp);
-        (orders, Mutex::new(Some(exttsp)), ev)
+        let mut memos = lab.memos();
+        let ev = lab.evaluate(series.into(), &mut memos);
+        (Mutex::new(Some(memos)), ev)
     });
     fixed_span.finish();
 
@@ -888,21 +893,21 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     });
     let mut searches = lab.on_lanes(&searched, |&(nth, series)| {
         let _span = codelayout_obs::span("tune_family");
-        let yardstick = comparison
+        let memos = comparison
             .iter()
             .position(|&s| s == series)
-            .map(|i| &fixed_evals[i]);
-        let orders = yardstick
-            .map(|(orders, ..)| orders.clone())
-            .unwrap_or_default();
-        let exttsp = yardstick
-            .and_then(|(_, exttsp, _)| exttsp.lock().expect("yardstick memo poisoned").take())
-            .unwrap_or_else(new_exttsp);
-        let mut fam = FamilySearch::new(series, cfg.candidates, orders, exttsp);
+            .and_then(|i| {
+                fixed_evals[i]
+                    .0
+                    .lock()
+                    .expect("yardstick memo poisoned")
+                    .take()
+            })
+            .unwrap_or_else(|| lab.memos());
+        let mut fam = FamilySearch::new(series, cfg.candidates, memos);
         fam.run(&lab, cfg.seed ^ fnv1a(series.label()));
         // The memos are dropped when the family ends, not at the join.
-        fam.orders = OrderMemo::default();
-        fam.exttsp = new_exttsp();
+        fam.memos = lab.memos();
         (nth, fam)
     });
     // Published in series order, whatever order the lanes ran them in.
@@ -917,7 +922,7 @@ fn tune(study: &Study, cfg: &TuneConfig, memoize: bool) -> TuneReport {
     let fixed = comparison
         .into_iter()
         .zip(fixed_evals)
-        .map(|(series, (_, _, ev))| FixedResult {
+        .map(|(series, (_, ev))| FixedResult {
             series,
             score: ev.score,
             cells: ev.cells,
@@ -1086,13 +1091,15 @@ mod tests {
         }
     }
 
-    /// The search through the order memo and the ext-TSP memo reports
+    /// The search through the layout memo and the order memo reports
     /// byte for byte what it reports when every candidate's layout is
-    /// built with a fresh ext-TSP memo and linked, validated and replayed
-    /// afresh, at 1 and 3 lanes and at `CODELAYOUT_THREADS` lanes, where
-    /// families search side by side. Each family's layout hits are its
+    /// built fresh and linked, validated and replayed afresh, at 1 and 3
+    /// lanes and at `CODELAYOUT_THREADS` lanes, where families search
+    /// side by side. Every family is searched and reported, and each
+    /// family's candidates, rebuilt in search order through one layout
+    /// memo, equal fresh builds. Each family's layout hits are its
     /// charged points whose block order an earlier charged point of the
-    /// family had, counted here by rebuilding every layout.
+    /// family had, counted here from those rebuilt layouts.
     #[test]
     fn memoized_scoring_equals_fresh_evaluation() {
         let study = build_study(&Scenario::quick());
@@ -1104,13 +1111,23 @@ mod tests {
             let fresh = tune(&study, &cfg, false);
             let json = |r: &TuneReport| serde_json::to_string(&r.deterministic_json()).unwrap();
             assert_eq!(json(&memo), json(&fresh), "{lanes} lanes");
+            let reported: Vec<LayoutSeries> = memo.families.iter().map(|f| f.series).collect();
+            assert_eq!(reported, cfg.series, "{lanes} lanes");
             for (f, g) in memo.families.iter().zip(&fresh.families) {
                 let space = ParamSpace::for_series(f.series);
+                let mut layouts = LayoutMemo::new(&study.app.program, &study.profile);
                 let mut seen: Vec<Vec<BlockId>> = Vec::new();
                 let mut repeats = 0;
                 for c in memo.trajectory.iter().filter(|c| c.series == f.series) {
                     let req = LayoutRequest::from(f.series).with_params(space.params(&c.point));
-                    let order = study.layout(req).order;
+                    let order = study.layout_with(req, &mut layouts).order;
+                    assert_eq!(
+                        order,
+                        study.layout(req).order,
+                        "{} at {:?}",
+                        f.series,
+                        c.point
+                    );
                     if seen.contains(&order) {
                         repeats += 1;
                     } else {
